@@ -23,26 +23,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import ClusterSpec, CommEvent, SimClock
+from .fields import ConfigError, check_fields, option
 from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
                          OuterOptState, inner_step, outer_step)
 from .vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_INIT,
                       ParamVector, RngStream, l2_norm_sq, mean_of)
-
-VARIANT_TAGS = ("ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory")
 
 
 @dataclass(frozen=True)
 class Schedule:
     """Step-size / mixing-rate schedule plus the loop structure constants."""
 
-    alpha: float
-    eta: float = 0.0
-    p: float = 0.0
-    sync_interval: int = 1
-    warmup_steps: int = 0
-    total_steps: int = 1
-    lr_schedule: str = "constant"  # constant | warmup_cosine
-    lr_warmup_steps: int = 0
+    alpha: float = option(float, low=0, low_open=True)
+    eta: float = option(float, 0.0, low=0)
+    p: float = option(float, 0.0, low=0, high=1)
+    sync_interval: int = option(int, 1, low=1)
+    warmup_steps: int = option(int, 0, low=0)
+    total_steps: int = option(int, 1, low=1)
+    lr_schedule: str = option(str, "constant", choices=("constant", "warmup_cosine"))
+    lr_warmup_steps: int = option(int, 0, low=0)
     # Exact alpha*eta product. The mixing update only ever consumes the
     # product, so theory mode pins it to p/(2H) directly rather than
     # re-multiplying two rounded floats.
@@ -52,20 +51,7 @@ class Schedule:
     iterate_weight_growth: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"p must be in [0, 1), got {self.p}")
-        if self.sync_interval < 1:
-            raise ValueError("sync_interval must be >= 1")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
-        if self.lr_schedule not in ("constant", "warmup_cosine"):
-            raise ValueError("lr_schedule must be 'constant' or 'warmup_cosine'")
+        check_fields(self)
 
     @property
     def effective_warmup(self) -> int:
@@ -106,7 +92,7 @@ def theory_schedule(mu: float, smoothness: float, p: float, sync_interval: int,
     if mu <= 0 or smoothness <= 0 or smoothness < mu:
         raise ValueError("need 0 < mu <= smoothness")
     if not 0.0 < p <= 0.5:
-        raise ValueError(f"theory schedule requires p in (0, 0.5], got {p}")
+        raise ConfigError("p", f"theory schedule requires p in (0, 0.5], got {p}")
     if sync_interval < 1 or total_steps < 1 or workers < 1:
         raise ValueError("sync_interval, total_steps and workers must be >= 1")
     if sigma < 0 or d0 <= 0:
@@ -141,13 +127,12 @@ def theory_weights(mu: float, alpha: float, total_steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AlgoVariant:
-    tag: str
+    tag: str = option(str, choices=("ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory"))
     inner: InnerOptConfig
     outer: OuterOptConfig
 
     def __post_init__(self):
-        if self.tag not in VARIANT_TAGS:
-            raise ValueError(f"variant tag must be one of {VARIANT_TAGS}, got {self.tag!r}")
+        check_fields(self)
         if self.tag == "palsgd_theory":
             if self.inner.variant != "sgd":
                 raise ValueError("palsgd_theory requires the sgd inner optimizer")
@@ -163,17 +148,15 @@ class AlgoVariant:
 
 def make_variant(tag: str, inner: InnerOptConfig | None = None,
                  outer: OuterOptConfig | None = None) -> AlgoVariant:
-    """Variant presets: decoupled adamw/nesterov for diloco and palsgd,
-    plain averaging for local_sgd and the theory instantiation."""
+    """Variant presets: decoupled adamw/nesterov for diloco and palsgd, sgd
+    with plain averaging for the others. palsgd_theory ignores overrides."""
     if tag in ("diloco", "palsgd"):
         inner = inner or InnerOptConfig(variant="adamw", clip_norm=1.0)
-        outer = outer or OuterOptConfig(variant="nesterov", lr=0.7, momentum=0.9)
+        outer = outer or OuterOptConfig(variant="nesterov", lr=0.7)
     elif tag == "palsgd_theory":
-        inner = InnerOptConfig(variant="sgd")
-        outer = OuterOptConfig(variant="sgd", lr=1.0)
+        inner, outer = InnerOptConfig(), OuterOptConfig(variant="sgd", lr=1.0)
     else:  # ddp, local_sgd
-        inner = inner or InnerOptConfig(variant="sgd")
-        outer = OuterOptConfig(variant="sgd", lr=1.0) if tag == "local_sgd" else (outer or OuterOptConfig(variant="sgd", lr=1.0))
+        inner, outer = inner or InnerOptConfig(), outer or OuterOptConfig(variant="sgd", lr=1.0)
     return AlgoVariant(tag=tag, inner=inner, outer=outer)
 
 

@@ -11,43 +11,36 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .fields import ConfigError, check_fields, option
 from .vecmath import PURPOSE_JITTER, RngStream
 
 
 @dataclass(frozen=True)
 class AllReduceModel:
-    latency_s: float = 0.0
-    bandwidth_bytes_per_s: float = 1e9
-    algorithm: str = "ring"
+    latency_s: float = option(float, 1e-3, low=0)
+    bandwidth_bytes_per_s: float = option(float, 1e9, low=0, low_open=True)
+    algorithm: str = option(str, "ring", choices=("ring",))
 
     def __post_init__(self):
-        if self.algorithm != "ring":
-            raise ValueError(f"only the ring all-reduce model is supported, got {self.algorithm!r}")
-        if self.latency_s < 0 or self.bandwidth_bytes_per_s <= 0:
-            raise ValueError("latency_s must be >= 0 and bandwidth_bytes_per_s > 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    workers: int
-    compute_time_per_step: float = 1.0
-    worker_multipliers: tuple[float, ...] | None = None  # stragglers
-    jitter: float = 0.0  # per-step multiplicative jitter half-width, seeded
-    mixing_cost_fraction: float = 0.01
+    workers: int = option(int, low=1)
+    compute_time_per_step: float = option(float, 1.0, low=0)
+    worker_multipliers: tuple[float, ...] | None = option(float, None, low=0, low_open=True,
+                                                          sequence=True)  # stragglers
+    jitter: float = option(float, 0.0, low=0, high=1)  # per-step multiplicative jitter half-width, seeded
+    mixing_cost_fraction: float = option(float, 0.01, low=0)
     allreduce: AllReduceModel = field(default_factory=AllReduceModel)
-    bytes_per_param: int = 8
+    bytes_per_param: int = option(int, 8, choices=(4, 8))
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.compute_time_per_step < 0:
-            raise ValueError("compute_time_per_step must be >= 0")
+        check_fields(self)
         if self.worker_multipliers is not None and len(self.worker_multipliers) != self.workers:
-            raise ValueError("worker_multipliers length must equal workers")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.bytes_per_param not in (4, 8):
-            raise ValueError("bytes_per_param must be 4 or 8")
+            raise ConfigError("worker_multipliers",
+                              f"length {len(self.worker_multipliers)} != workers {self.workers}")
 
     def step_cost(self, worker: int) -> float:
         mult = self.worker_multipliers[worker] if self.worker_multipliers else 1.0

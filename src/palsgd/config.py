@@ -1,85 +1,124 @@
 """Run configuration: strict JSON parsing, validation, and object assembly.
 
+Where a key's default and bound live:
+
+* The keys of ``algo.inner``, ``algo.outer``, ``schedule``, ``cluster`` and
+  ``cluster.allreduce``, plus ``algo.variant``, the top-level ``workers`` and
+  ``workload.draw_policy``, are declared once, as field metadata on the
+  runtime dataclasses (``InnerOptConfig``, ``OuterOptConfig``, ``Schedule``,
+  ``ClusterSpec``, ``AllReduceModel``, ``AlgoVariant``, ``Shard``; see
+  ``fields.py``). Where a config default differs from the library one (four
+  ``schedule`` keys and ``workers``), the tables below replace the default
+  and keep the bound. ``schedule.p`` defaults to 0.05 for the mixing
+  variants and 0 otherwise.
+* The other ``workload`` keys (one table per kind) and the top-level
+  ``seed``, ``metrics_every``, ``eval_every`` and ``out_dir`` are declared
+  in the tables below.
+
+Preset merge: ``make_variant`` holds each variant's optimizer presets. A key
+that ``algo.inner`` or ``algo.outer`` leaves out keeps the preset's value, so
+``{"weight_decay": 0.1}`` under palsgd still runs adamw with clip_norm 1.0.
+
+Sections a variant fixes, and so rejects: ``algo.outer`` for ddp (it never
+runs an outer step) and local_sgd (it syncs by plain averaging), and both
+``algo.inner`` and ``algo.outer`` for palsgd_theory (sgd, outer sgd with
+lr 1). palsgd_theory also derives ``schedule.alpha``, ``eta``, ``lr_schedule``
+and ``lr_warmup_steps``, and rejects them.
+
 Unknown keys are rejected at every nesting level (ablation grids make silent
 typos expensive) and every constraint violation names the offending field.
 ``RunConfig.normalized()`` echoes the config back with all defaults filled,
-which is what gets written next to a run's metrics.
+including the optimizers that actually run, which is what gets written next
+to a run's metrics.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .algorithms import AlgoVariant, Schedule, make_variant, theory_schedule
 from .cluster import AllReduceModel, ClusterSpec
-from .optimizers import INNER_VARIANTS, OUTER_VARIANTS, InnerOptConfig, OuterOptConfig
-from .workloads import (DRAW_POLICIES, LogisticWorkload, MlpWorkload,
-                        QuadraticWorkload, generate_synthetic_classification)
+from .fields import ConfigError, Spec, specs
+from .optimizers import InnerOptConfig, OuterOptConfig
+from .workloads import (ACTIVATIONS, DTYPES, LogisticWorkload, MlpWorkload,
+                        QuadraticWorkload, Shard, generate_synthetic_classification)
 
 SCHEMA_VERSION = 1
 
+_CLUSTER = specs(ClusterSpec, workers=8)
+_TOP = {"workers": _CLUSTER.pop("workers"),  # set at the top level, not in "cluster"
+        "seed": Spec(int, 2022),
+        "metrics_every": Spec(int, None, low=1),
+        "eval_every": Spec(int, None, low=1),
+        "out_dir": Spec(str, None)}
+_ALLREDUCE = specs(AllReduceModel)
+_VARIANT = specs(AlgoVariant, tag="palsgd")["tag"]
+_OPTIMIZERS = {"inner": specs(InnerOptConfig), "outer": specs(OuterOptConfig)}
+_FIXED_SECTIONS = {"ddp": ("outer",), "local_sgd": ("outer",),
+                   "palsgd_theory": ("inner", "outer")}
+_SCHEDULE = specs(Schedule, alpha=0.01, eta=0.5, sync_interval=16, total_steps=1600)
+_THEORY_DERIVED = ("alpha", "eta", "lr_schedule", "lr_warmup_steps")
 
-class ConfigError(ValueError):
-    def __init__(self, field: str, message: str):
-        super().__init__(f"config field '{field}': {message}")
-        self.field = field
-
-
-def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise ConfigError(section, f"unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
-
-
-def _get(given: dict, section: str, key: str, default, kind, low=None, high=None,
-         low_open=False, high_open=True):
-    value = given.get(key, default)
-    field = f"{section}.{key}"
-    if value is None:
-        return None
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(field, f"expected integer, got {value!r}")
-    if kind is float and not isinstance(value, float):
-        raise ConfigError(field, f"expected number, got {value!r}")
-    if kind is str and not isinstance(value, str):
-        raise ConfigError(field, f"expected string, got {value!r}")
-    if kind is bool and not isinstance(value, bool):
-        raise ConfigError(field, f"expected boolean, got {value!r}")
-    if low is not None and (value <= low if low_open else value < low):
-        op = ">" if low_open else ">="
-        raise ConfigError(field, f"must be {op} {low}, got {value}")
-    if high is not None and (value >= high if high_open else value > high):
-        op = "<" if high_open else "<="
-        raise ConfigError(field, f"must be {op} {high}, got {value}")
-    return value
-
-
-_WORKLOAD_KEYS = {
-    "quadratic": {"kind", "dim", "hessian_diag", "mu", "L", "x_star", "x0_offset", "noise_sigma"},
-    "logistic": {"kind", "dim", "n_samples", "l2_reg", "batch_size", "data_seed",
-                 "spread", "center_scale", "draw_policy"},
-    "mlp": {"kind", "widths", "activation", "classes", "dim", "samples_per_class",
-            "test_samples_per_class", "batch_size", "data_seed", "spread",
-            "center_scale", "dtype", "draw_policy", "init_scale"},
+_DATASET = {"data_seed": Spec(int, 7),
+            "spread": Spec(float, 1.0, low=0, low_open=True),
+            "center_scale": Spec(float, 3.0, low=0),
+            "draw_policy": specs(Shard)["draw_policy"]}
+_WORKLOADS = {
+    "quadratic": {"dim": Spec(int, 16, low=1),
+                  "hessian_diag": Spec(float, None, low=0, low_open=True, sequence=True),
+                  "mu": Spec(float, 1.0, low=0, low_open=True),
+                  "L": Spec(float, 4.0, low=0, low_open=True),
+                  "noise_sigma": Spec(float, 1.0, low=0)},
+    "logistic": {"dim": Spec(int, 8, low=1),
+                 "n_samples": Spec(int, 200, low=2),
+                 "l2_reg": Spec(float, 0.01, low=0),
+                 "batch_size": Spec(int, 1, low=1),
+                 **_DATASET},
+    "mlp": {"widths": Spec(int, None, low=1, sequence=True),
+            "activation": Spec(str, "tanh", choices=ACTIVATIONS),
+            "classes": Spec(int, 10, low=2),
+            "dim": Spec(int, 16, low=1),
+            "samples_per_class": Spec(int, 100, low=1),
+            "test_samples_per_class": Spec(int, 25, low=0),
+            "batch_size": Spec(int, 8, low=1),
+            "dtype": Spec(str, "float64", choices=DTYPES),
+            "init_scale": Spec(float, None, low=0, low_open=True),
+            **_DATASET},
 }
+_KIND = Spec(str, "quadratic", choices=tuple(_WORKLOADS))
+# quadratic keys that take a number (broadcast to every coordinate) or a list
+_BROADCAST = {"x_star": Spec(float, 0.0), "x0_offset": Spec(float, 1.0)}
 
-_TOP_KEYS = {"workload", "algo", "schedule", "cluster", "workers", "seed",
-             "metrics_every", "eval_every", "out_dir"}
-_ALGO_KEYS = {"variant", "inner", "outer"}
-_INNER_KEYS = {"variant", "momentum", "beta1", "beta2", "eps", "weight_decay",
-               "clip_norm", "reset_at_sync"}
-_OUTER_KEYS = {"variant", "lr", "momentum"}
-_SCHEDULE_KEYS = {"alpha", "eta", "p", "sync_interval", "warmup_steps",
-                  "total_steps", "lr_schedule", "lr_warmup_steps"}
-_CLUSTER_KEYS = {"compute_time_per_step", "mixing_cost_fraction", "worker_multipliers",
-                 "jitter", "bytes_per_param", "allreduce"}
-_ALLREDUCE_KEYS = {"latency_s", "bandwidth_bytes_per_s", "algorithm"}
+
+def _object(name: str, raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(name, f"must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _section(name: str, raw, table: dict[str, Spec], defaults: dict | None = None,
+             other_keys: tuple = ()) -> dict:
+    """Every key of `table`, checked, from `raw` or else `defaults` or the Spec default."""
+    allowed = set(table) | set(other_keys)
+    unknown = set(_object(name, raw)) - allowed
+    if unknown:
+        raise ConfigError(name, f"unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
+    defaults = defaults or {}
+    return {key: spec.check(f"{name}.{key}", raw.get(key, defaults.get(key, spec.default)))
+            for key, spec in table.items()}
+
+
+@contextmanager
+def _within(section: str):
+    """Prefix the field a ConfigError names with the config section it belongs to."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc.field}", exc.reason) from None
 
 
 @dataclass
@@ -121,244 +160,124 @@ class RunConfig:
             x_star = np.asarray(w["x_star"], dtype=np.float64)
             x0 = x_star + np.asarray(w["x0_offset"], dtype=np.float64)
             return QuadraticWorkload(diag, x_star, w["noise_sigma"], x0=x0)
+        clusters = dict(spread=w["spread"], center_scale=w["center_scale"])
         if w["kind"] == "logistic":
-            data = generate_synthetic_classification(
-                2, w["dim"], w["n_samples"] // 2, w["data_seed"],
-                spread=w["spread"], center_scale=w["center_scale"])
-            return LogisticWorkload(data, l2_reg=w["l2_reg"], batch_size=w["batch_size"])
+            data = generate_synthetic_classification(2, w["dim"], w["n_samples"] // 2,
+                                                     w["data_seed"], **clusters)
+            return LogisticWorkload(data, l2_reg=w["l2_reg"], batch_size=w["batch_size"],
+                                    draw_policy=w["draw_policy"])
         data = generate_synthetic_classification(
-            w["classes"], w["dim"], w["samples_per_class"], w["data_seed"],
-            spread=w["spread"], center_scale=w["center_scale"])
+            w["classes"], w["dim"], w["samples_per_class"], w["data_seed"], **clusters)
         test = generate_synthetic_classification(
-            w["classes"], w["dim"], w["test_samples_per_class"], w["data_seed"] + 1,
-            spread=w["spread"], center_scale=w["center_scale"]) if w["test_samples_per_class"] else None
+            w["classes"], w["dim"], w["test_samples_per_class"], w["data_seed"], **clusters,
+            split=1) if w["test_samples_per_class"] else None
         return MlpWorkload(w["widths"], w["activation"], data, test=test,
                            batch_size=w["batch_size"], dtype=w["dtype"],
-                           init_scale=w["init_scale"])
+                           init_scale=w["init_scale"], draw_policy=w["draw_policy"])
 
     def build_variant(self) -> AlgoVariant:
         a = self.algo
-        inner = InnerOptConfig(**a["inner"]) if a.get("inner") else None
-        outer = OuterOptConfig(**a["outer"]) if a.get("outer") else None
+        inner = InnerOptConfig(**a["inner"]) if "inner" in a else None
+        outer = OuterOptConfig(**a["outer"]) if "outer" in a else None
         return make_variant(a["variant"], inner=inner, outer=outer)
 
     def build_schedule(self, workload) -> Schedule:
         s = self.schedule
-        if self.algo["variant"] == "palsgd_theory":
-            d0 = float(np.sum((workload.x0 - workload.x_star) ** 2))
-            if d0 <= 0:
-                raise ConfigError("workload.x0_offset",
-                                  "theory mode needs a nonzero initial offset (d0 > 0)")
+        if self.algo["variant"] != "palsgd_theory":
+            return Schedule(**s)
+        d0 = float(np.sum((workload.x0 - workload.x_star) ** 2))
+        if d0 <= 0:
+            raise ConfigError("workload.x0_offset",
+                              "theory mode needs a nonzero initial offset (d0 > 0)")
+        with _within("schedule"):
             return theory_schedule(
                 mu=workload.mu, smoothness=workload.smoothness, p=s["p"],
                 sync_interval=s["sync_interval"], total_steps=s["total_steps"],
                 workers=self.workers, sigma=workload.noise_sigma, d0=d0,
                 warmup_steps=s["warmup_steps"])
-        return Schedule(
-            alpha=s["alpha"], eta=s["eta"], p=s["p"],
-            sync_interval=s["sync_interval"], warmup_steps=s["warmup_steps"],
-            total_steps=s["total_steps"], lr_schedule=s["lr_schedule"],
-            lr_warmup_steps=s["lr_warmup_steps"])
 
     def build_cluster(self) -> ClusterSpec:
-        c = self.cluster
-        ar = c["allreduce"]
-        mult = tuple(c["worker_multipliers"]) if c["worker_multipliers"] else None
-        return ClusterSpec(
-            workers=self.workers,
-            compute_time_per_step=c["compute_time_per_step"],
-            worker_multipliers=mult,
-            jitter=c["jitter"],
-            mixing_cost_fraction=c["mixing_cost_fraction"],
-            allreduce=AllReduceModel(latency_s=ar["latency_s"],
-                                     bandwidth_bytes_per_s=ar["bandwidth_bytes_per_s"],
-                                     algorithm=ar["algorithm"]),
-            bytes_per_param=c["bytes_per_param"],
-        )
+        c = dict(self.cluster)
+        allreduce = AllReduceModel(**c.pop("allreduce"))
+        mult = c.pop("worker_multipliers")
+        with _within("cluster"):
+            return ClusterSpec(workers=self.workers, allreduce=allreduce,
+                               worker_multipliers=None if mult is None else tuple(mult), **c)
 
 
-def _parse_workload(raw: dict) -> dict:
-    kind = raw.get("kind", "quadratic")
-    if kind not in _WORKLOAD_KEYS:
-        raise ConfigError("workload.kind", f"must be one of {sorted(_WORKLOAD_KEYS)}, got {kind!r}")
-    _reject_unknown("workload", raw, _WORKLOAD_KEYS[kind])
-    sec = "workload"
+def _parse_workload(raw) -> dict:
+    kind = _KIND.check("workload.kind", _object("workload", raw).get("kind", _KIND.default))
+    widths = raw.get("widths")
+    derived = {}  # an mlp's dim and classes default to its outer widths
+    if kind == "mlp" and isinstance(widths, list) and widths:
+        derived = {"dim": widths[0], "classes": widths[-1]}
+    other_keys = ("kind", *_BROADCAST) if kind == "quadratic" else ("kind",)
+    out = {"kind": kind, **_section("workload", raw, _WORKLOADS[kind], derived, other_keys)}
     if kind == "quadratic":
-        dim = _get(raw, sec, "dim", 16, int, low=1)
-        if "hessian_diag" in raw:
-            if "mu" in raw or "L" in raw:
-                raise ConfigError("workload.hessian_diag", "give either hessian_diag or (mu, L), not both")
-            diag = [float(v) for v in raw["hessian_diag"]]
-            if len(diag) != dim and "dim" in raw:
-                raise ConfigError("workload.hessian_diag", f"length {len(diag)} != dim {dim}")
-            dim = len(diag)
-        else:
-            mu = _get(raw, sec, "mu", 1.0, float, low=0.0, low_open=True)
-            big_l = _get(raw, sec, "L", 4.0, float, low=0.0, low_open=True)
+        mu, big_l = out.pop("mu"), out.pop("L")
+        if out["hessian_diag"] is None:
             if big_l < mu:
                 raise ConfigError("workload.L", f"must be >= mu ({mu}), got {big_l}")
-            diag = list(np.linspace(mu, big_l, dim)) if dim > 1 else [mu]
-        if any(v <= 0 for v in diag):
-            raise ConfigError("workload.hessian_diag", "all entries must be > 0")
-        x_star = raw.get("x_star", 0.0)
-        x_star = [float(x_star)] * dim if isinstance(x_star, (int, float)) else [float(v) for v in x_star]
-        if len(x_star) != dim:
-            raise ConfigError("workload.x_star", f"length {len(x_star)} != dim {dim}")
-        off = raw.get("x0_offset", 1.0)
-        off = [float(off)] * dim if isinstance(off, (int, float)) else [float(v) for v in off]
-        if len(off) != dim:
-            raise ConfigError("workload.x0_offset", f"length {len(off)} != dim {dim}")
-        sigma = _get(raw, sec, "noise_sigma", 1.0, float, low=0.0)
-        return {"kind": kind, "dim": dim, "hessian_diag": diag, "x_star": x_star,
-                "x0_offset": off, "noise_sigma": sigma}
-    if kind == "logistic":
-        n_samples = _get(raw, sec, "n_samples", 200, int, low=2)
-        if n_samples % 2:
-            raise ConfigError("workload.n_samples", f"must be even (two balanced classes), got {n_samples}")
-        out = {
-            "kind": kind,
-            "dim": _get(raw, sec, "dim", 8, int, low=1),
-            "n_samples": n_samples,
-            "l2_reg": _get(raw, sec, "l2_reg", 0.01, float, low=0.0),
-            "batch_size": _get(raw, sec, "batch_size", 1, int, low=1),
-            "data_seed": _get(raw, sec, "data_seed", 7, int),
-            "spread": _get(raw, sec, "spread", 1.0, float, low=0.0, low_open=True),
-            "center_scale": _get(raw, sec, "center_scale", 3.0, float, low=0.0),
-            "draw_policy": _get(raw, sec, "draw_policy", "with_replacement", str),
-        }
+            out["hessian_diag"] = np.linspace(mu, big_l, out["dim"]).tolist()
+        elif "mu" in raw or "L" in raw:
+            raise ConfigError("workload.hessian_diag", "give either hessian_diag or (mu, L), not both")
+        elif "dim" in raw and len(out["hessian_diag"]) != out["dim"]:
+            raise ConfigError("workload.hessian_diag",
+                              f"length {len(out['hessian_diag'])} != dim {out['dim']}")
+        dim = out["dim"] = len(out["hessian_diag"])
+        for key, spec in _BROADCAST.items():
+            name, value = f"workload.{key}", raw.get(key, spec.default)
+            if isinstance(value, list):
+                vec = [spec.check(name, v) for v in value]
+            else:
+                vec = [spec.check(name, value)] * dim
+            if len(vec) != dim:
+                raise ConfigError(name, f"length {len(vec)} != dim {dim}")
+            out[key] = vec
+    elif kind == "logistic":
+        if out["n_samples"] % 2:
+            raise ConfigError("workload.n_samples",
+                              f"must be even (two balanced classes), got {out['n_samples']}")
     else:
-        widths = raw.get("widths", [raw.get("dim", 16), 32, raw.get("classes", 10)])
-        if not isinstance(widths, list) or len(widths) < 2:
+        if out["widths"] is None:
+            out["widths"] = [out["dim"], 32, out["classes"]]
+        if len(out["widths"]) < 2:
             raise ConfigError("workload.widths", "must be a list of at least two layer widths")
-        out = {
-            "kind": kind,
-            "widths": [int(v) for v in widths],
-            "activation": _get(raw, sec, "activation", "tanh", str),
-            "classes": _get(raw, sec, "classes", int(widths[-1]), int, low=2),
-            "dim": _get(raw, sec, "dim", int(widths[0]), int, low=1),
-            "samples_per_class": _get(raw, sec, "samples_per_class", 100, int, low=1),
-            "test_samples_per_class": _get(raw, sec, "test_samples_per_class", 25, int, low=0),
-            "batch_size": _get(raw, sec, "batch_size", 8, int, low=1),
-            "data_seed": _get(raw, sec, "data_seed", 7, int),
-            "spread": _get(raw, sec, "spread", 1.0, float, low=0.0, low_open=True),
-            "center_scale": _get(raw, sec, "center_scale", 3.0, float, low=0.0),
-            "dtype": _get(raw, sec, "dtype", "float64", str),
-            "draw_policy": _get(raw, sec, "draw_policy", "with_replacement", str),
-            "init_scale": _get(raw, sec, "init_scale", None, float, low=0.0, low_open=True),
-        }
-        if out["activation"] not in ("relu", "tanh"):
-            raise ConfigError("workload.activation", f"must be 'relu' or 'tanh', got {out['activation']!r}")
-        if out["dtype"] not in ("float64", "float32"):
-            raise ConfigError("workload.dtype", "must be 'float64' or 'float32'")
         if out["widths"][0] != out["dim"]:
             raise ConfigError("workload.widths", f"first width {out['widths'][0]} != dim {out['dim']}")
         if out["widths"][-1] != out["classes"]:
-            raise ConfigError("workload.widths", f"last width {out['widths'][-1]} != classes {out['classes']}")
-    if out["draw_policy"] not in DRAW_POLICIES:
-        raise ConfigError("workload.draw_policy", f"must be one of {DRAW_POLICIES}")
+            raise ConfigError("workload.widths",
+                              f"last width {out['widths'][-1]} != classes {out['classes']}")
     return out
 
 
-def _parse_algo(raw: dict) -> dict:
-    _reject_unknown("algo", raw, _ALGO_KEYS)
-    variant = raw.get("variant", "palsgd")
-    from .algorithms import VARIANT_TAGS
-    if variant not in VARIANT_TAGS:
-        raise ConfigError("algo.variant", f"must be one of {VARIANT_TAGS}, got {variant!r}")
-    out: dict[str, Any] = {"variant": variant}
-    inner = raw.get("inner")
-    if inner is not None:
-        _reject_unknown("algo.inner", inner, _INNER_KEYS)
-        iv = _get(inner, "algo.inner", "variant", "sgd", str)
-        if iv not in INNER_VARIANTS:
-            raise ConfigError("algo.inner.variant", f"must be one of {INNER_VARIANTS}, got {iv!r}")
-        out["inner"] = {
-            "variant": iv,
-            "momentum": _get(inner, "algo.inner", "momentum", 0.9, float, low=0.0, high=1.0),
-            "beta1": _get(inner, "algo.inner", "beta1", 0.9, float, low=0.0, high=1.0),
-            "beta2": _get(inner, "algo.inner", "beta2", 0.999, float, low=0.0, high=1.0),
-            "eps": _get(inner, "algo.inner", "eps", 1e-8, float, low=0.0, low_open=True),
-            "weight_decay": _get(inner, "algo.inner", "weight_decay", 0.0, float, low=0.0),
-            "clip_norm": _get(inner, "algo.inner", "clip_norm", None, float, low=0.0, low_open=True),
-            "reset_at_sync": _get(inner, "algo.inner", "reset_at_sync", False, bool),
-        }
-    outer = raw.get("outer")
-    if outer is not None:
-        _reject_unknown("algo.outer", outer, _OUTER_KEYS)
-        ov = _get(outer, "algo.outer", "variant", "nesterov", str)
-        if ov not in OUTER_VARIANTS:
-            raise ConfigError("algo.outer.variant", f"must be one of {OUTER_VARIANTS}, got {ov!r}")
-        out["outer"] = {
-            "variant": ov,
-            "lr": _get(outer, "algo.outer", "lr", 0.7, float, low=0.0, low_open=True),
-            "momentum": _get(outer, "algo.outer", "momentum", 0.9, float, low=0.0, high=1.0),
-        }
-    if variant == "palsgd_theory" and (inner is not None or outer is not None):
-        raise ConfigError("algo", "palsgd_theory pins inner=sgd and outer=sgd(lr=1); drop the overrides")
+def _parse_algo(raw) -> dict:
+    out = _section("algo", raw, {"variant": _VARIANT}, other_keys=tuple(_OPTIMIZERS))
+    variant = out["variant"]
+    preset = make_variant(variant)
+    for section, table in _OPTIMIZERS.items():
+        if section not in _FIXED_SECTIONS.get(variant, ()):
+            out[section] = _section(f"algo.{section}", raw.get(section, {}), table,
+                                    asdict(getattr(preset, section)))
+        elif section in raw:
+            raise ConfigError(f"algo.{section}",
+                              f"variant {variant!r} fixes its {section} optimizer; drop the section")
     return out
 
 
-def _parse_schedule(raw: dict, variant: str) -> dict:
-    _reject_unknown("schedule", raw, _SCHEDULE_KEYS)
-    mixing = variant in ("palsgd", "palsgd_theory")
-    p_default = 0.05 if mixing else 0.0
-    p = _get(raw, "schedule", "p", p_default, float)
-    if not 0.0 <= p < 1.0:
-        raise ConfigError("schedule.p", f"must be in [0, 1), got {p}")
-    if variant == "palsgd_theory" and not 0.0 < p <= 0.5:
-        raise ConfigError("schedule.p", f"theory mode requires 0 < p <= 0.5, got {p}")
-    if not mixing and p != 0.0:
-        raise ConfigError("schedule.p", f"variant '{variant}' takes no mixing steps; p must be 0")
+def _parse_schedule(raw, variant: str) -> dict:
+    table = _SCHEDULE
     if variant == "palsgd_theory":
-        for key in ("alpha", "eta", "lr_schedule", "lr_warmup_steps"):
-            if key in raw:
-                raise ConfigError(f"schedule.{key}", "derived by the theory schedule; drop it")
-    out = {
-        "alpha": _get(raw, "schedule", "alpha", 0.01, float, low=0.0, low_open=True),
-        "eta": _get(raw, "schedule", "eta", 0.5, float, low=0.0),
-        "p": p,
-        "sync_interval": _get(raw, "schedule", "sync_interval", 16, int, low=1),
-        "warmup_steps": _get(raw, "schedule", "warmup_steps", 0, int, low=0),
-        "total_steps": _get(raw, "schedule", "total_steps", 1600, int, low=1),
-        "lr_schedule": _get(raw, "schedule", "lr_schedule", "constant", str),
-        "lr_warmup_steps": _get(raw, "schedule", "lr_warmup_steps", 0, int, low=0),
-    }
-    if out["lr_schedule"] not in ("constant", "warmup_cosine"):
-        raise ConfigError("schedule.lr_schedule", "must be 'constant' or 'warmup_cosine'")
-    if out["lr_schedule"] == "warmup_cosine" and out["lr_warmup_steps"] < 1:
+        given = [key for key in _THEORY_DERIVED if key in _object("schedule", raw)]
+        if given:
+            raise ConfigError(f"schedule.{given[0]}", "derived by the theory schedule; drop it")
+        table = {k: v for k, v in _SCHEDULE.items() if k not in _THEORY_DERIVED}
+    mixing = make_variant(variant).uses_mixing
+    out = _section("schedule", raw, table, {"p": 0.05 if mixing else 0.0})
+    if not mixing and out["p"] != 0.0:
+        raise ConfigError("schedule.p", f"variant '{variant}' takes no mixing steps; p must be 0")
+    if out.get("lr_schedule") == "warmup_cosine" and out["lr_warmup_steps"] < 1:
         raise ConfigError("schedule.lr_warmup_steps", "warmup_cosine needs lr_warmup_steps >= 1")
-    return out
-
-
-def _parse_cluster(raw: dict, workers: int) -> dict:
-    _reject_unknown("cluster", raw, _CLUSTER_KEYS)
-    ar_raw = raw.get("allreduce", {})
-    _reject_unknown("cluster.allreduce", ar_raw, _ALLREDUCE_KEYS)
-    algo = _get(ar_raw, "cluster.allreduce", "algorithm", "ring", str)
-    if algo != "ring":
-        raise ConfigError("cluster.allreduce.algorithm", f"must be 'ring', got {algo!r}")
-    mult = raw.get("worker_multipliers")
-    if mult is not None:
-        mult = [float(v) for v in mult]
-        if len(mult) != workers:
-            raise ConfigError("cluster.worker_multipliers", f"length {len(mult)} != workers {workers}")
-        if any(v <= 0 for v in mult):
-            raise ConfigError("cluster.worker_multipliers", "all multipliers must be > 0")
-    out = {
-        "compute_time_per_step": _get(raw, "cluster", "compute_time_per_step", 1.0, float, low=0.0),
-        "mixing_cost_fraction": _get(raw, "cluster", "mixing_cost_fraction", 0.01, float, low=0.0),
-        "worker_multipliers": mult,
-        "jitter": _get(raw, "cluster", "jitter", 0.0, float, low=0.0, high=1.0),
-        "bytes_per_param": _get(raw, "cluster", "bytes_per_param", 8, int),
-        "allreduce": {
-            "latency_s": _get(ar_raw, "cluster.allreduce", "latency_s", 1e-3, float, low=0.0),
-            "bandwidth_bytes_per_s": _get(ar_raw, "cluster.allreduce", "bandwidth_bytes_per_s",
-                                          1e9, float, low=0.0, low_open=True),
-            "algorithm": "ring",
-        },
-    }
-    if out["bytes_per_param"] not in (4, 8):
-        raise ConfigError("cluster.bytes_per_param", f"must be 4 or 8, got {out['bytes_per_param']}")
     return out
 
 
@@ -370,27 +289,17 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<document>", "top level must be a JSON object")
     raw.pop("schema_version", None)  # accept re-parsing a normalized dump
-    _reject_unknown("<top>", raw, _TOP_KEYS)
-
-    workers = _get(raw, "<top>", "workers", 8, int, low=1)
+    top = _section("<top>", raw, _TOP, other_keys=("workload", "algo", "schedule", "cluster"))
     algo = _parse_algo(raw.get("algo", {}))
     workload = _parse_workload(raw.get("workload", {}))
     schedule = _parse_schedule(raw.get("schedule", {}), algo["variant"])
-    cluster = _parse_cluster(raw.get("cluster", {}), workers)
+    cluster_raw = raw.get("cluster", {})
+    cluster = _section("cluster", cluster_raw, _CLUSTER, other_keys=("allreduce",))
+    cluster["allreduce"] = _section("cluster.allreduce", cluster_raw.get("allreduce", {}), _ALLREDUCE)
     if algo["variant"] == "palsgd_theory" and workload["kind"] != "quadratic":
         raise ConfigError("algo.variant", "palsgd_theory needs the quadratic workload (known mu, L, sigma)")
 
-    cfg = RunConfig(
-        workload=workload,
-        algo=algo,
-        schedule=schedule,
-        cluster=cluster,
-        workers=workers,
-        seed=_get(raw, "<top>", "seed", 2022, int),
-        metrics_every=_get(raw, "<top>", "metrics_every", None, int, low=1),
-        eval_every=_get(raw, "<top>", "eval_every", None, int, low=1),
-        out_dir=_get(raw, "<top>", "out_dir", None, str),
-    )
+    cfg = RunConfig(workload=workload, algo=algo, schedule=schedule, cluster=cluster, **top)
     # fail fast on anything the dataclass constructors would reject later
     workload_obj = cfg.build_workload()
     cfg.build_variant()

@@ -9,30 +9,29 @@ them freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields, option
 from .vecmath import ParamVector, _check_dims
-
-INNER_VARIANTS = ("sgd", "sgd_momentum", "adamw")
-OUTER_VARIANTS = ("sgd", "nesterov")
 
 
 @dataclass(frozen=True)
 class InnerOptConfig:
-    variant: str = "sgd"
-    momentum: float = 0.9            # sgd_momentum only
-    beta1: float = 0.9               # adamw
-    beta2: float = 0.999             # adamw
-    eps: float = 1e-8                # adamw
-    weight_decay: float = 0.0        # adamw, decoupled
-    clip_norm: float | None = None   # global-norm clip applied to g before the step
-    reset_at_sync: bool = False      # ablation knob; default keeps state across syncs
+    variant: str = option(str, "sgd", choices=("sgd", "sgd_momentum", "adamw"))
+    momentum: float = option(float, 0.9, low=0, high=1)             # sgd_momentum only
+    beta1: float = option(float, 0.9, low=0, high=1)                # adamw
+    beta2: float = option(float, 0.999, low=0, high=1)              # adamw
+    eps: float = option(float, 1e-8, low=0, low_open=True)          # adamw
+    weight_decay: float = option(float, 0.0, low=0)                 # adamw, decoupled
+    # global-norm clip applied to g before the step
+    clip_norm: float | None = option(float, None, low=0, low_open=True)
+    # ablation knob; default keeps state across syncs
+    reset_at_sync: bool = option(bool, False)
 
     def __post_init__(self):
-        if self.variant not in INNER_VARIANTS:
-            raise ValueError(f"inner variant must be one of {INNER_VARIANTS}, got {self.variant!r}")
+        check_fields(self)
 
 
 @dataclass
@@ -93,13 +92,12 @@ def inner_step(state: InnerOptState, x: ParamVector, g: ParamVector, lr: float) 
 
 @dataclass(frozen=True)
 class OuterOptConfig:
-    variant: str = "nesterov"
-    lr: float = 1.0
-    momentum: float = 0.9  # nesterov only
+    variant: str = option(str, "nesterov", choices=("sgd", "nesterov"))
+    lr: float = option(float, 1.0, low=0, low_open=True)
+    momentum: float = option(float, 0.9, low=0, high=1)  # nesterov only
 
     def __post_init__(self):
-        if self.variant not in OUTER_VARIANTS:
-            raise ValueError(f"outer variant must be one of {OUTER_VARIANTS}, got {self.variant!r}")
+        check_fields(self)
 
     @property
     def is_plain_averaging(self) -> bool:
@@ -121,14 +119,13 @@ class OuterOptState:
         return OuterOptState(config=self.config, buf=None if self.buf is None else self.buf.copy())
 
 
-def outer_step(state: OuterOptState, x_global: ParamVector, delta: ParamVector, lr: float | None = None) -> tuple[ParamVector, OuterOptState]:
+def outer_step(state: OuterOptState, x_global: ParamVector, delta: ParamVector) -> tuple[ParamVector, OuterOptState]:
     """Apply the aggregated delta as an outer gradient to the global model."""
     _check_dims("outer_step", x_global, delta)
     cfg = state.config
-    step_lr = cfg.lr if lr is None else lr
     new = state.copy()
     if cfg.variant == "sgd":
-        return x_global - step_lr * delta, new
+        return x_global - cfg.lr * delta, new
     # nesterov, deep-learning reformulation: buffer first, then look-ahead
     new.buf = cfg.momentum * state.buf + delta
-    return x_global - step_lr * (delta + cfg.momentum * new.buf), new
+    return x_global - cfg.lr * (delta + cfg.momentum * new.buf), new

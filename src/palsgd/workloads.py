@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields, option
 from .vecmath import PURPOSE_DATAGEN, ParamVector, RngStream, _check_dims
 
-DRAW_POLICIES = ("with_replacement", "epoch_shuffle")
+ACTIVATIONS = ("relu", "tanh")
+DTYPES = ("float64", "float32")
 
 
 @dataclass
@@ -40,9 +42,12 @@ class Shard:
     """A worker's slice of the dataset plus its sampling cursor."""
     worker: int
     indices: np.ndarray
-    draw_policy: str = "with_replacement"
+    draw_policy: str = option(str, "with_replacement", choices=("with_replacement", "epoch_shuffle"))
     _order: np.ndarray | None = None
     _pos: int = 0
+
+    def __post_init__(self):
+        check_fields(self)
 
     def draw(self, stream: RngStream, batch_size: int) -> np.ndarray:
         if self.draw_policy == "with_replacement":
@@ -63,12 +68,19 @@ class Shard:
 
 def generate_synthetic_classification(n_classes: int, dim: int, samples_per_class: int,
                                       seed: int, spread: float = 1.0,
-                                      center_scale: float = 3.0) -> Dataset:
-    """Gaussian-cluster classification data, deterministic given the seed."""
+                                      center_scale: float = 3.0, split: int = 0) -> Dataset:
+    """Gaussian-cluster classification data, deterministic given (seed, split).
+
+    The class centres depend on the seed alone. Split 0 (training) draws its
+    points from the same stream as the centres; any other split draws fresh
+    points around the same centres, e.g. a test set for split 1.
+    """
     if n_classes < 1 or dim < 1 or samples_per_class < 1:
         raise ValueError("n_classes, dim and samples_per_class must be >= 1")
     stream = RngStream(seed, 0, PURPOSE_DATAGEN)
     centers = stream.gaussian_vector(n_classes * dim, center_scale).reshape(n_classes, dim)
+    if split:
+        stream = RngStream(seed, split, PURPOSE_DATAGEN)
     feats = np.empty((n_classes * samples_per_class, dim))
     labels = np.empty(n_classes * samples_per_class, dtype=np.int64)
     for c in range(n_classes):
@@ -79,15 +91,13 @@ def generate_synthetic_classification(n_classes: int, dim: int, samples_per_clas
 
 
 def shard_dataset(dataset: Dataset, workers: int, seed: int,
-                  draw_policy: str = "with_replacement") -> list[Shard]:
+                  draw_policy: str = Shard.draw_policy) -> list[Shard]:
     """Partition evenly (sizes differ by at most 1), deterministic given (seed, K)."""
     n = len(dataset)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers > n:
         raise ValueError(f"cannot shard {n} samples across {workers} workers")
-    if draw_policy not in DRAW_POLICIES:
-        raise ValueError(f"draw_policy must be one of {DRAW_POLICIES}")
     stream = RngStream(seed, 0, PURPOSE_DATAGEN)
     order = stream.permutation(n)
     base, extra = divmod(n, workers)
@@ -191,7 +201,8 @@ class LogisticWorkload:
     kind = "logistic"
     has_eval = False
 
-    def __init__(self, train: Dataset, l2_reg: float = 0.0, batch_size: int = 1):
+    def __init__(self, train: Dataset, l2_reg: float = 0.0, batch_size: int = 1,
+                 draw_policy: str = Shard.draw_policy):
         if train.n_classes != 2:
             raise ValueError("logistic workload requires exactly 2 classes")
         if l2_reg < 0:
@@ -199,10 +210,11 @@ class LogisticWorkload:
         self.train = train
         self.l2_reg = float(l2_reg)
         self.batch_size = int(batch_size)
+        self.draw_policy = draw_policy
         self.dim = train.features.shape[1]
 
-    def shards(self, workers: int, seed: int, draw_policy: str = "with_replacement"):
-        return shard_dataset(self.train, workers, seed, draw_policy)
+    def shards(self, workers: int, seed: int):
+        return shard_dataset(self.train, workers, seed, self.draw_policy)
 
     def init_params(self, stream: RngStream) -> ParamVector:
         return np.zeros(self.dim)
@@ -240,7 +252,7 @@ def _activation(name: str):
         return (lambda z: np.maximum(z, 0.0)), (lambda z, a: (z > 0).astype(z.dtype))
     if name == "tanh":
         return np.tanh, (lambda z, a: 1.0 - a * a)
-    raise ValueError(f"activation must be 'relu' or 'tanh', got {name!r}")
+    raise ValueError(f"activation must be one of {ACTIVATIONS}, got {name!r}")
 
 
 class MlpWorkload:
@@ -250,7 +262,8 @@ class MlpWorkload:
     has_eval = True
 
     def __init__(self, widths, activation: str, train: Dataset, test: Dataset | None = None,
-                 batch_size: int = 8, dtype: str = "float64", init_scale: float | None = None):
+                 batch_size: int = 8, dtype: str = "float64", init_scale: float | None = None,
+                 draw_policy: str = Shard.draw_policy):
         self.widths = [int(w) for w in widths]
         if len(self.widths) < 2:
             raise ValueError("widths needs at least input and output sizes")
@@ -263,10 +276,11 @@ class MlpWorkload:
         self.train = train
         self.test = test
         self.batch_size = int(batch_size)
-        if dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be float64 or float32")
+        if dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {DTYPES}")
         self.dtype = np.float64 if dtype == "float64" else np.float32
         self.init_scale = init_scale
+        self.draw_policy = draw_policy
         self._shapes = [(a, b) for a, b in zip(self.widths[:-1], self.widths[1:])]
         self.dim = sum(a * b + b for a, b in self._shapes)
 
@@ -288,8 +302,8 @@ class MlpWorkload:
             parts.append(np.zeros(b))
         return np.concatenate(parts).astype(self.dtype, copy=False).astype(np.float64)
 
-    def shards(self, workers: int, seed: int, draw_policy: str = "with_replacement"):
-        return shard_dataset(self.train, workers, seed, draw_policy)
+    def shards(self, workers: int, seed: int):
+        return shard_dataset(self.train, workers, seed, self.draw_policy)
 
     def draw_sample(self, stream: RngStream, shard: Shard) -> np.ndarray:
         return shard.draw(stream, self.batch_size)

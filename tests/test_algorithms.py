@@ -134,6 +134,11 @@ class TestVariants:
         with pytest.raises(ValueError):
             AlgoVariant("local_sgd", InnerOptConfig(), OuterOptConfig(variant="nesterov", lr=0.5))
 
+    def test_make_variant_keeps_a_given_outer(self):
+        assert make_variant("ddp", outer=OuterOptConfig(variant="sgd", lr=0.5)).outer.lr == 0.5
+        with pytest.raises(ValueError, match="plain parameter averaging"):
+            make_variant("local_sgd", outer=OuterOptConfig(variant="nesterov", lr=0.5))
+
     def test_diloco_defaults_are_decoupled(self):
         v = make_variant("diloco")
         assert v.inner.variant == "adamw" and v.outer.variant == "nesterov"

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from palsgd.algorithms import StepRecord
+from palsgd.algorithms import Schedule, StepRecord
+from palsgd.cluster import AllReduceModel, ClusterSpec
 from palsgd.config import ConfigError, parse_config
+from palsgd.optimizers import InnerOptConfig, OuterOptConfig
 from palsgd.metrics import (dumps_record, obj_to_record, read_metrics_jsonl,
                             record_to_obj, summarize, write_metrics_jsonl)
 
@@ -22,9 +24,27 @@ class TestParsing:
         assert norm["workload"]["dim"] == 16
         assert norm["workers"] == 8
         assert norm["cluster"]["allreduce"]["algorithm"] == "ring"
-        # the normalized dump re-parses to itself
-        again = parse(norm)
-        assert again.normalized() == norm
+
+    @pytest.mark.parametrize("variant", ["ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory"])
+    def test_normalized_dump_reparses_to_itself(self, variant):
+        norm = parse({"algo": {"variant": variant}}).normalized()
+        assert parse(norm).normalized() == norm
+
+    def test_partial_optimizer_sections_keep_the_preset(self):
+        cfg = parse({"algo": {"variant": "palsgd", "inner": {"weight_decay": 0.1},
+                              "outer": {"lr": 0.3}}})
+        variant = cfg.build_variant()
+        assert variant.inner == InnerOptConfig(variant="adamw", clip_norm=1.0, weight_decay=0.1)
+        assert variant.outer == OuterOptConfig(variant="nesterov", lr=0.3, momentum=0.9)
+        # the echo shows the optimizers that run
+        assert cfg.normalized()["algo"]["inner"]["clip_norm"] == 1.0
+        assert cfg.normalized()["algo"]["outer"]["variant"] == "nesterov"
+
+    @pytest.mark.parametrize("variant", ["ddp", "local_sgd"])
+    def test_fixed_outer_section_rejected(self, variant):
+        with pytest.raises(ConfigError, match=r"algo\.outer.*fixes"):
+            parse({"algo": {"variant": variant, "outer": {"variant": "nesterov", "lr": 0.3}}})
+        assert "outer" not in parse({"algo": {"variant": variant}}).normalized()["algo"]
 
     def test_p_out_of_range_names_field_and_rule(self):
         with pytest.raises(ConfigError, match=r"schedule\.p.*\[0, 1\)"):
@@ -89,6 +109,39 @@ class TestParsing:
     def test_mlp_width_constraints(self):
         with pytest.raises(ConfigError, match="widths"):
             parse({"workload": {"kind": "mlp", "widths": [4, 8, 3], "dim": 5}})
+
+
+class TestFieldSpecs:
+    @pytest.mark.parametrize("section, build, key, bad", [
+        ("algo.inner", InnerOptConfig, "beta2", 1.0),
+        ("algo.outer", OuterOptConfig, "lr", 0.0),
+        ("schedule", lambda **kw: Schedule(alpha=0.1, **kw), "sync_interval", 0),
+        ("cluster", lambda **kw: ClusterSpec(workers=1, **kw), "jitter", 1.0),
+        ("cluster.allreduce", AllReduceModel, "latency_s", -1.0),
+    ])
+    def test_one_bound_for_dataclass_and_json(self, section, build, key, bad):
+        with pytest.raises(ConfigError) as direct:
+            build(**{key: bad})
+        assert direct.value.field == key
+        tree: dict = {}
+        node = tree
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = bad
+        with pytest.raises(ConfigError) as parsed:
+            parse(tree)
+        assert parsed.value.field == f"{section}.{key}"
+        assert parsed.value.reason == direct.value.reason
+
+    def test_types_checked_and_ints_become_floats(self):
+        norm = parse({"schedule": {"alpha": 1}, "cluster": {"jitter": 0}}).normalized()
+        assert type(norm["schedule"]["alpha"]) is float and type(norm["cluster"]["jitter"]) is float
+        with pytest.raises(ConfigError, match=r"algo\.inner\.momentum.*expected number"):
+            parse({"algo": {"inner": {"momentum": "0.9"}}})
+        with pytest.raises(ConfigError, match=r"workers.*expected integer"):
+            parse({"workers": True})
+        with pytest.raises(ConfigError, match=r"schedule\.lr_schedule.*one of"):
+            parse({"schedule": {"lr_schedule": "linear"}})
 
 
 class TestMetricsRoundTrip:

@@ -18,7 +18,7 @@ def parse(obj):
 def quad_cfg(**overrides):
     base = {
         "workload": {"kind": "quadratic", "dim": 4, "mu": 1.0, "L": 4.0},
-        "algo": {"variant": "palsgd", "inner": {"variant": "sgd"},
+        "algo": {"variant": "palsgd", "inner": {"variant": "sgd", "clip_norm": None},
                  "outer": {"variant": "nesterov", "lr": 0.7}},
         "schedule": {"alpha": 0.02, "eta": 0.5, "p": 0.1,
                      "sync_interval": 8, "total_steps": 64},
@@ -59,6 +59,15 @@ class TestRunExperiment:
             "schedule": {"total_steps": 160}, "workers": 2, "seed": 5}))
         assert palsgd_summary["sync_count"] == 10
         assert ddp_summary["sync_count"] == 160
+
+
+    def test_mlp_eval_set_shares_the_training_classes(self):
+        summary, _ = run_experiment(parse({
+            "workload": {"kind": "mlp", "widths": [8, 16, 3], "samples_per_class": 30,
+                         "test_samples_per_class": 20},
+            "schedule": {"p": 0.1, "sync_interval": 16, "total_steps": 160},
+            "workers": 2, "seed": 1, "eval_every": 40}))
+        assert summary["final_eval_acc"] >= 0.9
 
 
 class TestSweep:

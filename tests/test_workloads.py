@@ -1,8 +1,12 @@
 import math
 
+import json
+
 import numpy as np
 import pytest
 
+from palsgd.algorithms import run_training
+from palsgd.config import parse_config
 from palsgd.experiments import central_difference_gradient, max_relative_error
 from palsgd.vecmath import PURPOSE_DATA, PURPOSE_INIT, RngStream
 from palsgd.workloads import (Dataset, LogisticWorkload, MlpWorkload,
@@ -189,6 +193,31 @@ class TestSharding:
         stream = RngStream(0, 0, PURPOSE_DATA)
         seen = shard.draw(stream, 8)
         assert sorted(seen.tolist()) == list(range(8))
+
+
+    def test_epoch_shuffle_in_a_real_run(self):
+        cfg = parse_config(json.dumps({
+            "workload": {"kind": "logistic", "dim": 3, "n_samples": 24, "batch_size": 2,
+                         "draw_policy": "epoch_shuffle"},
+            "algo": {"variant": "ddp"}, "schedule": {"total_steps": 18}, "workers": 2}))
+        workload = cfg.build_workload()
+        draws = {}
+        plain_draw = workload.draw_sample
+
+        def recording_draw(stream, shard):
+            idx = plain_draw(stream, shard)
+            draws.setdefault(shard.worker, (shard, []))[1].extend(idx.tolist())
+            return idx
+
+        workload.draw_sample = recording_draw
+        run_training(workload, cfg.build_variant(), cfg.build_schedule(workload),
+                     cfg.build_cluster(), cfg.seed)
+        assert sorted(draws) == [0, 1]
+        for shard, seen in draws.values():
+            n = len(shard.indices)  # 12 samples, 18 steps of 2 draws: three epochs
+            assert len(seen) == 3 * n
+            for epoch in range(3):
+                assert sorted(seen[epoch * n:(epoch + 1) * n]) == shard.indices.tolist()
 
 
 class TestDatasetGeneration:
