@@ -6,7 +6,7 @@ communication accounting and convergence-theory verification utilities.
 """
 
 from .algorithms import (AlgoVariant, Diagnostics, Schedule, StepRecord,
-                         TrainResult, WorkerState, consensus_probe, ddp_step,
+                         TrainResult, Workers, consensus_probe, ddp_step,
                          make_variant, palsgd_local_step, run_training,
                          sync_round, theory_schedule, theory_weights)
 from .cluster import AllReduceModel, ClusterSpec, CommEvent, SimClock, allreduce_time
@@ -14,8 +14,8 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .experiments import gradcheck, run_experiment, sweep, verify_theory
 from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
                          OuterOptState, inner_step, outer_step)
-from .vecmath import (ParamVector, RngStream, axpy, l2_norm_sq, mean_of, mix,
-                      param_vector)
+from .vecmath import (ParamVector, RngStream, mean_of, mix, param_vector,
+                      row_norms_sq)
 from .workloads import (Dataset, LogisticWorkload, MlpWorkload,
                         QuadraticWorkload, Shard, export_dataset_csv,
                         generate_synthetic_classification, shard_dataset)
@@ -25,12 +25,12 @@ __all__ = [
     "Dataset", "Diagnostics", "InnerOptConfig", "InnerOptState",
     "LogisticWorkload", "MlpWorkload", "OuterOptConfig", "OuterOptState",
     "ParamVector", "QuadraticWorkload", "RngStream", "RunConfig", "Schedule",
-    "Shard", "SimClock", "StepRecord", "TrainResult", "WorkerState",
-    "allreduce_time", "axpy", "consensus_probe", "ddp_step",
+    "Shard", "SimClock", "StepRecord", "TrainResult", "Workers",
+    "allreduce_time", "consensus_probe", "ddp_step",
     "export_dataset_csv", "generate_synthetic_classification", "gradcheck",
-    "inner_step", "l2_norm_sq", "load_config", "make_variant", "mean_of",
+    "inner_step", "load_config", "make_variant", "mean_of",
     "mix", "outer_step", "palsgd_local_step", "param_vector", "parse_config",
-    "run_experiment", "run_training", "shard_dataset", "sweep", "sync_round",
+    "row_norms_sq", "run_experiment", "run_training", "shard_dataset", "sweep", "sync_round",
     "theory_schedule", "theory_weights", "verify_theory",
 ]
 

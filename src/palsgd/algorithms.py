@@ -1,18 +1,30 @@
 """Unified trainer for DDP, Local SGD, DiLoCo, and PALSGD.
 
-All variants share one bulk-synchronous step loop. Each iteration a worker
-either takes a gradient step through its inner optimizer or, for PALSGD with
-probability p, a communication-free pseudo-synchronization step that mixes
-its parameters toward its stored copy of the last-synced global model:
+All variants share one bulk-synchronous step loop over K workers whose state
+is stacked: parameters are the rows of a (K, d) array, inner-optimizer
+moments are (K, d) arrays and step counts a (K,) vector. Each iteration a
+worker either takes a gradient step through its inner optimizer or, for
+PALSGD with probability p, a communication-free pseudo-synchronization step
+that mixes its parameters toward the last-synced global model:
 
-    x_k <- x_k - (alpha_t * eta_t / p) * (x_k - anchor_k)
+    x_k <- x_k - (alpha_t * eta_t / p) * (x_k - x_global)
+
+so one step is one Bernoulli-masked row update of the (K, d) array. No
+per-worker anchor (a worker's copy of the last-synced model) is stored: it
+would be set at every sync round and every DDP step, exactly when the global
+model is, to the same value, so the two are always equal.
 
 Every H steps (and once at the end of a partial window) a sync round
-aggregates the outer gradient delta = anchor - mean_k(x_k), applies the outer
-optimizer, and resets every worker's parameters and anchor to the new global
+aggregates the outer gradient delta = x_global - mean_k(x_k), applies the
+outer optimizer, and resets every worker's parameters to the new global
 model. DDP instead all-reduces gradients every step. Local SGD and DiLoCo are
 the p = 0 special cases with, respectively, plain-averaging and
 adamw/nesterov optimizer pairings, which the equivalence tests rely on.
+
+Each worker keeps its own random streams and data shard, and data is drawn
+only for the rows that take a gradient step, so every stream sees the same
+draws as a worker-by-worker loop would, and every row is rounded as that
+worker's own 1-D update.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from .fields import ConfigError, check_fields, option
 from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
                          OuterOptState, inner_step, outer_step)
 from .vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_INIT,
-                      ParamVector, RngStream, l2_norm_sq, mean_of)
+                      ParamVector, RngStream, mean_of, row_norms_sq)
 
 
 @dataclass(frozen=True)
@@ -161,14 +173,23 @@ def make_variant(tag: str, inner: InnerOptConfig | None = None,
 
 
 @dataclass
-class WorkerState:
-    k: int
-    x: ParamVector
-    anchor: ParamVector
+class Workers:
+    """The K workers, stacked: row k of `x` and of the optimizer state is worker k."""
+
+    x: np.ndarray                   # (K, d) parameters
     inner: InnerOptState
-    shard: object
-    data_stream: RngStream
-    bern_stream: RngStream
+    shards: list                    # per worker, as the workload's shards() gives them
+    data_streams: list[RngStream]
+    bern_streams: list[RngStream]
+
+    @classmethod
+    def start(cls, x0: ParamVector, inner: InnerOptConfig, shards: list, seed: int) -> "Workers":
+        """K = len(shards) workers, every one at x0 with a fresh optimizer state."""
+        k = len(shards)
+        return cls(x=np.tile(x0, (k, 1)), inner=InnerOptState.fresh(inner, k, x0.shape[0]),
+                   shards=list(shards),
+                   data_streams=[RngStream(seed, w, PURPOSE_DATA) for w in range(k)],
+                   bern_streams=[RngStream(seed, w, PURPOSE_BERNOULLI) for w in range(k)])
 
 
 @dataclass
@@ -215,72 +236,68 @@ class TrainResult:
     divergence: DivergenceReport | None = None
 
 
-def consensus_probe(workers: list[WorkerState], global_x: ParamVector) -> tuple[float, float]:
+def consensus_probe(x: np.ndarray, global_x: ParamVector) -> tuple[float, float]:
     """(consensus distance vs the global copy, spread around the worker mean)."""
-    k = len(workers)
-    xi = sum(l2_norm_sq(w.x - global_x) for w in workers) / k
-    xbar = mean_of([w.x for w in workers])
-    spread = sum(l2_norm_sq(w.x - xbar) for w in workers) / k
+    k = x.shape[0]
+    xi = sum(row_norms_sq(x - global_x).tolist()) / k
+    spread = sum(row_norms_sq(x - mean_of(x)).tolist()) / k
     return xi, spread
 
 
-def palsgd_local_step(worker: WorkerState, schedule: Schedule, t: int,
-                      workload, clock: SimClock) -> bool:
-    """One local iteration; returns True when the mixing branch ran."""
+def palsgd_local_step(workers: Workers, global_x: ParamVector, schedule: Schedule, t: int,
+                      workload, clock: SimClock) -> np.ndarray:
+    """One local iteration of every worker; returns the (K,) mask of rows that mixed."""
+    x = workers.x
     p = schedule.p
-    mixing = False
     if p > 0.0:
-        mixing = worker.bern_stream.uniform() <= p
-    if mixing:
-        coeff = schedule.mix_coefficient(t)
-        worker.x = worker.x - coeff * (worker.x - worker.anchor)
+        mixing = np.array([s.uniform() <= p for s in workers.bern_streams])
     else:
-        sample = workload.draw_sample(worker.data_stream, worker.shard)
-        g = workload.stochastic_gradient(worker.x, sample)
-        lr = schedule.alpha_at(t) / (1.0 - p)
-        worker.x, worker.inner = inner_step(worker.inner, worker.x, g, lr)
-    clock.advance_step(worker.k, is_gradient_step=not mixing)
+        mixing = np.zeros(x.shape[0], dtype=bool)
+    mixed = np.flatnonzero(mixing)
+    if mixed.size:
+        coeff = schedule.mix_coefficient(t)
+        x[mixed] = x[mixed] - coeff * (x[mixed] - global_x)
+    stepped = np.flatnonzero(~mixing)
+    if stepped.size:
+        samples = [workload.draw_sample(workers.data_streams[k], workers.shards[k])
+                   for k in stepped.tolist()]
+        g = workload.stochastic_gradient(x[stepped], samples)
+        inner_step(workers.inner, x, g, schedule.alpha_at(t) / (1.0 - p), stepped)
+    clock.advance_step(~mixing)
     return mixing
 
 
-def sync_round(workers: list[WorkerState], global_x: ParamVector,
+def sync_round(workers: Workers, global_x: ParamVector,
                outer_state: OuterOptState, clock: SimClock, t: int,
                reset_inner: bool = False) -> tuple[ParamVector, OuterOptState, CommEvent]:
-    """All-reduce the outer gradient, update the global model, re-anchor workers."""
-    if not workers:
-        raise ValueError("sync_round: empty worker list")
-    m = mean_of([w.x for w in workers])
+    """All-reduce the outer gradient, update the global model, reset the workers to it."""
+    m = mean_of(workers.x)
     delta = global_x - m
     candidate, outer_state = outer_step(outer_state, global_x, delta)
     # Plain averaging must yield the mean bit-exactly (global - (global - m)
     # reintroduces rounding), so the lr-1 momentum-free case short-circuits.
     new_global = m if outer_state.config.is_plain_averaging else candidate
-    for w in workers:
-        w.x = new_global.copy()
-        w.anchor = new_global.copy()
-        if reset_inner:
-            w.inner = InnerOptState.fresh(w.inner.config, new_global.shape[0])
+    workers.x[:] = new_global
+    if reset_inner:
+        workers.inner = InnerOptState.fresh(workers.inner.config, *workers.x.shape)
     event = clock.record_allreduce(t, new_global.shape[0])
     return new_global, outer_state, event
 
 
-def ddp_step(workers: list[WorkerState], schedule: Schedule, t: int,
+def ddp_step(workers: Workers, schedule: Schedule, t: int,
              workload, clock: SimClock) -> ParamVector:
-    """Gradient all-reduce every step: identical updates on every worker."""
-    if not workers:
-        raise ValueError("ddp_step: empty worker list")
-    grads = []
-    for w in workers:
-        sample = workload.draw_sample(w.data_stream, w.shard)
-        grads.append(workload.stochastic_gradient(w.x, sample))
-        clock.advance_step(w.k, is_gradient_step=True)
+    """Gradient all-reduce every step: identical updates on every worker.
+
+    Returns the new global model, which every row of `workers.x` equals."""
+    x = workers.x
+    samples = [workload.draw_sample(s, shard)
+               for s, shard in zip(workers.data_streams, workers.shards)]
+    grads = workload.stochastic_gradient(x, samples)
+    clock.advance_step(np.ones(x.shape[0], dtype=bool))
     gbar = mean_of(grads)
-    lr = schedule.alpha_at(t)
-    for w in workers:
-        w.x, w.inner = inner_step(w.inner, w.x, gbar, lr)
-        w.anchor = w.x
-    clock.record_allreduce(t, workers[0].x.shape[0])
-    return workers[0].x
+    inner_step(workers.inner, x, gbar[None, :], schedule.alpha_at(t))
+    clock.record_allreduce(t, x.shape[1])
+    return x[0].copy()
 
 
 class _WeightedAverage:
@@ -301,10 +318,6 @@ class _WeightedAverage:
             self._total *= 1e-200
 
 
-def _all_finite(x: ParamVector) -> bool:
-    return bool(np.all(np.isfinite(x)))
-
-
 def run_training(workload, variant: AlgoVariant, schedule: Schedule,
                  cluster: ClusterSpec, seed: int, record_every: int = 1,
                  eval_every: int | None = None) -> TrainResult:
@@ -319,37 +332,24 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
 
     init_stream = RngStream(seed, 0, PURPOSE_INIT)
     x0 = workload.init_params(init_stream)
-    shards = workload.shards(n_workers, seed)
-    workers = [
-        WorkerState(
-            k=k,
-            x=x0.copy(),
-            anchor=x0.copy(),
-            inner=InnerOptState.fresh(variant.inner, dim),
-            shard=shards[k],
-            data_stream=RngStream(seed, k, PURPOSE_DATA),
-            bern_stream=RngStream(seed, k, PURPOSE_BERNOULLI),
-        )
-        for k in range(n_workers)
-    ]
+    workers = Workers.start(x0, variant.inner, workload.shards(n_workers, seed), seed)
     global_x = x0.copy()
     outer_state = OuterOptState.fresh(variant.outer, dim)
     clock = SimClock(cluster, seed)
-    diag = Diagnostics(
-        mixing_steps_per_worker=[0] * n_workers,
-        gradient_steps_per_worker=[0] * n_workers,
-    )
-    window_mix = [0] * n_workers
+    diag = Diagnostics()
+    mixing_steps = np.zeros(n_workers, dtype=np.int64)
+    gradient_steps = np.zeros(n_workers, dtype=np.int64)
+    window_mix = np.zeros(n_workers, dtype=np.int64)
     averager = (_WeightedAverage(dim, schedule.iterate_weight_growth)
                 if schedule.iterate_weight_growth is not None else None)
 
     def record(t: int) -> StepRecord:
-        xbar = mean_of([w.x for w in workers])
+        xbar = mean_of(workers.x)
         if hasattr(workload, "suboptimality"):
             metric = workload.suboptimality(xbar)
         else:
             metric = workload.full_objective(xbar)
-        xi, spread = consensus_probe(workers, workers[0].anchor)
+        xi, spread = consensus_probe(workers.x, global_x)
         rec = StepRecord(
             step=t,
             sim_time_s=clock.global_time,
@@ -366,47 +366,43 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         diag.records.append(rec)
         return rec
 
-    def diverged_result(t: int, worker: int | None) -> TrainResult:
-        last_finite = next((r for r in reversed(diag.records)
-                            if math.isfinite(r.train_metric)), None)
-        report = DivergenceReport(step=t, worker=worker, last_record=last_finite)
+    def result(divergence: DivergenceReport | None = None) -> TrainResult:
+        diag.mixing_steps_per_worker = mixing_steps.tolist()
+        diag.gradient_steps_per_worker = gradient_steps.tolist()
         return TrainResult(global_model=global_x, diagnostics=diag,
                            weighted_average=averager.value if averager else None,
-                           clock=clock, diverged=True, divergence=report)
+                           clock=clock, diverged=divergence is not None, divergence=divergence)
 
     for t in range(total):
         if averager is not None:
             averager.add(global_x)
 
         if t < warmup:
-            global_x = ddp_step(workers, schedule, t, workload, clock).copy()
-            for k in range(n_workers):
-                diag.gradient_steps_per_worker[k] += 1
+            global_x = ddp_step(workers, schedule, t, workload, clock)
+            gradient_steps += 1
         else:
-            for w in workers:
-                mixed = palsgd_local_step(w, schedule, t, workload, clock)
-                if mixed:
-                    diag.mixing_steps_per_worker[w.k] += 1
-                    window_mix[w.k] += 1
-                else:
-                    diag.gradient_steps_per_worker[w.k] += 1
+            mixing = palsgd_local_step(workers, global_x, schedule, t, workload, clock)
+            mixing_steps += mixing
+            gradient_steps += ~mixing
+            window_mix += mixing
             if (t + 1) % h == 0 or t == total - 1:
                 global_x, outer_state, _ = sync_round(
                     workers, global_x, outer_state, clock, t,
                     reset_inner=variant.inner.reset_at_sync)
                 diag.sync_steps.append(t)
-                diag.window_mixing_counts.append(tuple(window_mix))
-                window_mix = [0] * n_workers
+                diag.window_mixing_counts.append(tuple(window_mix.tolist()))
+                window_mix[:] = 0
 
-        for w in workers:
-            if not _all_finite(w.x):
-                # keep only finite records in the dump; the report points at
-                # the last one taken before the blow-up
-                return diverged_result(t, w.k)
+        finite = np.isfinite(workers.x).all(axis=1)
+        if not finite.all():
+            # keep only finite records in the dump; the report points at the
+            # last one taken before the blow-up, and at the first bad worker
+            last_finite = next((r for r in reversed(diag.records)
+                                if math.isfinite(r.train_metric)), None)
+            return result(DivergenceReport(step=t, worker=int(np.argmin(finite)),
+                                           last_record=last_finite))
 
         if t % record_every == 0 or (t + 1) % h == 0 or t == total - 1:
             record(t)
 
-    return TrainResult(global_model=global_x, diagnostics=diag,
-                       weighted_average=averager.value if averager else None,
-                       clock=clock, diverged=False)
+    return result()

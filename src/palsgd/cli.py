@@ -90,13 +90,18 @@ def main(argv=None) -> int:
                 grid = json.load(fh)
             rows = sweep(cfg, grid, out_dir=cfg.out_dir)
             for row in rows:
-                print(f"{row['param']}={row['value']}: final_loss={row['final_loss']} "
+                print(f"{row['param']}={row['value']}: status={row['status']} "
+                      f"final_loss={row['final_loss']} "
                       f"sim_time_s={row['sim_time_s']} sync_count={row['sync_count']} "
                       f"diverged={row['diverged']}")
             return EXIT_OK
 
         if args.command == "verify-theory":
-            k_values = tuple(int(v) for v in args.k_values.split(","))
+            try:
+                k_values = tuple(int(v) for v in args.k_values.split(","))
+            except ValueError:
+                raise ConfigError("k_values", "expected comma-separated integers, "
+                                              f"got {args.k_values!r}") from None
             report = verify_theory(cfg, out_dir=cfg.out_dir, k_values=k_values,
                                    n_seeds=args.seeds)
             print(json.dumps(report, sort_keys=True, indent=2))

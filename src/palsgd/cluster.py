@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fields import ConfigError, check_fields, option
 from .vecmath import PURPOSE_JITTER, RngStream
 
@@ -76,14 +78,17 @@ class SimClock:
     """Per-worker elapsed seconds plus an append-only communication log.
 
     A single owner (the trainer loop) advances the clock; global time is the
-    max over workers and is realized at every barrier.
+    max over workers and is realized at every barrier. `worker_time` is a
+    (K,) array that one cost vector advances per step.
     """
 
     def __init__(self, spec: ClusterSpec, seed: int = 0):
         self.spec = spec
-        self.worker_time = [0.0] * spec.workers
+        self.worker_time = np.zeros(spec.workers)
         self.events: list[CommEvent] = []
         self.comm_seconds = 0.0
+        self._step_cost = np.array([spec.step_cost(k) for k in range(spec.workers)])
+        self._mixing_cost = self._step_cost * spec.mixing_cost_fraction
         self._jitter_streams = (
             [RngStream(seed, k, PURPOSE_JITTER) for k in range(spec.workers)]
             if spec.jitter > 0 else None
@@ -91,21 +96,18 @@ class SimClock:
 
     @property
     def global_time(self) -> float:
-        return max(self.worker_time)
+        return float(self.worker_time.max())
 
-    def advance_step(self, worker: int, is_gradient_step: bool) -> None:
-        cost = self.spec.step_cost(worker)
-        if not is_gradient_step:
-            cost *= self.spec.mixing_cost_fraction
+    def advance_step(self, is_gradient_step: np.ndarray) -> None:
+        """Advance every worker by one step; `is_gradient_step` is a (K,) mask."""
+        cost = np.where(is_gradient_step, self._step_cost, self._mixing_cost)
         if self._jitter_streams is not None:
-            u = self._jitter_streams[worker].uniform()
+            u = np.array([s.uniform() for s in self._jitter_streams])
             cost *= 1.0 + self.spec.jitter * (2.0 * u - 1.0)
-        self.worker_time[worker] += cost
+        self.worker_time += cost
 
     def barrier(self, duration: float = 0.0) -> None:
-        top = max(self.worker_time) + duration
-        for k in range(self.spec.workers):
-            self.worker_time[k] = top
+        self.worker_time = np.full(self.spec.workers, self.global_time + duration)
 
     def record_allreduce(self, step: int, dim: int) -> CommEvent:
         """Barrier all workers through one all-reduce and log it."""

@@ -19,7 +19,8 @@ from .vecmath import PURPOSE_DATA, PURPOSE_INIT, RngStream
 from .workloads import (LogisticWorkload, MlpWorkload,
                         generate_synthetic_classification)
 
-SWEEP_CSV_HEADER = ["param", "value", "final_loss", "sim_time_s", "sync_count", "diverged"]
+SWEEP_CSV_HEADER = ["param", "value", "status", "final_loss", "sim_time_s", "sync_count",
+                    "diverged"]
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | None = None):
@@ -59,8 +60,11 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
     """One run per (parameter, value), each varied alone against the base config.
 
     Returns the comparison rows and, when out_dir is given, writes
-    ``sweep.csv`` plus one run directory per cell. Failing cells are recorded
-    and the sweep continues.
+    ``sweep.csv`` plus one run directory per cell. Each row's ``status`` is
+    "ok", "diverged" or "error". A cell whose config is rejected or whose run
+    raises is recorded as "error" with its result columns (``diverged``
+    included) left empty and the message in the cell's ``error.txt``, and the
+    sweep continues.
     """
     base = cfg.normalized()
     for param in grid:
@@ -76,12 +80,13 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
             _set_path(cell, param, value)
             cell_name = f"{param.replace('.', '_')}={value}"
             cell_dir = os.path.join(out_dir, cell_name) if out_dir else None
-            row = {"param": param, "value": value, "final_loss": "",
-                   "sim_time_s": "", "sync_count": "", "diverged": True}
+            row = {"param": param, "value": value, "status": "error", "final_loss": "",
+                   "sim_time_s": "", "sync_count": "", "diverged": ""}
             try:
                 cell_cfg = parse_config(json.dumps(cell))
                 summary, _ = run_experiment(cell_cfg, out_dir=cell_dir)
-                row.update(final_loss=summary["final_loss"],
+                row.update(status="diverged" if summary["diverged"] else "ok",
+                           final_loss=summary["final_loss"],
                            sim_time_s=summary["total_sim_time_s"],
                            sync_count=summary["sync_count"],
                            diverged=summary["diverged"])
@@ -310,7 +315,7 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
             x = workload.init_params(init_stream)
             x = x + data_stream.gaussian_vector(x.shape[0], 0.3)
             idx = workload.draw_sample(data_stream, shard)
-            analytic = workload.stochastic_gradient(x, idx)
+            analytic = workload.stochastic_gradient(x[None], [idx])[0]
             numeric = central_difference_gradient(
                 lambda v: workload.batch_objective(v, idx), x, step)
             worst = max(worst, max_relative_error(analytic, numeric))

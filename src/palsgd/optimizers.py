@@ -1,10 +1,10 @@
 """Inner and outer optimizer state machines.
 
-Inner optimizers drive per-worker local steps (sgd, momentum sgd, adamw);
-outer optimizers consume the aggregated parameter delta at sync rounds
-(sgd, nesterov). All steps are pure: (state, inputs) -> (new params, new
-state), with worker-private state, so the trainer can replay or parallelize
-them freely.
+Inner optimizers drive the workers' local steps (sgd, momentum sgd, adamw)
+on stacked (K, d) parameters and update their stacked state in place, on the
+rows that took a gradient step. Outer optimizers consume the aggregated
+parameter delta at sync rounds (sgd, nesterov) and are pure:
+(state, inputs) -> (new global params, new state).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import check_fields, option
-from .vecmath import ParamVector, _check_dims
+from .vecmath import DimensionMismatchError, ParamVector, _check_dims, row_norms_sq
 
 
 @dataclass(frozen=True)
@@ -36,58 +36,68 @@ class InnerOptConfig:
 
 @dataclass
 class InnerOptState:
+    """The inner optimizer state of K workers, stacked: row k is worker k."""
+
     config: InnerOptConfig
-    step: int = 0
-    m: ParamVector | None = None
-    v: ParamVector | None = None
+    step: np.ndarray                 # (K,) gradient steps taken per worker
+    m: np.ndarray | None = None      # (K, d) first moments (momentum buffer)
+    v: np.ndarray | None = None      # (K, d) second moments
 
     @classmethod
-    def fresh(cls, config: InnerOptConfig, dim: int) -> "InnerOptState":
-        state = cls(config=config, step=0)
+    def fresh(cls, config: InnerOptConfig, workers: int, dim: int) -> "InnerOptState":
+        state = cls(config=config, step=np.zeros(workers, dtype=np.int64))
         if config.variant in ("sgd_momentum", "adamw"):
-            state.m = np.zeros(dim)
+            state.m = np.zeros((workers, dim))
         if config.variant == "adamw":
-            state.v = np.zeros(dim)
+            state.v = np.zeros((workers, dim))
         return state
 
-    def copy(self) -> "InnerOptState":
-        return InnerOptState(
-            config=self.config,
-            step=self.step,
-            m=None if self.m is None else self.m.copy(),
-            v=None if self.v is None else self.v.copy(),
-        )
 
+def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
+               rows=slice(None)) -> None:
+    """One gradient-driven update of the rows `rows` of x (K, d), in place.
 
-def inner_step(state: InnerOptState, x: ParamVector, g: ParamVector, lr: float) -> tuple[ParamVector, InnerOptState]:
-    """One gradient-driven update; returns (new params, advanced state)."""
-    _check_dims("inner_step", x, g)
+    g holds one gradient row per selected row, or a single row that all of
+    them share. The state's rows advance in place; other rows are untouched.
+    Every row is rounded exactly as a 1-D update of that worker alone: the
+    clip norm is a per-row dot, and Adam's bias corrections are Python float
+    powers, since numpy's array power rounds differently.
+    """
+    if x.shape[-1] != g.shape[-1]:
+        raise DimensionMismatchError("inner_step", x.shape[-1], g.shape[-1])
     if lr <= 0:
         raise ValueError(f"inner_step: lr must be > 0, got {lr}")
     cfg = state.config
-    new = state.copy()
-    new.step = state.step + 1
+    state.step[rows] += 1
 
     if cfg.clip_norm is not None:
-        gnorm = float(np.sqrt(np.dot(g, g)))
-        if gnorm > cfg.clip_norm:
-            g = g * (cfg.clip_norm / gnorm)
+        norms = np.sqrt(row_norms_sq(g))
+        over = norms > cfg.clip_norm
+        if over.any():
+            g = np.array(g)
+            g[over] = g[over] * (cfg.clip_norm / norms[over])[:, None]
 
+    xr = x[rows]
     if cfg.variant == "sgd":
-        return x - lr * g, new
+        x[rows] = xr - lr * g
+        return
 
     if cfg.variant == "sgd_momentum":
-        new.m = cfg.momentum * state.m + g
-        return x - lr * new.m, new
+        m = cfg.momentum * state.m[rows] + g
+        state.m[rows] = m
+        x[rows] = xr - lr * m
+        return
 
     # adamw: decoupled weight decay, bias-corrected moments
-    new.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    new.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * (g * g)
-    m_hat = new.m / (1.0 - cfg.beta1 ** new.step)
-    v_hat = new.v / (1.0 - cfg.beta2 ** new.step)
-    x_out = x - lr * cfg.weight_decay * x
-    x_out = x_out - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-    return x_out, new
+    m = cfg.beta1 * state.m[rows] + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * state.v[rows] + (1.0 - cfg.beta2) * (g * g)
+    state.m[rows] = m
+    state.v[rows] = v
+    steps = state.step[rows].tolist()
+    m_hat = m / np.array([[1.0 - cfg.beta1 ** s] for s in steps])
+    v_hat = v / np.array([[1.0 - cfg.beta2 ** s] for s in steps])
+    x_out = xr - lr * cfg.weight_decay * xr
+    x[rows] = x_out - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
 @dataclass(frozen=True)

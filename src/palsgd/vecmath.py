@@ -1,8 +1,9 @@
 """Dense float64 vector arithmetic and counter-based random streams.
 
-Parameter vectors are plain 1-D float64 numpy arrays; every update in the
-trainer flows through the handful of operations here so that reductions have
-a single, fixed summation order and random draws are replayable bit-exactly.
+Parameter vectors are plain 1-D float64 numpy arrays; the trainer stacks the
+K workers' vectors as the rows of a (K, d) array. Every reduction in the
+trainer flows through the handful of operations here so that it has a single,
+fixed summation order, and random draws are replayable bit-exactly.
 """
 
 from __future__ import annotations
@@ -43,12 +44,6 @@ def _check_dims(op: str, x: ParamVector, y: ParamVector) -> None:
         raise DimensionMismatchError(op, x.shape[0] if x.ndim else 0, y.shape[0] if y.ndim else 0)
 
 
-def axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """a*x + y, elementwise."""
-    _check_dims("axpy", x, y)
-    return a * x + y
-
-
 def mix(x: ParamVector, anchor: ParamVector, beta: float) -> ParamVector:
     """(1-beta)*x + beta*anchor: exponential moving average toward the anchor.
 
@@ -63,20 +58,34 @@ def mix(x: ParamVector, anchor: ParamVector, beta: float) -> ParamVector:
 
 
 def mean_of(vectors: Sequence[ParamVector]) -> ParamVector:
-    """Elementwise mean with a fixed left-to-right (ascending index) sum order."""
+    """Elementwise mean with a fixed left-to-right (ascending index) sum order.
+
+    `vectors` is a list of equal-length vectors or a (K, d) array of rows.
+    The row loop is deliberate: ``np.add.reduce(x, axis=0)`` adds rows in
+    the same order for d > 1, but at d = 1 it reduces a contiguous column and
+    switches to pairwise summation, which rounds differently.
+    """
     if len(vectors) == 0:
         raise ValueError("mean_of: empty list")
     first = vectors[0]
+    if not isinstance(vectors, np.ndarray):  # an array's rows agree by construction
+        for v in vectors:
+            _check_dims("mean_of", first, v)
     acc = first.copy()
     for v in vectors[1:]:
-        _check_dims("mean_of", first, v)
         acc += v
     acc /= len(vectors)
     return acc
 
 
-def l2_norm_sq(x: ParamVector) -> float:
-    return float(np.dot(x, x))
+def row_norms_sq(x: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of each row of a (K, d) array.
+
+    Each entry is bit-equal to ``np.dot(row, row)``: a stacked (1, d) @ (d, 1)
+    matmul runs the same dot kernel, while ``einsum`` or ``(x * x).sum(1)``
+    accumulate in another order and round differently.
+    """
+    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
 
 
 def _stream_key(seed: int, worker: int, purpose: int) -> np.ndarray:
@@ -88,12 +97,12 @@ class RngStream:
     """Counter-based random stream keyed by (seed, worker, purpose).
 
     Each draw call occupies its own 2^64-wide Philox counter block, so the
-    n-th draw is a pure function of (seed, stream_id, n): replaying a stream,
+    n-th draw is a pure function of (seed, worker, purpose, n): replaying a stream,
     or reconstructing it at an arbitrary counter, reproduces every value
     bit-exactly, and no stream's consumption can shift another's.
     """
 
-    __slots__ = ("seed", "worker", "purpose", "counter", "_bitgen", "_gen")
+    __slots__ = ("seed", "worker", "purpose", "counter", "_bitgen", "_gen", "_state")
 
     def __init__(self, seed: int, worker: int, purpose: int, counter: int = 0):
         self.seed = seed
@@ -102,22 +111,22 @@ class RngStream:
         self.counter = counter
         self._bitgen = np.random.Philox(key=_stream_key(seed, worker, purpose))
         self._gen = np.random.Generator(self._bitgen)
-
-    @property
-    def stream_id(self) -> tuple[int, int]:
-        return (self.worker, self.purpose)
+        # The state of a fresh Philox at counter 0 with empty output buffers.
+        # Reading `.state` builds a new dict each time and costs more than
+        # setting it, so the dict is read once and only its counter word
+        # changes per draw; the setter copies it in, leaving it untouched.
+        self._state = self._bitgen.state
+        self._state["state"]["counter"][:] = 0
+        self._state["buffer_pos"] = 4
+        self._state["has_uint32"] = 0
+        self._state["uinteger"] = 0
 
     def _position(self) -> np.random.Generator:
         # Reposition the cached generator at this draw's counter block and
         # flush buffered output; bit-identical to a fresh Philox at
-        # counter << 64 but ~6x cheaper than reconstructing.
-        st = self._bitgen.state
-        st["state"]["counter"][:] = 0
-        st["state"]["counter"][1] = self.counter
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
+        # counter << 64 but much cheaper than reconstructing.
+        self._state["state"]["counter"][1] = self.counter
+        self._bitgen.state = self._state
         self.counter += 1
         return self._gen
 
@@ -152,7 +161,3 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._position().permutation(n)
-
-    def fork(self, counter: int) -> "RngStream":
-        """Independent handle on the same stream positioned at `counter`."""
-        return RngStream(self.seed, self.worker, self.purpose, counter)

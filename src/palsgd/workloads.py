@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import check_fields, option
-from .vecmath import PURPOSE_DATAGEN, ParamVector, RngStream, _check_dims
+from .vecmath import (PURPOSE_DATAGEN, DimensionMismatchError, ParamVector,
+                      RngStream, _check_dims)
 
 ACTIVATIONS = ("relu", "tanh")
 DTYPES = ("float64", "float32")
@@ -163,11 +164,13 @@ class QuadraticWorkload:
     def draw_sample(self, stream: RngStream, shard=None) -> ParamVector:
         return stream.gaussian_vector(self.dim, self._noise_scale)
 
-    def stochastic_gradient(self, x: ParamVector, sample: ParamVector) -> ParamVector:
-        _check_dims("quadratic gradient", x, self.hessian_diag)
+    def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
+        """Gradient rows at the rows of x (n, d), one noise sample per row."""
+        if x.shape[-1] != self.dim:
+            raise DimensionMismatchError("quadratic gradient", x.shape[-1], self.dim)
         if not np.all(np.isfinite(x)):
             raise ValueError("quadratic gradient: non-finite parameters")
-        return self.hessian_diag * (x - self.x_star - sample)
+        return self.hessian_diag * (x - self.x_star - np.asarray(samples))
 
     def full_gradient(self, x: ParamVector) -> ParamVector:
         return self.hessian_diag * (x - self.x_star)
@@ -234,8 +237,9 @@ class LogisticWorkload:
         grad = grad + self.l2_reg * x
         return loss, grad
 
-    def stochastic_gradient(self, x: ParamVector, sample: np.ndarray) -> ParamVector:
-        return self._loss_grad(x, sample)[1]
+    def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
+        """Gradient rows at the rows of x (n, d), one index batch per row."""
+        return np.stack([self._loss_grad(row, idx)[1] for row, idx in zip(x, samples)])
 
     def batch_objective(self, x: ParamVector, sample: np.ndarray) -> float:
         return self._loss_grad(x, sample)[0]
@@ -341,8 +345,9 @@ class MlpWorkload:
         flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
         return loss, flat.astype(np.float64, copy=False)
 
-    def stochastic_gradient(self, x: ParamVector, sample: np.ndarray) -> ParamVector:
-        return self._loss_grad(x, sample)[1]
+    def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
+        """Gradient rows at the rows of x (n, d), one index batch per row."""
+        return np.stack([self._loss_grad(row, idx)[1] for row, idx in zip(x, samples)])
 
     def batch_objective(self, x: ParamVector, sample: np.ndarray) -> float:
         return self._loss_grad(x, sample, want_grad=False)[0]

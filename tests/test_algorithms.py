@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palsgd.algorithms import (AlgoVariant, Schedule, WorkerState,
+from palsgd.algorithms import (AlgoVariant, Schedule, StepRecord, Workers,
                                consensus_probe, ddp_step, make_variant,
                                palsgd_local_step, run_training, sync_round,
                                theory_schedule, theory_weights)
-from palsgd.cluster import AllReduceModel, ClusterSpec, SimClock
-from palsgd.optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
-                               OuterOptState)
-from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, RngStream,
-                            l2_norm_sq, mean_of)
+from palsgd.cluster import AllReduceModel, ClusterSpec, SimClock, allreduce_time
+from palsgd.optimizers import InnerOptConfig, OuterOptConfig, OuterOptState
+from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_JITTER,
+                            RngStream, mean_of)
 from palsgd.workloads import QuadraticWorkload
 
 
@@ -28,13 +27,12 @@ def small_cluster(workers, **kw):
     return ClusterSpec(workers=workers, **kw)
 
 
-def make_worker(k, x, anchor, inner_cfg=None, seed=0):
-    cfg = inner_cfg or InnerOptConfig(variant="sgd")
-    return WorkerState(
-        k=k, x=np.asarray(x, float), anchor=np.asarray(anchor, float),
-        inner=InnerOptState.fresh(cfg, len(x)), shard=None,
-        data_stream=RngStream(seed, k, PURPOSE_DATA),
-        bern_stream=RngStream(seed, k, PURPOSE_BERNOULLI))
+def make_workers(*xs, inner_cfg=None, seed=0):
+    """Stacked workers, row k at xs[k], with fresh sgd state and streams."""
+    ws = Workers.start(np.zeros(len(xs[0])), inner_cfg or InnerOptConfig(variant="sgd"),
+                       [None] * len(xs), seed)
+    ws.x[:] = np.asarray(xs, dtype=float)
+    return ws
 
 
 class TestSchedule:
@@ -149,11 +147,11 @@ class TestPalsgdLocalStep:
         workload = quadratic(sigma=0.0)
         sched = Schedule(alpha=0.1, p=0.0, total_steps=10)
         clock = SimClock(small_cluster(1))
-        w = make_worker(0, [1.0, 1.0], [0.0, 0.0])
-        mixed = palsgd_local_step(w, sched, 0, workload, clock)
-        assert not mixed
+        ws = make_workers([1.0, 1.0])
+        mixed = palsgd_local_step(ws, np.zeros(2), sched, 0, workload, clock)
+        assert not mixed.any()
         # sgd step on grad = diag*(x - 0) = [1, 2]
-        assert np.allclose(w.x, [1.0 - 0.1, 1.0 - 0.2], rtol=1e-15)
+        assert np.allclose(ws.x[0], [1.0 - 0.1, 1.0 - 0.2], rtol=1e-15)
 
     def test_mixing_fixed_point_is_anchor(self):
         workload = quadratic(sigma=0.0)
@@ -162,10 +160,10 @@ class TestPalsgdLocalStep:
         # find a seed whose first Bernoulli draw lands in the mixing branch
         seed = next(s for s in range(100)
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
-        w = make_worker(0, [3.0, -1.0], [3.0, -1.0], seed=seed)
-        mixed = palsgd_local_step(w, sched, 0, workload, clock)
-        assert mixed
-        assert np.array_equal(w.x, np.array([3.0, -1.0]))
+        ws = make_workers([3.0, -1.0], seed=seed)
+        mixed = palsgd_local_step(ws, np.array([3.0, -1.0]), sched, 0, workload, clock)
+        assert mixed.all()
+        assert np.array_equal(ws.x[0], np.array([3.0, -1.0]))
 
     def test_unit_coefficient_mixes_onto_anchor(self):
         workload = quadratic(diag=(1.0,), sigma=0.0)
@@ -174,9 +172,9 @@ class TestPalsgdLocalStep:
         seed = next(s for s in range(1000)
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.05)
         clock = SimClock(small_cluster(1))
-        w = make_worker(0, [2.0], [0.0], seed=seed)
-        assert palsgd_local_step(w, sched, 0, workload, clock)
-        assert abs(w.x[0]) <= 1e-15
+        ws = make_workers([2.0], seed=seed)
+        assert palsgd_local_step(ws, np.array([0.0]), sched, 0, workload, clock).all()
+        assert abs(ws.x[0, 0]) <= 1e-15
 
     def test_contraction_factor(self):
         workload = quadratic(diag=(1.0, 1.0), sigma=0.0)
@@ -186,10 +184,10 @@ class TestPalsgdLocalStep:
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.5)
         clock = SimClock(small_cluster(1))
         anchor = np.array([1.0, -2.0])
-        w = make_worker(0, [4.0, 4.0], anchor, seed=seed)
-        before = math.sqrt(l2_norm_sq(w.x - anchor))
-        assert palsgd_local_step(w, sched, 0, workload, clock)
-        after = math.sqrt(l2_norm_sq(w.x - anchor))
+        ws = make_workers([4.0, 4.0], seed=seed)
+        before = float(np.linalg.norm(ws.x[0] - anchor))
+        assert palsgd_local_step(ws, anchor, sched, 0, workload, clock).all()
+        after = float(np.linalg.norm(ws.x[0] - anchor))
         assert after == pytest.approx(abs(1.0 - coeff) * before, rel=1e-12)
 
     def test_mixing_leaves_inner_state_and_data_stream_untouched(self):
@@ -198,11 +196,10 @@ class TestPalsgdLocalStep:
         seed = next(s for s in range(100)
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
         clock = SimClock(small_cluster(1))
-        w = make_worker(0, [1.0, 1.0], [0.0, 0.0],
-                        inner_cfg=InnerOptConfig(variant="adamw"), seed=seed)
-        assert palsgd_local_step(w, sched, 0, workload, clock)
-        assert w.inner.step == 0
-        assert w.data_stream.counter == 0
+        ws = make_workers([1.0, 1.0], inner_cfg=InnerOptConfig(variant="adamw"), seed=seed)
+        assert palsgd_local_step(ws, np.zeros(2), sched, 0, workload, clock).all()
+        assert ws.inner.step[0] == 0
+        assert ws.data_streams[0].counter == 0
 
     def test_mixing_step_is_cheap_on_the_clock(self):
         workload = quadratic(sigma=0.0)
@@ -211,15 +208,29 @@ class TestPalsgdLocalStep:
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
         clock = SimClock(ClusterSpec(workers=1, compute_time_per_step=1.0,
                                      mixing_cost_fraction=0.25))
-        w = make_worker(0, [1.0, 1.0], [0.0, 0.0], seed=seed)
-        palsgd_local_step(w, sched, 0, workload, clock)
+        ws = make_workers([1.0, 1.0], seed=seed)
+        palsgd_local_step(ws, np.zeros(2), sched, 0, workload, clock)
         assert clock.worker_time[0] == 0.25
+
+    def test_masked_rows_step_alone(self):
+        # rows that mix take no data draw and no optimizer step; the others do
+        workload = quadratic(diag=(1.0, 2.0), sigma=1.0)
+        sched = Schedule(alpha=0.1, eta=0.5, p=0.5, total_steps=10)
+        ws = make_workers(*np.arange(16.0).reshape(8, 2),
+                          inner_cfg=InnerOptConfig(variant="adamw"), seed=4)
+        before = ws.x.copy()
+        mixed = palsgd_local_step(ws, np.zeros(2), sched, 0, workload, SimClock(small_cluster(8)))
+        assert 0 < mixed.sum() < 8
+        assert ws.inner.step.tolist() == (~mixed).astype(int).tolist()
+        assert [s.counter for s in ws.data_streams] == (~mixed).astype(int).tolist()
+        coeff = sched.mix_coefficient(0)
+        assert np.array_equal(ws.x[mixed], before[mixed] - coeff * before[mixed])
 
 
 class TestSyncRound:
     def test_plain_averaging_yields_exact_mean(self):
         clock = SimClock(small_cluster(2))
-        ws = [make_worker(0, [1.0], [0.0]), make_worker(1, [3.0], [0.0])]
+        ws = make_workers([1.0], [3.0])
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 1)
         new_global, outer, event = sync_round(ws, np.array([0.0]), outer, clock, t=0)
         assert np.array_equal(new_global, np.array([2.0]))
@@ -227,8 +238,8 @@ class TestSyncRound:
 
     def test_mean_conserved_under_plain_averaging(self):
         rng = np.random.default_rng(8)
-        ws = [make_worker(k, rng.normal(size=5), np.zeros(5)) for k in range(4)]
-        mean_before = mean_of([w.x for w in ws])
+        ws = make_workers(*rng.normal(size=(4, 5)))
+        mean_before = mean_of(list(ws.x))
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 5)
         clock = SimClock(small_cluster(4))
         new_global, _, _ = sync_round(ws, rng.normal(size=5), outer, clock, t=0)
@@ -237,19 +248,18 @@ class TestSyncRound:
     def test_post_sync_all_workers_exactly_on_global(self):
         # power-of-two worker counts keep the identical-vector mean bit-exact
         rng = np.random.default_rng(9)
-        ws = [make_worker(k, rng.normal(size=3), np.zeros(3)) for k in range(4)]
+        ws = make_workers(*rng.normal(size=(4, 3)))
         outer = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.5, momentum=0.9), 3)
         clock = SimClock(small_cluster(4))
         new_global, _, _ = sync_round(ws, rng.normal(size=3), outer, clock, t=0)
-        for w in ws:
-            assert np.array_equal(w.x, new_global)
-            assert np.array_equal(w.anchor, new_global)
-        xi, spread = consensus_probe(ws, new_global)
+        for row in ws.x:
+            assert np.array_equal(row, new_global)
+        xi, spread = consensus_probe(ws.x, new_global)
         assert xi == 0.0 and spread == 0.0
 
     def test_no_drift_leaves_global_fixed(self):
         g = np.array([0.5, -1.5])
-        ws = [make_worker(k, g.copy(), g.copy()) for k in range(4)]
+        ws = make_workers(*[g] * 4)
         outer = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.3, momentum=0.9), 2)
         clock = SimClock(small_cluster(4))
         new_global, outer, _ = sync_round(ws, g.copy(), outer, clock, t=0)
@@ -258,8 +268,9 @@ class TestSyncRound:
 
     def test_empty_worker_list_rejected(self):
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 1)
+        ws = Workers.start(np.zeros(1), InnerOptConfig(), [], seed=0)
         with pytest.raises(ValueError):
-            sync_round([], np.array([0.0]), outer, SimClock(small_cluster(1)), t=0)
+            sync_round(ws, np.array([0.0]), outer, SimClock(small_cluster(1)), t=0)
 
 
 class TestDdpStep:
@@ -268,33 +279,31 @@ class TestDdpStep:
         workload = quadratic(diag=(1.0,), sigma=0.0)
         sched = Schedule(alpha=0.1, total_steps=10)
         clock = SimClock(small_cluster(2))
-        ws = [make_worker(0, [1.0], [1.0]), make_worker(1, [3.0], [3.0])]
-        new_global = ddp_step(ws, sched, 0, workload, clock)
+        ws = make_workers([1.0], [3.0])
+        ddp_step(ws, sched, 0, workload, clock)
         # grads 1 and 3, mean 2; both workers step from their own params
-        assert np.allclose(ws[0].x, [0.8], rtol=1e-15)
-        assert np.allclose(ws[1].x, [2.8], rtol=1e-15)
+        assert np.allclose(ws.x[0], [0.8], rtol=1e-15)
+        assert np.allclose(ws.x[1], [2.8], rtol=1e-15)
         assert len(clock.events) == 1
 
     def test_single_worker_is_plain_sgd(self):
         workload = quadratic(diag=(2.0,), sigma=0.0)
         sched = Schedule(alpha=0.25, total_steps=10)
         clock = SimClock(small_cluster(1))
-        ws = [make_worker(0, [1.0], [1.0])]
+        ws = make_workers([1.0])
         ddp_step(ws, sched, 0, workload, clock)
-        assert np.allclose(ws[0].x, [0.5], rtol=1e-15)
+        assert np.allclose(ws.x[0], [0.5], rtol=1e-15)
         assert clock.events[0].duration_s == 0.0
 
 
 class TestConsensusProbe:
     def test_examples(self):
-        ws = [make_worker(0, [1.0], [0.0]), make_worker(1, [-1.0], [0.0])]
-        xi, spread = consensus_probe(ws, np.array([0.0]))
+        xi, spread = consensus_probe(np.array([[1.0], [-1.0]]), np.array([0.0]))
         assert xi == 1.0
         assert spread == 1.0
 
     def test_single_worker(self):
-        ws = [make_worker(0, [2.0, 0.0], [0.0, 0.0])]
-        xi, spread = consensus_probe(ws, np.array([0.0, 0.0]))
+        xi, spread = consensus_probe(np.array([[2.0, 0.0]]), np.array([0.0, 0.0]))
         assert xi == 4.0 and spread == 0.0
 
 
@@ -509,3 +518,90 @@ class TestDilocoHandTrace:
         buf = 0.9 * np.zeros(1) + delta
         expected_global = np.array([1.0]) - 0.5 * (delta + 0.9 * buf)
         assert np.array_equal(result.global_model, expected_global)
+
+
+class TestPerWorkerReference:
+    """The stacked trainer against a worker-by-worker loop written out here."""
+
+    def test_palsgd_matches_per_worker_loop_bitwise(self):
+        diag, sigma, seed = np.array([1.0, 2.0, 4.0]), 1.0, 5
+        workload = QuadraticWorkload(diag, np.zeros(3), sigma, x0=np.ones(3))
+        n, h, total, p = 3, 4, 12, 0.3
+        inner = InnerOptConfig(variant="adamw", clip_norm=4.5, weight_decay=0.01,
+                               reset_at_sync=True)
+        outer = OuterOptConfig(variant="nesterov", lr=0.7, momentum=0.9)
+        sched = Schedule(alpha=0.05, eta=0.5, p=p, sync_interval=h, total_steps=total)
+        cluster = small_cluster(n, jitter=0.2, worker_multipliers=(1.0, 1.0, 2.5))
+        result = run_training(workload, make_variant("palsgd", inner=inner, outer=outer),
+                              sched, cluster, seed)
+
+        noise_scale = sigma / math.sqrt(float(np.sum(diag ** 2)))
+        bern = [RngStream(seed, k, PURPOSE_BERNOULLI) for k in range(n)]
+        data = [RngStream(seed, k, PURPOSE_DATA) for k in range(n)]
+        jitter = [RngStream(seed, k, PURPOSE_JITTER) for k in range(n)]
+        xs = [np.ones(3) for _ in range(n)]
+        anchors = [np.ones(3) for _ in range(n)]
+        ms, vs, steps = [np.zeros(3) for _ in range(n)], [np.zeros(3) for _ in range(n)], [0] * n
+        global_x, buf = np.ones(3), np.zeros(3)
+        times, comm_count, comm_seconds = [0.0] * n, 0, 0.0
+        windows, window, records = [], [0] * n, []
+        clipped_steps = []  # per step: which gradient rows were clipped
+        for t in range(total):
+            clipped = []
+            for k in range(n):
+                mixing = bern[k].uniform() <= p
+                if mixing:
+                    xs[k] = xs[k] - (0.05 * 0.5 / p) * (xs[k] - anchors[k])
+                    window[k] += 1
+                else:
+                    g = diag * (xs[k] - np.zeros(3) - data[k].gaussian_vector(3, noise_scale))
+                    gnorm = float(np.sqrt(np.dot(g, g)))
+                    clipped.append(gnorm > 4.5)
+                    if gnorm > 4.5:
+                        g = g * (4.5 / gnorm)
+                    lr = 0.05 / (1.0 - p)
+                    steps[k] += 1
+                    ms[k] = 0.9 * ms[k] + (1.0 - 0.9) * g
+                    vs[k] = 0.999 * vs[k] + (1.0 - 0.999) * (g * g)
+                    m_hat = ms[k] / (1.0 - 0.9 ** steps[k])
+                    v_hat = vs[k] / (1.0 - 0.999 ** steps[k])
+                    x_out = xs[k] - lr * 0.01 * xs[k]
+                    xs[k] = x_out - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+                cost = cluster.step_cost(k) * (1.0 if not mixing else 0.01)
+                cost *= 1.0 + 0.2 * (2.0 * jitter[k].uniform() - 1.0)
+                times[k] += cost
+            clipped_steps.append(clipped)
+            if (t + 1) % h == 0:
+                mean = xs[0].copy()
+                for x in xs[1:]:
+                    mean += x
+                mean /= n
+                delta = global_x - mean
+                buf = 0.9 * buf + delta
+                global_x = global_x - 0.7 * (delta + 0.9 * buf)
+                duration = allreduce_time(3 * 8, n, cluster.allreduce)
+                times = [max(times) + duration] * n
+                comm_count, comm_seconds = comm_count + 1, comm_seconds + duration
+                xs = [global_x.copy() for _ in range(n)]
+                anchors = [global_x.copy() for _ in range(n)]
+                ms, vs, steps = [np.zeros(3) for _ in range(n)], [np.zeros(3) for _ in range(n)], [0] * n
+                windows.append(tuple(window))
+                window = [0] * n
+            xbar = xs[0].copy()
+            for x in xs[1:]:
+                xbar += x
+            xbar /= n
+            records.append(StepRecord(
+                step=t, sim_time_s=max(times),
+                train_metric=0.5 * float(np.dot(xbar * diag, xbar)),
+                consensus_sq=sum(float(np.dot(x - anchors[0], x - anchors[0])) for x in xs) / n,
+                mean_model_sq=sum(float(np.dot(x - xbar, x - xbar)) for x in xs) / n,
+                comm_count=comm_count, comm_seconds=comm_seconds))
+
+        # the trace covers both branches, and steps where clipping hits some rows only
+        assert 0 < sum(sum(w) for w in windows) < n * total
+        assert any(any(c) and not all(c) for c in clipped_steps)
+        assert np.array_equal(result.global_model, global_x)
+        assert result.diagnostics.records == records
+        assert result.clock.worker_time.tolist() == times
+        assert result.diagnostics.window_mixing_counts == windows

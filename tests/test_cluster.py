@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from palsgd.cluster import (AllReduceModel, ClusterSpec, SimClock,
                             allreduce_time, export_events_jsonl)
+from palsgd.vecmath import PURPOSE_JITTER, RngStream
 
 
 class TestAllReduceTime:
@@ -28,42 +30,42 @@ class TestAllReduceTime:
 
 class TestSimClock:
     def test_gradient_step_full_cost(self):
-        clock = SimClock(ClusterSpec(workers=2, compute_time_per_step=1.0))
-        clock.advance_step(0, is_gradient_step=True)
-        assert clock.worker_time == [1.0, 0.0]
+        clock = SimClock(ClusterSpec(workers=2, compute_time_per_step=1.0,
+                                     mixing_cost_fraction=0.0))
+        clock.advance_step(np.array([True, False]))
+        assert clock.worker_time.tolist() == [1.0, 0.0]
 
     def test_mixing_step_fractional_cost(self):
         spec = ClusterSpec(workers=1, compute_time_per_step=1.0, mixing_cost_fraction=0.01)
         clock = SimClock(spec)
-        clock.advance_step(0, is_gradient_step=False)
+        clock.advance_step(np.array([False]))
         assert clock.worker_time[0] == 0.01
 
     def test_straggler_multiplier(self):
         spec = ClusterSpec(workers=4, compute_time_per_step=1.0,
                            worker_multipliers=(1.0, 1.0, 1.0, 2.0))
         clock = SimClock(spec)
-        for k in range(4):
-            clock.advance_step(k, is_gradient_step=True)
-        assert clock.worker_time == [1.0, 1.0, 1.0, 2.0]
+        clock.advance_step(np.ones(4, dtype=bool))
+        assert clock.worker_time.tolist() == [1.0, 1.0, 1.0, 2.0]
 
     def test_barrier_examples(self):
         clock = SimClock(ClusterSpec(workers=2))
-        clock.worker_time = [1.0, 3.0]
+        clock.worker_time = np.array([1.0, 3.0])
         clock.barrier(0.0)
-        assert clock.worker_time == [3.0, 3.0]
-        clock.worker_time = [1.0, 3.0]
+        assert clock.worker_time.tolist() == [3.0, 3.0]
+        clock.worker_time = np.array([1.0, 3.0])
         clock.barrier(2.0)
-        assert clock.worker_time == [5.0, 5.0]
+        assert clock.worker_time.tolist() == [5.0, 5.0]
 
     def test_barrier_no_op_when_equal(self):
         clock = SimClock(ClusterSpec(workers=3))
-        clock.worker_time = [2.0, 2.0, 2.0]
+        clock.worker_time = np.array([2.0, 2.0, 2.0])
         clock.barrier(0.0)
-        assert clock.worker_time == [2.0, 2.0, 2.0]
+        assert clock.worker_time.tolist() == [2.0, 2.0, 2.0]
 
     def test_global_time_is_max_at_barrier(self):
         clock = SimClock(ClusterSpec(workers=2))
-        clock.advance_step(0, True)
+        clock.advance_step(np.array([True, False]))
         clock.barrier()
         assert clock.global_time == max(clock.worker_time)
 
@@ -82,13 +84,22 @@ class TestSimClock:
         a, b = SimClock(spec, seed=5), SimClock(spec, seed=5)
         for clock in (a, b):
             for _ in range(10):
-                clock.advance_step(0, True)
-                clock.advance_step(1, True)
-        assert a.worker_time == b.worker_time
+                clock.advance_step(np.array([True, True]))
+        assert a.worker_time.tolist() == b.worker_time.tolist()
         c = SimClock(spec, seed=6)
         for _ in range(10):
-            c.advance_step(0, True)
-        assert c.worker_time[0] != a.worker_time[0] / 1  # different seed, different draw
+            c.advance_step(np.array([True, True]))
+        assert c.worker_time[0] != a.worker_time[0]  # different seed, different draw
+
+    def test_jitter_scales_each_worker_by_its_own_draw(self):
+        spec = ClusterSpec(workers=3, jitter=0.5, compute_time_per_step=2.0,
+                           mixing_cost_fraction=0.1, worker_multipliers=(1.0, 3.0, 1.0))
+        clock = SimClock(spec, seed=4)
+        clock.advance_step(np.array([True, False, True]))
+        u = [RngStream(4, k, PURPOSE_JITTER).uniform() for k in range(3)]
+        base = [2.0, 2.0 * 3.0 * 0.1, 2.0]
+        assert clock.worker_time.tolist() == [b * (1.0 + 0.5 * (2.0 * x - 1.0))
+                                              for b, x in zip(base, u)]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -96,9 +96,20 @@ class TestSweep:
         rows = sweep(cfg, {"schedule.p": [0.1, 1.5, 0.2]}, out_dir=str(tmp_path))
         assert len(rows) == 3
         bad = rows[1]
-        assert bad["diverged"] is True and bad["final_loss"] == ""
+        assert bad["status"] == "error"
+        assert bad["diverged"] == "" and bad["final_loss"] == ""
         assert (tmp_path / "schedule_p=1.5" / "error.txt").exists()
+        assert [rows[0]["status"], rows[2]["status"]] == ["ok", "ok"]
         assert rows[0]["diverged"] is False and rows[2]["diverged"] is False
+        with open(tmp_path / "sweep.csv") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "error", "ok"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverged_cell_is_not_an_error(self):
+        cfg = parse(quad_cfg())
+        rows = sweep(cfg, {"schedule.alpha": [0.02, 1e9]})
+        assert [r["status"] for r in rows] == ["ok", "diverged"]
+        assert rows[1]["diverged"] is True and rows[1]["sync_count"] != ""
 
     def test_time_decreases_with_larger_sync_interval(self, tmp_path):
         cfg = parse(quad_cfg(schedule={"total_steps": 128}))
@@ -209,6 +220,8 @@ class TestCli:
                      "--out-dir", str(tmp_path / "sweep")])
         assert code == 0
         assert (tmp_path / "sweep" / "sweep.csv").exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and all("status=ok " in line for line in lines)
 
     def test_gradcheck_command(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path)
@@ -232,4 +245,10 @@ class TestCli:
     def test_verify_theory_single_worker_count_exits_two(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path)
         assert main(["verify-theory", path, "--k-values", "1"]) == 2
+        assert "k_values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k_values", ["a,b", "1,2.5", "1,,2"])
+    def test_verify_theory_non_integer_worker_counts_exit_two(self, tmp_path, capsys, k_values):
+        path = self.write_cfg(tmp_path)
+        assert main(["verify-theory", path, "--k-values", k_values]) == 2
         assert "k_values" in capsys.readouterr().err

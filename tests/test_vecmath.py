@@ -1,32 +1,19 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA,
-                            DimensionMismatchError, RngStream, axpy,
-                            l2_norm_sq, mean_of, mix, param_vector)
+                            DimensionMismatchError, RngStream, mean_of, mix,
+                            param_vector, row_norms_sq)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 def vec(*values):
     return np.asarray(values, dtype=np.float64)
-
-
-class TestAxpy:
-    def test_basic(self):
-        assert np.array_equal(axpy(2.0, vec(1, 1), vec(0, 3)), vec(2, 5))
-
-    def test_zero_scale_is_identity(self):
-        assert np.array_equal(axpy(0.0, vec(7, 7), vec(1, 2)), vec(1, 2))
-
-    def test_negation_cancels(self):
-        assert np.array_equal(axpy(-1.0, vec(3, 4), vec(3, 4)), vec(0, 0))
-
-    def test_dimension_mismatch_names_both_dims(self):
-        with pytest.raises(DimensionMismatchError, match="2 vs 3"):
-            axpy(1.0, vec(1, 2), vec(1, 2, 3))
 
 
 class TestMix:
@@ -52,7 +39,7 @@ class TestMix:
         n = min(len(xs), len(anchors))
         x, anchor = vec(*xs[:n]), vec(*anchors[:n])
         ema = mix(x, anchor, beta)
-        prox = axpy(-beta, x - anchor, x)
+        prox = x - beta * (x - anchor)
         # Each float op is exact times (1 + d), |d| <= eps/2. To first order
         # the EMA form errs by at most 1.5*eps*max(|x|, |anchor|), and the
         # prox form by 1.5*eps*(|x| + |anchor|), since x - anchor can cancel
@@ -89,22 +76,52 @@ class TestMeanOf:
         vs = [rng.normal(size=6) for _ in range(7)]
         assert np.array_equal(mean_of(vs), mean_of([v.copy() for v in vs]))
 
+    def test_rows_sum_left_to_right(self):
+        # past 8 rows numpy's reductions sum pairwise, which rounds differently
+        rng = np.random.default_rng(6)
+        for d in (1, 3):
+            x = rng.normal(size=(33, d)) * 10.0 ** rng.integers(-3, 4, size=(33, 1))
+            want = []
+            for j in range(d):
+                total = 0.0
+                for row in x:
+                    total += float(row[j])
+                want.append(total / 33)
+            assert mean_of(x).tolist() == want
+
     @given(st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=2, max_size=6),
            st.randoms())
     @settings(max_examples=100)
+    @example([[0.0, 997910.0, 0.0], [0.0, -997949.0, 0.0], [0.0, 1.766, 0.0],
+              [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], random.Random(0))
     def test_permutation_invariant_in_value(self, rows, rand):
         vs = [vec(*r) for r in rows]
         shuffled = list(vs)
         rand.shuffle(shuffled)
         a, b = mean_of(vs), mean_of(shuffled)
-        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), 1.0))
+        # A sequential sum of n terms errs by at most (n-1)*(eps/2)*sum|v_i|
+        # to first order, whatever the order, so two orders differ by up to
+        # (n-1)*eps*sum|v_i|; dividing by n and rounding each mean adds
+        # eps*|mean|. Since |mean| <= sum|v_i|/n, the gap is at most
+        # (n-1)*eps*sum|v|/n + eps*|mean| <= eps*sum|v_i|: it scales with the
+        # inputs, not with the output, which cancellation can make tiny. Two
+        # subnormal units cover underflow in the division.
+        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+        bound = eps * np.sum(np.abs(vs), axis=0) + 2 * tiny
+        assert np.all(np.abs(a - b) <= bound)
 
 
 class TestNormSq:
     def test_examples(self):
-        assert l2_norm_sq(vec(0, 0, 0)) == 0.0
-        assert l2_norm_sq(vec(3, 4)) == 25.0
-        assert l2_norm_sq(vec(1, 1, 1, 1)) == 4.0
+        out = row_norms_sq(np.array([[0.0, 0.0, 0.0, 0.0], [3.0, 4.0, 0.0, 0.0],
+                                     [1.0, 1.0, 1.0, 1.0]]))
+        assert out.tolist() == [0.0, 25.0, 4.0]
+
+    def test_each_row_equals_its_dot(self):
+        rng = np.random.default_rng(13)
+        for d in (1, 3, 64, 874):
+            x = rng.normal(size=(9, d)) * rng.uniform(1e-3, 1e3, size=(9, 1))
+            assert row_norms_sq(x).tolist() == [float(np.dot(row, row)) for row in x]
 
 
 class TestParamVector:
@@ -122,8 +139,22 @@ class TestRngStream:
     def test_same_counter_same_value(self):
         s = RngStream(42, worker=3, purpose=PURPOSE_DATA)
         first = s.uniform()
-        again = s.fork(0).uniform()
+        again = RngStream(42, 3, PURPOSE_DATA, counter=0).uniform()
         assert first == again
+
+    def test_interleaved_draws_equal_fresh_streams_at_their_counter(self):
+        # each draw repositions one cached generator; whatever the previous
+        # draw left in its buffers, the n-th draw must equal the first draw of
+        # a fresh stream started at counter n
+        s = RngStream(9, 2, PURPOSE_DATA)
+        draws = [("uniform", ()), ("gaussian_vector", (5, 0.7)), ("integers", (0, 1000, 7)),
+                 ("permutation", (9,)), ("integers", (0, 3, 1)), ("uniform", ()),
+                 ("gaussian_vector", (1, 2.0)), ("permutation", (4,)), ("uniform", ())]
+        for n, (name, args) in enumerate(draws):
+            got = getattr(s, name)(*args)
+            want = getattr(RngStream(9, 2, PURPOSE_DATA, counter=n), name)(*args)
+            assert np.array_equal(got, want), (n, name)
+        assert s.counter == len(draws)
 
     def test_draws_advance_counter(self):
         s = RngStream(42, 0, PURPOSE_DATA)

@@ -14,6 +14,11 @@ from palsgd.workloads import (Dataset, LogisticWorkload, MlpWorkload,
                               generate_synthetic_classification, shard_dataset)
 
 
+def grad(workload, x, sample):
+    """One worker's stochastic gradient through the stacked (n, d) API."""
+    return workload.stochastic_gradient(np.asarray(x)[None, :], [sample])[0]
+
+
 def make_quadratic(diag=(1.0, 2.0), sigma=0.0, x_star=None, x0=None):
     diag = np.asarray(diag, dtype=np.float64)
     x_star = np.zeros(len(diag)) if x_star is None else np.asarray(x_star, float)
@@ -21,14 +26,25 @@ def make_quadratic(diag=(1.0, 2.0), sigma=0.0, x_star=None, x0=None):
 
 
 class TestQuadratic:
+    def test_gradient_rows_match_single_rows(self):
+        w = make_quadratic((1.0, 2.0, 4.0), sigma=1.0, x_star=(0.5, -1.0, 2.0))
+        rng = np.random.default_rng(7)
+        x, xi = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        rows = w.stochastic_gradient(x, list(xi))
+        assert rows.shape == (5, 3)
+        for k in range(5):
+            assert np.array_equal(rows[k], w.hessian_diag * (x[k] - w.x_star - xi[k]))
+        with pytest.raises(ValueError, match="non-finite"):
+            w.stochastic_gradient(np.array([[0.0, np.inf, 0.0]]), [np.zeros(3)])
+
     def test_gradient_at_optimum_without_noise_is_zero(self):
         w = make_quadratic((1.0, 1.0))
-        g = w.stochastic_gradient(w.x_star, np.zeros(2))
+        g = grad(w, w.x_star, np.zeros(2))
         assert np.array_equal(g, np.zeros(2))
 
     def test_gradient_direct_evaluation(self):
         w = make_quadratic((1.0, 2.0))
-        g = w.stochastic_gradient(np.array([1.0, 1.0]), np.zeros(2))
+        g = grad(w, np.array([1.0, 1.0]), np.zeros(2))
         assert np.array_equal(g, np.array([1.0, 2.0]))
 
     def test_suboptimality_examples(self):
@@ -47,7 +63,7 @@ class TestQuadratic:
         numeric = central_difference_gradient(w.suboptimality, x)
         assert max_relative_error(analytic, numeric) < 1e-9
         # noise-free stochastic gradient is exactly the mean gradient
-        assert np.array_equal(w.stochastic_gradient(x, np.zeros(3)), analytic)
+        assert np.array_equal(grad(w, x, np.zeros(3)), analytic)
 
     def test_strong_convexity_holds_with_equality_margin(self):
         w = make_quadratic((2.0, 3.0))
@@ -66,7 +82,7 @@ class TestQuadratic:
         for _ in range(100):
             xi = w.draw_sample(stream)
             x, y = rng.normal(size=2), rng.normal(size=2)
-            lhs = np.linalg.norm(w.stochastic_gradient(x, xi) - w.stochastic_gradient(y, xi))
+            lhs = np.linalg.norm(grad(w, x, xi) - grad(w, y, xi))
             assert lhs <= w.smoothness * np.linalg.norm(x - y) * (1 + 1e-12)
 
     def test_variance_at_optimum_zero_noise(self):
@@ -109,7 +125,7 @@ class TestLogistic:
     def test_mean_of_stochastic_gradients_is_full_gradient(self):
         w = self.make()
         x = np.full(w.dim, 0.2)
-        per_sample = [w.stochastic_gradient(x, np.array([i])) for i in range(len(w.train))]
+        per_sample = [grad(w, x, np.array([i])) for i in range(len(w.train))]
         mean_grad = np.mean(per_sample, axis=0)
         assert max_relative_error(mean_grad, w.full_gradient(x)) < 1e-10
 
@@ -134,7 +150,7 @@ class TestMlp:
         for _ in range(10):
             x = w.init_params(init) + probe.gaussian_vector(w.dim, 0.2)
             idx = w.draw_sample(probe, shard)
-            analytic = w.stochastic_gradient(x, idx)
+            analytic = grad(w, x, idx)
             numeric = central_difference_gradient(lambda v: w.batch_objective(v, idx), x)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4
@@ -142,7 +158,7 @@ class TestMlp:
     def test_mean_of_stochastic_gradients_is_full_gradient(self):
         w = self.make()
         x = w.init_params(RngStream(3, 0, PURPOSE_INIT))
-        per_sample = [w.stochastic_gradient(x, np.array([i])) for i in range(len(w.train))]
+        per_sample = [grad(w, x, np.array([i])) for i in range(len(w.train))]
         assert max_relative_error(np.mean(per_sample, axis=0), w.full_gradient(x)) < 1e-10
 
     def test_evaluate_reports_loss_and_accuracy(self):
