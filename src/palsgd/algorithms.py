@@ -236,11 +236,12 @@ class TrainResult:
     divergence: DivergenceReport | None = None
 
 
-def consensus_probe(x: np.ndarray, global_x: ParamVector) -> tuple[float, float]:
-    """(consensus distance vs the global copy, spread around the worker mean)."""
+def consensus_probe(x: np.ndarray, global_x: ParamVector,
+                    xbar: ParamVector) -> tuple[float, float]:
+    """(consensus distance vs the global copy, spread around the worker mean xbar)."""
     k = x.shape[0]
     xi = sum(row_norms_sq(x - global_x).tolist()) / k
-    spread = sum(row_norms_sq(x - mean_of(x)).tolist()) / k
+    spread = sum(row_norms_sq(x - xbar).tolist()) / k
     return xi, spread
 
 
@@ -349,7 +350,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
             metric = workload.suboptimality(xbar)
         else:
             metric = workload.full_objective(xbar)
-        xi, spread = consensus_probe(workers.x, global_x)
+        xi, spread = consensus_probe(workers.x, global_x, xbar)
         rec = StepRecord(
             step=t,
             sim_time_s=clock.global_time,

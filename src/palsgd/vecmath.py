@@ -61,21 +61,16 @@ def mean_of(vectors: Sequence[ParamVector]) -> ParamVector:
     """Elementwise mean with a fixed left-to-right (ascending index) sum order.
 
     `vectors` is a list of equal-length vectors or a (K, d) array of rows.
-    The row loop is deliberate: ``np.add.reduce(x, axis=0)`` adds rows in
-    the same order for d > 1, but at d = 1 it reduces a contiguous column and
-    switches to pairwise summation, which rounds differently.
+    ``np.add.accumulate`` adds the rows strictly in order, while
+    ``np.add.reduce(x, axis=0)`` reduces a contiguous column pairwise at
+    d = 1, which rounds differently.
     """
     if len(vectors) == 0:
         raise ValueError("mean_of: empty list")
-    first = vectors[0]
     if not isinstance(vectors, np.ndarray):  # an array's rows agree by construction
         for v in vectors:
-            _check_dims("mean_of", first, v)
-    acc = first.copy()
-    for v in vectors[1:]:
-        acc += v
-    acc /= len(vectors)
-    return acc
+            _check_dims("mean_of", vectors[0], v)
+    return np.add.accumulate(vectors, axis=0)[-1] / len(vectors)
 
 
 def row_norms_sq(x: np.ndarray) -> np.ndarray:

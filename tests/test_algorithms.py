@@ -254,7 +254,7 @@ class TestSyncRound:
         new_global, _, _ = sync_round(ws, rng.normal(size=3), outer, clock, t=0)
         for row in ws.x:
             assert np.array_equal(row, new_global)
-        xi, spread = consensus_probe(ws.x, new_global)
+        xi, spread = consensus_probe(ws.x, new_global, mean_of(ws.x))
         assert xi == 0.0 and spread == 0.0
 
     def test_no_drift_leaves_global_fixed(self):
@@ -298,12 +298,13 @@ class TestDdpStep:
 
 class TestConsensusProbe:
     def test_examples(self):
-        xi, spread = consensus_probe(np.array([[1.0], [-1.0]]), np.array([0.0]))
+        xi, spread = consensus_probe(np.array([[1.0], [-1.0]]), np.array([0.0]), np.array([0.0]))
         assert xi == 1.0
         assert spread == 1.0
 
     def test_single_worker(self):
-        xi, spread = consensus_probe(np.array([[2.0, 0.0]]), np.array([0.0, 0.0]))
+        xi, spread = consensus_probe(np.array([[2.0, 0.0]]), np.array([0.0, 0.0]),
+                                    np.array([2.0, 0.0]))
         assert xi == 4.0 and spread == 0.0
 
 
