@@ -17,7 +17,7 @@ from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
 from .vecmath import (ParamVector, RngStream, mean_of, mix, param_vector,
                       row_norms_sq)
 from .workloads import (Dataset, LogisticWorkload, MlpWorkload,
-                        QuadraticWorkload, Shard, export_dataset_csv,
+                        QuadraticWorkload, Shard, Shards, export_dataset_csv,
                         generate_synthetic_classification, shard_dataset)
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "Dataset", "Diagnostics", "InnerOptConfig", "InnerOptState",
     "LogisticWorkload", "MlpWorkload", "OuterOptConfig", "OuterOptState",
     "ParamVector", "QuadraticWorkload", "RngStream", "RunConfig", "Schedule",
-    "Shard", "SimClock", "StepRecord", "TrainResult", "Workers",
+    "Shard", "Shards", "SimClock", "StepRecord", "TrainResult", "Workers",
     "allreduce_time", "consensus_probe", "ddp_step",
     "export_dataset_csv", "generate_synthetic_classification", "gradcheck",
     "inner_step", "load_config", "make_variant", "mean_of",

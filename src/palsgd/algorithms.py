@@ -21,10 +21,13 @@ model. DDP instead all-reduces gradients every step. Local SGD and DiLoCo are
 the p = 0 special cases with, respectively, plain-averaging and
 adamw/nesterov optimizer pairings, which the equivalence tests rely on.
 
-Each worker keeps its own random streams and data shard, and data is drawn
-only for the rows that take a gradient step, so every stream sees the same
-draws as a worker-by-worker loop would, and every row is rounded as that
-worker's own 1-D update.
+Random draws are stacked too. There is one stream per purpose (Bernoulli
+coins, data, clock jitter), and each step makes one draw from it for all K
+workers, a (K, ...) block whose row k is worker k's. The data stream draws
+its block at every step, even when every row mixes, so block n belongs to
+step n, and a worker's sample at step t does not depend on p or on K; rows
+that mix discard theirs. Every row is still rounded as that worker's own 1-D
+update.
 """
 
 from __future__ import annotations
@@ -174,22 +177,22 @@ def make_variant(tag: str, inner: InnerOptConfig | None = None,
 
 @dataclass
 class Workers:
-    """The K workers, stacked: row k of `x` and of the optimizer state is worker k."""
+    """The K workers, stacked: row k of `x`, of the optimizer state and of
+    every draw from the streams is worker k."""
 
     x: np.ndarray                   # (K, d) parameters
     inner: InnerOptState
-    shards: list                    # per worker, as the workload's shards() gives them
-    data_streams: list[RngStream]
-    bern_streams: list[RngStream]
+    shards: object                  # the workload's shards(K, seed)
+    data_stream: RngStream
+    bern_stream: RngStream
 
     @classmethod
-    def start(cls, x0: ParamVector, inner: InnerOptConfig, shards: list, seed: int) -> "Workers":
+    def start(cls, x0: ParamVector, inner: InnerOptConfig, shards, seed: int) -> "Workers":
         """K = len(shards) workers, every one at x0 with a fresh optimizer state."""
         k = len(shards)
         return cls(x=np.tile(x0, (k, 1)), inner=InnerOptState.fresh(inner, k, x0.shape[0]),
-                   shards=list(shards),
-                   data_streams=[RngStream(seed, w, PURPOSE_DATA) for w in range(k)],
-                   bern_streams=[RngStream(seed, w, PURPOSE_BERNOULLI) for w in range(k)])
+                   shards=shards, data_stream=RngStream(seed, 0, PURPOSE_DATA),
+                   bern_stream=RngStream(seed, 0, PURPOSE_BERNOULLI))
 
 
 @dataclass
@@ -251,7 +254,7 @@ def palsgd_local_step(workers: Workers, global_x: ParamVector, schedule: Schedul
     x = workers.x
     p = schedule.p
     if p > 0.0:
-        mixing = np.array([s.uniform() <= p for s in workers.bern_streams])
+        mixing = workers.bern_stream.uniform_vector(x.shape[0]) <= p
     else:
         mixing = np.zeros(x.shape[0], dtype=bool)
     mixed = np.flatnonzero(mixing)
@@ -259,9 +262,8 @@ def palsgd_local_step(workers: Workers, global_x: ParamVector, schedule: Schedul
         coeff = schedule.mix_coefficient(t)
         x[mixed] = x[mixed] - coeff * (x[mixed] - global_x)
     stepped = np.flatnonzero(~mixing)
+    samples = workload.draw_sample(workers.data_stream, workers.shards, stepped)
     if stepped.size:
-        samples = [workload.draw_sample(workers.data_streams[k], workers.shards[k])
-                   for k in stepped.tolist()]
         g = workload.stochastic_gradient(x[stepped], samples)
         inner_step(workers.inner, x, g, schedule.alpha_at(t) / (1.0 - p), stepped)
     clock.advance_step(~mixing)
@@ -291,8 +293,7 @@ def ddp_step(workers: Workers, schedule: Schedule, t: int,
 
     Returns the new global model, which every row of `workers.x` equals."""
     x = workers.x
-    samples = [workload.draw_sample(s, shard)
-               for s, shard in zip(workers.data_streams, workers.shards)]
+    samples = workload.draw_sample(workers.data_stream, workers.shards, np.arange(x.shape[0]))
     grads = workload.stochastic_gradient(x, samples)
     clock.advance_step(np.ones(x.shape[0], dtype=bool))
     gbar = mean_of(grads)

@@ -89,10 +89,8 @@ class SimClock:
         self.comm_seconds = 0.0
         self._step_cost = np.array([spec.step_cost(k) for k in range(spec.workers)])
         self._mixing_cost = self._step_cost * spec.mixing_cost_fraction
-        self._jitter_streams = (
-            [RngStream(seed, k, PURPOSE_JITTER) for k in range(spec.workers)]
-            if spec.jitter > 0 else None
-        )
+        # one uniform per worker and step: row k of one (K,) draw
+        self._jitter_stream = RngStream(seed, 0, PURPOSE_JITTER) if spec.jitter > 0 else None
 
     @property
     def global_time(self) -> float:
@@ -101,8 +99,8 @@ class SimClock:
     def advance_step(self, is_gradient_step: np.ndarray) -> None:
         """Advance every worker by one step; `is_gradient_step` is a (K,) mask."""
         cost = np.where(is_gradient_step, self._step_cost, self._mixing_cost)
-        if self._jitter_streams is not None:
-            u = np.array([s.uniform() for s in self._jitter_streams])
+        if self._jitter_stream is not None:
+            u = self._jitter_stream.uniform_vector(self.spec.workers)
             cost *= 1.0 + self.spec.jitter * (2.0 * u - 1.0)
         self.worker_time += cost
 

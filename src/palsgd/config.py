@@ -6,7 +6,7 @@ Where a key's default and bound live:
   ``cluster.allreduce``, plus ``algo.variant``, the top-level ``workers`` and
   ``workload.draw_policy``, are declared once, as field metadata on the
   runtime dataclasses (``InnerOptConfig``, ``OuterOptConfig``, ``Schedule``,
-  ``ClusterSpec``, ``AllReduceModel``, ``AlgoVariant``, ``Shard``; see
+  ``ClusterSpec``, ``AllReduceModel``, ``AlgoVariant``, ``Shards``; see
   ``fields.py``). Where a config default differs from the library one (four
   ``schedule`` keys and ``workers``), the tables below replace the default
   and keep the bound. ``schedule.p`` defaults to 0.05 for the mixing
@@ -45,7 +45,7 @@ from .cluster import AllReduceModel, ClusterSpec
 from .fields import ConfigError, Spec, specs
 from .optimizers import InnerOptConfig, OuterOptConfig
 from .workloads import (ACTIVATIONS, DTYPES, LogisticWorkload, MlpWorkload,
-                        QuadraticWorkload, Shard, generate_synthetic_classification)
+                        QuadraticWorkload, Shards, generate_synthetic_classification)
 
 SCHEMA_VERSION = 1
 
@@ -66,7 +66,7 @@ _THEORY_DERIVED = ("alpha", "eta", "lr_schedule", "lr_warmup_steps")
 _DATASET = {"data_seed": Spec(int, 7),
             "spread": Spec(float, 1.0, low=0, low_open=True),
             "center_scale": Spec(float, 3.0, low=0),
-            "draw_policy": specs(Shard)["draw_policy"]}
+            "draw_policy": specs(Shards)["draw_policy"]}
 _WORKLOADS = {
     "quadratic": {"dim": Spec(int, 16, low=1),
                   "hessian_diag": Spec(float, None, low=0, low_open=True, sequence=True),

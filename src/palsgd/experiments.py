@@ -310,11 +310,11 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
         worst = 0.0
         init_stream = RngStream(seed, 0, PURPOSE_INIT)
         data_stream = RngStream(seed, 0, PURPOSE_DATA)
-        shard = workload.shards(1, seed)[0]
+        shards = workload.shards(1, seed)
         for probe in range(probes):
             x = workload.init_params(init_stream)
             x = x + data_stream.gaussian_vector(x.shape[0], 0.3)
-            idx = workload.draw_sample(data_stream, shard)
+            idx = workload.draw_sample(data_stream, shards, [0])[0]
             analytic = workload.stochastic_gradient(x[None], [idx])[0]
             numeric = central_difference_gradient(
                 lambda v: workload.batch_objective(v, idx), x, step)

@@ -21,6 +21,7 @@ PURPOSE_BERNOULLI = 1
 PURPOSE_INIT = 2
 PURPOSE_JITTER = 3
 PURPOSE_DATAGEN = 4
+PURPOSE_SHUFFLE = 5
 
 
 class DimensionMismatchError(ValueError):
@@ -92,9 +93,15 @@ class RngStream:
     """Counter-based random stream keyed by (seed, worker, purpose).
 
     Each draw call occupies its own 2^64-wide Philox counter block, so the
-    n-th draw is a pure function of (seed, worker, purpose, n): replaying a stream,
-    or reconstructing it at an arbitrary counter, reproduces every value
-    bit-exactly, and no stream's consumption can shift another's.
+    n-th draw is a pure function of (seed, worker, purpose, n): replaying a
+    stream, or reconstructing it at an arbitrary counter, reproduces every
+    value bit-exactly, and no stream's consumption can shift another's.
+
+    The trainer keeps one stream per purpose, keyed (seed, 0, purpose), and
+    makes one draw per step for all K workers: a (K, ...) block whose row k
+    belongs to worker k. Philox yields its values in order, so the first k
+    rows of a K-row block of uniforms or Gaussians equal the k-row block, and
+    a worker's draws do not depend on how many workers run beside it.
     """
 
     __slots__ = ("seed", "worker", "purpose", "counter", "_bitgen", "_gen", "_state")
@@ -150,8 +157,12 @@ class RngStream:
             return np.zeros(n)
         return self._position().standard_normal(n) * sigma
 
-    def integers(self, low: int, high: int, n: int) -> np.ndarray:
-        """n uniform integers in [low, high); one counter tick."""
+    def integers(self, low, high, n) -> np.ndarray:
+        """Uniform integers in [low, high) of shape n; one counter tick.
+
+        `low` and `high` may be arrays that broadcast to that shape, e.g. a
+        (K, 1) column of per-row bounds for a (K, b) block.
+        """
         return self._position().integers(low, high, size=n)
 
     def permutation(self, n: int) -> np.ndarray:

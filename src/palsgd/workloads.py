@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import check_fields, option
-from .vecmath import (PURPOSE_DATAGEN, DimensionMismatchError, ParamVector,
-                      RngStream, _check_dims)
+from .vecmath import (PURPOSE_DATAGEN, PURPOSE_SHUFFLE, DimensionMismatchError,
+                      ParamVector, RngStream, _check_dims)
 
 ACTIVATIONS = ("relu", "tanh")
 DTYPES = ("float64", "float32")
@@ -40,30 +40,59 @@ class Dataset:
 
 @dataclass
 class Shard:
-    """A worker's slice of the dataset plus its sampling cursor."""
+    """A worker's slice of the dataset plus its epoch_shuffle cursor."""
     worker: int
     indices: np.ndarray
-    draw_policy: str = option(str, "with_replacement", choices=("with_replacement", "epoch_shuffle"))
+    stream: RngStream | None = None  # epoch_shuffle's permutations
     _order: np.ndarray | None = None
     _pos: int = 0
 
-    def __post_init__(self):
-        check_fields(self)
-
-    def draw(self, stream: RngStream, batch_size: int) -> np.ndarray:
-        if self.draw_policy == "with_replacement":
-            picks = stream.integers(0, len(self.indices), batch_size)
-            return self.indices[picks]
+    def next_batch(self, batch_size: int) -> np.ndarray:
+        """The next batch_size indices of the shard's epoch order; each epoch
+        is a fresh permutation, the n-th one drawn at counter n of `stream`."""
         out = np.empty(batch_size, dtype=np.int64)
         filled = 0
         while filled < batch_size:
             if self._order is None or self._pos >= len(self.indices):
-                self._order = self.indices[stream.permutation(len(self.indices))]
+                self._order = self.indices[self.stream.permutation(len(self.indices))]
                 self._pos = 0
             take = min(batch_size - filled, len(self.indices) - self._pos)
             out[filled:filled + take] = self._order[self._pos:self._pos + take]
             self._pos += take
             filled += take
+        return out
+
+
+@dataclass
+class Shards:
+    """The K workers' shards, drawn from together: row k of a draw is worker k's.
+
+    with_replacement makes one (K, batch) integer draw per call, row k
+    uniform over shard k, and keeps the requested rows. epoch_shuffle
+    advances only the requested shards, each through its own permutations,
+    and leaves the caller's stream untouched.
+    """
+    parts: list[Shard]
+    draw_policy: str = option(str, "with_replacement", choices=("with_replacement", "epoch_shuffle"))
+
+    def __post_init__(self):
+        check_fields(self)
+        sizes = [len(s.indices) for s in self.parts]
+        self._sizes = np.array(sizes)[:, None]
+        self._starts = np.cumsum([0] + sizes[:-1])[:, None]
+        self._flat = np.concatenate([s.indices for s in self.parts])  # shard k at _starts[k]
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def draw(self, stream: RngStream, batch_size: int, rows) -> np.ndarray:
+        """(len(rows), batch_size) sample indices for the workers in `rows`."""
+        if self.draw_policy == "with_replacement":
+            picks = stream.integers(0, self._sizes, (len(self.parts), batch_size))
+            return self._flat[self._starts[rows] + picks[rows]]
+        out = np.empty((len(rows), batch_size), dtype=np.int64)
+        for i, k in enumerate(rows):
+            out[i] = self.parts[k].next_batch(batch_size)
         return out
 
 
@@ -92,8 +121,12 @@ def generate_synthetic_classification(n_classes: int, dim: int, samples_per_clas
 
 
 def shard_dataset(dataset: Dataset, workers: int, seed: int,
-                  draw_policy: str = Shard.draw_policy) -> list[Shard]:
-    """Partition evenly (sizes differ by at most 1), deterministic given (seed, K)."""
+                  draw_policy: str = Shards.draw_policy) -> Shards:
+    """Partition evenly (sizes differ by at most 1), deterministic given (seed, K).
+
+    Under epoch_shuffle, shard k draws its permutations from the stream
+    keyed (seed, k, PURPOSE_SHUFFLE).
+    """
     n = len(dataset)
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -106,9 +139,10 @@ def shard_dataset(dataset: Dataset, workers: int, seed: int,
     for k in range(workers):
         size = base + (1 if k < extra else 0)
         shards.append(Shard(worker=k, indices=np.sort(order[start:start + size]),
-                            draw_policy=draw_policy))
+                            stream=(RngStream(seed, k, PURPOSE_SHUFFLE)
+                                    if draw_policy == "epoch_shuffle" else None)))
         start += size
-    return shards
+    return Shards(shards, draw_policy)
 
 
 def export_dataset_csv(dataset: Dataset, path: str) -> None:
@@ -161,8 +195,11 @@ class QuadraticWorkload:
     def init_params(self, stream: RngStream) -> ParamVector:
         return self.x0.copy()
 
-    def draw_sample(self, stream: RngStream, shard=None) -> ParamVector:
-        return stream.gaussian_vector(self.dim, self._noise_scale)
+    def draw_sample(self, stream: RngStream, shards, rows) -> np.ndarray:
+        """Noise rows for the workers in `rows`: one (K, d) block of `stream`
+        per call, K = len(shards), row k for worker k."""
+        k = len(shards)
+        return stream.gaussian_vector(k * self.dim, self._noise_scale).reshape(k, self.dim)[rows]
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
         """Gradient rows at the rows of x (n, d), one noise sample per row."""
@@ -205,7 +242,7 @@ class LogisticWorkload:
     has_eval = False
 
     def __init__(self, train: Dataset, l2_reg: float = 0.0, batch_size: int = 1,
-                 draw_policy: str = Shard.draw_policy):
+                 draw_policy: str = Shards.draw_policy):
         if train.n_classes != 2:
             raise ValueError("logistic workload requires exactly 2 classes")
         if l2_reg < 0:
@@ -222,8 +259,9 @@ class LogisticWorkload:
     def init_params(self, stream: RngStream) -> ParamVector:
         return np.zeros(self.dim)
 
-    def draw_sample(self, stream: RngStream, shard: Shard) -> np.ndarray:
-        return shard.draw(stream, self.batch_size)
+    def draw_sample(self, stream: RngStream, shards: Shards, rows) -> np.ndarray:
+        """(len(rows), batch_size) sample indices for the workers in `rows`."""
+        return shards.draw(stream, self.batch_size, rows)
 
     def _loss_grad(self, x: ParamVector, idx: np.ndarray) -> tuple[float, ParamVector]:
         feats = self.train.features[idx]
@@ -267,7 +305,7 @@ class MlpWorkload:
 
     def __init__(self, widths, activation: str, train: Dataset, test: Dataset | None = None,
                  batch_size: int = 8, dtype: str = "float64", init_scale: float | None = None,
-                 draw_policy: str = Shard.draw_policy):
+                 draw_policy: str = Shards.draw_policy):
         self.widths = [int(w) for w in widths]
         if len(self.widths) < 2:
             raise ValueError("widths needs at least input and output sizes")
@@ -309,8 +347,9 @@ class MlpWorkload:
     def shards(self, workers: int, seed: int):
         return shard_dataset(self.train, workers, seed, self.draw_policy)
 
-    def draw_sample(self, stream: RngStream, shard: Shard) -> np.ndarray:
-        return shard.draw(stream, self.batch_size)
+    def draw_sample(self, stream: RngStream, shards: Shards, rows) -> np.ndarray:
+        """(len(rows), batch_size) sample indices for the workers in `rows`."""
+        return shards.draw(stream, self.batch_size, rows)
 
     def _forward(self, layers, feats: np.ndarray):
         acts = [feats.astype(self.dtype, copy=False)]

@@ -199,7 +199,9 @@ class TestPalsgdLocalStep:
         ws = make_workers([1.0, 1.0], inner_cfg=InnerOptConfig(variant="adamw"), seed=seed)
         assert palsgd_local_step(ws, np.zeros(2), sched, 0, workload, clock).all()
         assert ws.inner.step[0] == 0
-        assert ws.data_streams[0].counter == 0
+        # the data stream advances one block per step whether rows mix or not;
+        # a mixing row's part of the block is discarded
+        assert ws.data_stream.counter == 1
 
     def test_mixing_step_is_cheap_on_the_clock(self):
         workload = quadratic(sigma=0.0)
@@ -213,7 +215,8 @@ class TestPalsgdLocalStep:
         assert clock.worker_time[0] == 0.25
 
     def test_masked_rows_step_alone(self):
-        # rows that mix take no data draw and no optimizer step; the others do
+        # rows that mix take no optimizer step and discard their data row; the
+        # others step; the whole step draws one data block
         workload = quadratic(diag=(1.0, 2.0), sigma=1.0)
         sched = Schedule(alpha=0.1, eta=0.5, p=0.5, total_steps=10)
         ws = make_workers(*np.arange(16.0).reshape(8, 2),
@@ -222,7 +225,7 @@ class TestPalsgdLocalStep:
         mixed = palsgd_local_step(ws, np.zeros(2), sched, 0, workload, SimClock(small_cluster(8)))
         assert 0 < mixed.sum() < 8
         assert ws.inner.step.tolist() == (~mixed).astype(int).tolist()
-        assert [s.counter for s in ws.data_streams] == (~mixed).astype(int).tolist()
+        assert ws.data_stream.counter == 1
         coeff = sched.mix_coefficient(0)
         assert np.array_equal(ws.x[mixed], before[mixed] - coeff * before[mixed])
 
@@ -499,21 +502,22 @@ class TestDilocoHandTrace:
 
         noise_scale = sigma / math.sqrt(float(np.sum(diag ** 2)))
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.1
-        xs = []
-        for k in range(2):
-            stream = RngStream(seed, k, PURPOSE_DATA)
-            x = np.array([1.0])
-            m = np.zeros(1)
-            v = np.zeros(1)
-            for step in (1, 2):
-                xi = stream.gaussian_vector(1, noise_scale)
+        stream = RngStream(seed, 0, PURPOSE_DATA)
+        xs = [np.array([1.0]), np.array([1.0])]
+        ms = [np.zeros(1), np.zeros(1)]
+        vs = [np.zeros(1), np.zeros(1)]
+        for step in (1, 2):
+            block = stream.gaussian_vector(2, noise_scale)  # one draw, row k for worker k
+            for k in range(2):
+                x, m, v = xs[k], ms[k], vs[k]
+                xi = block[k:k + 1]
                 g = diag * (x - xi)
                 m = b1 * m + (1.0 - b1) * g
                 v = b2 * v + (1.0 - b2) * (g * g)
                 m_hat = m / (1.0 - b1 ** step)
                 v_hat = v / (1.0 - b2 ** step)
-                x = (x - lr * 0.0 * x) - lr * m_hat / (np.sqrt(v_hat) + eps)
-            xs.append(x)
+                xs[k] = (x - lr * 0.0 * x) - lr * m_hat / (np.sqrt(v_hat) + eps)
+                ms[k], vs[k] = m, v
         mean = (xs[0].copy() + xs[1]) / 2
         delta = np.array([1.0]) - mean
         buf = 0.9 * np.zeros(1) + delta
@@ -537,9 +541,10 @@ class TestPerWorkerReference:
                               sched, cluster, seed)
 
         noise_scale = sigma / math.sqrt(float(np.sum(diag ** 2)))
-        bern = [RngStream(seed, k, PURPOSE_BERNOULLI) for k in range(n)]
-        data = [RngStream(seed, k, PURPOSE_DATA) for k in range(n)]
-        jitter = [RngStream(seed, k, PURPOSE_JITTER) for k in range(n)]
+        # one draw per stream and step, row k for worker k
+        bern = RngStream(seed, 0, PURPOSE_BERNOULLI)
+        data = RngStream(seed, 0, PURPOSE_DATA)
+        jitter = RngStream(seed, 0, PURPOSE_JITTER)
         xs = [np.ones(3) for _ in range(n)]
         anchors = [np.ones(3) for _ in range(n)]
         ms, vs, steps = [np.zeros(3) for _ in range(n)], [np.zeros(3) for _ in range(n)], [0] * n
@@ -549,13 +554,16 @@ class TestPerWorkerReference:
         clipped_steps = []  # per step: which gradient rows were clipped
         for t in range(total):
             clipped = []
+            coins = bern.uniform_vector(n)
+            noise = data.gaussian_vector(n * 3, noise_scale).reshape(n, 3)
+            jitter_u = jitter.uniform_vector(n)
             for k in range(n):
-                mixing = bern[k].uniform() <= p
+                mixing = coins[k] <= p
                 if mixing:
                     xs[k] = xs[k] - (0.05 * 0.5 / p) * (xs[k] - anchors[k])
                     window[k] += 1
                 else:
-                    g = diag * (xs[k] - np.zeros(3) - data[k].gaussian_vector(3, noise_scale))
+                    g = diag * (xs[k] - np.zeros(3) - noise[k])
                     gnorm = float(np.sqrt(np.dot(g, g)))
                     clipped.append(gnorm > 4.5)
                     if gnorm > 4.5:
@@ -569,7 +577,7 @@ class TestPerWorkerReference:
                     x_out = xs[k] - lr * 0.01 * xs[k]
                     xs[k] = x_out - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
                 cost = cluster.step_cost(k) * (1.0 if not mixing else 0.01)
-                cost *= 1.0 + 0.2 * (2.0 * jitter[k].uniform() - 1.0)
+                cost *= 1.0 + 0.2 * (2.0 * jitter_u[k] - 1.0)
                 times[k] += cost
             clipped_steps.append(clipped)
             if (t + 1) % h == 0:
@@ -606,3 +614,72 @@ class TestPerWorkerReference:
         assert result.diagnostics.records == records
         assert result.clock.worker_time.tolist() == times
         assert result.diagnostics.window_mixing_counts == windows
+
+
+def local_steps(workers, p, total, seed=3, jitter=0.25):
+    """`total` PALSGD local steps of `workers` workers with no sync; returns
+    the workers, the clock, the (total, K) mixing masks and the noise row each
+    gradient step drew, keyed (t, k)."""
+    workload = quadratic(diag=(1.0, 2.0, 4.0), sigma=1.0)
+    plain_draw = workload.draw_sample
+    noise = {}
+    t_now = [0]
+
+    def recording_draw(stream, shards, rows):
+        out = plain_draw(stream, shards, rows)
+        noise.update({(t_now[0], int(k)): row for k, row in zip(rows, out)})
+        return out
+
+    workload.draw_sample = recording_draw
+    sched = Schedule(alpha=0.05, eta=0.5, p=p, total_steps=total)
+    ws = Workers.start(workload.x0, InnerOptConfig(variant="adamw", clip_norm=2.0),
+                       workload.shards(workers, seed), seed)
+    clock = SimClock(small_cluster(workers, jitter=jitter), seed)
+    masks = []
+    for t in range(total):
+        t_now[0] = t
+        masks.append(palsgd_local_step(ws, np.zeros(3), sched, t, workload, clock))
+    return ws, clock, np.array(masks), noise
+
+
+class TestBlockDraws:
+    """One draw per stream and step for all K workers, row k for worker k."""
+
+    def test_worker_rows_do_not_depend_on_worker_count(self):
+        # without a sync a worker sees only its own coin, noise and jitter
+        # rows, so the first three workers of five run as three workers alone
+        ws3, clock3, masks3, noise3 = local_steps(3, 0.3, 24)
+        ws5, clock5, masks5, noise5 = local_steps(5, 0.3, 24)
+        assert 0 < masks3.sum() < masks3.size
+        assert np.array_equal(masks5[:, :3], masks3)
+        assert set(noise3) == {key for key in noise5 if key[1] < 3}
+        assert all(np.array_equal(row, noise5[key]) for key, row in noise3.items())
+        assert np.array_equal(ws5.x[:3], ws3.x)
+        assert clock5.worker_time[:3].tolist() == clock3.worker_time.tolist()
+
+    def test_noise_rows_do_not_depend_on_p(self):
+        _, _, _, at_zero = local_steps(4, 0.0, 20)
+        _, _, masks, at_p = local_steps(4, 0.3, 20)
+        assert len(at_zero) == 4 * 20
+        assert len(at_p) == (~masks).sum() < len(at_zero)
+        for key, row in at_p.items():
+            assert np.array_equal(row, at_zero[key]), key
+
+    def test_draw_calls_per_step_do_not_grow_with_workers(self, monkeypatch):
+        calls = []
+        for name in ("uniform", "uniform_vector", "gaussian", "gaussian_vector",
+                     "integers", "permutation"):
+            plain = getattr(RngStream, name)
+
+            def counted(self, *args, _plain=plain, **kwargs):
+                calls.append(self.purpose)
+                return _plain(self, *args, **kwargs)
+
+            monkeypatch.setattr(RngStream, name, counted)
+        total = 20
+        sched = Schedule(alpha=0.02, eta=0.5, p=0.3, sync_interval=8, total_steps=total)
+        result = run_training(quadratic(diag=(1.0, 2.0, 4.0)), make_variant("palsgd"), sched,
+                              small_cluster(32, jitter=0.1), seed=1)
+        assert 0 < sum(result.diagnostics.mixing_steps_per_worker) < 32 * total
+        # a coin block, a noise block and a jitter block per step
+        assert len(calls) <= 3 * total

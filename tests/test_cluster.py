@@ -96,7 +96,7 @@ class TestSimClock:
                            mixing_cost_fraction=0.1, worker_multipliers=(1.0, 3.0, 1.0))
         clock = SimClock(spec, seed=4)
         clock.advance_step(np.array([True, False, True]))
-        u = [RngStream(4, k, PURPOSE_JITTER).uniform() for k in range(3)]
+        u = RngStream(4, 0, PURPOSE_JITTER).uniform_vector(3)  # row k for worker k
         base = [2.0, 2.0 * 3.0 * 0.1, 2.0]
         assert clock.worker_time.tolist() == [b * (1.0 + 0.5 * (2.0 * x - 1.0))
                                               for b, x in zip(base, u)]

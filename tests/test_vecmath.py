@@ -156,6 +156,18 @@ class TestRngStream:
             assert np.array_equal(got, want), (n, name)
         assert s.counter == len(draws)
 
+    def test_first_rows_of_a_block_equal_the_smaller_block(self):
+        # worker k's row of a per-step block must not depend on how many
+        # workers share the block
+        for k, big in ((1, 32), (3, 5), (7, 8)):
+            small_s, big_s = RngStream(3, 0, PURPOSE_DATA), RngStream(3, 0, PURPOSE_DATA)
+            for _ in range(4):
+                assert np.array_equal(big_s.uniform_vector(big)[:k], small_s.uniform_vector(k))
+                got = big_s.gaussian_vector(big * 6, 0.4).reshape(big, 6)[:k]
+                assert np.array_equal(got, small_s.gaussian_vector(k * 6, 0.4).reshape(k, 6))
+        assert RngStream(3, 0, PURPOSE_DATA).uniform_vector(1)[0] == \
+            RngStream(3, 0, PURPOSE_DATA).uniform()
+
     def test_draws_advance_counter(self):
         s = RngStream(42, 0, PURPOSE_DATA)
         a, b = s.uniform(), s.uniform()

@@ -80,7 +80,7 @@ class TestQuadratic:
         stream = RngStream(1, 0, PURPOSE_DATA)
         rng = np.random.default_rng(1)
         for _ in range(100):
-            xi = w.draw_sample(stream)
+            xi = w.draw_sample(stream, w.shards(1, 0), [0])[0]
             x, y = rng.normal(size=2), rng.normal(size=2)
             lhs = np.linalg.norm(grad(w, x, xi) - grad(w, y, xi))
             assert lhs <= w.smoothness * np.linalg.norm(x - y) * (1 + 1e-12)
@@ -145,11 +145,11 @@ class TestMlp:
         w = self.make(activation)
         init = RngStream(10, 0, PURPOSE_INIT)
         probe = RngStream(11, 0, PURPOSE_DATA)
-        shard = w.shards(1, 0)[0]
+        shards = w.shards(1, 0)
         worst = 0.0
         for _ in range(10):
             x = w.init_params(init) + probe.gaussian_vector(w.dim, 0.2)
-            idx = w.draw_sample(probe, shard)
+            idx = w.draw_sample(probe, shards, [0])[0]
             analytic = grad(w, x, idx)
             numeric = central_difference_gradient(lambda v: w.batch_objective(v, idx), x)
             worst = max(worst, max_relative_error(analytic, numeric))
@@ -180,14 +180,14 @@ class TestMlp:
 class TestSharding:
     def test_even_split(self):
         data = generate_synthetic_classification(2, 3, 50, 1)  # n=100
-        shards = shard_dataset(data, 4, 0)
+        shards = shard_dataset(data, 4, 0).parts
         assert [len(s.indices) for s in shards] == [25, 25, 25, 25]
         all_idx = np.concatenate([s.indices for s in shards])
         assert sorted(all_idx.tolist()) == list(range(100))
 
     def test_uneven_split_deterministic_order(self):
         data = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 1)
-        sizes = [len(s.indices) for s in shard_dataset(data, 3, 5)]
+        sizes = [len(s.indices) for s in shard_dataset(data, 3, 5).parts]
         assert sorted(sizes, reverse=True) == [4, 3, 3]
         assert sizes == [4, 3, 3]
 
@@ -195,7 +195,7 @@ class TestSharding:
         data = generate_synthetic_classification(2, 3, 20, 1)
         a = shard_dataset(data, 4, 9)
         b = shard_dataset(data, 4, 9)
-        for sa, sb in zip(a, b):
+        for sa, sb in zip(a.parts, b.parts):
             assert np.array_equal(sa.indices, sb.indices)
 
     def test_more_workers_than_samples_rejected(self):
@@ -205,35 +205,45 @@ class TestSharding:
 
     def test_epoch_shuffle_covers_every_sample(self):
         data = Dataset(np.zeros((8, 1)), np.zeros(8, dtype=np.int64), 1)
-        shard = shard_dataset(data, 1, 0, draw_policy="epoch_shuffle")[0]
-        stream = RngStream(0, 0, PURPOSE_DATA)
-        seen = shard.draw(stream, 8)
+        shard = shard_dataset(data, 1, 0, draw_policy="epoch_shuffle").parts[0]
+        seen = shard.next_batch(8)
         assert sorted(seen.tolist()) == list(range(8))
 
 
     def test_epoch_shuffle_in_a_real_run(self):
-        cfg = parse_config(json.dumps({
-            "workload": {"kind": "logistic", "dim": 3, "n_samples": 24, "batch_size": 2,
-                         "draw_policy": "epoch_shuffle"},
-            "algo": {"variant": "ddp"}, "schedule": {"total_steps": 18}, "workers": 2}))
-        workload = cfg.build_workload()
-        draws = {}
-        plain_draw = workload.draw_sample
+        # ddp steps every row every step; palsgd with p > 0 steps only the rows
+        # that do not mix, and only their shards may advance
+        for algo, schedule in (({"variant": "ddp"}, {"total_steps": 18}),
+                               ({"variant": "palsgd"},
+                                {"p": 0.3, "sync_interval": 4, "total_steps": 30})):
+            cfg = parse_config(json.dumps({
+                "workload": {"kind": "logistic", "dim": 3, "n_samples": 24, "batch_size": 2,
+                             "draw_policy": "epoch_shuffle"},
+                "algo": algo, "schedule": schedule, "workers": 2}))
+            workload = cfg.build_workload()
+            seen = {0: [], 1: []}
+            plain_draw = workload.draw_sample
 
-        def recording_draw(stream, shard):
-            idx = plain_draw(stream, shard)
-            draws.setdefault(shard.worker, (shard, []))[1].extend(idx.tolist())
-            return idx
+            def recording_draw(stream, shards, rows):
+                idx = plain_draw(stream, shards, rows)
+                for k, batch in zip(rows, idx):
+                    seen[k].extend(batch.tolist())
+                return idx
 
-        workload.draw_sample = recording_draw
-        run_training(workload, cfg.build_variant(), cfg.build_schedule(workload),
-                     cfg.build_cluster(), cfg.seed)
-        assert sorted(draws) == [0, 1]
-        for shard, seen in draws.values():
-            n = len(shard.indices)  # 12 samples, 18 steps of 2 draws: three epochs
-            assert len(seen) == 3 * n
-            for epoch in range(3):
-                assert sorted(seen[epoch * n:(epoch + 1) * n]) == shard.indices.tolist()
+            workload.draw_sample = recording_draw
+            result = run_training(workload, cfg.build_variant(), cfg.build_schedule(workload),
+                                  cfg.build_cluster(), cfg.seed)
+            shards = workload.shards(2, cfg.seed).parts
+            for k, steps in enumerate(result.diagnostics.gradient_steps_per_worker):
+                n = len(shards[k].indices)  # 12 samples, 2 per gradient step
+                assert len(seen[k]) == 2 * steps
+                assert len(seen[k]) >= 2 * n, (algo, k)
+                for epoch in range(len(seen[k]) // n):
+                    assert sorted(seen[k][epoch * n:(epoch + 1) * n]) == shards[k].indices.tolist()
+            if algo["variant"] == "ddp":
+                assert len(seen[0]) == len(seen[1]) == 3 * n
+            else:
+                assert sum(result.diagnostics.mixing_steps_per_worker) > 0
 
 
 class TestDatasetGeneration:
