@@ -198,6 +198,20 @@ class TestSharding:
         for sa, sb in zip(a.parts, b.parts):
             assert np.array_equal(sa.indices, sb.indices)
 
+    def test_with_replacement_rows_come_from_their_own_shard(self):
+        data = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 1)
+        shards = shard_dataset(data, 3, 5)  # sizes 4, 3, 3
+        stream = RngStream(2, 0, PURPOSE_DATA)
+        seen = [set(), set(), set()]
+        for _ in range(40):
+            for k, batch in enumerate(shards.draw(stream, 5, np.arange(3))):
+                seen[k].update(batch.tolist())
+        assert seen == [set(s.indices.tolist()) for s in shards.parts]
+        # any subset of rows reads those rows of the one block drawn at that counter
+        full = shards.draw(RngStream(2, 0, PURPOSE_DATA, counter=40), 5, np.arange(3))
+        some = shards.draw(RngStream(2, 0, PURPOSE_DATA, counter=40), 5, [2, 0])
+        assert np.array_equal(some, full[[2, 0]])
+
     def test_more_workers_than_samples_rejected(self):
         data = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), 1)
         with pytest.raises(ValueError, match="shard"):
