@@ -17,7 +17,7 @@ from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
 from .vecmath import (ParamVector, RngStream, mean_of, mix, param_vector,
                       row_norms_sq)
 from .workloads import (Dataset, LogisticWorkload, MlpWorkload,
-                        QuadraticWorkload, Shard, Shards, export_dataset_csv,
+                        QuadraticWorkload, Shard, Shards,
                         generate_synthetic_classification, shard_dataset)
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "ParamVector", "QuadraticWorkload", "RngStream", "RunConfig", "Schedule",
     "Shard", "Shards", "SimClock", "StepRecord", "TrainResult", "Workers",
     "allreduce_time", "consensus_probe", "ddp_step",
-    "export_dataset_csv", "generate_synthetic_classification", "gradcheck",
+    "generate_synthetic_classification", "gradcheck",
     "inner_step", "load_config", "make_variant", "mean_of",
     "mix", "outer_step", "palsgd_local_step", "param_vector", "parse_config",
     "row_norms_sq", "run_experiment", "run_training", "shard_dataset", "sweep", "sync_round",

@@ -11,11 +11,16 @@ Three families:
   in-memory dataset (mu >= l2_reg when l2_reg > 0).
 * ``MlpWorkload`` -- small dense network with manual backprop (relu/tanh
   hidden units, softmax cross-entropy output), gradient-checkable.
+
+``stochastic_gradient(x, samples)`` returns the gradient rows at the n
+parameter rows x (n, d), one sample per row, in one stacked numpy pass with no
+loop over rows; each row rounds exactly as the 1-row call on it alone. The
+objectives (``full_objective``, ``batch_objective``, ``evaluate``) run the
+forward pass only.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,15 +150,6 @@ def shard_dataset(dataset: Dataset, workers: int, seed: int,
     return Shards(shards, draw_policy)
 
 
-def export_dataset_csv(dataset: Dataset, path: str) -> None:
-    """Write rows of feature columns followed by the integer label."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dataset.features.shape[1])] + ["label"])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(v) for v in row] + [int(label)])
-
-
 class QuadraticWorkload:
     """Noisy quadratic with exactly known mu, L, sigma^2 and optimum."""
 
@@ -209,30 +205,12 @@ class QuadraticWorkload:
             raise ValueError("quadratic gradient: non-finite parameters")
         return self.hessian_diag * (x - self.x_star - np.asarray(samples))
 
-    def full_gradient(self, x: ParamVector) -> ParamVector:
-        return self.hessian_diag * (x - self.x_star)
-
     def suboptimality(self, x: ParamVector) -> float:
         d = x - self.x_star
         return 0.5 * float(np.dot(d * self.hessian_diag, d))
 
     def full_objective(self, x: ParamVector) -> float:
         return self.suboptimality(x) + self.noise_floor
-
-    def variance_at_optimum(self, n_samples: int, stream: RngStream) -> float:
-        """Monte Carlo estimate of E||grad f(x*, xi)||^2 (validates calibration)."""
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        total = 0.0
-        chunk = 4096
-        done = 0
-        while done < n_samples:
-            take = min(chunk, n_samples - done)
-            xi = stream.gaussian_vector(take * self.dim, self._noise_scale).reshape(take, self.dim)
-            g = xi * self.hessian_diag
-            total += float(np.sum(g * g))
-            done += take
-        return total / n_samples
 
 
 class LogisticWorkload:
@@ -263,30 +241,33 @@ class LogisticWorkload:
         """(len(rows), batch_size) sample indices for the workers in `rows`."""
         return shards.draw(stream, self.batch_size, rows)
 
-    def _loss_grad(self, x: ParamVector, idx: np.ndarray) -> tuple[float, ParamVector]:
-        feats = self.train.features[idx]
-        y = self.train.labels[idx].astype(np.float64)
+    def _loss(self, x: ParamVector, feats: np.ndarray, labels: np.ndarray) -> float:
+        """Mean loss plus the L2 term at one parameter vector; no gradient."""
         z = feats @ x
+        y = labels.astype(np.float64)
         # log(1 + e^z) - y z, computed stably
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-        sig = 1.0 / (1.0 + np.exp(-z))
-        grad = feats.T @ (sig - y) / len(idx)
-        loss += 0.5 * self.l2_reg * float(np.dot(x, x))
-        grad = grad + self.l2_reg * x
-        return loss, grad
+        return loss + 0.5 * self.l2_reg * float(np.dot(x, x))
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
-        """Gradient rows at the rows of x (n, d), one index batch per row."""
-        return np.stack([self._loss_grad(row, idx)[1] for row, idx in zip(x, samples)])
+        """Gradient rows at the rows of x (n, d), one index batch per row.
+
+        One stacked pass: two np.matmul calls over the (n, b, d) feature
+        gather. Each row rounds as the 1-row call does."""
+        samples = np.asarray(samples)
+        feats = self.train.features[samples]
+        y = self.train.labels[samples].astype(np.float64)
+        z = (feats @ x[:, :, None])[:, :, 0]
+        with np.errstate(over="ignore"):  # e^-z = inf below z = -709 gives sig = 0, the limit
+            sig = 1.0 / (1.0 + np.exp(-z))
+        grad = (feats.transpose(0, 2, 1) @ (sig - y)[:, :, None])[:, :, 0] / samples.shape[1]
+        return grad + self.l2_reg * x
 
     def batch_objective(self, x: ParamVector, sample: np.ndarray) -> float:
-        return self._loss_grad(x, sample)[0]
+        return self._loss(x, self.train.features[sample], self.train.labels[sample])
 
     def full_objective(self, x: ParamVector) -> float:
-        return self._loss_grad(x, np.arange(len(self.train)))[0]
-
-    def full_gradient(self, x: ParamVector) -> ParamVector:
-        return self._loss_grad(x, np.arange(len(self.train)))[1]
+        return self._loss(x, self.train.features, self.train.labels)
 
 
 def _activation(name: str):
@@ -295,6 +276,18 @@ def _activation(name: str):
     if name == "tanh":
         return np.tanh, (lambda z, a: 1.0 - a * a)
     raise ValueError(f"activation must be one of {ACTIVATIONS}, got {name!r}")
+
+
+def _log_softmax(logits: np.ndarray):
+    """Max-shifted logits and their log-normalizer along the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted, np.log(np.sum(np.exp(shifted), axis=-1))
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy of (N, classes) logits."""
+    shifted, logZ = _log_softmax(logits)
+    return float(np.mean(logZ - shifted[np.arange(len(labels)), labels]))
 
 
 class MlpWorkload:
@@ -326,14 +319,16 @@ class MlpWorkload:
         self._shapes = [(a, b) for a, b in zip(self.widths[:-1], self.widths[1:])]
         self.dim = sum(a * b + b for a, b in self._shapes)
 
-    def _unflatten(self, x: ParamVector):
+    def _unflatten(self, x: np.ndarray):
+        """Per layer, the (n, a, c) weight and (n, 1, c) bias views of the
+        parameter rows x (n, dim), cast to the compute dtype."""
         layers, off = [], 0
-        for a, b in self._shapes:
-            w = x[off:off + a * b].reshape(a, b)
-            off += a * b
-            bias = x[off:off + b]
-            off += b
-            layers.append((w, bias))
+        for a, c in self._shapes:
+            w = x[:, off:off + a * c].reshape(-1, a, c)
+            off += a * c
+            bias = x[:, None, off:off + c]
+            off += c
+            layers.append((w.astype(self.dtype, copy=False), bias.astype(self.dtype, copy=False)))
         return layers
 
     def init_params(self, stream: RngStream) -> ParamVector:
@@ -352,60 +347,52 @@ class MlpWorkload:
         return shards.draw(stream, self.batch_size, rows)
 
     def _forward(self, layers, feats: np.ndarray):
+        """Pre-activations and activations of features (n, b, in) under
+        stacked layers, one np.matmul per layer."""
         acts = [feats.astype(self.dtype, copy=False)]
         pre = []
         for i, (w, b) in enumerate(layers):
-            z = acts[-1] @ w.astype(self.dtype, copy=False) + b.astype(self.dtype, copy=False)
+            z = acts[-1] @ w + b
             pre.append(z)
             acts.append(self._act(z) if i < len(layers) - 1 else z)
         return pre, acts
 
-    def _loss_grad(self, x: ParamVector, idx: np.ndarray, want_grad: bool = True):
+    def _logits(self, x: ParamVector, feats: np.ndarray) -> np.ndarray:
+        """(N, classes) outputs of one parameter vector; forward only."""
+        return self._forward(self._unflatten(x[None]), feats[None])[1][-1][0]
+
+    def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
+        """Gradient rows at the rows of x (n, d), one index batch per row.
+
+        One stacked pass: forward and backward matmuls over (n, a, c) weight
+        views of the parameter rows. Each row rounds as the 1-row call does."""
+        samples = np.asarray(samples)
+        n, b = samples.shape
         layers = self._unflatten(x)
-        feats = self.train.features[idx]
-        y = self.train.labels[idx]
-        pre, acts = self._forward(layers, feats)
-        logits = acts[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logZ = np.log(np.sum(np.exp(shifted), axis=1))
-        loss = float(np.mean(logZ - shifted[np.arange(len(idx)), y]))
-        if not want_grad:
-            return loss, None
-        probs = np.exp(shifted - logZ[:, None])
-        delta = probs
-        delta[np.arange(len(idx)), y] -= 1.0
-        delta /= len(idx)
+        pre, acts = self._forward(layers, self.train.features[samples])
+        shifted, logZ = _log_softmax(acts[-1])
+        delta = np.exp(shifted - logZ[..., None])
+        delta[np.arange(n)[:, None], np.arange(b), self.train.labels[samples]] -= 1.0
+        delta /= b
         grads = [None] * len(layers)
         for i in reversed(range(len(layers))):
             w, _ = layers[i]
-            grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+            grads[i] = ((acts[i].transpose(0, 2, 1) @ delta).reshape(n, -1), delta.sum(axis=1))
             if i > 0:
-                delta = (delta @ w.T.astype(self.dtype, copy=False)) * self._act_grad(pre[i - 1], acts[i])
-        flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-        return loss, flat.astype(np.float64, copy=False)
-
-    def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
-        """Gradient rows at the rows of x (n, d), one index batch per row."""
-        return np.stack([self._loss_grad(row, idx)[1] for row, idx in zip(x, samples)])
+                delta = (delta @ w.transpose(0, 2, 1)) * self._act_grad(pre[i - 1], acts[i])
+        flat = np.concatenate([part for pair in grads for part in pair], axis=1)
+        return flat.astype(np.float64, copy=False)
 
     def batch_objective(self, x: ParamVector, sample: np.ndarray) -> float:
-        return self._loss_grad(x, sample, want_grad=False)[0]
+        return _cross_entropy(self._logits(x, self.train.features[sample]), self.train.labels[sample])
 
     def full_objective(self, x: ParamVector) -> float:
-        return self._loss_grad(x, np.arange(len(self.train)), want_grad=False)[0]
-
-    def full_gradient(self, x: ParamVector) -> ParamVector:
-        return self._loss_grad(x, np.arange(len(self.train)))[1]
+        return _cross_entropy(self._logits(x, self.train.features), self.train.labels)
 
     def evaluate(self, x: ParamVector) -> dict:
         if self.test is None:
             return {}
-        layers = self._unflatten(x)
-        _, acts = self._forward(layers, self.test.features)
-        logits = acts[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logZ = np.log(np.sum(np.exp(shifted), axis=1))
+        logits = self._logits(x, self.test.features)
         y = self.test.labels
-        loss = float(np.mean(logZ - shifted[np.arange(len(y)), y]))
-        acc = float(np.mean(np.argmax(logits, axis=1) == y))
-        return {"eval_loss": loss, "eval_acc": acc}
+        return {"eval_loss": _cross_entropy(logits, y),
+                "eval_acc": float(np.mean(np.argmax(logits, axis=1) == y))}

@@ -1,22 +1,112 @@
-import math
-
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from palsgd.algorithms import run_training
+from palsgd.algorithms import Schedule, make_variant, run_training
+from palsgd.cluster import AllReduceModel, ClusterSpec
 from palsgd.config import parse_config
 from palsgd.experiments import central_difference_gradient, max_relative_error
+from palsgd.optimizers import InnerOptConfig
 from palsgd.vecmath import PURPOSE_DATA, PURPOSE_INIT, RngStream
-from palsgd.workloads import (Dataset, LogisticWorkload, MlpWorkload,
-                              QuadraticWorkload, export_dataset_csv,
+from palsgd.workloads import (Dataset, LogisticWorkload, MlpWorkload, QuadraticWorkload,
                               generate_synthetic_classification, shard_dataset)
 
 
 def grad(workload, x, sample):
     """One worker's stochastic gradient through the stacked (n, d) API."""
     return workload.stochastic_gradient(np.asarray(x)[None, :], [sample])[0]
+
+
+def full_gradient(workload, x):
+    """The full-batch gradient: one row whose batch is the whole training set."""
+    return grad(workload, x, np.arange(len(workload.train)))
+
+
+def quadratic_full_gradient(w, x):
+    return w.hessian_diag * (x - w.x_star)
+
+
+def variance_at_optimum(w, n_samples, stream, chunk=4096):
+    """Monte Carlo estimate of E||grad f(x*, xi)||^2 from the workload's own
+    noise draws, `chunk` samples per block."""
+    total, done = 0.0, 0
+    while done < n_samples:
+        take = min(chunk, n_samples - done)
+        xi = w.draw_sample(stream, w.shards(take, 0), np.arange(take))
+        g = w.stochastic_gradient(np.tile(w.x_star, (take, 1)), xi)
+        total += float(np.sum(g * g))
+        done += take
+    return total / n_samples
+
+
+def logistic_row_reference(w, x, idx):
+    """One row's logistic gradient, written per row as the trainer once ran it."""
+    feats = w.train.features[idx]
+    y = w.train.labels[idx].astype(np.float64)
+    z = feats @ x
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-z))
+    grad = feats.T @ (sig - y) / len(idx)
+    return grad + w.l2_reg * x
+
+
+def mlp_row_reference(w, x, idx):
+    """One row's MLP backprop, written per row as the trainer once ran it."""
+    layers, off = [], 0
+    for a, c in zip(w.widths[:-1], w.widths[1:]):
+        layers.append((x[off:off + a * c].reshape(a, c), x[off + a * c:off + a * c + c]))
+        off += a * c + c
+    acts, pre = [w.train.features[idx].astype(w.dtype, copy=False)], []
+    for i, (wt, b) in enumerate(layers):
+        z = acts[-1] @ wt.astype(w.dtype, copy=False) + b.astype(w.dtype, copy=False)
+        pre.append(z)
+        acts.append(w._act(z) if i < len(layers) - 1 else z)
+    shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    logZ = np.log(np.sum(np.exp(shifted), axis=1))
+    delta = np.exp(shifted - logZ[:, None])
+    delta[np.arange(len(idx)), w.train.labels[idx]] -= 1.0
+    delta /= len(idx)
+    grads = [None] * len(layers)
+    for i in reversed(range(len(layers))):
+        wt, _ = layers[i]
+        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ wt.T.astype(w.dtype, copy=False)) * w._act_grad(pre[i - 1], acts[i])
+    flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
+    return flat.astype(np.float64, copy=False)
+
+
+class PerRowLogistic(LogisticWorkload):
+    def stochastic_gradient(self, x, samples):
+        return np.stack([logistic_row_reference(self, r, i) for r, i in zip(x, samples)])
+
+
+class PerRowMlp(MlpWorkload):
+    def stochastic_gradient(self, x, samples):
+        return np.stack([mlp_row_reference(self, r, i) for r, i in zip(x, samples)])
+
+
+def random_case(rng, kind):
+    """A random workload, K parameter rows and K index batches: K, batch size,
+    l2_reg (logistic), widths, activation and dtype (MLP) and the parameter
+    scale (1e-3 to 1e2) all vary."""
+    k, b, scale = int(rng.integers(1, 40)), int(rng.integers(1, 20)), 10.0 ** rng.uniform(-3, 2)
+    seed = int(rng.integers(1000))
+    if kind == "logistic":
+        data = generate_synthetic_classification(2, int(rng.integers(1, 40)),
+                                                 int(rng.integers(20, 100)), seed)
+        w = LogisticWorkload(data, l2_reg=float(rng.choice([0.0, 0.05, 1.3])), batch_size=b)
+    else:
+        classes = int(rng.integers(2, 12))
+        widths = ([int(rng.integers(1, 20))] + [int(h) for h in rng.integers(1, 40, rng.integers(0, 3))]
+                  + [classes])
+        data = generate_synthetic_classification(classes, widths[0], 10, seed)
+        w = MlpWorkload(widths, str(rng.choice(["tanh", "relu"])), data, batch_size=b,
+                        dtype=str(rng.choice(["float64", "float32"])))
+    return w, rng.normal(size=(k, w.dim)) * scale, rng.integers(0, len(data), size=(k, b))
 
 
 def make_quadratic(diag=(1.0, 2.0), sigma=0.0, x_star=None, x0=None):
@@ -59,7 +149,7 @@ class TestQuadratic:
     def test_gradient_consistency_with_full_objective(self):
         w = make_quadratic((1.0, 2.0, 4.0), sigma=1.0)
         x = np.array([0.3, -1.0, 2.0])
-        analytic = w.full_gradient(x)
+        analytic = quadratic_full_gradient(w, x)
         numeric = central_difference_gradient(w.suboptimality, x)
         assert max_relative_error(analytic, numeric) < 1e-9
         # noise-free stochastic gradient is exactly the mean gradient
@@ -71,7 +161,7 @@ class TestQuadratic:
         for _ in range(50):
             x, y = rng.normal(size=2), rng.normal(size=2)
             lhs = w.suboptimality(y)
-            rhs = (w.suboptimality(x) + float(w.full_gradient(x) @ (y - x))
+            rhs = (w.suboptimality(x) + float(quadratic_full_gradient(w, x) @ (y - x))
                    + 0.5 * w.mu * float(np.sum((y - x) ** 2)))
             assert lhs >= rhs - 1e-10 * max(1.0, abs(lhs))
 
@@ -87,12 +177,12 @@ class TestQuadratic:
 
     def test_variance_at_optimum_zero_noise(self):
         w = make_quadratic((1.0, 1.0), sigma=0.0)
-        assert w.variance_at_optimum(100, RngStream(0, 0, PURPOSE_DATA)) == 0.0
+        assert variance_at_optimum(w, 100, RngStream(0, 0, PURPOSE_DATA)) == 0.0
 
     @pytest.mark.parametrize("sigma,expected,tol", [(1.0, 1.0, 0.01), (2.0, 4.0, 0.04)])
     def test_variance_at_optimum_calibration(self, sigma, expected, tol):
         w = QuadraticWorkload(np.ones(4), np.zeros(4), sigma)
-        est = w.variance_at_optimum(1_000_000, RngStream(31, 0, PURPOSE_DATA))
+        est = variance_at_optimum(w, 1_000_000, RngStream(31, 0, PURPOSE_DATA))
         assert abs(est - expected) <= tol
 
     def test_rejects_bad_spectrum(self):
@@ -117,9 +207,8 @@ class TestLogistic:
         worst = 0.0
         for _ in range(10):
             x = rng.normal(size=w.dim) * 0.5
-            idx = np.arange(len(w.train))
             worst = max(worst, max_relative_error(
-                w.full_gradient(x), central_difference_gradient(w.full_objective, x)))
+                full_gradient(w, x), central_difference_gradient(w.full_objective, x)))
         assert worst < 1e-4
 
     def test_mean_of_stochastic_gradients_is_full_gradient(self):
@@ -127,7 +216,7 @@ class TestLogistic:
         x = np.full(w.dim, 0.2)
         per_sample = [grad(w, x, np.array([i])) for i in range(len(w.train))]
         mean_grad = np.mean(per_sample, axis=0)
-        assert max_relative_error(mean_grad, w.full_gradient(x)) < 1e-10
+        assert max_relative_error(mean_grad, full_gradient(w, x)) < 1e-10
 
     def test_requires_two_classes(self):
         data = generate_synthetic_classification(3, 4, 10, 0)
@@ -159,7 +248,7 @@ class TestMlp:
         w = self.make()
         x = w.init_params(RngStream(3, 0, PURPOSE_INIT))
         per_sample = [grad(w, x, np.array([i])) for i in range(len(w.train))]
-        assert max_relative_error(np.mean(per_sample, axis=0), w.full_gradient(x)) < 1e-10
+        assert max_relative_error(np.mean(per_sample, axis=0), full_gradient(w, x)) < 1e-10
 
     def test_evaluate_reports_loss_and_accuracy(self):
         data = generate_synthetic_classification(3, 5, 15, 4)
@@ -267,10 +356,63 @@ class TestDatasetGeneration:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_csv_export(self, tmp_path):
-        data = generate_synthetic_classification(2, 3, 4, 0)
-        path = tmp_path / "data.csv"
-        export_dataset_csv(data, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x0,x1,x2,label"
-        assert len(lines) == 1 + len(data)
+
+class TestStackedGradients:
+    """The stacked logistic and MLP gradients against the per-row code."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_rows_equal_the_per_row_reference(self, kind):
+        rng = np.random.default_rng(11 if kind == "logistic" else 12)
+        reference = logistic_row_reference if kind == "logistic" else mlp_row_reference
+        seen = set()
+        for _ in range(150):
+            w, x, samples = random_case(rng, kind)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # sigmoid overflow at scale 1e2 stays silent
+                got = w.stochastic_gradient(x, samples)
+            with np.errstate(all="ignore"):
+                want = np.stack([reference(w, r, i) for r, i in zip(x, samples)])
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            seen.add((w.l2_reg > 0,) if kind == "logistic" else (w.activation, w.dtype))
+        assert len(seen) == (2 if kind == "logistic" else 4)
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_each_row_equals_the_one_row_call(self, kind):
+        rng = np.random.default_rng(21 if kind == "logistic" else 22)
+        for _ in range(100):
+            w, x, samples = random_case(rng, kind)
+            with np.errstate(all="ignore"):
+                rows = w.stochastic_gradient(x, samples)
+                for k in range(len(x)):
+                    assert rows[k].tobytes() == w.stochastic_gradient(x[k:k + 1], samples[k:k + 1])[0].tobytes()
+
+    @staticmethod
+    def assert_runs_bit_equal(real, per_row, variant, schedule, workers, eval_every=None):
+        cluster = ClusterSpec(workers=workers, jitter=0.1,
+                              allreduce=AllReduceModel(latency_s=1e-3, bandwidth_bytes_per_s=1e9))
+        a = run_training(real, variant, schedule, cluster, 3, eval_every=eval_every)
+        b = run_training(per_row, variant, schedule, cluster, 3, eval_every=eval_every)
+        assert a.global_model.tobytes() == b.global_model.tobytes()
+        assert a.diagnostics.records == b.diagnostics.records
+        assert a.diagnostics.gradient_steps_per_worker == b.diagnostics.gradient_steps_per_worker
+        return a
+
+    def test_logistic_ddp_run_equals_the_per_row_run(self):
+        data = generate_synthetic_classification(2, 6, 40, 5)
+        real, per_row = (cls(data, l2_reg=0.01, batch_size=4) for cls in (LogisticWorkload, PerRowLogistic))
+        self.assert_runs_bit_equal(real, per_row, make_variant("ddp"),
+                                   Schedule(alpha=0.5, total_steps=40), workers=5)
+
+    @pytest.mark.parametrize("draw_policy", ["with_replacement", "epoch_shuffle"])
+    def test_mlp_palsgd_run_equals_the_per_row_run(self, draw_policy):
+        data = generate_synthetic_classification(3, 5, 20, 6)
+        test = generate_synthetic_classification(3, 5, 20, 6, split=1)
+        real, per_row = (cls([5, 7, 3], "tanh", data, test=test, batch_size=4, draw_policy=draw_policy)
+                         for cls in (MlpWorkload, PerRowMlp))
+        inner = InnerOptConfig(variant="adamw", clip_norm=1.0, weight_decay=0.01)
+        result = self.assert_runs_bit_equal(
+            real, per_row, make_variant("palsgd", inner=inner),
+            Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=4, total_steps=24), workers=4,
+            eval_every=4)
+        assert sum(result.diagnostics.mixing_steps_per_worker) > 0  # some calls take a row subset
+        assert result.diagnostics.records[-1].eval_acc is not None
