@@ -28,16 +28,23 @@ its block at every step, even when every row mixes, so block n belongs to
 step n, and a worker's sample at step t does not depend on p or on K; rows
 that mix discard theirs. Every row is still rounded as that worker's own 1-D
 update.
+
+A leading replica axis runs S seeds of one configuration as one batch: the
+state is (S*K, d), replica-major, and the global models (S, d). Each replica
+keeps its own streams, keyed by its seed, its shards and its clock row; every
+reduction runs along one replica's K rows in a lone run's order, and all else
+is elementwise, so each replica is bit-identical to a run of its seed alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .cluster import ClusterSpec, CommEvent, SimClock
+from .cluster import ClusterSpec, SimClock
 from .fields import ConfigError, check_fields, option
 from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
                          OuterOptState, inner_step, outer_step)
@@ -132,14 +139,6 @@ def theory_schedule(mu: float, smoothness: float, p: float, sync_interval: int,
     )
 
 
-def theory_weights(mu: float, alpha: float, total_steps: int) -> np.ndarray:
-    """w_t = (1 - mu*alpha)^-(t+1), normalized to sum to 1."""
-    growth = 1.0 / (1.0 - mu * alpha)
-    logs = np.arange(1, total_steps + 1) * math.log(growth)
-    w = np.exp(logs - logs.max())
-    return w / w.sum()
-
-
 @dataclass(frozen=True)
 class AlgoVariant:
     tag: str = option(str, choices=("ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory"))
@@ -177,22 +176,37 @@ def make_variant(tag: str, inner: InnerOptConfig | None = None,
 
 @dataclass
 class Workers:
-    """The K workers, stacked: row k of `x`, of the optimizer state and of
-    every draw from the streams is worker k."""
+    """S replicas of K workers, stacked replica-major: row s*K + k of `x` and
+    of the optimizer state is worker k of replica s, which draws from its own
+    streams, keyed (seed_s, 0, purpose), and its own shards."""
 
-    x: np.ndarray                   # (K, d) parameters
+    x: np.ndarray                   # (S*K, d) parameters
     inner: InnerOptState
-    shards: object                  # the workload's shards(K, seed)
-    data_stream: RngStream
-    bern_stream: RngStream
+    shards: list                    # per replica, the workload's shards(K, seed_s)
+    data_streams: list[RngStream]
+    bern_streams: list[RngStream]
 
     @classmethod
-    def start(cls, x0: ParamVector, inner: InnerOptConfig, shards, seed: int) -> "Workers":
-        """K = len(shards) workers, every one at x0 with a fresh optimizer state."""
-        k = len(shards)
-        return cls(x=np.tile(x0, (k, 1)), inner=InnerOptState.fresh(inner, k, x0.shape[0]),
-                   shards=shards, data_stream=RngStream(seed, 0, PURPOSE_DATA),
-                   bern_stream=RngStream(seed, 0, PURPOSE_BERNOULLI))
+    def start(cls, x0: np.ndarray, inner: InnerOptConfig, shards: list,
+              seeds: list[int]) -> "Workers":
+        """K = len(shards[s]) workers per replica at its row of x0 (S, d), fresh state."""
+        x = np.repeat(x0, len(shards[0]), axis=0)
+        return cls(x=x, inner=InnerOptState.fresh(inner, *x.shape), shards=list(shards),
+                   data_streams=[RngStream(s, 0, PURPOSE_DATA) for s in seeds],
+                   bern_streams=[RngStream(s, 0, PURPOSE_BERNOULLI) for s in seeds])
+
+    @property
+    def stacked(self) -> np.ndarray:
+        """The (S, K, d) view of `x`."""
+        return self.x.reshape(len(self.shards), -1, self.x.shape[1])
+
+    def draw(self, workload, rows: np.ndarray):
+        """Samples for the rows set in the (S*K,) mask `rows`, each replica
+        drawing from its own stream and shards as it would alone."""
+        parts = [workload.draw_sample(stream, shards, mask.nonzero()[0])
+                 for stream, shards, mask in zip(self.data_streams, self.shards,
+                                                 rows.reshape(len(self.shards), -1))]
+        return np.concatenate(parts)
 
 
 @dataclass
@@ -210,11 +224,14 @@ class StepRecord:
 
 @dataclass
 class Diagnostics:
+    # with a replica axis, records and window_mixing_counts hold one list per replica
     records: list[StepRecord] = field(default_factory=list)
     # one tuple of per-worker mixing-step counts per sync window
     window_mixing_counts: list[tuple[int, ...]] = field(default_factory=list)
+    # flat over the S*K workers, replica-major
     mixing_steps_per_worker: list[int] = field(default_factory=list)
     gradient_steps_per_worker: list[int] = field(default_factory=list)
+    # the steps of the sync rounds, which every replica shares
     sync_steps: list[int] = field(default_factory=list)
 
     @property
@@ -227,6 +244,7 @@ class DivergenceReport:
     step: int
     worker: int | None
     last_record: StepRecord | None
+    replica: int = 0
 
 
 @dataclass
@@ -239,79 +257,90 @@ class TrainResult:
     divergence: DivergenceReport | None = None
 
 
-def consensus_probe(x: np.ndarray, global_x: ParamVector,
-                    xbar: ParamVector) -> tuple[float, float]:
-    """(consensus distance vs the global copy, spread around the worker mean xbar)."""
-    k = x.shape[0]
-    xi = sum(row_norms_sq(x - global_x).tolist()) / k
-    spread = sum(row_norms_sq(x - xbar).tolist()) / k
-    return xi, spread
+def consensus_probe(x: np.ndarray, global_x: np.ndarray,
+                    xbar: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per replica of the (S, K, d) stack x, with (S, d) global_x and xbar:
+    (consensus distance vs the global copy, spread around the worker mean
+    xbar), each a sum of per-row squared norms in worker order over K."""
+    s, k, d = x.shape
+    out = []
+    for ref in (global_x, xbar):
+        norms = row_norms_sq((x - ref[:, None]).reshape(s * k, d)).reshape(s, k)
+        out.append([sum(rows) / k for rows in norms.tolist()])
+    return out[0], out[1]
 
 
-def palsgd_local_step(workers: Workers, global_x: ParamVector, schedule: Schedule, t: int,
+def palsgd_local_step(workers: Workers, global_x: np.ndarray, schedule: Schedule, t: int,
                       workload, clock: SimClock) -> np.ndarray:
-    """One local iteration of every worker; returns the (K,) mask of rows that mixed."""
+    """One local iteration of every worker, against the (S, d) global models;
+    returns the (S*K,) mask of rows that mixed."""
     x = workers.x
+    k = x.shape[0] // len(global_x)
     p = schedule.p
     if p > 0.0:
-        mixing = workers.bern_stream.uniform_vector(x.shape[0]) <= p
+        mixing = np.concatenate([s.uniform_vector(k) for s in workers.bern_streams]) <= p
     else:
         mixing = np.zeros(x.shape[0], dtype=bool)
-    mixed = np.flatnonzero(mixing)
+    mixed = mixing.nonzero()[0]
     if mixed.size:
         coeff = schedule.mix_coefficient(t)
-        x[mixed] = x[mixed] - coeff * (x[mixed] - global_x)
-    stepped = np.flatnonzero(~mixing)
-    samples = workload.draw_sample(workers.data_stream, workers.shards, stepped)
+        anchor = global_x.take(mixed // k, 0)  # each mixed row's replica's global model
+        x[mixed] = x[mixed] - coeff * (x[mixed] - anchor)
+    stepping = ~mixing
+    samples = workers.draw(workload, stepping)
+    stepped = stepping.nonzero()[0]
     if stepped.size:
         g = workload.stochastic_gradient(x[stepped], samples)
         inner_step(workers.inner, x, g, schedule.alpha_at(t) / (1.0 - p), stepped)
-    clock.advance_step(~mixing)
+    clock.advance_step(stepping)
     return mixing
 
 
-def sync_round(workers: Workers, global_x: ParamVector,
-               outer_state: OuterOptState, clock: SimClock, t: int,
-               reset_inner: bool = False) -> tuple[ParamVector, OuterOptState, CommEvent]:
-    """All-reduce the outer gradient, update the global model, reset the workers to it."""
-    m = mean_of(workers.x)
+def sync_round(workers: Workers, global_x: np.ndarray, outer_state: OuterOptState,
+               clock: SimClock, t: int, reset_inner: bool = False):
+    """Per replica, all-reduce the outer gradient, update the (S, d) global
+    models and reset the replica's workers to its new one."""
+    x = workers.stacked
+    m = mean_of(x)
     delta = global_x - m
     candidate, outer_state = outer_step(outer_state, global_x, delta)
     # Plain averaging must yield the mean bit-exactly (global - (global - m)
     # reintroduces rounding), so the lr-1 momentum-free case short-circuits.
     new_global = m if outer_state.config.is_plain_averaging else candidate
-    workers.x[:] = new_global
+    x[:] = new_global[:, None, :]
     if reset_inner:
         workers.inner = InnerOptState.fresh(workers.inner.config, *workers.x.shape)
-    event = clock.record_allreduce(t, new_global.shape[0])
-    return new_global, outer_state, event
+    for replica in range(len(new_global)):
+        clock.record_allreduce(t, new_global.shape[1], replica)
+    return new_global, outer_state
 
 
 def ddp_step(workers: Workers, schedule: Schedule, t: int,
-             workload, clock: SimClock) -> ParamVector:
-    """Gradient all-reduce every step: identical updates on every worker.
-
-    Returns the new global model, which every row of `workers.x` equals."""
+             workload, clock: SimClock) -> np.ndarray:
+    """Gradient all-reduce every step: identical updates on every worker of a
+    replica. Returns the (S, d) new global models, row s that of replica s."""
     x = workers.x
-    samples = workload.draw_sample(workers.data_stream, workers.shards, np.arange(x.shape[0]))
-    grads = workload.stochastic_gradient(x, samples)
-    clock.advance_step(np.ones(x.shape[0], dtype=bool))
-    gbar = mean_of(grads)
-    inner_step(workers.inner, x, gbar[None, :], schedule.alpha_at(t))
-    clock.record_allreduce(t, x.shape[1])
-    return x[0].copy()
+    everyone = np.ones(x.shape[0], dtype=bool)
+    grads = workload.stochastic_gradient(x, workers.draw(workload, everyone))
+    clock.advance_step(everyone)
+    gbar = mean_of(grads.reshape(workers.stacked.shape))
+    k = x.shape[0] // len(gbar)
+    inner_step(workers.inner, x, gbar.repeat(k, 0), schedule.alpha_at(t))
+    for replica in range(len(gbar)):
+        clock.record_allreduce(t, x.shape[1], replica)
+    return x[::k].copy()
 
 
 class _WeightedAverage:
-    """Online Sum(w_t x_t)/Sum(w_t) with geometric weights, overflow-safe."""
+    """Online Sum(w_t x_t)/Sum(w_t) of (d,) or (S, d) models, geometric weights, overflow-safe."""
 
-    def __init__(self, dim: int, growth: float):
+    def __init__(self, shape, growth: float):
         self.growth = growth
-        self.value = np.zeros(dim)
+        self.value = np.zeros(shape)
         self._w = 1.0
         self._total = 0.0
 
-    def add(self, x: ParamVector) -> None:
+    def add(self, x: np.ndarray) -> None:
         self._total += self._w
         self.value += (self._w / self._total) * (x - self.value)
         self._w *= self.growth
@@ -321,90 +350,100 @@ class _WeightedAverage:
 
 
 def run_training(workload, variant: AlgoVariant, schedule: Schedule,
-                 cluster: ClusterSpec, seed: int, record_every: int = 1,
+                 cluster: ClusterSpec, seed: int | Sequence[int], record_every: int = 1,
                  eval_every: int | None = None) -> TrainResult:
-    """Run one full training simulation; deterministic given (config, seed)."""
+    """Run one training simulation per seed; deterministic given (config, seed).
+
+    `seed` is an int or a sequence of S seeds, run as one stacked batch in
+    which each replica is bit-identical to a run of its seed alone. A
+    sequence gives (S, d) models, one list of records and of window counts
+    per replica, and a clock over S replicas (see SimClock); an int is S = 1
+    with that axis dropped. Per-worker step counts are flat over the S*K
+    workers, replica-major. The batch stops at the first step with a
+    non-finite row and reports the first replica with one, at the step,
+    worker and last finite record of that replica's run alone.
+    """
     if not variant.uses_mixing and schedule.p != 0.0:
         raise ValueError(f"variant {variant.tag!r} takes no mixing steps; schedule.p must be 0")
+    batched = np.ndim(seed) > 0
+    seeds = list(seed) if batched else [seed]
     n_workers = cluster.workers
-    dim = workload.dim
     total = schedule.total_steps
     h = schedule.sync_interval
     warmup = total if variant.tag == "ddp" else min(schedule.effective_warmup, total)
 
-    init_stream = RngStream(seed, 0, PURPOSE_INIT)
-    x0 = workload.init_params(init_stream)
-    workers = Workers.start(x0, variant.inner, workload.shards(n_workers, seed), seed)
+    x0 = np.stack([workload.init_params(RngStream(s, 0, PURPOSE_INIT)) for s in seeds])
+    workers = Workers.start(x0, variant.inner, [workload.shards(n_workers, s) for s in seeds],
+                            seeds)
     global_x = x0.copy()
-    outer_state = OuterOptState.fresh(variant.outer, dim)
+    outer_state = OuterOptState.fresh(variant.outer, x0.shape)
     clock = SimClock(cluster, seed)
-    diag = Diagnostics()
-    mixing_steps = np.zeros(n_workers, dtype=np.int64)
-    gradient_steps = np.zeros(n_workers, dtype=np.int64)
-    window_mix = np.zeros(n_workers, dtype=np.int64)
-    averager = (_WeightedAverage(dim, schedule.iterate_weight_growth)
+    records: list[list[StepRecord]] = [[] for _ in seeds]
+    windows: list[list[tuple[int, ...]]] = [[] for _ in seeds]
+    sync_steps: list[int] = []
+    # every worker takes one mixing or one gradient step per iteration, and a
+    # window's mixing counts are the growth of mixing_steps since the last sync
+    mixing_steps = np.zeros(workers.x.shape[0], dtype=np.int64)
+    mixed_at_sync = mixing_steps.copy()
+    averager = (_WeightedAverage(x0.shape, schedule.iterate_weight_growth)
                 if schedule.iterate_weight_growth is not None else None)
 
-    def record(t: int) -> StepRecord:
-        xbar = mean_of(workers.x)
-        if hasattr(workload, "suboptimality"):
-            metric = workload.suboptimality(xbar)
-        else:
-            metric = workload.full_objective(xbar)
-        xi, spread = consensus_probe(workers.x, global_x, xbar)
-        rec = StepRecord(
-            step=t,
-            sim_time_s=clock.global_time,
-            train_metric=metric,
-            consensus_sq=xi,
-            mean_model_sq=spread,
-            comm_count=len(clock.events),
-            comm_seconds=clock.comm_seconds,
-        )
-        if workload.has_eval and eval_every is not None and ((t + 1) % eval_every == 0 or t == total - 1):
-            ev = workload.evaluate(xbar)
-            rec.eval_loss = ev.get("eval_loss")
-            rec.eval_acc = ev.get("eval_acc")
-        diag.records.append(rec)
-        return rec
+    objective = getattr(workload, "suboptimality", workload.full_objective)
 
-    def result(divergence: DivergenceReport | None = None) -> TrainResult:
-        diag.mixing_steps_per_worker = mixing_steps.tolist()
-        diag.gradient_steps_per_worker = gradient_steps.tolist()
-        return TrainResult(global_model=global_x, diagnostics=diag,
-                           weighted_average=averager.value if averager else None,
-                           clock=clock, diverged=divergence is not None, divergence=divergence)
+    def record(t: int) -> None:
+        x = workers.stacked
+        xbar = mean_of(x)
+        xi, spread = consensus_probe(x, global_x, xbar)
+        sim_times = clock.times.max(axis=1).tolist()
+        evaluate = (workload.has_eval and eval_every is not None
+                    and ((t + 1) % eval_every == 0 or t == total - 1))
+        for r, rows in enumerate(records):
+            rec = StepRecord(t, sim_times[r], objective(xbar[r]), xi[r], spread[r],
+                             len(clock.event_log[r]), clock.comm_totals[r])
+            if evaluate:
+                ev = workload.evaluate(xbar[r])
+                rec.eval_loss = ev.get("eval_loss")
+                rec.eval_acc = ev.get("eval_acc")
+            rows.append(rec)
 
+    divergence = None
     for t in range(total):
         if averager is not None:
             averager.add(global_x)
 
         if t < warmup:
             global_x = ddp_step(workers, schedule, t, workload, clock)
-            gradient_steps += 1
         else:
-            mixing = palsgd_local_step(workers, global_x, schedule, t, workload, clock)
-            mixing_steps += mixing
-            gradient_steps += ~mixing
-            window_mix += mixing
+            mixing_steps += palsgd_local_step(workers, global_x, schedule, t, workload, clock)
             if (t + 1) % h == 0 or t == total - 1:
-                global_x, outer_state, _ = sync_round(
+                global_x, outer_state = sync_round(
                     workers, global_x, outer_state, clock, t,
                     reset_inner=variant.inner.reset_at_sync)
-                diag.sync_steps.append(t)
-                diag.window_mixing_counts.append(tuple(window_mix.tolist()))
-                window_mix[:] = 0
+                sync_steps.append(t)
+                window = (mixing_steps - mixed_at_sync).reshape(len(seeds), -1).tolist()
+                for rows, counts in zip(windows, window):
+                    rows.append(tuple(counts))
+                mixed_at_sync = mixing_steps.copy()
 
-        finite = np.isfinite(workers.x).all(axis=1)
-        if not finite.all():
-            # keep only finite records in the dump; the report points at the
-            # last one taken before the blow-up, and at the first bad worker
-            last_finite = next((r for r in reversed(diag.records)
+        if not np.isfinite(workers.x).all():
+            # the first bad row is the first bad worker of the first replica
+            # that has one; keep only finite records in the dump, and point
+            # the report at that replica's last one taken before the blow-up
+            finite = np.isfinite(workers.x).all(axis=1)
+            replica, worker = divmod(int(np.argmin(finite)), n_workers)
+            last_finite = next((r for r in reversed(records[replica])
                                 if math.isfinite(r.train_metric)), None)
-            return result(DivergenceReport(step=t, worker=int(np.argmin(finite)),
-                                           last_record=last_finite))
+            divergence = DivergenceReport(t, worker, last_finite, replica)
+            break
 
         if t % record_every == 0 or (t + 1) % h == 0 or t == total - 1:
             record(t)
 
-    return result()
+    def view(per_replica):
+        return per_replica if batched else per_replica[0]
+
+    diag = Diagnostics(view(records), view(windows), mixing_steps.tolist(),
+                       (t + 1 - mixing_steps).tolist(), sync_steps)
+    return TrainResult(global_model=view(global_x), diagnostics=diag,
+                       weighted_average=view(averager.value) if averager else None,
+                       clock=clock, diverged=divergence is not None, divergence=divergence)

@@ -1,12 +1,13 @@
 """Command-line entry points.
 
     palsgd run <config.json> [--seed N] [--out-dir DIR] [--metrics-every N]
-    palsgd sweep <config.json> --grid <grid.json> [--out-dir DIR] [--seed N]
-    palsgd verify-theory <config.json> [--out-dir DIR] [--seeds N] [--k-values 1,2,4,8]
+    palsgd sweep <config.json> --grid <grid.json> [--seed N] [--out-dir DIR] [--metrics-every N]
+    palsgd verify-theory <config.json> [--seed N] [--out-dir DIR] [--seeds N] [--k-values 1,2,4,8]
     palsgd gradcheck <config.json>
 
-``run`` exits 0 on completion and 3 when the run diverged; config errors
-exit 2. ``verify-theory`` and ``gradcheck`` exit 4 when a check fails.
+``run`` exits 0 on completion and 3 when the run diverged; config errors, and
+flags the command does not take, exit 2. ``verify-theory`` and ``gradcheck``
+exit 4 when a check fails.
 
 ``verify-theory`` fits the log-log slope of suboptimality against the worker
 count K (``--k-values`` needs two or more distinct counts >= 1). It also splits
@@ -33,21 +34,26 @@ EXIT_DIVERGED = 3
 EXIT_FAILED_CHECK = 4
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+_OVERRIDES = {
+    "--seed": dict(type=int, help="override config seed"),
+    "--out-dir": dict(help="override config output directory"),
+    "--metrics-every": dict(type=int, help="override metrics cadence (steps)"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *overrides: str) -> None:
     parser.add_argument("config", help="path to the run config JSON")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--out-dir", default=None, help="override config output directory")
-    parser.add_argument("--metrics-every", type=int, default=None,
-                        help="override metrics cadence (steps)")
+    for flag in overrides:
+        parser.add_argument(flag, default=None, **_OVERRIDES[flag])
 
 
 def _load(args) -> "RunConfig":
     cfg = load_config(args.config)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "metrics_every", None) is not None:
         cfg.metrics_every = args.metrics_every
-    if args.out_dir is not None:
+    if getattr(args, "out_dir", None) is not None:
         cfg.out_dir = args.out_dir
     return cfg
 
@@ -58,14 +64,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="execute one configured run")
-    _add_common(run_p)
+    _add_common(run_p, *_OVERRIDES)
 
     sweep_p = sub.add_parser("sweep", help="one-at-a-time parameter sweep")
-    _add_common(sweep_p)
+    _add_common(sweep_p, *_OVERRIDES)
     sweep_p.add_argument("--grid", required=True, help="JSON file mapping dotted parameter paths to value lists")
 
     verify_p = sub.add_parser("verify-theory", help="convergence-theory verification suite")
-    _add_common(verify_p)
+    _add_common(verify_p, "--seed", "--out-dir")
     verify_p.add_argument("--seeds", type=int, default=10, help="seeds per worker count")
     verify_p.add_argument("--k-values", default="1,2,4,8", help="comma-separated worker counts")
 

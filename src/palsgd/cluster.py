@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -77,45 +78,69 @@ class CommEvent:
 class SimClock:
     """Per-worker elapsed seconds plus an append-only communication log.
 
-    A single owner (the trainer loop) advances the clock; global time is the
-    max over workers and is realized at every barrier. `worker_time` is a
-    (K,) array that one cost vector advances per step.
+    A single owner (the trainer loop) advances the clock. `times` holds one
+    row of K worker times per replica, advanced by one cost array per step;
+    replica s draws its jitter from its own stream, keyed by seed s. A
+    replica's global time is the max over its row, realized at each of its
+    barriers. `seed` is an int or a sequence of S seeds: with an int, the
+    views `worker_time`, `events`, `comm_seconds` and `global_time` drop the
+    replica axis ((K,), one list, floats); with a sequence they keep it.
     """
 
-    def __init__(self, spec: ClusterSpec, seed: int = 0):
+    def __init__(self, spec: ClusterSpec, seed: int | Sequence[int] = 0):
         self.spec = spec
-        self.worker_time = np.zeros(spec.workers)
-        self.events: list[CommEvent] = []
-        self.comm_seconds = 0.0
-        self._step_cost = np.array([spec.step_cost(k) for k in range(spec.workers)])
+        self._batched = np.ndim(seed) > 0
+        seeds = list(seed) if self._batched else [seed]
+        self.times = np.zeros((len(seeds), spec.workers))
+        self.event_log: list[list[CommEvent]] = [[] for _ in seeds]
+        self.comm_totals = [0.0] * len(seeds)
+        # per worker of every replica, flat like the masks advance_step takes
+        self._step_cost = np.tile([spec.step_cost(k) for k in range(spec.workers)], len(seeds))
         self._mixing_cost = self._step_cost * spec.mixing_cost_fraction
-        # one uniform per worker and step: row k of one (K,) draw
-        self._jitter_stream = RngStream(seed, 0, PURPOSE_JITTER) if spec.jitter > 0 else None
+        # one uniform per worker and step: row k of one (K,) draw per replica
+        self._jitter_streams = ([RngStream(s, 0, PURPOSE_JITTER) for s in seeds]
+                                if spec.jitter > 0 else None)
+
+    def _view(self, per_replica):
+        return per_replica if self._batched else per_replica[0]
 
     @property
-    def global_time(self) -> float:
-        return float(self.worker_time.max())
+    def worker_time(self) -> np.ndarray:
+        return self._view(self.times)
+
+    @property
+    def events(self) -> list:
+        return self._view(self.event_log)
+
+    @property
+    def comm_seconds(self):
+        return self._view(self.comm_totals)
+
+    @property
+    def global_time(self):
+        return self._view(self.times.max(axis=1).tolist())
 
     def advance_step(self, is_gradient_step: np.ndarray) -> None:
-        """Advance every worker by one step; `is_gradient_step` is a (K,) mask."""
+        """Advance every worker by one step; `is_gradient_step` masks the S*K
+        workers, replica-major (a (K,) mask for one replica)."""
         cost = np.where(is_gradient_step, self._step_cost, self._mixing_cost)
-        if self._jitter_stream is not None:
-            u = self._jitter_stream.uniform_vector(self.spec.workers)
+        if self._jitter_streams is not None:
+            u = np.concatenate([s.uniform_vector(self.spec.workers) for s in self._jitter_streams])
             cost *= 1.0 + self.spec.jitter * (2.0 * u - 1.0)
-        self.worker_time += cost
+        self.times += cost.reshape(self.times.shape)
 
-    def barrier(self, duration: float = 0.0) -> None:
-        self.worker_time = np.full(self.spec.workers, self.global_time + duration)
+    def barrier(self, duration: float = 0.0, replica: int = 0) -> None:
+        self.times[replica] = self.times[replica].max() + duration
 
-    def record_allreduce(self, step: int, dim: int) -> CommEvent:
-        """Barrier all workers through one all-reduce and log it."""
+    def record_allreduce(self, step: int, dim: int, replica: int = 0) -> CommEvent:
+        """Barrier one replica's workers through one all-reduce and log it."""
         payload = self.spec.payload_bytes(dim)
         duration = allreduce_time(payload, self.spec.workers, self.spec.allreduce)
-        self.barrier(duration)
-        self.comm_seconds += duration
+        self.barrier(duration, replica)
+        self.comm_totals[replica] += duration
         event = CommEvent(step=step, payload_bytes=payload, duration_s=duration,
                           participants=self.spec.workers)
-        self.events.append(event)
+        self.event_log[replica].append(event)
         return event
 
 

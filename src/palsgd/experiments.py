@@ -105,20 +105,18 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
     return rows
 
 
-def weighted_average_suboptimality(cfg: RunConfig, workers: int, seed: int) -> float:
-    """One theory-mode run at the given worker count; F(x_hat) - F(x*)."""
+def weighted_average_suboptimality(cfg: RunConfig, workers: int, seeds: list[int]) -> list[float]:
+    """One theory-mode cell as one batched call: F(x_hat) - F(x*) per seed."""
     run = copy.deepcopy(cfg)
     run.workers = workers
-    run.seed = seed
     workload = run.build_workload()
-    variant = make_variant("palsgd_theory")
     schedule = run.build_schedule(workload)
-    cluster = run.build_cluster()
-    result = run_training(workload, variant, schedule, cluster, seed,
-                          record_every=max(1, schedule.total_steps // 10))
-    if result.diverged or result.weighted_average is None:
-        raise RuntimeError(f"theory run diverged (workers={workers}, seed={seed})")
-    return workload.suboptimality(result.weighted_average)
+    result = run_training(workload, make_variant("palsgd_theory"), schedule, run.build_cluster(),
+                          seeds, record_every=max(1, schedule.total_steps // 10))
+    if result.diverged:
+        raise RuntimeError(f"theory run diverged (workers={workers}, "
+                           f"seed={seeds[result.divergence.replica]})")
+    return [workload.suboptimality(x_hat) for x_hat in result.weighted_average]
 
 
 def fit_loglog_slope(x_values, y_values) -> float:
@@ -179,6 +177,10 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
     sync-interval sensitivity at a short horizon, and cross-checks the
     single-worker case against the independent scalar-recursion oracle.
 
+    Each (K, H) cell runs its ``n_seeds`` seeds as one ``run_training`` call
+    with a replica axis; each replica is bit-identical to its seed's run
+    alone. A diverged replica raises RuntimeError naming its K and seed.
+
     The rate has a bias term B from the initial offset, which K does not
     shrink, and a noise term V that falls as 1/K. B is measured by the
     noiseless scalar recursion; V is the smallest K's mean minus B. The
@@ -196,6 +198,8 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
     if len(set(k_values)) < 2 or min(k_values) < 1:
         raise ConfigError("k_values", "need at least two distinct worker counts >= 1 to "
                                       f"fit a slope, got {list(k_values)}")
+    if cfg.algo["variant"] != "palsgd_theory":
+        raise ConfigError("algo.variant", "verify-theory needs the palsgd_theory variant")
     base_seed = cfg.seed
     report: dict = {"k_values": list(k_values), "n_seeds": n_seeds}
     workload = cfg.build_workload()
@@ -212,12 +216,9 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
             sched.alpha_eta, n_runs=n_runs, seed=seed,
             weight_growth=sched.iterate_weight_growth)
 
-    means = []
-    per_k = {}
-    for k in k_values:
-        vals = [weighted_average_suboptimality(cfg, k, base_seed + s) for s in range(n_seeds)]
-        per_k[k] = vals
-        means.append(float(np.mean(vals)))
+    seeds = [base_seed + s for s in range(n_seeds)]
+    per_k = {k: weighted_average_suboptimality(cfg, k, seeds) for k in k_values}
+    means = [float(np.mean(per_k[k])) for k in k_values]
     slope = fit_loglog_slope(k_values, means)
     k_min = min(k_values)
     # noiseless runs differ only in their Bernoulli draws, so a few suffice
@@ -257,8 +258,8 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
         hcfg = copy.deepcopy(cfg)
         hcfg.schedule["sync_interval"] = h
         hcfg.schedule["total_steps"] = h_probe_steps
-        vals = [weighted_average_suboptimality(hcfg, cfg.workers, base_seed + 500 + s)
-                for s in range(n_seeds)]
+        vals = weighted_average_suboptimality(hcfg, cfg.workers,
+                                              [base_seed + 500 + s for s in range(n_seeds)])
         h_means[str(h)] = float(np.mean(vals))
     report["h_probe_steps"] = h_probe_steps
     report["h_mean_suboptimality"] = h_means

@@ -31,20 +31,6 @@ def record_to_obj(rec: StepRecord) -> dict:
     return obj
 
 
-def obj_to_record(obj: dict) -> StepRecord:
-    return StepRecord(
-        step=obj["step"],
-        sim_time_s=obj["sim_time_s"],
-        train_metric=obj["train_metric"],
-        consensus_sq=obj["consensus_sq"],
-        mean_model_sq=obj["mean_model_sq"],
-        comm_count=obj["comm_count"],
-        comm_seconds=obj["comm_seconds"],
-        eval_loss=obj.get("eval_loss"),
-        eval_acc=obj.get("eval_acc"),
-    )
-
-
 def dumps_record(rec: StepRecord) -> str:
     return json.dumps(record_to_obj(rec), sort_keys=True)
 
@@ -53,16 +39,6 @@ def write_metrics_jsonl(records: list[StepRecord], path: str) -> None:
     with open(path, "w") as fh:
         for rec in records:
             fh.write(dumps_record(rec) + "\n")
-
-
-def read_metrics_jsonl(path: str) -> list[StepRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(obj_to_record(json.loads(line)))
-    return records
 
 
 def summarize(result: TrainResult) -> dict:

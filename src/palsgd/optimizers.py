@@ -121,8 +121,9 @@ class OuterOptState:
     buf: ParamVector | None = None
 
     @classmethod
-    def fresh(cls, config: OuterOptConfig, dim: int) -> "OuterOptState":
-        buf = np.zeros(dim) if config.variant == "nesterov" else None
+    def fresh(cls, config: OuterOptConfig, shape: int | tuple[int, ...]) -> "OuterOptState":
+        """A zero momentum buffer of the global model's shape, (d,) or (S, d)."""
+        buf = np.zeros(shape) if config.variant == "nesterov" else None
         return cls(config=config, buf=buf)
 
     def copy(self) -> "OuterOptState":

@@ -1,14 +1,15 @@
 """Dense float64 vector arithmetic and counter-based random streams.
 
 Parameter vectors are plain 1-D float64 numpy arrays; the trainer stacks the
-K workers' vectors as the rows of a (K, d) array. Every reduction in the
-trainer flows through the handful of operations here so that it has a single,
-fixed summation order, and random draws are replayable bit-exactly.
+K workers' vectors of S replicas as the rows of an (S*K, d) array. Every
+reduction in the trainer flows through the handful of operations here so that
+it has a single, fixed summation order, and random draws are replayable
+bit-exactly.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,48 +31,28 @@ class DimensionMismatchError(ValueError):
         self.dims = (dim_a, dim_b)
 
 
-def param_vector(values: Iterable[float]) -> ParamVector:
-    """Build a validated float64 parameter vector (dim >= 1, all finite)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"param vector must be 1-D and non-empty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("param vector contains NaN/Inf")
-    return v
-
-
 def _check_dims(op: str, x: ParamVector, y: ParamVector) -> None:
     if x.shape != y.shape:
         raise DimensionMismatchError(op, x.shape[0] if x.ndim else 0, y.shape[0] if y.ndim else 0)
 
 
-def mix(x: ParamVector, anchor: ParamVector, beta: float) -> ParamVector:
-    """(1-beta)*x + beta*anchor: exponential moving average toward the anchor.
+def mean_of(vectors: Sequence[ParamVector] | np.ndarray) -> ParamVector:
+    """Elementwise mean over the worker axis, summed left to right (ascending index).
 
-    Equivalent (to rounding) to one gradient step of size beta on the
-    quadratic penalty 0.5*||x - anchor||^2, i.e. x - beta*(x - anchor). For
-    beta in [0, 1] the two float evaluations differ elementwise by at most
-    about 3*eps*(|x| + |anchor|): x - anchor can cancel, so the bound scales
-    with the inputs, not with the output. beta=1 returns the anchor exactly.
-    """
-    _check_dims("mix", x, anchor)
-    return (1.0 - beta) * x + beta * anchor
-
-
-def mean_of(vectors: Sequence[ParamVector]) -> ParamVector:
-    """Elementwise mean with a fixed left-to-right (ascending index) sum order.
-
-    `vectors` is a list of equal-length vectors or a (K, d) array of rows.
-    ``np.add.accumulate`` adds the rows strictly in order, while
+    `vectors` is a list of equal-length vectors, a (K, d) array of rows, or
+    an (S, K, d) stack of S replicas' rows, which gives the (S, d) replica
+    means. ``np.add.accumulate`` adds the rows strictly in order, so each
+    replica's mean is bit-equal to the mean of its (K, d) rows alone, while
     ``np.add.reduce(x, axis=0)`` reduces a contiguous column pairwise at
     d = 1, which rounds differently.
     """
-    if len(vectors) == 0:
-        raise ValueError("mean_of: empty list")
     if not isinstance(vectors, np.ndarray):  # an array's rows agree by construction
         for v in vectors:
             _check_dims("mean_of", vectors[0], v)
-    return np.add.accumulate(vectors, axis=0)[-1] / len(vectors)
+        vectors = np.asarray(vectors)
+    if vectors.ndim < 2 or vectors.shape[-2] == 0:
+        raise ValueError("mean_of: empty list")
+    return np.add.accumulate(vectors, axis=-2)[..., -1, :] / vectors.shape[-2]
 
 
 def row_norms_sq(x: np.ndarray) -> np.ndarray:
@@ -97,11 +78,12 @@ class RngStream:
     stream, or reconstructing it at an arbitrary counter, reproduces every
     value bit-exactly, and no stream's consumption can shift another's.
 
-    The trainer keeps one stream per purpose, keyed (seed, 0, purpose), and
-    makes one draw per step for all K workers: a (K, ...) block whose row k
-    belongs to worker k. Philox yields its values in order, so the first k
-    rows of a K-row block of uniforms or Gaussians equal the k-row block, and
-    a worker's draws do not depend on how many workers run beside it.
+    The trainer keeps one stream per purpose and replica, keyed (seed, 0,
+    purpose) by the replica's seed, and makes one draw per step for the
+    replica's K workers: a (K, ...) block whose row k belongs to worker k.
+    Philox yields its values in order, so the first k rows of a K-row block
+    of uniforms or Gaussians equal the k-row block, and a worker's draws do
+    not depend on how many workers run beside it.
     """
 
     __slots__ = ("seed", "worker", "purpose", "counter", "_bitgen", "_gen", "_state")

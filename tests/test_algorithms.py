@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palsgd.algorithms import (AlgoVariant, Schedule, StepRecord, Workers,
-                               consensus_probe, ddp_step, make_variant,
-                               palsgd_local_step, run_training, sync_round,
-                               theory_schedule, theory_weights)
+                               _WeightedAverage, consensus_probe, ddp_step,
+                               make_variant, palsgd_local_step, run_training,
+                               sync_round, theory_schedule)
 from palsgd.cluster import AllReduceModel, ClusterSpec, SimClock, allreduce_time
 from palsgd.optimizers import InnerOptConfig, OuterOptConfig, OuterOptState
 from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_JITTER,
                             RngStream, mean_of)
-from palsgd.workloads import QuadraticWorkload
+from palsgd.metrics import dumps_record
+from palsgd.workloads import (LogisticWorkload, MlpWorkload, QuadraticWorkload,
+                              generate_synthetic_classification)
 
 
 def quadratic(diag=(1.0, 2.0), sigma=1.0, offset=1.0):
@@ -28,9 +30,9 @@ def small_cluster(workers, **kw):
 
 
 def make_workers(*xs, inner_cfg=None, seed=0):
-    """Stacked workers, row k at xs[k], with fresh sgd state and streams."""
-    ws = Workers.start(np.zeros(len(xs[0])), inner_cfg or InnerOptConfig(variant="sgd"),
-                       [None] * len(xs), seed)
+    """One replica of stacked workers, row k at xs[k], with fresh sgd state and streams."""
+    ws = Workers.start(np.zeros((1, len(xs[0]))), inner_cfg or InnerOptConfig(variant="sgd"),
+                       [[None] * len(xs)], [seed])
     ws.x[:] = np.asarray(xs, dtype=float)
     return ws
 
@@ -114,10 +116,22 @@ class TestTheorySchedule:
             theory_schedule(1.0, 1.0, 0.6, 4, 100, 1, 1.0, 1.0)
 
     def test_weights_are_normalized_geometric(self):
-        w = theory_weights(mu=1.0, alpha=1e-3, total_steps=50)
-        assert w.sum() == pytest.approx(1.0, rel=1e-12)
-        ratios = w[1:] / w[:-1]
-        assert np.allclose(ratios, 1.0 / (1.0 - 1e-3), rtol=1e-12)
+        # the online average of S replicas' models against the normalized
+        # geometric weights w_t = growth^t, written out here
+        mu, alpha, total = 1.0, 1e-3, 50
+        growth = 1.0 / (1.0 - mu * alpha)
+        xs = np.random.default_rng(3).normal(size=(total, 3, 2))
+        averager = _WeightedAverage((3, 2), growth)
+        alone = [_WeightedAverage(2, growth) for _ in range(3)]
+        for x in xs:
+            averager.add(x)
+            for r, one in enumerate(alone):
+                one.add(x[r].copy())
+        w = growth ** np.arange(total)
+        w /= w.sum()
+        assert np.allclose(averager.value, np.einsum("t,tij->ij", w, xs), rtol=1e-12, atol=0)
+        for r, one in enumerate(alone):
+            assert averager.value[r].tolist() == one.value.tolist()
 
 
 class TestVariants:
@@ -148,7 +162,7 @@ class TestPalsgdLocalStep:
         sched = Schedule(alpha=0.1, p=0.0, total_steps=10)
         clock = SimClock(small_cluster(1))
         ws = make_workers([1.0, 1.0])
-        mixed = palsgd_local_step(ws, np.zeros(2), sched, 0, workload, clock)
+        mixed = palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock)
         assert not mixed.any()
         # sgd step on grad = diag*(x - 0) = [1, 2]
         assert np.allclose(ws.x[0], [1.0 - 0.1, 1.0 - 0.2], rtol=1e-15)
@@ -161,7 +175,7 @@ class TestPalsgdLocalStep:
         seed = next(s for s in range(100)
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
         ws = make_workers([3.0, -1.0], seed=seed)
-        mixed = palsgd_local_step(ws, np.array([3.0, -1.0]), sched, 0, workload, clock)
+        mixed = palsgd_local_step(ws, np.array([[3.0, -1.0]]), sched, 0, workload, clock)
         assert mixed.all()
         assert np.array_equal(ws.x[0], np.array([3.0, -1.0]))
 
@@ -173,7 +187,7 @@ class TestPalsgdLocalStep:
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.05)
         clock = SimClock(small_cluster(1))
         ws = make_workers([2.0], seed=seed)
-        assert palsgd_local_step(ws, np.array([0.0]), sched, 0, workload, clock).all()
+        assert palsgd_local_step(ws, np.array([[0.0]]), sched, 0, workload, clock).all()
         assert abs(ws.x[0, 0]) <= 1e-15
 
     def test_contraction_factor(self):
@@ -186,7 +200,7 @@ class TestPalsgdLocalStep:
         anchor = np.array([1.0, -2.0])
         ws = make_workers([4.0, 4.0], seed=seed)
         before = float(np.linalg.norm(ws.x[0] - anchor))
-        assert palsgd_local_step(ws, anchor, sched, 0, workload, clock).all()
+        assert palsgd_local_step(ws, anchor[None], sched, 0, workload, clock).all()
         after = float(np.linalg.norm(ws.x[0] - anchor))
         assert after == pytest.approx(abs(1.0 - coeff) * before, rel=1e-12)
 
@@ -197,11 +211,11 @@ class TestPalsgdLocalStep:
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
         clock = SimClock(small_cluster(1))
         ws = make_workers([1.0, 1.0], inner_cfg=InnerOptConfig(variant="adamw"), seed=seed)
-        assert palsgd_local_step(ws, np.zeros(2), sched, 0, workload, clock).all()
+        assert palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock).all()
         assert ws.inner.step[0] == 0
         # the data stream advances one block per step whether rows mix or not;
         # a mixing row's part of the block is discarded
-        assert ws.data_stream.counter == 1
+        assert ws.data_streams[0].counter == 1
 
     def test_mixing_step_is_cheap_on_the_clock(self):
         workload = quadratic(sigma=0.0)
@@ -211,7 +225,7 @@ class TestPalsgdLocalStep:
         clock = SimClock(ClusterSpec(workers=1, compute_time_per_step=1.0,
                                      mixing_cost_fraction=0.25))
         ws = make_workers([1.0, 1.0], seed=seed)
-        palsgd_local_step(ws, np.zeros(2), sched, 0, workload, clock)
+        palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock)
         assert clock.worker_time[0] == 0.25
 
     def test_masked_rows_step_alone(self):
@@ -222,10 +236,11 @@ class TestPalsgdLocalStep:
         ws = make_workers(*np.arange(16.0).reshape(8, 2),
                           inner_cfg=InnerOptConfig(variant="adamw"), seed=4)
         before = ws.x.copy()
-        mixed = palsgd_local_step(ws, np.zeros(2), sched, 0, workload, SimClock(small_cluster(8)))
+        mixed = palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload,
+                                  SimClock(small_cluster(8)))
         assert 0 < mixed.sum() < 8
         assert ws.inner.step.tolist() == (~mixed).astype(int).tolist()
-        assert ws.data_stream.counter == 1
+        assert ws.data_streams[0].counter == 1
         coeff = sched.mix_coefficient(0)
         assert np.array_equal(ws.x[mixed], before[mixed] - coeff * before[mixed])
 
@@ -235,45 +250,47 @@ class TestSyncRound:
         clock = SimClock(small_cluster(2))
         ws = make_workers([1.0], [3.0])
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 1)
-        new_global, outer, event = sync_round(ws, np.array([0.0]), outer, clock, t=0)
-        assert np.array_equal(new_global, np.array([2.0]))
-        assert event.participants == 2
+        new_global, outer = sync_round(ws, np.array([[0.0]]), outer, clock, t=0)
+        assert np.array_equal(new_global, np.array([[2.0]]))
+        assert clock.events[-1].participants == 2
 
     def test_mean_conserved_under_plain_averaging(self):
         rng = np.random.default_rng(8)
         ws = make_workers(*rng.normal(size=(4, 5)))
         mean_before = mean_of(list(ws.x))
-        outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 5)
+        outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), (1, 5))
         clock = SimClock(small_cluster(4))
-        new_global, _, _ = sync_round(ws, rng.normal(size=5), outer, clock, t=0)
-        assert np.array_equal(new_global, mean_before)
+        new_global, _ = sync_round(ws, rng.normal(size=(1, 5)), outer, clock, t=0)
+        assert np.array_equal(new_global[0], mean_before)
 
     def test_post_sync_all_workers_exactly_on_global(self):
         # power-of-two worker counts keep the identical-vector mean bit-exact
         rng = np.random.default_rng(9)
         ws = make_workers(*rng.normal(size=(4, 3)))
-        outer = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.5, momentum=0.9), 3)
+        outer = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.5, momentum=0.9),
+                                    (1, 3))
         clock = SimClock(small_cluster(4))
-        new_global, _, _ = sync_round(ws, rng.normal(size=3), outer, clock, t=0)
+        new_global, _ = sync_round(ws, rng.normal(size=(1, 3)), outer, clock, t=0)
         for row in ws.x:
-            assert np.array_equal(row, new_global)
-        xi, spread = consensus_probe(ws.x, new_global, mean_of(ws.x))
-        assert xi == 0.0 and spread == 0.0
+            assert np.array_equal(row, new_global[0])
+        xi, spread = consensus_probe(ws.stacked, new_global, mean_of(ws.stacked))
+        assert xi == [0.0] and spread == [0.0]
 
     def test_no_drift_leaves_global_fixed(self):
         g = np.array([0.5, -1.5])
         ws = make_workers(*[g] * 4)
-        outer = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.3, momentum=0.9), 2)
+        outer = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.3, momentum=0.9),
+                                    (1, 2))
         clock = SimClock(small_cluster(4))
-        new_global, outer, _ = sync_round(ws, g.copy(), outer, clock, t=0)
-        assert np.array_equal(new_global, g)
-        assert np.array_equal(outer.buf, np.zeros(2))
+        new_global, outer = sync_round(ws, g[None].copy(), outer, clock, t=0)
+        assert np.array_equal(new_global[0], g)
+        assert np.array_equal(outer.buf, np.zeros((1, 2)))
 
     def test_empty_worker_list_rejected(self):
-        outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 1)
-        ws = Workers.start(np.zeros(1), InnerOptConfig(), [], seed=0)
+        outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), (1, 1))
+        ws = Workers.start(np.zeros((1, 1)), InnerOptConfig(), [[]], seeds=[0])
         with pytest.raises(ValueError):
-            sync_round(ws, np.array([0.0]), outer, SimClock(small_cluster(1)), t=0)
+            sync_round(ws, np.array([[0.0]]), outer, SimClock(small_cluster(1)), t=0)
 
 
 class TestDdpStep:
@@ -301,14 +318,15 @@ class TestDdpStep:
 
 class TestConsensusProbe:
     def test_examples(self):
-        xi, spread = consensus_probe(np.array([[1.0], [-1.0]]), np.array([0.0]), np.array([0.0]))
-        assert xi == 1.0
-        assert spread == 1.0
+        xi, spread = consensus_probe(np.array([[[1.0], [-1.0]]]), np.array([[0.0]]),
+                                     np.array([[0.0]]))
+        assert xi == [1.0]
+        assert spread == [1.0]
 
     def test_single_worker(self):
-        xi, spread = consensus_probe(np.array([[2.0, 0.0]]), np.array([0.0, 0.0]),
-                                    np.array([2.0, 0.0]))
-        assert xi == 4.0 and spread == 0.0
+        xi, spread = consensus_probe(np.array([[[2.0, 0.0]]]), np.array([[0.0, 0.0]]),
+                                     np.array([[2.0, 0.0]]))
+        assert xi == [4.0] and spread == [0.0]
 
 
 def run(variant, schedule, workload=None, workers=2, seed=123, sigma=1.0, **cluster_kw):
@@ -632,13 +650,13 @@ def local_steps(workers, p, total, seed=3, jitter=0.25):
 
     workload.draw_sample = recording_draw
     sched = Schedule(alpha=0.05, eta=0.5, p=p, total_steps=total)
-    ws = Workers.start(workload.x0, InnerOptConfig(variant="adamw", clip_norm=2.0),
-                       workload.shards(workers, seed), seed)
+    ws = Workers.start(workload.x0[None], InnerOptConfig(variant="adamw", clip_norm=2.0),
+                       [workload.shards(workers, seed)], [seed])
     clock = SimClock(small_cluster(workers, jitter=jitter), seed)
     masks = []
     for t in range(total):
         t_now[0] = t
-        masks.append(palsgd_local_step(ws, np.zeros(3), sched, t, workload, clock))
+        masks.append(palsgd_local_step(ws, np.zeros((1, 3)), sched, t, workload, clock))
     return ws, clock, np.array(masks), noise
 
 
@@ -683,3 +701,118 @@ class TestBlockDraws:
         assert 0 < sum(result.diagnostics.mixing_steps_per_worker) < 32 * total
         # a coin block, a noise block and a jitter block per step
         assert len(calls) <= 3 * total
+
+
+def runs_alone_and_batched(workload, variant, schedule, cluster, seeds, **kw):
+    alone = [run_training(workload, variant, schedule, cluster, seed, **kw) for seed in seeds]
+    return alone, run_training(workload, variant, schedule, cluster, list(seeds), **kw)
+
+
+def assert_replicas_equal_runs_alone(alone, batched):
+    """Every replica of the batch, bit for bit, against the run of its seed alone."""
+    k = batched.clock.spec.workers
+    diag = batched.diagnostics
+    assert not batched.diverged
+    assert batched.global_model.shape == (len(alone), alone[0].global_model.shape[0])
+    for r, one in enumerate(alone):
+        assert batched.global_model[r].tobytes() == one.global_model.tobytes()
+        if one.weighted_average is None:
+            assert batched.weighted_average is None
+        else:
+            assert batched.weighted_average[r].tobytes() == one.weighted_average.tobytes()
+        assert diag.records[r] == one.diagnostics.records
+        assert ([dumps_record(rec) for rec in diag.records[r]]
+                == [dumps_record(rec) for rec in one.diagnostics.records])
+        assert batched.clock.events[r] == one.clock.events
+        assert batched.clock.worker_time[r].tobytes() == one.clock.worker_time.tobytes()
+        assert batched.clock.comm_seconds[r] == one.clock.comm_seconds
+        assert batched.clock.global_time[r] == one.clock.global_time
+        rows = slice(r * k, (r + 1) * k)
+        assert diag.mixing_steps_per_worker[rows] == one.diagnostics.mixing_steps_per_worker
+        assert diag.gradient_steps_per_worker[rows] == one.diagnostics.gradient_steps_per_worker
+        assert diag.window_mixing_counts[r] == one.diagnostics.window_mixing_counts
+    assert all(diag.sync_steps == one.diagnostics.sync_steps for one in alone)
+
+
+def classification(classes, dim, per_class):
+    train = generate_synthetic_classification(classes, dim, per_class, seed=3)
+    test = generate_synthetic_classification(classes, dim, 5, seed=3, split=1)
+    return train, test
+
+
+class TestReplicaAxis:
+    """S seeds as one batched run_training call against S runs alone."""
+
+    def test_quad_palsgd_with_warmup_jitter_and_stragglers(self):
+        sched = Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=4, warmup_steps=6,
+                         total_steps=30)
+        cluster = small_cluster(3, jitter=0.2, worker_multipliers=(1.0, 2.5, 1.0))
+        alone, batched = runs_alone_and_batched(
+            quadratic(diag=(1.0, 2.0, 4.0)), make_variant("palsgd"), sched, cluster, [5, 11, 2])
+        assert make_variant("palsgd").inner.variant == "adamw"
+        assert sched.effective_warmup == 8  # ddp_step runs for the first 8 steps
+        assert 0 < sum(batched.diagnostics.mixing_steps_per_worker) < 3 * 3 * 22
+        assert_replicas_equal_runs_alone(alone, batched)
+
+    def test_logistic_ddp(self):
+        train, _ = classification(2, 5, 40)
+        workload = LogisticWorkload(train, l2_reg=0.01, batch_size=4)
+        sched = Schedule(alpha=0.1, total_steps=12)
+        alone, batched = runs_alone_and_batched(workload, make_variant("ddp"), sched,
+                                                small_cluster(4), [1, 2, 3])
+        assert len(batched.clock.events[0]) == 12
+        assert_replicas_equal_runs_alone(alone, batched)
+
+    def test_mlp_palsgd_under_epoch_shuffle(self):
+        train, test = classification(3, 4, 20)
+        workload = MlpWorkload([4, 6, 3], "tanh", train, test=test, batch_size=3,
+                               draw_policy="epoch_shuffle")
+        sched = Schedule(alpha=0.01, eta=0.5, p=0.3, sync_interval=4, total_steps=22)
+        alone, batched = runs_alone_and_batched(workload, make_variant("palsgd"), sched,
+                                                small_cluster(3), [4, 9, 1], eval_every=5)
+        # each replica starts from its own seed's initial point
+        records = batched.diagnostics.records
+        assert records[0][0].train_metric != records[1][0].train_metric
+        assert any(rec.eval_acc is not None for rec in records[2])
+        assert_replicas_equal_runs_alone(alone, batched)
+
+    def test_palsgd_theory(self):
+        workload = quadratic(diag=(1.0, 2.0), sigma=0.5, offset=1.0)
+        sched = theory_schedule(mu=workload.mu, smoothness=workload.smoothness, p=0.5,
+                                sync_interval=4, total_steps=90, workers=4, sigma=0.5, d0=2.0)
+        alone, batched = runs_alone_and_batched(workload, make_variant("palsgd_theory"), sched,
+                                                small_cluster(4), [5, 6, 7], record_every=9)
+        assert_replicas_equal_runs_alone(alone, batched)
+        assert ([workload.suboptimality(x_hat) for x_hat in batched.weighted_average]
+                == [workload.suboptimality(one.weighted_average) for one in alone])
+
+    def test_one_seed_in_a_list_keeps_the_axis(self):
+        sched = Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=4, total_steps=12)
+        alone, batched = runs_alone_and_batched(quadratic(), make_variant("palsgd"), sched,
+                                                small_cluster(2), [8])
+        assert batched.global_model.shape == (1, 2)
+        assert batched.clock.worker_time.shape == (1, 2)
+        assert alone[0].global_model.shape == (2,)
+        assert alone[0].clock.worker_time.shape == (2,)
+        assert_replicas_equal_runs_alone(alone, batched)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("seeds", [[1, 4, 6], [11, 3, 5]])
+    def test_divergence_matches_the_run_alone(self, seeds):
+        # alone, these seeds diverge at steps 52, 46, 47 and 52, 50, 50
+        sgd = InnerOptConfig(variant="sgd")
+        variant = make_variant("palsgd", inner=sgd, outer=OuterOptConfig(variant="nesterov", lr=0.7))
+        sched = Schedule(alpha=1e9, eta=1e-9, p=0.5, sync_interval=4, total_steps=200)
+        alone, batched = runs_alone_and_batched(quadratic(diag=(1.0, 2.0, 4.0), sigma=1.0),
+                                                variant, sched, small_cluster(3), seeds)
+        assert all(one.diverged for one in alone)
+        steps = [one.divergence.step for one in alone]
+        first = steps.index(min(steps))
+        report, want = batched.divergence, alone[first].divergence
+        assert batched.diverged and report.replica == first
+        assert (report.step, report.worker) == (want.step, want.worker)
+        assert report.last_record == want.last_record is not None
+        for r, one in enumerate(alone):
+            assert batched.diagnostics.records[r] == [rec for rec in one.diagnostics.records
+                                                      if rec.step < report.step]

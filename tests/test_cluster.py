@@ -50,16 +50,16 @@ class TestSimClock:
 
     def test_barrier_examples(self):
         clock = SimClock(ClusterSpec(workers=2))
-        clock.worker_time = np.array([1.0, 3.0])
+        clock.worker_time[:] = [1.0, 3.0]
         clock.barrier(0.0)
         assert clock.worker_time.tolist() == [3.0, 3.0]
-        clock.worker_time = np.array([1.0, 3.0])
+        clock.worker_time[:] = [1.0, 3.0]
         clock.barrier(2.0)
         assert clock.worker_time.tolist() == [5.0, 5.0]
 
     def test_barrier_no_op_when_equal(self):
         clock = SimClock(ClusterSpec(workers=3))
-        clock.worker_time = np.array([2.0, 2.0, 2.0])
+        clock.worker_time[:] = [2.0, 2.0, 2.0]
         clock.barrier(0.0)
         assert clock.worker_time.tolist() == [2.0, 2.0, 2.0]
 
@@ -100,6 +100,26 @@ class TestSimClock:
         base = [2.0, 2.0 * 3.0 * 0.1, 2.0]
         assert clock.worker_time.tolist() == [b * (1.0 + 0.5 * (2.0 * x - 1.0))
                                               for b, x in zip(base, u)]
+
+    def test_replicas_advance_as_clocks_alone(self):
+        # row s of a clock over seeds (3, 8) is the clock of seed 3 or 8 alone;
+        # an all-reduce barriers its own replica only
+        spec = ClusterSpec(workers=3, jitter=0.4, worker_multipliers=(1.0, 2.0, 1.0))
+        both = SimClock(spec, seed=[3, 8])
+        alone = [SimClock(spec, seed=3), SimClock(spec, seed=8)]
+        masks = np.random.default_rng(0).random((6, 2, 3)) < 0.5
+        for t, mask in enumerate(masks):
+            both.advance_step(mask.ravel())
+            for clock, row in zip(alone, mask):
+                clock.advance_step(row)
+            if t == 2:
+                both.record_allreduce(t, dim=4, replica=1)
+                alone[1].record_allreduce(t, dim=4)
+        assert both.worker_time.tolist() == [c.worker_time.tolist() for c in alone]
+        assert both.global_time == [c.global_time for c in alone]
+        assert both.comm_seconds == [c.comm_seconds for c in alone]
+        assert both.events == [c.events for c in alone]
+        assert both.events[0] == [] and len(both.events[1]) == 1
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -7,12 +7,23 @@ from palsgd.algorithms import Schedule, StepRecord
 from palsgd.cluster import AllReduceModel, ClusterSpec
 from palsgd.config import ConfigError, parse_config
 from palsgd.optimizers import InnerOptConfig, OuterOptConfig
-from palsgd.metrics import (dumps_record, obj_to_record, read_metrics_jsonl,
-                            record_to_obj, summarize, write_metrics_jsonl)
+from palsgd.metrics import (RECORD_SCHEMA, dumps_record, record_to_obj,
+                            summarize, write_metrics_jsonl)
 
 
 def parse(obj):
     return parse_config(json.dumps(obj))
+
+
+def obj_to_record(obj: dict) -> StepRecord:
+    """The StepRecord a metrics line was written from."""
+    assert obj["schema"] == RECORD_SCHEMA
+    return StepRecord(**{key: value for key, value in obj.items() if key != "schema"})
+
+
+def read_metrics_jsonl(path) -> list[StepRecord]:
+    with open(path) as fh:
+        return [obj_to_record(json.loads(line)) for line in fh]
 
 
 class TestParsing:

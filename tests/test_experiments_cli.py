@@ -1,9 +1,12 @@
+import copy
 import csv
 import json
 
 import numpy as np
 import pytest
 
+from palsgd import experiments
+from palsgd.algorithms import DivergenceReport, make_variant, run_training
 from palsgd.cli import main
 from palsgd.config import ConfigError, parse_config
 from palsgd.experiments import (SWEEP_CSV_HEADER, fit_loglog_slope, gradcheck,
@@ -147,6 +150,43 @@ class TestVerifyTheory:
         assert len(set(report["k_alpha"].values())) == 1
         assert report["k_slope"] < 0  # more workers, less error
 
+    def test_report_equals_the_per_seed_reference(self, tmp_path, monkeypatch):
+        # the batched cells against one run per seed, as the suite ran them
+        # before the replica axis, with the suboptimality taken as np.dot
+        def per_seed(cfg, workers, seeds):
+            run = copy.deepcopy(cfg)
+            run.workers = workers
+            out = []
+            for seed in seeds:
+                workload = run.build_workload()
+                schedule = run.build_schedule(workload)
+                result = run_training(workload, make_variant("palsgd_theory"), schedule,
+                                      run.build_cluster(), seed,
+                                      record_every=max(1, schedule.total_steps // 10))
+                assert not result.diverged
+                d = result.weighted_average - workload.x_star
+                out.append(0.5 * float(np.dot(d * workload.hessian_diag, d)))
+            return out
+
+        kw = dict(k_values=(1, 2, 4), n_seeds=4, h_values=(2, 4), h_probe_steps=128)
+        verify_theory(self.base(), out_dir=str(tmp_path / "batched"), **kw)
+        monkeypatch.setattr(experiments, "weighted_average_suboptimality", per_seed)
+        verify_theory(self.base(), out_dir=str(tmp_path / "per_seed"), **kw)
+        batched = (tmp_path / "batched" / "theory_report.json").read_bytes()
+        assert batched == (tmp_path / "per_seed" / "theory_report.json").read_bytes()
+
+    def test_diverged_replica_names_its_seed(self, monkeypatch):
+        def second_replica_diverges(*args, **kwargs):
+            result = run_training(*args, **kwargs)
+            result.diverged = True
+            result.divergence = DivergenceReport(step=3, worker=0, last_record=None, replica=1)
+            return result
+
+        monkeypatch.setattr(experiments, "run_training", second_replica_diverges)
+        with pytest.raises(RuntimeError, match=r"workers=1, seed=101\)"):
+            verify_theory(self.base(), k_values=(1, 2), n_seeds=3, h_values=(2,),
+                          h_probe_steps=32)
+
     def test_refuses_insufficient_seeds(self):
         with pytest.raises(ConfigError, match="seeds"):
             verify_theory(self.base(), n_seeds=2)
@@ -155,6 +195,11 @@ class TestVerifyTheory:
     def test_refuses_unfittable_worker_counts(self, k_values):
         with pytest.raises(ConfigError, match="k_values"):
             verify_theory(self.base(), k_values=k_values, n_seeds=3)
+
+    def test_requires_theory_variant(self):
+        # a palsgd config has no theory step sizes and no weighted average
+        with pytest.raises(ConfigError, match="palsgd_theory"):
+            verify_theory(parse(quad_cfg()), k_values=(1, 2), n_seeds=3)
 
     def test_requires_quadratic(self):
         cfg = parse({"workload": {"kind": "mlp"}, "schedule": {"p": 0.0},
@@ -227,6 +272,16 @@ class TestCli:
         path = self.write_cfg(tmp_path)
         assert main(["gradcheck", path]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gradcheck", "--seed"), ("gradcheck", "--out-dir"), ("gradcheck", "--metrics-every"),
+        ("verify-theory", "--metrics-every")])
+    def test_flag_the_command_ignores_exits_two(self, tmp_path, capsys, command, flag):
+        path = self.write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_verify_theory_command(self, tmp_path, capsys):
         cfg = {

@@ -6,50 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA,
-                            DimensionMismatchError, RngStream, mean_of, mix,
-                            param_vector, row_norms_sq)
+                            DimensionMismatchError, RngStream, mean_of,
+                            row_norms_sq)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
 def vec(*values):
     return np.asarray(values, dtype=np.float64)
-
-
-class TestMix:
-    def test_beta_zero_returns_x(self):
-        x = vec(1.5, -2.0)
-        assert np.array_equal(mix(x, vec(9, 9), 0.0), x)
-
-    def test_beta_one_returns_anchor_exactly(self):
-        anchor = vec(0.1, -0.3, 7.0)
-        out = mix(vec(2.0, 5.0, -1.0), anchor, 1.0)
-        assert np.array_equal(out, anchor)
-
-    def test_unit_coefficient_from_rates(self):
-        # alpha*eta/p = 0.1*0.5/0.05 = 1 collapses onto the anchor
-        beta = 0.1 * 0.5 / 0.05
-        assert np.array_equal(mix(vec(2, 0), vec(0, 0), beta), vec(0, 0))
-
-    @given(st.lists(finite_floats, min_size=1, max_size=8),
-           st.lists(finite_floats, min_size=1, max_size=8),
-           st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=200)
-    def test_ema_equals_proximal_gradient_form(self, xs, anchors, beta):
-        n = min(len(xs), len(anchors))
-        x, anchor = vec(*xs[:n]), vec(*anchors[:n])
-        ema = mix(x, anchor, beta)
-        prox = x - beta * (x - anchor)
-        # Each float op is exact times (1 + d), |d| <= eps/2. To first order
-        # the EMA form errs by at most 1.5*eps*max(|x|, |anchor|), and the
-        # prox form by 1.5*eps*(|x| + |anchor|), since x - anchor can cancel
-        # and its rounding error, scaled by beta, survives into the result.
-        # The gap is thus bounded by the inputs, not by the output, at
-        # 3*eps*(|x| + |anchor|); 4 leaves room for the second-order terms,
-        # and two subnormal units cover underflow in the three products.
-        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
-        bound = 4 * eps * (np.abs(x) + np.abs(anchor)) + 2 * tiny
-        assert np.all(np.abs(ema - prox) <= bound)
 
 
 class TestMeanOf:
@@ -89,6 +53,20 @@ class TestMeanOf:
                 want.append(total / 33)
             assert mean_of(x).tolist() == want
 
+    def test_replica_stack_equals_each_replica_alone(self):
+        # the (S, d) means of an (S, K, d) stack, one replica per row
+        rng = np.random.default_rng(7)
+        for s, k, d in ((1, 1, 1), (3, 33, 1), (5, 9, 4), (2, 8, 64)):
+            x = rng.normal(size=(s, k, d)) * 10.0 ** rng.integers(-3, 4, size=(s, k, 1))
+            means = mean_of(x)
+            assert means.shape == (s, d)
+            for r in range(s):
+                assert means[r].tolist() == mean_of(x[r].copy()).tolist()
+
+    def test_empty_worker_axis_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            mean_of(np.zeros((2, 0, 3)))
+
     @given(st.lists(st.lists(finite_floats, min_size=3, max_size=3), min_size=2, max_size=6),
            st.randoms())
     @settings(max_examples=100)
@@ -122,17 +100,6 @@ class TestNormSq:
         for d in (1, 3, 64, 874):
             x = rng.normal(size=(9, d)) * rng.uniform(1e-3, 1e3, size=(9, 1))
             assert row_norms_sq(x).tolist() == [float(np.dot(row, row)) for row in x]
-
-
-class TestParamVector:
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            param_vector([])
-        with pytest.raises(ValueError):
-            param_vector([1.0, float("nan")])
-
-    def test_casts_to_float64(self):
-        assert param_vector([1, 2]).dtype == np.float64
 
 
 class TestRngStream:
