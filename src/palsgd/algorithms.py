@@ -215,7 +215,7 @@ class StepRecord:
     sim_time_s: float
     train_metric: float
     consensus_sq: float
-    mean_model_sq: float
+    spread_sq: float
     comm_count: int
     comm_seconds: float
     eval_loss: float | None = None
@@ -299,9 +299,18 @@ def palsgd_local_step(workers: Workers, global_x: np.ndarray, schedule: Schedule
 def sync_round(workers: Workers, global_x: np.ndarray, outer_state: OuterOptState,
                clock: SimClock, t: int, reset_inner: bool = False):
     """Per replica, all-reduce the outer gradient, update the (S, d) global
-    models and reset the replica's workers to its new one."""
+    models and reset the replica's workers to its new one.
+
+    Returns the new global models, the outer state and the drift of the
+    window that closes here: `consensus_probe` of the rows before the reset,
+    against the old global models and the all-reduced mean.
+    """
     x = workers.stacked
     m = mean_of(x)
+    # rows that blew up this step give inf - inf here; the trainer reports
+    # the divergence right after the step and records nothing from it
+    with np.errstate(invalid="ignore"):
+        drift = consensus_probe(x, global_x, m)
     delta = global_x - m
     candidate, outer_state = outer_step(outer_state, global_x, delta)
     # Plain averaging must yield the mean bit-exactly (global - (global - m)
@@ -312,7 +321,7 @@ def sync_round(workers: Workers, global_x: np.ndarray, outer_state: OuterOptStat
         workers.inner = InnerOptState.fresh(workers.inner.config, *workers.x.shape)
     for replica in range(len(new_global)):
         clock.record_allreduce(t, new_global.shape[1], replica)
-    return new_global, outer_state
+    return new_global, outer_state, drift
 
 
 def ddp_step(workers: Workers, schedule: Schedule, t: int,
@@ -350,7 +359,8 @@ class _WeightedAverage:
 
 
 def run_training(workload, variant: AlgoVariant, schedule: Schedule,
-                 cluster: ClusterSpec, seed: int | Sequence[int], record_every: int = 1,
+                 cluster: ClusterSpec, seed: int | Sequence[int],
+                 record_every: int | None = None,
                  eval_every: int | None = None) -> TrainResult:
     """Run one training simulation per seed; deterministic given (config, seed).
 
@@ -362,6 +372,16 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     workers, replica-major. The batch stops at the first step with a
     non-finite row and reports the first replica with one, at the step,
     worker and last finite record of that replica's run alone.
+
+    A StepRecord is taken after every step that ends in an all-reduce: every
+    DDP step (warmup included) and every sync round, the final step among
+    them. It is also taken at each step t with t % record_every == 0 when
+    `record_every` is given, and at each eval step, (t + 1) % eval_every == 0,
+    when the workload has an evaluation set. `train_metric` and the
+    evaluation read the worker mean after the step. At a sync round,
+    `consensus_sq` and `spread_sq` are the drift of the window that closed,
+    probed before the reset; at any other step they probe the rows as they
+    are.
     """
     if not variant.uses_mixing and schedule.p != 0.0:
         raise ValueError(f"variant {variant.tag!r} takes no mixing steps; schedule.p must be 0")
@@ -389,14 +409,13 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
                 if schedule.iterate_weight_growth is not None else None)
 
     objective = getattr(workload, "suboptimality", workload.full_objective)
+    evaluates = workload.has_eval and eval_every is not None
 
-    def record(t: int) -> None:
+    def record(t: int, drift, evaluate: bool) -> None:
         x = workers.stacked
         xbar = mean_of(x)
-        xi, spread = consensus_probe(x, global_x, xbar)
+        xi, spread = drift if drift is not None else consensus_probe(x, global_x, xbar)
         sim_times = clock.times.max(axis=1).tolist()
-        evaluate = (workload.has_eval and eval_every is not None
-                    and ((t + 1) % eval_every == 0 or t == total - 1))
         for r, rows in enumerate(records):
             rec = StepRecord(t, sim_times[r], objective(xbar[r]), xi[r], spread[r],
                              len(clock.event_log[r]), clock.comm_totals[r])
@@ -411,12 +430,13 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         if averager is not None:
             averager.add(global_x)
 
+        drift = None  # set by a sync round
         if t < warmup:
             global_x = ddp_step(workers, schedule, t, workload, clock)
         else:
             mixing_steps += palsgd_local_step(workers, global_x, schedule, t, workload, clock)
             if (t + 1) % h == 0 or t == total - 1:
-                global_x, outer_state = sync_round(
+                global_x, outer_state, drift = sync_round(
                     workers, global_x, outer_state, clock, t,
                     reset_inner=variant.inner.reset_at_sync)
                 sync_steps.append(t)
@@ -436,8 +456,11 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
             divergence = DivergenceReport(t, worker, last_finite, replica)
             break
 
-        if t % record_every == 0 or (t + 1) % h == 0 or t == total - 1:
-            record(t)
+        # the final step always all-reduces: a partial last window syncs too
+        evaluate = evaluates and ((t + 1) % eval_every == 0 or t == total - 1)
+        if (t < warmup or drift is not None or evaluate
+                or (record_every is not None and t % record_every == 0)):
+            record(t, drift, evaluate)
 
     def view(per_replica):
         return per_replica if batched else per_replica[0]

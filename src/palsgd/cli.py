@@ -37,7 +37,7 @@ EXIT_FAILED_CHECK = 4
 _OVERRIDES = {
     "--seed": dict(type=int, help="override config seed"),
     "--out-dir": dict(help="override config output directory"),
-    "--metrics-every": dict(type=int, help="override metrics cadence (steps)"),
+    "--metrics-every": dict(type=int, help="also record every N steps (default: after each all-reduce)"),
 }
 
 

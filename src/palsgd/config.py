@@ -15,6 +15,12 @@ Where a key's default and bound live:
   ``seed``, ``metrics_every``, ``eval_every`` and ``out_dir`` are declared
   in the tables below.
 
+Metrics cadence: a run writes a record after every step that ends in an
+all-reduce, that is every DDP step (warmup included) and every sync round,
+the final step among them. ``eval_every`` adds its evaluation steps when the
+workload has an evaluation set, and ``metrics_every`` (default none) adds
+every step that is a multiple of it.
+
 Preset merge: ``make_variant`` holds each variant's optimizer presets. A key
 that ``algo.inner`` or ``algo.outer`` leaves out keeps the preset's value, so
 ``{"weight_decay": 0.1}`` under palsgd still runs adamw with clip_norm 1.0.
@@ -34,9 +40,10 @@ to a run's metrics.
 
 from __future__ import annotations
 
+import copy
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -132,6 +139,8 @@ class RunConfig:
     metrics_every: int | None
     eval_every: int | None
     out_dir: str | None
+    # (the workload section, the workload built from it)
+    _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def normalized(self) -> dict:
         return {
@@ -147,11 +156,12 @@ class RunConfig:
             "out_dir": self.out_dir,
         }
 
-    @property
-    def record_every(self) -> int:
-        if self.metrics_every is not None:
-            return self.metrics_every
-        return 1 if self.schedule["total_steps"] <= 10_000 else 10
+    def workload_object(self):
+        """The workload built from the ``workload`` section, built again only
+        once that section has changed since the last build."""
+        if self._built is None or self._built[0] != self.workload:
+            self._built = (copy.deepcopy(self.workload), self.build_workload())
+        return self._built[1]
 
     def build_workload(self):
         w = self.workload
@@ -301,9 +311,8 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig(workload=workload, algo=algo, schedule=schedule, cluster=cluster, **top)
     # fail fast on anything the dataclass constructors would reject later
-    workload_obj = cfg.build_workload()
     cfg.build_variant()
-    cfg.build_schedule(workload_obj)
+    cfg.build_schedule(cfg.workload_object())
     cfg.build_cluster()
     return cfg
 

@@ -25,12 +25,12 @@ SWEEP_CSV_HEADER = ["param", "value", "status", "final_loss", "sim_time_s", "syn
 
 def run_experiment(cfg: RunConfig, out_dir: str | None = None):
     """Execute one configured run; returns (summary dict, TrainResult)."""
-    workload = cfg.build_workload()
+    workload = cfg.workload_object()
     variant = cfg.build_variant()
     schedule = cfg.build_schedule(workload)
     cluster = cfg.build_cluster()
     result = run_training(workload, variant, schedule, cluster, cfg.seed,
-                          record_every=cfg.record_every, eval_every=cfg.eval_every)
+                          record_every=cfg.metrics_every, eval_every=cfg.eval_every)
     summary = summarize(result)
     target = out_dir or cfg.out_dir
     if target:
@@ -109,10 +109,10 @@ def weighted_average_suboptimality(cfg: RunConfig, workers: int, seeds: list[int
     """One theory-mode cell as one batched call: F(x_hat) - F(x*) per seed."""
     run = copy.deepcopy(cfg)
     run.workers = workers
-    workload = run.build_workload()
+    workload = run.workload_object()
     schedule = run.build_schedule(workload)
     result = run_training(workload, make_variant("palsgd_theory"), schedule, run.build_cluster(),
-                          seeds, record_every=max(1, schedule.total_steps // 10))
+                          seeds)
     if result.diverged:
         raise RuntimeError(f"theory run diverged (workers={workers}, "
                            f"seed={seeds[result.divergence.replica]})")
@@ -202,7 +202,7 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
         raise ConfigError("algo.variant", "verify-theory needs the palsgd_theory variant")
     base_seed = cfg.seed
     report: dict = {"k_values": list(k_values), "n_seeds": n_seeds}
-    workload = cfg.build_workload()
+    workload = cfg.workload_object()
     schedules = {}
     for k in k_values:
         at_k = copy.copy(cfg)
@@ -302,7 +302,7 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
     data10 = generate_synthetic_classification(5, 6, 12, seed + 1)
     mlp = MlpWorkload([6, 9, 5], "tanh", data10, batch_size=6)
     if cfg is not None and cfg.workload["kind"] in ("logistic", "mlp"):
-        built = cfg.build_workload()
+        built = cfg.workload_object()
         if cfg.workload["kind"] == "logistic":
             logistic = built
         else:

@@ -10,7 +10,7 @@ import json
 
 from .algorithms import StepRecord, TrainResult
 
-RECORD_SCHEMA = 1
+RECORD_SCHEMA = 2
 
 
 def record_to_obj(rec: StepRecord) -> dict:
@@ -20,7 +20,7 @@ def record_to_obj(rec: StepRecord) -> dict:
         "sim_time_s": rec.sim_time_s,
         "train_metric": rec.train_metric,
         "consensus_sq": rec.consensus_sq,
-        "mean_model_sq": rec.mean_model_sq,
+        "spread_sq": rec.spread_sq,
         "comm_count": rec.comm_count,
         "comm_seconds": rec.comm_seconds,
     }

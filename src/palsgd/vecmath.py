@@ -28,7 +28,6 @@ PURPOSE_SHUFFLE = 5
 class DimensionMismatchError(ValueError):
     def __init__(self, op: str, dim_a: int, dim_b: int):
         super().__init__(f"{op}: dimension mismatch ({dim_a} vs {dim_b})")
-        self.dims = (dim_a, dim_b)
 
 
 def _check_dims(op: str, x: ParamVector, y: ParamVector) -> None:
@@ -66,7 +65,7 @@ def row_norms_sq(x: np.ndarray) -> np.ndarray:
 
 
 def _stream_key(seed: int, worker: int, purpose: int) -> np.ndarray:
-    ss = np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(worker, purpose))
+    ss = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(worker, purpose))
     return ss.generate_state(2, np.uint64)
 
 

@@ -46,7 +46,6 @@ class Dataset:
 @dataclass
 class Shard:
     """A worker's slice of the dataset plus its epoch_shuffle cursor."""
-    worker: int
     indices: np.ndarray
     stream: RngStream | None = None  # epoch_shuffle's permutations
     _order: np.ndarray | None = None
@@ -143,7 +142,7 @@ def shard_dataset(dataset: Dataset, workers: int, seed: int,
     shards, start = [], 0
     for k in range(workers):
         size = base + (1 if k < extra else 0)
-        shards.append(Shard(worker=k, indices=np.sort(order[start:start + size]),
+        shards.append(Shard(indices=np.sort(order[start:start + size]),
                             stream=(RngStream(seed, k, PURPOSE_SHUFFLE)
                                     if draw_policy == "epoch_shuffle" else None)))
         start += size
@@ -153,7 +152,6 @@ def shard_dataset(dataset: Dataset, workers: int, seed: int,
 class QuadraticWorkload:
     """Noisy quadratic with exactly known mu, L, sigma^2 and optimum."""
 
-    kind = "quadratic"
     has_eval = False
 
     def __init__(self, hessian_diag, x_star, noise_sigma: float, x0=None):
@@ -216,7 +214,6 @@ class QuadraticWorkload:
 class LogisticWorkload:
     """Binary logistic regression; parameters are the weight vector."""
 
-    kind = "logistic"
     has_eval = False
 
     def __init__(self, train: Dataset, l2_reg: float = 0.0, batch_size: int = 1,
@@ -293,7 +290,6 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 class MlpWorkload:
     """Dense MLP with hand-written backprop over a flat parameter vector."""
 
-    kind = "mlp"
     has_eval = True
 
     def __init__(self, widths, activation: str, train: Dataset, test: Dataset | None = None,

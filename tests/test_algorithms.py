@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palsgd import algorithms
 from palsgd.algorithms import (AlgoVariant, Schedule, StepRecord, Workers,
                                _WeightedAverage, consensus_probe, ddp_step,
                                make_variant, palsgd_local_step, run_training,
@@ -250,7 +251,7 @@ class TestSyncRound:
         clock = SimClock(small_cluster(2))
         ws = make_workers([1.0], [3.0])
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 1)
-        new_global, outer = sync_round(ws, np.array([[0.0]]), outer, clock, t=0)
+        new_global, outer, _ = sync_round(ws, np.array([[0.0]]), outer, clock, t=0)
         assert np.array_equal(new_global, np.array([[2.0]]))
         assert clock.events[-1].participants == 2
 
@@ -260,7 +261,7 @@ class TestSyncRound:
         mean_before = mean_of(list(ws.x))
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), (1, 5))
         clock = SimClock(small_cluster(4))
-        new_global, _ = sync_round(ws, rng.normal(size=(1, 5)), outer, clock, t=0)
+        new_global, _, _ = sync_round(ws, rng.normal(size=(1, 5)), outer, clock, t=0)
         assert np.array_equal(new_global[0], mean_before)
 
     def test_post_sync_all_workers_exactly_on_global(self):
@@ -270,11 +271,16 @@ class TestSyncRound:
         outer = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.5, momentum=0.9),
                                     (1, 3))
         clock = SimClock(small_cluster(4))
-        new_global, _ = sync_round(ws, rng.normal(size=(1, 3)), outer, clock, t=0)
+        old_global = rng.normal(size=(1, 3))
+        before = ws.stacked.copy()
+        new_global, _, drift = sync_round(ws, old_global, outer, clock, t=0)
         for row in ws.x:
             assert np.array_equal(row, new_global[0])
         xi, spread = consensus_probe(ws.stacked, new_global, mean_of(ws.stacked))
         assert xi == [0.0] and spread == [0.0]
+        # the returned drift is the probe of the rows before the reset
+        assert drift == consensus_probe(before, old_global, mean_of(before))
+        assert drift[0][0] > 0.0 and drift[1][0] > 0.0
 
     def test_no_drift_leaves_global_fixed(self):
         g = np.array([0.5, -1.5])
@@ -282,7 +288,7 @@ class TestSyncRound:
         outer = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.3, momentum=0.9),
                                     (1, 2))
         clock = SimClock(small_cluster(4))
-        new_global, outer = sync_round(ws, g[None].copy(), outer, clock, t=0)
+        new_global, outer, _ = sync_round(ws, g[None].copy(), outer, clock, t=0)
         assert np.array_equal(new_global[0], g)
         assert np.array_equal(outer.buf, np.zeros((1, 2)))
 
@@ -412,14 +418,25 @@ class TestRunTraining:
         result = run(make_variant("ddp"), sched, workers=2)
         assert len(result.clock.events) == 64
 
-    def test_post_sync_consensus_zero_along_run(self):
-        sched = Schedule(alpha=0.02, eta=0.5, p=0.2, sync_interval=8, total_steps=96)
+    def test_post_sync_consensus_zero_along_run(self, monkeypatch):
+        # after every sync round each worker row is its replica's new global model
+        synced = []
+
+        def checked_sync_round(workers, global_x, outer_state, clock, t, **kw):
+            new_global, outer_state, drift = sync_round(workers, global_x, outer_state,
+                                                        clock, t, **kw)
+            for rows, model in zip(workers.stacked, new_global):
+                assert all(np.array_equal(row, model) for row in rows)
+            synced.append(t)
+            return new_global, outer_state, drift
+
+        monkeypatch.setattr(algorithms, "sync_round", checked_sync_round)
+        sched = Schedule(alpha=0.02, eta=0.5, p=0.2, sync_interval=8, total_steps=92)
         result = run(make_variant("palsgd",
                                   inner=InnerOptConfig(variant="sgd"),
                                   outer=OuterOptConfig(variant="nesterov", lr=0.7)), sched,
-                     workers=4)
-        post_sync = [r for r in result.diagnostics.records if (r.step + 1) % 8 == 0]
-        assert post_sync and all(r.consensus_sq == 0.0 for r in post_sync)
+                     workers=4, seed=[123, 4])
+        assert synced == result.diagnostics.sync_steps == [*range(7, 92, 8), 91]
 
     def test_determinism_bit_identical(self):
         sched = Schedule(alpha=0.02, eta=0.5, p=0.2, sync_interval=8, total_steps=80)
@@ -556,7 +573,7 @@ class TestPerWorkerReference:
         sched = Schedule(alpha=0.05, eta=0.5, p=p, sync_interval=h, total_steps=total)
         cluster = small_cluster(n, jitter=0.2, worker_multipliers=(1.0, 1.0, 2.5))
         result = run_training(workload, make_variant("palsgd", inner=inner, outer=outer),
-                              sched, cluster, seed)
+                              sched, cluster, seed, record_every=1)
 
         noise_scale = sigma / math.sqrt(float(np.sum(diag ** 2)))
         # one draw per stream and step, row k for worker k
@@ -598,11 +615,15 @@ class TestPerWorkerReference:
                 cost *= 1.0 + 0.2 * (2.0 * jitter_u[k] - 1.0)
                 times[k] += cost
             clipped_steps.append(clipped)
+            drift = None
             if (t + 1) % h == 0:
                 mean = xs[0].copy()
                 for x in xs[1:]:
                     mean += x
                 mean /= n
+                # a sync step records the closing window's drift, before the reset
+                drift = (sum(float(np.dot(x - anchors[0], x - anchors[0])) for x in xs) / n,
+                         sum(float(np.dot(x - mean, x - mean)) for x in xs) / n)
                 delta = global_x - mean
                 buf = 0.9 * buf + delta
                 global_x = global_x - 0.7 * (delta + 0.9 * buf)
@@ -618,20 +639,99 @@ class TestPerWorkerReference:
             for x in xs[1:]:
                 xbar += x
             xbar /= n
+            if drift is None:
+                drift = (sum(float(np.dot(x - anchors[0], x - anchors[0])) for x in xs) / n,
+                         sum(float(np.dot(x - xbar, x - xbar)) for x in xs) / n)
             records.append(StepRecord(
                 step=t, sim_time_s=max(times),
                 train_metric=0.5 * float(np.dot(xbar * diag, xbar)),
-                consensus_sq=sum(float(np.dot(x - anchors[0], x - anchors[0])) for x in xs) / n,
-                mean_model_sq=sum(float(np.dot(x - xbar, x - xbar)) for x in xs) / n,
+                consensus_sq=drift[0], spread_sq=drift[1],
                 comm_count=comm_count, comm_seconds=comm_seconds))
 
         # the trace covers both branches, and steps where clipping hits some rows only
         assert 0 < sum(sum(w) for w in windows) < n * total
         assert any(any(c) and not all(c) for c in clipped_steps)
         assert np.array_equal(result.global_model, global_x)
+        assert all(r.consensus_sq > 0.0 for r in records if (r.step + 1) % h == 0)
         assert result.diagnostics.records == records
         assert result.clock.worker_time.tolist() == times
         assert result.diagnostics.window_mixing_counts == windows
+
+
+def allreduce_steps(total, h, ddp_steps):
+    """The steps that end in an all-reduce: the first `ddp_steps` (DDP or its
+    warmup) and every sync round, the last step among them."""
+    return [t for t in range(total) if t < ddp_steps or (t + 1) % h == 0 or t == total - 1]
+
+
+class TestRecordCadence:
+    """The steps run_training records at, against allreduce_steps."""
+
+    @pytest.mark.parametrize("tag, warmup", [("palsgd", 0), ("palsgd", 5), ("local_sgd", 0),
+                                             ("ddp", 0)])
+    def test_default_records_each_allreduce(self, tag, warmup):
+        sched = Schedule(alpha=0.02, eta=0.5, p=0.3 if tag == "palsgd" else 0.0, sync_interval=4,
+                         warmup_steps=warmup, total_steps=30)
+        result = run_training(quadratic(), make_variant(tag), sched, small_cluster(3), seed=2)
+        want = allreduce_steps(30, 4, 30 if tag == "ddp" else sched.effective_warmup)
+        assert [r.step for r in result.diagnostics.records] == want
+        assert [e.step for e in result.clock.events] == want
+        assert want[-1] == 29 and (warmup == 0 or want[:8] == list(range(8)))
+
+    def test_metrics_every_adds_its_multiples(self):
+        sched = Schedule(alpha=0.02, eta=0.5, p=0.3, sync_interval=8, total_steps=30)
+        result = run_training(quadratic(), make_variant("palsgd"), sched, small_cluster(2),
+                              seed=2, record_every=5)
+        want = sorted({*allreduce_steps(30, 8, 0), *range(0, 30, 5)})
+        assert [r.step for r in result.diagnostics.records] == want
+
+    def test_eval_steps_off_the_sync_grid_are_recorded(self):
+        train, test = classification(3, 4, 20)
+        workload = MlpWorkload([4, 6, 3], "tanh", train, test=test, batch_size=3)
+        sched = Schedule(alpha=0.01, eta=0.5, p=0.3, sync_interval=4, total_steps=22)
+        result = run_training(workload, make_variant("palsgd"), sched, small_cluster(3),
+                              seed=4, eval_every=5)
+        evals = [4, 9, 14, 19, 21]  # (t + 1) % 5 == 0, and the final step
+        records = result.diagnostics.records
+        assert [r.step for r in records] == sorted({*allreduce_steps(22, 4, 0), *evals})
+        assert [r.step for r in records if r.eval_acc is not None] == evals
+        assert all(r.eval_loss is not None for r in records if r.step in evals)
+        # a workload with no evaluation set adds no eval steps
+        quad = run_training(quadratic(), make_variant("palsgd"), sched, small_cluster(3),
+                            seed=4, eval_every=5)
+        assert [r.step for r in quad.diagnostics.records] == allreduce_steps(22, 4, 0)
+
+    def test_sync_records_probe_the_rows_before_the_reset(self, monkeypatch):
+        seen = {}
+
+        def probing_sync_round(workers, global_x, outer_state, clock, t, **kw):
+            for r, (rows, g) in enumerate(zip(workers.stacked, global_x)):
+                xbar = mean_of(rows)
+                seen[r, t] = (sum(float(np.dot(x - g, x - g)) for x in rows) / len(rows),
+                              sum(float(np.dot(x - xbar, x - xbar)) for x in rows) / len(rows))
+            return sync_round(workers, global_x, outer_state, clock, t, **kw)
+
+        monkeypatch.setattr(algorithms, "sync_round", probing_sync_round)
+        sched = Schedule(alpha=0.02, eta=0.5, p=0.3, sync_interval=8, total_steps=30)
+        result = run_training(quadratic(diag=(1.0, 2.0, 4.0)), make_variant("palsgd"), sched,
+                              small_cluster(4), seed=[3, 8])
+        for r, records in enumerate(result.diagnostics.records):
+            assert [rec.step for rec in records] == [7, 15, 23, 29]
+            for rec in records:
+                assert (rec.consensus_sq, rec.spread_sq) == seen[r, rec.step]
+                assert rec.consensus_sq > 0.0 and rec.spread_sq > 0.0
+
+    @pytest.mark.parametrize("eval_every", [None, 5])
+    def test_ddp_default_records_equal_every_step_records(self, eval_every):
+        train, test = classification(3, 4, 20)
+        workload = MlpWorkload([4, 6, 3], "tanh", train, test=test, batch_size=3)
+        sched = Schedule(alpha=0.1, total_steps=12)
+        a, b = (run_training(workload, make_variant("ddp"), sched, small_cluster(4), seed=3,
+                             record_every=every, eval_every=eval_every) for every in (None, 1))
+        assert len(a.diagnostics.records) == 12
+        assert a.diagnostics.records == b.diagnostics.records
+        assert ([dumps_record(rec) for rec in a.diagnostics.records]
+                == [dumps_record(rec) for rec in b.diagnostics.records])
 
 
 def local_steps(workers, p, total, seed=3, jitter=0.25):
@@ -785,6 +885,14 @@ class TestReplicaAxis:
         assert_replicas_equal_runs_alone(alone, batched)
         assert ([workload.suboptimality(x_hat) for x_hat in batched.weighted_average]
                 == [workload.suboptimality(one.weighted_average) for one in alone])
+
+    def test_numpy_integer_seeds(self):
+        sched = Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=4, total_steps=12)
+        a, b = (run_training(quadratic(), make_variant("palsgd"), sched, small_cluster(2), seeds)
+                for seeds in (np.arange(3), [0, 1, 2]))
+        assert a.global_model.tobytes() == b.global_model.tobytes()
+        assert a.diagnostics.records == b.diagnostics.records
+        assert a.clock.events == b.clock.events
 
     def test_one_seed_in_a_list_keeps_the_axis(self):
         sched = Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=4, total_steps=12)

@@ -108,10 +108,17 @@ class TestParsing:
             parse({"workers": 4, "cluster": {"worker_multipliers": [1.0, 2.0]}})
 
     def test_metrics_cadence_default(self):
-        assert parse({"schedule": {"total_steps": 100}}).record_every == 1
-        assert parse({"schedule": {"total_steps": 20000}}).record_every == 10
-        assert parse({"schedule": {"total_steps": 20000},
-                      "metrics_every": 3}).record_every == 3
+        # a record after each all-reduce, whatever the run's length;
+        # metrics_every adds the steps that are its multiples
+        from palsgd.experiments import run_experiment
+        schedule = {"total_steps": 100, "sync_interval": 8}
+        syncs = [*range(7, 100, 8), 99]
+        cfg = parse({"schedule": schedule})
+        assert cfg.metrics_every is None
+        _, result = run_experiment(cfg)
+        assert [r.step for r in result.diagnostics.records] == syncs
+        _, result = run_experiment(parse({"schedule": schedule, "metrics_every": 30}))
+        assert [r.step for r in result.diagnostics.records] == sorted({*syncs, 0, 30, 60, 90})
 
     def test_invalid_json_reported(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -158,7 +165,7 @@ class TestFieldSpecs:
 class TestMetricsRoundTrip:
     def rec(self, **kw):
         base = dict(step=3, sim_time_s=1.5, train_metric=0.25, consensus_sq=0.0,
-                    mean_model_sq=0.125, comm_count=2, comm_seconds=0.5)
+                    spread_sq=0.125, comm_count=2, comm_seconds=0.5)
         base.update(kw)
         return StepRecord(**base)
 

@@ -8,7 +8,7 @@ import pytest
 from palsgd import experiments
 from palsgd.algorithms import DivergenceReport, make_variant, run_training
 from palsgd.cli import main
-from palsgd.config import ConfigError, parse_config
+from palsgd.config import ConfigError, RunConfig, parse_config
 from palsgd.experiments import (SWEEP_CSV_HEADER, fit_loglog_slope, gradcheck,
                                 k1_scalar_oracle, run_experiment, sweep,
                                 verify_theory)
@@ -62,6 +62,43 @@ class TestRunExperiment:
             "schedule": {"total_steps": 160}, "workers": 2, "seed": 5}))
         assert palsgd_summary["sync_count"] == 10
         assert ddp_summary["sync_count"] == 160
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        plain = RunConfig.build_workload
+
+        def counted(self):
+            built.append(self.workload["kind"])
+            return plain(self)
+
+        monkeypatch.setattr(RunConfig, "build_workload", counted)
+        return built
+
+    def test_run_reuses_the_validated_workload(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        cfg = parse({"workload": {"kind": "logistic", "n_samples": 40},
+                     "algo": {"variant": "ddp"}, "schedule": {"total_steps": 4}, "workers": 2})
+        assert built == ["logistic"]  # parse_config builds it once to validate it
+        _, result = run_experiment(cfg)
+        run_experiment(cfg)
+        assert built == ["logistic"] and not result.diverged
+
+    def test_edited_workload_section_is_rebuilt(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        cfg = parse(quad_cfg())
+        first = cfg.workload_object()
+        cfg.workload["noise_sigma"] = 0.25
+        _, result = run_experiment(cfg)
+        assert len(built) == 2
+        assert cfg.workload_object() is not first
+        assert (first.noise_sigma, cfg.workload_object().noise_sigma) == (1.0, 0.25)
+        # a deep copy edited in place, as a sweep cell or a theory cell is, too
+        cell = copy.deepcopy(cfg)
+        cell.workload["x_star"] = [0.5] * 4
+        assert cell.workload_object().x_star.tolist() == [0.5] * 4
+        assert cfg.workload_object().x_star.tolist() == [0.0] * 4
+        assert len(built) == 3
 
 
     def test_mlp_eval_set_shares_the_training_classes(self):

@@ -166,6 +166,14 @@ class TestRngStream:
         c = RngStream(2, 0, PURPOSE_DATA).uniform()
         assert len({a, b, c}) == 3
 
+    @pytest.mark.parametrize("numpy_seed, seed", [(np.int64(5), 5), (np.int64(-1), -1),
+                                                  (np.uint64(2 ** 64 - 1), -1)])
+    def test_numpy_integer_seed_draws_as_python_int(self, numpy_seed, seed):
+        a, b = RngStream(numpy_seed, 0, 0), RngStream(seed, 0, 0)
+        for draw in (lambda s: s.uniform_vector(4), lambda s: s.gaussian_vector(3, 0.5),
+                     lambda s: s.integers(0, 9, 5), lambda s: s.permutation(6)):
+            assert draw(a).tobytes() == draw(b).tobytes()
+
     def test_sigma_zero_is_exact_zero(self):
         s = RngStream(1, 0, PURPOSE_DATA)
         assert s.gaussian(0.0) == 0.0
