@@ -16,6 +16,9 @@ import numpy as np
 from .fields import check_fields, option
 from .vecmath import DimensionMismatchError, ParamVector, _check_dims, row_norms_sq
 
+# columns of the first adamw bias-correction table; it grows as steps outrun it
+BIAS_TABLE_MIN = 256
+
 
 @dataclass(frozen=True)
 class InnerOptConfig:
@@ -42,6 +45,10 @@ class InnerOptState:
     step: np.ndarray                 # (K,) gradient steps taken per worker
     m: np.ndarray | None = None      # (K, d) first moments (momentum buffer)
     v: np.ndarray | None = None      # (K, d) second moments
+    # adamw: column s holds 1 - beta1 ** s and 1 - beta2 ** s, each a Python
+    # float power, since numpy's array power rounds differently; built and
+    # grown by corrections_at
+    bias_table: np.ndarray | None = None
 
     @classmethod
     def fresh(cls, config: InnerOptConfig, workers: int, dim: int) -> "InnerOptState":
@@ -52,16 +59,33 @@ class InnerOptState:
             state.v = np.zeros((workers, dim))
         return state
 
+    def corrections_at(self, steps: np.ndarray) -> np.ndarray:
+        """The adamw bias corrections at the step counts `steps`: (2, n), one
+        column per count, rows beta1 and beta2."""
+        top = int(steps.max())
+        if self.bias_table is None or top >= self.bias_table.shape[1]:
+            size = max(BIAS_TABLE_MIN, 2 * top)
+            self.bias_table = np.array([[1.0 - beta ** s for s in range(size)]
+                                        for beta in (self.config.beta1, self.config.beta2)])
+        return self.bias_table[:, steps]
+
 
 def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
                rows=slice(None)) -> None:
     """One gradient-driven update of the rows `rows` of x (K, d), in place.
 
     g holds one gradient row per selected row, or a single row that all of
-    them share. The state's rows advance in place; other rows are untouched.
-    Every row is rounded exactly as a 1-D update of that worker alone: the
-    clip norm is a per-row dot, and Adam's bias corrections are Python float
-    powers, since numpy's array power rounds differently.
+    them share; it is never written. The state's rows advance in place; other
+    rows are untouched. Every row is rounded exactly as a 1-D update of that
+    worker alone: the clip norm is a per-row dot, and Adam's bias corrections
+    are Python float powers.
+
+    The update runs the same elementwise operations, in the same order, as
+    the textbook formulas, but in place on arrays made by this call: the
+    first multiply of each moment allocates, so a slice `rows` never aliases
+    the state, and the rest are in-place operators. Clipping scales each row
+    by a factor that is exactly 1.0 on rows under the bound, which keeps
+    their bits.
     """
     if x.shape[-1] != g.shape[-1]:
         raise DimensionMismatchError("inner_step", x.shape[-1], g.shape[-1])
@@ -74,30 +98,42 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
         norms = np.sqrt(row_norms_sq(g))
         over = norms > cfg.clip_norm
         if over.any():
-            g = np.array(g)
-            g[over] = g[over] * (cfg.clip_norm / norms[over])[:, None]
+            scale = np.divide(cfg.clip_norm, norms, out=np.ones_like(norms), where=over)
+            g = g * scale[:, None]
 
-    xr = x[rows]
     if cfg.variant == "sgd":
-        x[rows] = xr - lr * g
+        x[rows] -= g * lr
         return
 
     if cfg.variant == "sgd_momentum":
-        m = cfg.momentum * state.m[rows] + g
+        m = state.m[rows] * cfg.momentum
+        m += g
         state.m[rows] = m
-        x[rows] = xr - lr * m
+        m *= lr
+        x[rows] -= m
         return
 
     # adamw: decoupled weight decay, bias-corrected moments
-    m = cfg.beta1 * state.m[rows] + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v[rows] + (1.0 - cfg.beta2) * (g * g)
+    m = state.m[rows] * cfg.beta1
+    m += g * (1.0 - cfg.beta1)
+    v = state.v[rows] * cfg.beta2
+    g2 = g * g
+    g2 *= 1.0 - cfg.beta2
+    v += g2
     state.m[rows] = m
     state.v[rows] = v
-    steps = state.step[rows].tolist()
-    m_hat = m / np.array([[1.0 - cfg.beta1 ** s] for s in steps])
-    v_hat = v / np.array([[1.0 - cfg.beta2 ** s] for s in steps])
-    x_out = xr - lr * cfg.weight_decay * xr
-    x[rows] = x_out - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    c1, c2 = state.corrections_at(state.step[rows])
+    m /= c1[:, None]                    # m_hat
+    v /= c2[:, None]                    # v_hat
+    np.sqrt(v, out=v)
+    v += cfg.eps
+    m *= lr
+    m /= v                              # lr * m_hat / (sqrt(v_hat) + eps)
+    xr = x[rows]
+    out = xr * (lr * cfg.weight_decay)
+    np.subtract(xr, out, out=out)       # decoupled decay
+    out -= m
+    x[rows] = out
 
 
 @dataclass(frozen=True)

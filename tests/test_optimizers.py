@@ -1,9 +1,9 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from palsgd.optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
+from palsgd.optimizers import (BIAS_TABLE_MIN, InnerOptConfig, InnerOptState, OuterOptConfig,
                                OuterOptState, inner_step, outer_step)
 from palsgd.vecmath import DimensionMismatchError
 
@@ -132,6 +132,88 @@ class TestInnerAdamw:
         assert min(counts) > 7
         assert state.step.tolist() == counts
         assert np.array_equal(state.m, ms) and np.array_equal(state.v, vs)
+
+
+    @pytest.mark.parametrize("as_slice", [False, True])
+    def test_long_run_matches_per_row_reference(self, as_slice):
+        # Rows as an index array of a random subset each step, or in separate
+        # runs as slice(None); clipping on some rows only, weight decay on.
+        # Every step compares x and the whole state with a per-row reference,
+        # and the run outgrows the first bias-correction table.
+        rng = np.random.default_rng(31)
+        n, d, lr, clip, wd = 6, 5, 0.01, 1.0, 0.05
+        state = InnerOptState.fresh(
+            InnerOptConfig(variant="adamw", clip_norm=clip, weight_decay=wd), n, d)
+        x = rng.normal(size=(n, d))
+        xs, ms, vs, counts = x.copy(), np.zeros((n, d)), np.zeros((n, d)), [0] * n
+        for _ in range(400):
+            idx = np.arange(n) if as_slice else np.flatnonzero(rng.random(n) < 0.8)
+            g = rng.normal(size=(len(idx), d)) * rng.uniform(0.05, 1.0, size=(len(idx), 1))
+            inner_step(state, x, g, lr, slice(None) if as_slice else idx)
+            for i, k in enumerate(idx):
+                gk = g[i]
+                norm = float(np.sqrt(np.dot(gk, gk)))
+                if norm > clip:
+                    gk = gk * (clip / norm)
+                counts[k] += 1
+                ms[k] = 0.9 * ms[k] + (1.0 - 0.9) * gk
+                vs[k] = 0.999 * vs[k] + (1.0 - 0.999) * (gk * gk)
+                m_hat = ms[k] / (1.0 - 0.9 ** counts[k])
+                v_hat = vs[k] / (1.0 - 0.999 ** counts[k])
+                xs[k] = xs[k] - lr * wd * xs[k] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(x, xs)
+            assert np.array_equal(state.m, ms) and np.array_equal(state.v, vs)
+            assert state.step.tolist() == counts
+        assert max(counts) > BIAS_TABLE_MIN and state.bias_table.shape[1] > BIAS_TABLE_MIN
+
+    @pytest.mark.parametrize("variant", ["sgd", "sgd_momentum", "adamw"])
+    def test_gradient_unwritten_and_state_unaliased(self, variant):
+        # a clipped row and an unclipped one, rows as slice(None): the first
+        # moment must hold the moment itself, not a later in-place stage of it
+        state = fresh_inner(variant, dim=3, workers=2, clip_norm=1.0)
+        g = np.array([[3.0, 4.0, 0.0], [0.1, -0.2, 0.3]])
+        g_before = g.copy()
+        x = np.ones((2, 3))
+        inner_step(state, x, g, 0.1, slice(None))
+        assert np.array_equal(g, g_before)
+        clipped = g * np.array([[0.2], [1.0]])
+        if variant == "sgd_momentum":
+            assert np.array_equal(state.m, clipped)
+        if variant == "adamw":
+            assert np.array_equal(state.m, (1.0 - 0.9) * clipped)
+            assert np.array_equal(state.v, (1.0 - 0.999) * (clipped * clipped))
+        for buf in (state.m, state.v):
+            assert buf is None or not (np.shares_memory(buf, x) or np.shares_memory(buf, g))
+
+    @pytest.mark.parametrize("betas", [(0.9, 0.999), (0.5, 0.97)])
+    def test_bias_table_matches_python_powers(self, betas):
+        state = fresh_inner("adamw", beta1=betas[0], beta2=betas[1])
+        steps = np.arange(10_001)
+        table = state.corrections_at(steps)
+        for row, beta in zip(table, betas):
+            assert row.tolist() == [1.0 - beta ** s for s in range(10_001)]
+        # a fresh state starts a new table
+        assert InnerOptState.fresh(state.config, 1, 1).bias_table is None
+
+
+class TestAllocations:
+    @pytest.mark.parametrize("rows", [np.arange(8), slice(None)], ids=["index", "slice"])
+    def test_adamw_clip_step_peak(self, rows):
+        # the parent design peaked at 10 (K, d) temporaries, the in-place one at 6
+        k, d = 8, 874
+        rng = np.random.default_rng(4)
+        state = InnerOptState.fresh(
+            InnerOptConfig(variant="adamw", clip_norm=1.0, weight_decay=0.01), k, d)
+        x = rng.normal(size=(k, d))
+        g = rng.normal(size=(k, d)) * np.linspace(0.01, 0.1, k)[:, None]  # some rows clip
+        inner_step(state, x, g, 0.01, rows)
+        tracemalloc.start()
+        try:
+            inner_step(state, x, g, 0.01, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * k * d * 8
 
 
 class TestOuterStep:
