@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, load_config
+from .config import TOP_KEYS, ConfigError, load_config
 from .experiments import gradcheck, run_experiment, sweep, verify_theory
 
 EXIT_OK = 0
@@ -48,13 +48,13 @@ def _add_common(parser: argparse.ArgumentParser, *overrides: str) -> None:
 
 
 def _load(args) -> "RunConfig":
+    """The config file's run config with the flags' overrides, each checked
+    against the bound of the key it replaces."""
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "metrics_every", None) is not None:
-        cfg.metrics_every = args.metrics_every
-    if getattr(args, "out_dir", None) is not None:
-        cfg.out_dir = args.out_dir
+    for name in ("seed", "metrics_every", "out_dir"):
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(cfg, name, TOP_KEYS[name].check(name, value))
     return cfg
 
 

@@ -57,7 +57,7 @@ from .workloads import (ACTIVATIONS, DTYPES, LogisticWorkload, MlpWorkload,
 SCHEMA_VERSION = 1
 
 _CLUSTER = specs(ClusterSpec, workers=8)
-_TOP = {"workers": _CLUSTER.pop("workers"),  # set at the top level, not in "cluster"
+TOP_KEYS = {"workers": _CLUSTER.pop("workers"),  # set at the top level, not in "cluster"
         "seed": Spec(int, 2022),
         "metrics_every": Spec(int, None, low=1),
         "eval_every": Spec(int, None, low=1),
@@ -299,7 +299,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<document>", "top level must be a JSON object")
     raw.pop("schema_version", None)  # accept re-parsing a normalized dump
-    top = _section("<top>", raw, _TOP, other_keys=("workload", "algo", "schedule", "cluster"))
+    top = _section("<top>", raw, TOP_KEYS, other_keys=("workload", "algo", "schedule", "cluster"))
     algo = _parse_algo(raw.get("algo", {}))
     workload = _parse_workload(raw.get("workload", {}))
     schedule = _parse_schedule(raw.get("schedule", {}), algo["variant"])

@@ -199,8 +199,6 @@ class QuadraticWorkload:
         """Gradient rows at the rows of x (n, d), one noise sample per row."""
         if x.shape[-1] != self.dim:
             raise DimensionMismatchError("quadratic gradient", x.shape[-1], self.dim)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("quadratic gradient: non-finite parameters")
         return self.hessian_diag * (x - self.x_star - np.asarray(samples))
 
     def suboptimality(self, x: ParamVector) -> float:

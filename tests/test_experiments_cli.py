@@ -320,6 +320,18 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_metrics_every_below_one_exits_two(self, tmp_path, capsys, command, every):
+        path = self.write_cfg(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"schedule.sync_interval": [4]}))
+        extra = ["--grid", str(grid)] if command == "sweep" else []
+        out = tmp_path / "out"
+        assert main([command, path, "--metrics-every", every, "--out-dir", str(out)] + extra) == 2
+        assert "metrics_every" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_theory_command(self, tmp_path, capsys):
         cfg = {
             "workload": {"kind": "quadratic", "dim": 4, "mu": 1.0, "L": 2.0,

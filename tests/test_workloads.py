@@ -124,8 +124,6 @@ class TestQuadratic:
         assert rows.shape == (5, 3)
         for k in range(5):
             assert np.array_equal(rows[k], w.hessian_diag * (x[k] - w.x_star - xi[k]))
-        with pytest.raises(ValueError, match="non-finite"):
-            w.stochastic_gradient(np.array([[0.0, np.inf, 0.0]]), [np.zeros(3)])
 
     def test_gradient_at_optimum_without_noise_is_zero(self):
         w = make_quadratic((1.0, 1.0))
