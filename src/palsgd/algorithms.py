@@ -377,11 +377,12 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     DDP step (warmup included) and every sync round, the final step among
     them. It is also taken at each step t with t % record_every == 0 when
     `record_every` is given, and at each eval step, (t + 1) % eval_every == 0,
-    when the workload has an evaluation set. `train_metric` and the
-    evaluation read the worker mean after the step. At a sync round,
-    `consensus_sq` and `spread_sq` are the drift of the window that closed,
-    probed before the reset; at any other step they probe the rows as they
-    are.
+    when the workload has an evaluation set. After an all-reduce,
+    `train_metric` and the evaluation read the new global model, which every
+    worker then holds; at a sync round `consensus_sq` and `spread_sq` are the
+    drift of the window that closed, probed before the reset, and at a DDP
+    step they are 0.0. At any other step the record reads the worker mean and
+    probes the rows as they are.
     """
     if not variant.uses_mixing and schedule.p != 0.0:
         raise ValueError(f"variant {variant.tag!r} takes no mixing steps; schedule.p must be 0")
@@ -412,15 +413,21 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     evaluates = workload.has_eval and eval_every is not None
 
     def record(t: int, drift, evaluate: bool) -> None:
-        x = workers.stacked
-        xbar = mean_of(x)
-        xi, spread = drift if drift is not None else consensus_probe(x, global_x, xbar)
+        # after an all-reduce every worker holds the new global model, and
+        # `drift` is the step's; otherwise read the worker mean and probe
+        if drift is None:
+            x = workers.stacked
+            at = mean_of(x)
+            drift = consensus_probe(x, global_x, at)
+        else:
+            at = global_x
+        xi, spread = drift
         sim_times = clock.times.max(axis=1).tolist()
         for r, rows in enumerate(records):
-            rec = StepRecord(t, sim_times[r], objective(xbar[r]), xi[r], spread[r],
+            rec = StepRecord(t, sim_times[r], objective(at[r]), xi[r], spread[r],
                              len(clock.event_log[r]), clock.comm_totals[r])
             if evaluate:
-                ev = workload.evaluate(xbar[r])
+                ev = workload.evaluate(at[r])
                 rec.eval_loss = ev.get("eval_loss")
                 rec.eval_acc = ev.get("eval_acc")
             rows.append(rec)
@@ -430,9 +437,10 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         if averager is not None:
             averager.add(global_x)
 
-        drift = None  # set by a sync round
+        drift = None  # set by an all-reduce
         if t < warmup:
             global_x = ddp_step(workers, schedule, t, workload, clock)
+            drift = ([0.0] * len(seeds),) * 2  # every worker is on the global model
         else:
             mixing_steps += palsgd_local_step(workers, global_x, schedule, t, workload, clock)
             if (t + 1) % h == 0 or t == total - 1:
@@ -458,7 +466,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
 
         # the final step always all-reduces: a partial last window syncs too
         evaluate = evaluates and ((t + 1) % eval_every == 0 or t == total - 1)
-        if (t < warmup or drift is not None or evaluate
+        if (drift is not None or evaluate
                 or (record_every is not None and t % record_every == 0)):
             record(t, drift, evaluate)
 

@@ -635,13 +635,15 @@ class TestPerWorkerReference:
                 ms, vs, steps = [np.zeros(3) for _ in range(n)], [np.zeros(3) for _ in range(n)], [0] * n
                 windows.append(tuple(window))
                 window = [0] * n
-            xbar = xs[0].copy()
-            for x in xs[1:]:
-                xbar += x
-            xbar /= n
             if drift is None:
+                xbar = xs[0].copy()
+                for x in xs[1:]:
+                    xbar += x
+                xbar /= n
                 drift = (sum(float(np.dot(x - anchors[0], x - anchors[0])) for x in xs) / n,
                          sum(float(np.dot(x - xbar, x - xbar)) for x in xs) / n)
+            else:
+                xbar = global_x  # after the all-reduce, every worker's model
             records.append(StepRecord(
                 step=t, sim_time_s=max(times),
                 train_metric=0.5 * float(np.dot(xbar * diag, xbar)),
@@ -720,6 +722,41 @@ class TestRecordCadence:
             for rec in records:
                 assert (rec.consensus_sq, rec.spread_sq) == seen[r, rec.step]
                 assert rec.consensus_sq > 0.0 and rec.spread_sq > 0.0
+
+    @pytest.mark.parametrize("tag, warmup", [("ddp", 0), ("local_sgd", 0), ("palsgd", 0),
+                                             ("palsgd", 8)])
+    def test_allreduce_records_read_the_global_model(self, tag, warmup, monkeypatch):
+        # with 7 workers the mean of equal rows rounds away from the row, so a
+        # record read at the worker mean would not match the global model
+        seen = {}
+
+        def seeing_ddp_step(workers, schedule, t, *args):
+            seen[t] = ddp_step(workers, schedule, t, *args)[0]
+            return seen[t][None]
+
+        def seeing_sync_round(workers, global_x, outer_state, clock, t, **kw):
+            new_global, *rest = sync_round(workers, global_x, outer_state, clock, t, **kw)
+            seen[t] = new_global[0]
+            return (new_global, *rest)
+
+        monkeypatch.setattr(algorithms, "ddp_step", seeing_ddp_step)
+        monkeypatch.setattr(algorithms, "sync_round", seeing_sync_round)
+        train, test = classification(3, 4, 20)
+        workload = MlpWorkload([4, 6, 3], "tanh", train, test=test, batch_size=3)
+        sched = Schedule(alpha=0.05, eta=0.5, p=0.3 if tag == "palsgd" else 0.0,
+                         sync_interval=4, warmup_steps=warmup, total_steps=18)
+        result = run_training(workload, make_variant(tag), sched, small_cluster(7), seed=6,
+                              eval_every=100)
+        records = result.diagnostics.records
+        assert [r.step for r in records] == sorted(seen) and records[-1].step == 17
+        final = records[-1]
+        assert final.train_metric == workload.full_objective(result.global_model)
+        assert final.eval_loss == workload.evaluate(result.global_model)["eval_loss"]
+        assert all(r.train_metric == workload.full_objective(seen[r.step]) for r in records)
+        ddp_steps = 18 if tag == "ddp" else warmup
+        ddp_records = [r for r in records if r.step < ddp_steps]
+        assert len(ddp_records) == ddp_steps
+        assert all(r.consensus_sq == 0.0 and r.spread_sq == 0.0 for r in ddp_records)
 
     @pytest.mark.parametrize("eval_every", [None, 5])
     def test_ddp_default_records_equal_every_step_records(self, eval_every):
