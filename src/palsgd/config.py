@@ -58,10 +58,10 @@ SCHEMA_VERSION = 1
 
 _CLUSTER = specs(ClusterSpec, workers=8)
 TOP_KEYS = {"workers": _CLUSTER.pop("workers"),  # set at the top level, not in "cluster"
-        "seed": Spec(int, 2022),
-        "metrics_every": Spec(int, None, low=1),
-        "eval_every": Spec(int, None, low=1),
-        "out_dir": Spec(str, None)}
+            "seed": Spec(int, 2022),
+            "metrics_every": Spec(int, None, low=1),
+            "eval_every": Spec(int, None, low=1),
+            "out_dir": Spec(str, None)}
 _ALLREDUCE = specs(AllReduceModel)
 _VARIANT = specs(AlgoVariant, tag="palsgd")["tag"]
 _OPTIMIZERS = {"inner": specs(InnerOptConfig), "outer": specs(OuterOptConfig)}

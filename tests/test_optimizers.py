@@ -199,7 +199,7 @@ class TestInnerAdamw:
 class TestAllocations:
     @pytest.mark.parametrize("rows", [np.arange(8), slice(None)], ids=["index", "slice"])
     def test_adamw_clip_step_peak(self, rows):
-        # the parent design peaked at 10 (K, d) temporaries, the in-place one at 6
+        # out-of-place formulas peaked at 10 (K, d) temporaries here, the in-place update at 6
         k, d = 8, 874
         rng = np.random.default_rng(4)
         state = InnerOptState.fresh(
