@@ -31,9 +31,11 @@ update.
 
 A leading replica axis runs S seeds of one configuration as one batch: the
 state is (S*K, d), replica-major, and the global models (S, d). Each replica
-keeps its own streams, keyed by its seed, its shards and its clock row; every
-reduction runs along one replica's K rows in a lone run's order, and all else
-is elementwise, so each replica is bit-identical to a run of its seed alone.
+keeps its own streams, keyed by its seed, its shards and its row of the
+replica-major SimClock; every reduction runs along one replica's K rows in a
+lone run's order, and all else is elementwise, so each replica is
+bit-identical to a run of its seed alone. Everything inside the loop keeps
+the replica axis; only `run_training`'s result drops it, for an int seed.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import ClusterSpec, SimClock
+from .cluster import ClusterSpec, CommEvent, SimClock
 from .fields import ConfigError, check_fields, option
 from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
                          OuterOptState, inner_step, outer_step)
@@ -231,12 +233,6 @@ class Diagnostics:
     # flat over the S*K workers, replica-major
     mixing_steps_per_worker: list[int] = field(default_factory=list)
     gradient_steps_per_worker: list[int] = field(default_factory=list)
-    # the steps of the sync rounds, which every replica shares
-    sync_steps: list[int] = field(default_factory=list)
-
-    @property
-    def sync_count(self) -> int:
-        return len(self.sync_steps)
 
 
 @dataclass
@@ -252,9 +248,15 @@ class TrainResult:
     global_model: ParamVector
     diagnostics: Diagnostics
     weighted_average: ParamVector | None
-    clock: SimClock
-    diverged: bool = False
+    # the SimClock's events, times and comm totals, replica axis dropped for an int seed
+    events: list[CommEvent]
+    worker_time: np.ndarray
+    comm_seconds: float
     divergence: DivergenceReport | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
 
 
 def consensus_probe(x: np.ndarray, global_x: np.ndarray,
@@ -366,12 +368,13 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
 
     `seed` is an int or a sequence of S seeds, run as one stacked batch in
     which each replica is bit-identical to a run of its seed alone. A
-    sequence gives (S, d) models, one list of records and of window counts
-    per replica, and a clock over S replicas (see SimClock); an int is S = 1
-    with that axis dropped. Per-worker step counts are flat over the S*K
-    workers, replica-major. The batch stops at the first step with a
-    non-finite row and reports the first replica with one, at the step,
-    worker and last finite record of that replica's run alone.
+    sequence gives (S, d) models, one list of records, of window counts and
+    of events per replica, (S, K) worker times and S comm totals, as the
+    replica-major SimClock keeps them; an int is S = 1, and this function is
+    the one place that drops the axis for it. Per-worker step counts are
+    flat over the S*K workers, replica-major. The batch stops at the first
+    step with a non-finite row and reports the first replica with one, at
+    the step, worker and last finite record of that replica's run alone.
 
     A StepRecord is taken after every step that ends in an all-reduce: every
     DDP step (warmup included) and every sync round, the final step among
@@ -398,10 +401,9 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
                             seeds)
     global_x = x0.copy()
     outer_state = OuterOptState.fresh(variant.outer, x0.shape)
-    clock = SimClock(cluster, seed)
+    clock = SimClock(cluster, seeds)
     records: list[list[StepRecord]] = [[] for _ in seeds]
     windows: list[list[tuple[int, ...]]] = [[] for _ in seeds]
-    sync_steps: list[int] = []
     # every worker takes one mixing or one gradient step per iteration, and a
     # window's mixing counts are the growth of mixing_steps since the last sync
     mixing_steps = np.zeros(workers.x.shape[0], dtype=np.int64)
@@ -425,7 +427,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         sim_times = clock.times.max(axis=1).tolist()
         for r, rows in enumerate(records):
             rec = StepRecord(t, sim_times[r], objective(at[r]), xi[r], spread[r],
-                             len(clock.event_log[r]), clock.comm_totals[r])
+                             len(clock.events[r]), clock.comm_seconds[r])
             if evaluate:
                 ev = workload.evaluate(at[r])
                 rec.eval_loss = ev.get("eval_loss")
@@ -447,7 +449,6 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
                 global_x, outer_state, drift = sync_round(
                     workers, global_x, outer_state, clock, t,
                     reset_inner=variant.inner.reset_at_sync)
-                sync_steps.append(t)
                 window = (mixing_steps - mixed_at_sync).reshape(len(seeds), -1).tolist()
                 for rows, counts in zip(windows, window):
                     rows.append(tuple(counts))
@@ -474,7 +475,8 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         return per_replica if batched else per_replica[0]
 
     diag = Diagnostics(view(records), view(windows), mixing_steps.tolist(),
-                       (t + 1 - mixing_steps).tolist(), sync_steps)
+                       (t + 1 - mixing_steps).tolist())
     return TrainResult(global_model=view(global_x), diagnostics=diag,
                        weighted_average=view(averager.value) if averager else None,
-                       clock=clock, diverged=divergence is not None, divergence=divergence)
+                       events=view(clock.events), worker_time=view(clock.times),
+                       comm_seconds=view(clock.comm_seconds), divergence=divergence)

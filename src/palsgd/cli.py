@@ -92,8 +92,11 @@ def main(argv=None) -> int:
             return EXIT_DIVERGED if summary["diverged"] else EXIT_OK
 
         if args.command == "sweep":
-            with open(args.grid) as fh:
-                grid = json.load(fh)
+            try:
+                with open(args.grid) as fh:
+                    grid = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ConfigError("grid", str(exc)) from None
             rows = sweep(cfg, grid, out_dir=cfg.out_dir)
             for row in rows:
                 print(f"{row['param']}={row['value']}: status={row['status']} "

@@ -22,7 +22,6 @@ from .vecmath import PURPOSE_JITTER, RngStream
 class AllReduceModel:
     latency_s: float = option(float, 1e-3, low=0)
     bandwidth_bytes_per_s: float = option(float, 1e9, low=0, low_open=True)
-    algorithm: str = option(str, "ring", choices=("ring",))
 
     def __post_init__(self):
         check_fields(self)
@@ -76,24 +75,22 @@ class CommEvent:
 
 
 class SimClock:
-    """Per-worker elapsed seconds plus an append-only communication log.
+    """Per-worker elapsed seconds plus an append-only communication log, per replica.
 
-    A single owner (the trainer loop) advances the clock. `times` holds one
-    row of K worker times per replica, advanced by one cost array per step;
-    replica s draws its jitter from its own stream, keyed by seed s. A
-    replica's global time is the max over its row, realized at each of its
-    barriers. `seed` is an int or a sequence of S seeds: with an int, the
-    views `worker_time`, `events`, `comm_seconds` and `global_time` drop the
-    replica axis ((K,), one list, floats); with a sequence they keep it.
+    A single owner (the trainer loop) advances the clock. It is replica-major
+    whatever the seeds: `times` is (S, K), one row of worker times per seed,
+    advanced by one cost array per step; `events` holds one list of
+    CommEvents and `comm_seconds` one float per replica. Replica s draws its
+    jitter from its own stream, keyed by seed s, so row s is the clock of
+    seed s alone. A replica's global time is the max over its row, realized
+    at each of its barriers.
     """
 
-    def __init__(self, spec: ClusterSpec, seed: int | Sequence[int] = 0):
+    def __init__(self, spec: ClusterSpec, seeds: Sequence[int] = (0,)):
         self.spec = spec
-        self._batched = np.ndim(seed) > 0
-        seeds = list(seed) if self._batched else [seed]
         self.times = np.zeros((len(seeds), spec.workers))
-        self.event_log: list[list[CommEvent]] = [[] for _ in seeds]
-        self.comm_totals = [0.0] * len(seeds)
+        self.events: list[list[CommEvent]] = [[] for _ in seeds]
+        self.comm_seconds = [0.0] * len(seeds)
         # per worker of every replica, flat like the masks advance_step takes
         self._step_cost = np.tile([spec.step_cost(k) for k in range(spec.workers)], len(seeds))
         self._mixing_cost = self._step_cost * spec.mixing_cost_fraction
@@ -101,28 +98,9 @@ class SimClock:
         self._jitter_streams = ([RngStream(s, 0, PURPOSE_JITTER) for s in seeds]
                                 if spec.jitter > 0 else None)
 
-    def _view(self, per_replica):
-        return per_replica if self._batched else per_replica[0]
-
-    @property
-    def worker_time(self) -> np.ndarray:
-        return self._view(self.times)
-
-    @property
-    def events(self) -> list:
-        return self._view(self.event_log)
-
-    @property
-    def comm_seconds(self):
-        return self._view(self.comm_totals)
-
-    @property
-    def global_time(self):
-        return self._view(self.times.max(axis=1).tolist())
-
     def advance_step(self, is_gradient_step: np.ndarray) -> None:
         """Advance every worker by one step; `is_gradient_step` masks the S*K
-        workers, replica-major (a (K,) mask for one replica)."""
+        workers, replica-major."""
         cost = np.where(is_gradient_step, self._step_cost, self._mixing_cost)
         if self._jitter_streams is not None:
             u = np.concatenate([s.uniform_vector(self.spec.workers) for s in self._jitter_streams])
@@ -137,10 +115,10 @@ class SimClock:
         payload = self.spec.payload_bytes(dim)
         duration = allreduce_time(payload, self.spec.workers, self.spec.allreduce)
         self.barrier(duration, replica)
-        self.comm_totals[replica] += duration
+        self.comm_seconds[replica] += duration
         event = CommEvent(step=step, payload_bytes=payload, duration_s=duration,
                           participants=self.spec.workers)
-        self.event_log[replica].append(event)
+        self.events[replica].append(event)
         return event
 
 

@@ -40,7 +40,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None):
             fh.write("\n")
         write_metrics_jsonl(result.diagnostics.records, os.path.join(target, "metrics.jsonl"))
         write_summary(summary, os.path.join(target, "summary.json"))
-        export_events_jsonl(result.clock.events, os.path.join(target, "events.jsonl"))
+        export_events_jsonl(result.events, os.path.join(target, "events.jsonl"))
     return summary, result
 
 
@@ -64,13 +64,18 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
     "ok", "diverged" or "error". A cell whose config is rejected or whose run
     raises is recorded as "error" with its result columns (``diverged``
     included) left empty and the message in the cell's ``error.txt``, and the
-    sweep continues.
+    sweep continues. A grid that is not an object mapping each path to a
+    non-empty list of values raises ConfigError("grid", ...).
     """
+    if not isinstance(grid, dict):
+        raise ConfigError("grid", f"must map parameter paths to value lists, got {grid!r}")
     base = cfg.normalized()
-    for param in grid:
+    for param, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError("grid", f"{param} must map to a non-empty list, got {values!r}")
         probe = copy.deepcopy(base)
         try:
-            _set_path(probe, param, grid[param][0])
+            _set_path(probe, param, values[0])
         except KeyError:
             raise ConfigError(param, "sweep parameter not present in the config")
     rows = []

@@ -47,12 +47,12 @@ def summarize(result: TrainResult) -> dict:
         "schema": RECORD_SCHEMA,
         "final_loss": recs[-1].train_metric if recs else None,
         "best_loss": min((r.train_metric for r in recs), default=None),
-        "total_sim_time_s": result.clock.global_time,
-        "total_comm_seconds": result.clock.comm_seconds,
-        "sync_count": len(result.clock.events),
+        "total_sim_time_s": float(max(result.worker_time)),
+        "total_comm_seconds": result.comm_seconds,
+        "sync_count": len(result.events),
         "diverged": result.diverged,
     }
-    if result.diverged and result.divergence is not None:
+    if result.divergence is not None:
         summary["diverged_at_step"] = result.divergence.step
         summary["diverged_worker"] = result.divergence.worker
     final_eval = next((r for r in reversed(recs) if r.eval_acc is not None), None)

@@ -9,8 +9,6 @@ bit-exactly.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 ParamVector = np.ndarray
@@ -35,22 +33,17 @@ def _check_dims(op: str, x: ParamVector, y: ParamVector) -> None:
         raise DimensionMismatchError(op, x.shape[0] if x.ndim else 0, y.shape[0] if y.ndim else 0)
 
 
-def mean_of(vectors: Sequence[ParamVector] | np.ndarray) -> ParamVector:
+def mean_of(vectors: np.ndarray) -> ParamVector:
     """Elementwise mean over the worker axis, summed left to right (ascending index).
 
-    `vectors` is a list of equal-length vectors, a (K, d) array of rows, or
-    an (S, K, d) stack of S replicas' rows, which gives the (S, d) replica
-    means. ``np.add.accumulate`` adds the rows strictly in order, so each
-    replica's mean is bit-equal to the mean of its (K, d) rows alone, while
-    ``np.add.reduce(x, axis=0)`` reduces a contiguous column pairwise at
-    d = 1, which rounds differently.
+    `vectors` is a (K, d) array of rows or an (S, K, d) stack of S replicas'
+    rows, which gives the (S, d) replica means. ``np.add.accumulate`` adds
+    the rows strictly in order, so each replica's mean is bit-equal to the
+    mean of its (K, d) rows alone, while ``np.add.reduce(x, axis=0)``
+    reduces a contiguous column pairwise at d = 1, which rounds differently.
     """
-    if not isinstance(vectors, np.ndarray):  # an array's rows agree by construction
-        for v in vectors:
-            _check_dims("mean_of", vectors[0], v)
-        vectors = np.asarray(vectors)
     if vectors.ndim < 2 or vectors.shape[-2] == 0:
-        raise ValueError("mean_of: empty list")
+        raise ValueError("mean_of: empty worker axis")
     return np.add.accumulate(vectors, axis=-2)[..., -1, :] / vectors.shape[-2]
 
 

@@ -227,7 +227,7 @@ class TestPalsgdLocalStep:
                                      mixing_cost_fraction=0.25))
         ws = make_workers([1.0, 1.0], seed=seed)
         palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock)
-        assert clock.worker_time[0] == 0.25
+        assert clock.times[0, 0] == 0.25
 
     def test_masked_rows_step_alone(self):
         # rows that mix take no optimizer step and discard their data row; the
@@ -253,12 +253,12 @@ class TestSyncRound:
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 1)
         new_global, outer, _ = sync_round(ws, np.array([[0.0]]), outer, clock, t=0)
         assert np.array_equal(new_global, np.array([[2.0]]))
-        assert clock.events[-1].participants == 2
+        assert clock.events[0][-1].participants == 2
 
     def test_mean_conserved_under_plain_averaging(self):
         rng = np.random.default_rng(8)
         ws = make_workers(*rng.normal(size=(4, 5)))
-        mean_before = mean_of(list(ws.x))
+        mean_before = mean_of(ws.x)
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), (1, 5))
         clock = SimClock(small_cluster(4))
         new_global, _, _ = sync_round(ws, rng.normal(size=(1, 5)), outer, clock, t=0)
@@ -310,7 +310,7 @@ class TestDdpStep:
         # grads 1 and 3, mean 2; both workers step from their own params
         assert np.allclose(ws.x[0], [0.8], rtol=1e-15)
         assert np.allclose(ws.x[1], [2.8], rtol=1e-15)
-        assert len(clock.events) == 1
+        assert len(clock.events[0]) == 1
 
     def test_single_worker_is_plain_sgd(self):
         workload = quadratic(diag=(2.0,), sigma=0.0)
@@ -319,7 +319,7 @@ class TestDdpStep:
         ws = make_workers([1.0])
         ddp_step(ws, sched, 0, workload, clock)
         assert np.allclose(ws.x[0], [0.5], rtol=1e-15)
-        assert clock.events[0].duration_s == 0.0
+        assert clock.events[0][0].duration_s == 0.0
 
 
 class TestConsensusProbe:
@@ -371,7 +371,7 @@ class TestReductionIdentities:
         a = run(make_variant("diloco"), sched, workers=3)
         b = run(make_variant("palsgd"), sched, workers=3)
         assert np.array_equal(a.global_model, b.global_model)
-        assert a.clock.global_time == b.clock.global_time
+        assert max(a.worker_time) == max(b.worker_time)
 
     def test_diloco_with_plain_outer_equals_local_sgd_with_adamw(self):
         sched = Schedule(alpha=1e-3, p=0.0, sync_interval=4, total_steps=60)
@@ -404,7 +404,7 @@ class TestRunTraining:
                              outer=OuterOptConfig(variant="nesterov")), sched_w)
         b = run(make_variant("ddp", inner=adamw), sched_d)
         assert np.array_equal(a.global_model, b.global_model)
-        assert len(a.clock.events) == len(b.clock.events) == 40
+        assert len(a.events) == len(b.events) == 40
 
     def test_comm_event_counts(self):
         for total, h, warmup in [(64, 8, 0), (64, 8, 16), (60, 8, 0), (100, 16, 10)]:
@@ -413,10 +413,10 @@ class TestRunTraining:
             result = run(make_variant("local_sgd"), sched, workers=2)
             w = sched.effective_warmup
             expected = w + math.ceil((total - w) / h)
-            assert len(result.clock.events) == expected, (total, h, warmup)
+            assert len(result.events) == expected, (total, h, warmup)
         sched = Schedule(alpha=1e-3, p=0.0, total_steps=64)
         result = run(make_variant("ddp"), sched, workers=2)
-        assert len(result.clock.events) == 64
+        assert len(result.events) == 64
 
     def test_post_sync_consensus_zero_along_run(self, monkeypatch):
         # after every sync round each worker row is its replica's new global model
@@ -436,7 +436,8 @@ class TestRunTraining:
                                   inner=InnerOptConfig(variant="sgd"),
                                   outer=OuterOptConfig(variant="nesterov", lr=0.7)), sched,
                      workers=4, seed=[123, 4])
-        assert synced == result.diagnostics.sync_steps == [*range(7, 92, 8), 91]
+        assert synced == [*range(7, 92, 8), 91]
+        assert all([e.step for e in events] == synced for events in result.events)
 
     def test_determinism_bit_identical(self):
         sched = Schedule(alpha=0.02, eta=0.5, p=0.2, sync_interval=8, total_steps=80)
@@ -656,7 +657,7 @@ class TestPerWorkerReference:
         assert np.array_equal(result.global_model, global_x)
         assert all(r.consensus_sq > 0.0 for r in records if (r.step + 1) % h == 0)
         assert result.diagnostics.records == records
-        assert result.clock.worker_time.tolist() == times
+        assert result.worker_time.tolist() == times
         assert result.diagnostics.window_mixing_counts == windows
 
 
@@ -677,7 +678,7 @@ class TestRecordCadence:
         result = run_training(quadratic(), make_variant(tag), sched, small_cluster(3), seed=2)
         want = allreduce_steps(30, 4, 30 if tag == "ddp" else sched.effective_warmup)
         assert [r.step for r in result.diagnostics.records] == want
-        assert [e.step for e in result.clock.events] == want
+        assert [e.step for e in result.events] == want
         assert want[-1] == 29 and (warmup == 0 or want[:8] == list(range(8)))
 
     def test_metrics_every_adds_its_multiples(self):
@@ -789,7 +790,7 @@ def local_steps(workers, p, total, seed=3, jitter=0.25):
     sched = Schedule(alpha=0.05, eta=0.5, p=p, total_steps=total)
     ws = Workers.start(workload.x0[None], InnerOptConfig(variant="adamw", clip_norm=2.0),
                        [workload.shards(workers, seed)], [seed])
-    clock = SimClock(small_cluster(workers, jitter=jitter), seed)
+    clock = SimClock(small_cluster(workers, jitter=jitter), [seed])
     masks = []
     for t in range(total):
         t_now[0] = t
@@ -810,7 +811,7 @@ class TestBlockDraws:
         assert set(noise3) == {key for key in noise5 if key[1] < 3}
         assert all(np.array_equal(row, noise5[key]) for key, row in noise3.items())
         assert np.array_equal(ws5.x[:3], ws3.x)
-        assert clock5.worker_time[:3].tolist() == clock3.worker_time.tolist()
+        assert clock5.times[0, :3].tolist() == clock3.times[0].tolist()
 
     def test_noise_rows_do_not_depend_on_p(self):
         _, _, _, at_zero = local_steps(4, 0.0, 20)
@@ -847,7 +848,7 @@ def runs_alone_and_batched(workload, variant, schedule, cluster, seeds, **kw):
 
 def assert_replicas_equal_runs_alone(alone, batched):
     """Every replica of the batch, bit for bit, against the run of its seed alone."""
-    k = batched.clock.spec.workers
+    k = batched.worker_time.shape[1]
     diag = batched.diagnostics
     assert not batched.diverged
     assert batched.global_model.shape == (len(alone), alone[0].global_model.shape[0])
@@ -860,15 +861,16 @@ def assert_replicas_equal_runs_alone(alone, batched):
         assert diag.records[r] == one.diagnostics.records
         assert ([dumps_record(rec) for rec in diag.records[r]]
                 == [dumps_record(rec) for rec in one.diagnostics.records])
-        assert batched.clock.events[r] == one.clock.events
-        assert batched.clock.worker_time[r].tobytes() == one.clock.worker_time.tobytes()
-        assert batched.clock.comm_seconds[r] == one.clock.comm_seconds
-        assert batched.clock.global_time[r] == one.clock.global_time
+        assert batched.events[r] == one.events
+        assert batched.worker_time[r].tobytes() == one.worker_time.tobytes()
+        assert batched.comm_seconds[r] == one.comm_seconds
+        assert max(batched.worker_time[r]) == max(one.worker_time)
         rows = slice(r * k, (r + 1) * k)
         assert diag.mixing_steps_per_worker[rows] == one.diagnostics.mixing_steps_per_worker
         assert diag.gradient_steps_per_worker[rows] == one.diagnostics.gradient_steps_per_worker
         assert diag.window_mixing_counts[r] == one.diagnostics.window_mixing_counts
-    assert all(diag.sync_steps == one.diagnostics.sync_steps for one in alone)
+    sync_steps = [e.step for e in batched.events[0]]
+    assert all([e.step for e in one.events] == sync_steps for one in alone)
 
 
 def classification(classes, dim, per_class):
@@ -897,7 +899,7 @@ class TestReplicaAxis:
         sched = Schedule(alpha=0.1, total_steps=12)
         alone, batched = runs_alone_and_batched(workload, make_variant("ddp"), sched,
                                                 small_cluster(4), [1, 2, 3])
-        assert len(batched.clock.events[0]) == 12
+        assert len(batched.events[0]) == 12
         assert_replicas_equal_runs_alone(alone, batched)
 
     def test_mlp_palsgd_under_epoch_shuffle(self):
@@ -929,16 +931,16 @@ class TestReplicaAxis:
                 for seeds in (np.arange(3), [0, 1, 2]))
         assert a.global_model.tobytes() == b.global_model.tobytes()
         assert a.diagnostics.records == b.diagnostics.records
-        assert a.clock.events == b.clock.events
+        assert a.events == b.events
 
     def test_one_seed_in_a_list_keeps_the_axis(self):
         sched = Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=4, total_steps=12)
         alone, batched = runs_alone_and_batched(quadratic(), make_variant("palsgd"), sched,
                                                 small_cluster(2), [8])
         assert batched.global_model.shape == (1, 2)
-        assert batched.clock.worker_time.shape == (1, 2)
+        assert batched.worker_time.shape == (1, 2)
         assert alone[0].global_model.shape == (2,)
-        assert alone[0].clock.worker_time.shape == (2,)
+        assert alone[0].worker_time.shape == (2,)
         assert_replicas_equal_runs_alone(alone, batched)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -34,7 +34,7 @@ class TestParsing:
         assert norm["algo"]["variant"] == "palsgd"
         assert norm["workload"]["dim"] == 16
         assert norm["workers"] == 8
-        assert norm["cluster"]["allreduce"]["algorithm"] == "ring"
+        assert norm["cluster"]["allreduce"] == {"latency_s": 1e-3, "bandwidth_bytes_per_s": 1e9}
 
     @pytest.mark.parametrize("variant", ["ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory"])
     def test_normalized_dump_reparses_to_itself(self, variant):
@@ -74,6 +74,8 @@ class TestParsing:
             parse({"workload": {"kind": "quadratic", "noise": 1.0}})
         with pytest.raises(ConfigError, match="schedule.*unknown keys"):
             parse({"schedule": {"alpha_t": 0.1}})
+        with pytest.raises(ConfigError, match="cluster.allreduce.*unknown keys.*algorithm"):
+            parse({"cluster": {"allreduce": {"algorithm": "ring"}}})
 
     def test_non_mixing_variant_rejects_positive_p(self):
         with pytest.raises(ConfigError, match="no mixing steps"):
@@ -196,7 +198,22 @@ class TestSummary:
                      "schedule": {"total_steps": 64, "sync_interval": 8}})
         from palsgd.experiments import run_experiment
         summary, result = run_experiment(cfg)
-        assert summary["sync_count"] == len(result.clock.events)
+        assert summary["sync_count"] == len(result.events)
         assert summary["diverged"] is False
         assert summary["final_loss"] == result.diagnostics.records[-1].train_metric
         assert summary["best_loss"] <= summary["final_loss"]
+
+    @pytest.mark.parametrize("variant, warmup", [("ddp", 0), ("local_sgd", 0), ("palsgd", 0),
+                                                 ("palsgd", 12)])
+    def test_summary_equals_the_last_record(self, variant, warmup):
+        # the run ends in an all-reduce, so its last record reads the final clock
+        cfg = parse({"workload": {"kind": "quadratic"}, "algo": {"variant": variant},
+                     "schedule": {"total_steps": 60, "sync_interval": 8, "warmup_steps": warmup},
+                     "cluster": {"jitter": 0.2}, "workers": 3})
+        from palsgd.experiments import run_experiment
+        summary, result = run_experiment(cfg)
+        last = result.diagnostics.records[-1]
+        assert last.step == 59
+        assert summary["total_sim_time_s"] == last.sim_time_s
+        assert summary["total_comm_seconds"] == last.comm_seconds
+        assert summary["sync_count"] == last.comm_count

@@ -215,7 +215,6 @@ class TestVerifyTheory:
     def test_diverged_replica_names_its_seed(self, monkeypatch):
         def second_replica_diverges(*args, **kwargs):
             result = run_training(*args, **kwargs)
-            result.diverged = True
             result.divergence = DivergenceReport(step=3, worker=0, last_record=None, replica=1)
             return result
 
@@ -304,6 +303,17 @@ class TestCli:
         assert (tmp_path / "sweep" / "sweep.csv").exists()
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and all("status=ok " in line for line in lines)
+
+    @pytest.mark.parametrize("grid", ['{"schedule.p": []}', '["schedule.p"]', '{"schedule.p": 0.1}',
+                                      '{"schedule.p": [0.1', None],
+                             ids=["empty-list", "json-list", "scalar", "invalid-json", "missing"])
+    def test_malformed_grid_exits_two(self, tmp_path, capsys, grid):
+        path = self.write_cfg(tmp_path)
+        grid_path = tmp_path / "grid.json"
+        if grid is not None:
+            grid_path.write_text(grid)
+        assert main(["sweep", path, "--grid", str(grid_path)]) == 2
+        assert "config field 'grid'" in capsys.readouterr().err
 
     def test_gradcheck_command(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA,
-                            DimensionMismatchError, RngStream, mean_of,
+from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, RngStream, mean_of,
                             row_norms_sq)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -18,27 +17,23 @@ def vec(*values):
 
 class TestMeanOf:
     def test_single(self):
-        assert np.array_equal(mean_of([vec(1, 1)]), vec(1, 1))
+        assert np.array_equal(mean_of(np.stack([vec(1, 1)])), vec(1, 1))
 
     def test_symmetry(self):
-        assert np.array_equal(mean_of([vec(0, 2), vec(2, 0)]), vec(1, 1))
+        assert np.array_equal(mean_of(np.stack([vec(0, 2), vec(2, 0)])), vec(1, 1))
 
     def test_cancellation(self):
-        vs = [vec(1, 0), vec(0, 1), vec(-1, -1), vec(0, 0)]
+        vs = np.stack([vec(1, 0), vec(0, 1), vec(-1, -1), vec(0, 0)])
         assert np.array_equal(mean_of(vs), vec(0, 0))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            mean_of([])
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            mean_of([vec(1, 2), vec(1, 2, 3)])
+            mean_of(np.zeros((0, 3)))
 
     def test_canonical_order_is_bit_stable(self):
         rng = np.random.default_rng(5)
         vs = [rng.normal(size=6) for _ in range(7)]
-        assert np.array_equal(mean_of(vs), mean_of([v.copy() for v in vs]))
+        assert np.array_equal(mean_of(np.stack(vs)), mean_of(np.stack([v.copy() for v in vs])))
 
     def test_rows_sum_left_to_right(self):
         # past 8 rows numpy's reductions sum pairwise, which rounds differently
@@ -76,7 +71,7 @@ class TestMeanOf:
         vs = [vec(*r) for r in rows]
         shuffled = list(vs)
         rand.shuffle(shuffled)
-        a, b = mean_of(vs), mean_of(shuffled)
+        a, b = mean_of(np.stack(vs)), mean_of(np.stack(shuffled))
         # A sequential sum of n terms errs by at most (n-1)*(eps/2)*sum|v_i|
         # to first order, whatever the order, so two orders differ by up to
         # (n-1)*eps*sum|v_i|; dividing by n and rounding each mean adds
