@@ -142,37 +142,56 @@ def theory_schedule(mu: float, smoothness: float, p: float, sync_interval: int,
 
 
 @dataclass(frozen=True)
+class VariantRules:
+    """One variant's preset optimizers, the sections of them it pins, the
+    schedule keys it derives itself, and whether it mixes (else p is 0)."""
+
+    inner: InnerOptConfig
+    outer: OuterOptConfig
+    pinned: tuple[str, ...] = ()
+    derived: tuple[str, ...] = ()
+    mixes: bool = False
+
+
+_SGD, _AVERAGING = InnerOptConfig(), OuterOptConfig(variant="sgd", lr=1.0)
+_ADAMW = InnerOptConfig(variant="adamw", clip_norm=1.0)
+_NESTEROV = OuterOptConfig(variant="nesterov", lr=0.7)
+# ddp never runs an outer step and local_sgd syncs by plain averaging;
+# palsgd_theory runs the optimizers and schedule its convergence theory assumes
+VARIANTS = {
+    "ddp": VariantRules(_SGD, _AVERAGING, pinned=("outer",)),
+    "local_sgd": VariantRules(_SGD, _AVERAGING, pinned=("outer",)),
+    "diloco": VariantRules(_ADAMW, _NESTEROV),
+    "palsgd": VariantRules(_ADAMW, _NESTEROV, mixes=True),
+    "palsgd_theory": VariantRules(_SGD, _AVERAGING, pinned=("inner", "outer"), mixes=True,
+                                  derived=("alpha", "eta", "lr_schedule", "lr_warmup_steps")),
+}
+
+
+@dataclass(frozen=True)
 class AlgoVariant:
-    tag: str = option(str, choices=("ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory"))
+    tag: str = option(str, choices=tuple(VARIANTS))
     inner: InnerOptConfig
     outer: OuterOptConfig
 
     def __post_init__(self):
         check_fields(self)
-        if self.tag == "palsgd_theory":
-            if self.inner.variant != "sgd":
-                raise ValueError("palsgd_theory requires the sgd inner optimizer")
-            if not self.outer.is_plain_averaging:
-                raise ValueError("palsgd_theory requires outer sgd with step size 1")
-        if self.tag == "local_sgd" and not self.outer.is_plain_averaging:
-            raise ValueError("local_sgd syncs by plain parameter averaging (outer sgd, lr 1)")
+        rules = VARIANTS[self.tag]
+        for section in rules.pinned:
+            if getattr(self, section) != getattr(rules, section):
+                raise ConfigError(section, f"variant {self.tag!r} fixes its {section} optimizer")
 
     @property
     def uses_mixing(self) -> bool:
-        return self.tag in ("palsgd", "palsgd_theory")
+        return VARIANTS[self.tag].mixes
 
 
 def make_variant(tag: str, inner: InnerOptConfig | None = None,
                  outer: OuterOptConfig | None = None) -> AlgoVariant:
-    """Variant presets: decoupled adamw/nesterov for diloco and palsgd, sgd
-    with plain averaging for the others. palsgd_theory ignores overrides."""
-    if tag in ("diloco", "palsgd"):
-        inner = inner or InnerOptConfig(variant="adamw", clip_norm=1.0)
-        outer = outer or OuterOptConfig(variant="nesterov", lr=0.7)
-    elif tag == "palsgd_theory":
-        inner, outer = InnerOptConfig(), OuterOptConfig(variant="sgd", lr=1.0)
-    else:  # ddp, local_sgd
-        inner, outer = inner or InnerOptConfig(), outer or OuterOptConfig(variant="sgd", lr=1.0)
+    """The variant `tag`, with its VARIANTS presets for the optimizers not given."""
+    rules = VARIANTS.get(tag) if isinstance(tag, str) else None
+    if rules is not None:  # an unknown tag is rejected by AlgoVariant
+        inner, outer = inner or rules.inner, outer or rules.outer
     return AlgoVariant(tag=tag, inner=inner, outer=outer)
 
 

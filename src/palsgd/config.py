@@ -9,8 +9,7 @@ Where a key's default and bound live:
   ``ClusterSpec``, ``AllReduceModel``, ``AlgoVariant``, ``Shards``; see
   ``fields.py``). Where a config default differs from the library one (four
   ``schedule`` keys and ``workers``), the tables below replace the default
-  and keep the bound. ``schedule.p`` defaults to 0.05 for the mixing
-  variants and 0 otherwise.
+  and keep the bound.
 * The other ``workload`` keys (one table per kind) and the top-level
   ``seed``, ``metrics_every``, ``eval_every`` and ``out_dir`` are declared
   in the tables below.
@@ -21,15 +20,12 @@ the final step among them. ``eval_every`` adds its evaluation steps when the
 workload has an evaluation set, and ``metrics_every`` (default none) adds
 every step that is a multiple of it.
 
-Preset merge: ``make_variant`` holds each variant's optimizer presets. A key
-that ``algo.inner`` or ``algo.outer`` leaves out keeps the preset's value, so
+Variant rules: the ``VARIANTS`` table in ``algorithms.py`` declares, once
+per variant, its preset optimizers, the ``algo`` sections it pins to them and
+the ``schedule`` keys it derives (both rejected when given), and whether it
+mixes (``schedule.p`` defaults to 0.05 if so and must be 0 if not). A key
+that an unpinned section leaves out keeps the preset's value, so
 ``{"weight_decay": 0.1}`` under palsgd still runs adamw with clip_norm 1.0.
-
-Sections a variant fixes, and so rejects: ``algo.outer`` for ddp (it never
-runs an outer step) and local_sgd (it syncs by plain averaging), and both
-``algo.inner`` and ``algo.outer`` for palsgd_theory (sgd, outer sgd with
-lr 1). palsgd_theory also derives ``schedule.alpha``, ``eta``, ``lr_schedule``
-and ``lr_warmup_steps``, and rejects them.
 
 Unknown keys are rejected at every nesting level (ablation grids make silent
 typos expensive) and every constraint violation names the offending field.
@@ -43,11 +39,11 @@ from __future__ import annotations
 import copy
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .algorithms import AlgoVariant, Schedule, make_variant, theory_schedule
+from .algorithms import VARIANTS, AlgoVariant, Schedule, make_variant, theory_schedule
 from .cluster import AllReduceModel, ClusterSpec
 from .fields import ConfigError, Spec, specs
 from .optimizers import InnerOptConfig, OuterOptConfig
@@ -65,10 +61,7 @@ TOP_KEYS = {"workers": _CLUSTER.pop("workers"),  # set at the top level, not in 
 _ALLREDUCE = specs(AllReduceModel)
 _VARIANT = specs(AlgoVariant, tag="palsgd")["tag"]
 _OPTIMIZERS = {"inner": specs(InnerOptConfig), "outer": specs(OuterOptConfig)}
-_FIXED_SECTIONS = {"ddp": ("outer",), "local_sgd": ("outer",),
-                   "palsgd_theory": ("inner", "outer")}
 _SCHEDULE = specs(Schedule, alpha=0.01, eta=0.5, sync_interval=16, total_steps=1600)
-_THEORY_DERIVED = ("alpha", "eta", "lr_schedule", "lr_warmup_steps")
 
 _DATASET = {"data_seed": Spec(int, 7),
             "spread": Spec(float, 1.0, low=0, low_open=True),
@@ -143,18 +136,8 @@ class RunConfig:
     _built: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def normalized(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "workload": self.workload,
-            "algo": self.algo,
-            "schedule": self.schedule,
-            "cluster": self.cluster,
-            "workers": self.workers,
-            "seed": self.seed,
-            "metrics_every": self.metrics_every,
-            "eval_every": self.eval_every,
-            "out_dir": self.out_dir,
-        }
+        return {"schema_version": SCHEMA_VERSION,
+                **{f.name: getattr(self, f.name) for f in fields(self) if f.init}}
 
     def workload_object(self):
         """The workload built from the ``workload`` section, built again only
@@ -264,11 +247,11 @@ def _parse_workload(raw) -> dict:
 def _parse_algo(raw) -> dict:
     out = _section("algo", raw, {"variant": _VARIANT}, other_keys=tuple(_OPTIMIZERS))
     variant = out["variant"]
-    preset = make_variant(variant)
+    rules = VARIANTS[variant]
     for section, table in _OPTIMIZERS.items():
-        if section not in _FIXED_SECTIONS.get(variant, ()):
+        if section not in rules.pinned:
             out[section] = _section(f"algo.{section}", raw.get(section, {}), table,
-                                    asdict(getattr(preset, section)))
+                                    asdict(getattr(rules, section)))
         elif section in raw:
             raise ConfigError(f"algo.{section}",
                               f"variant {variant!r} fixes its {section} optimizer; drop the section")
@@ -276,15 +259,13 @@ def _parse_algo(raw) -> dict:
 
 
 def _parse_schedule(raw, variant: str) -> dict:
-    table = _SCHEDULE
-    if variant == "palsgd_theory":
-        given = [key for key in _THEORY_DERIVED if key in _object("schedule", raw)]
-        if given:
-            raise ConfigError(f"schedule.{given[0]}", "derived by the theory schedule; drop it")
-        table = {k: v for k, v in _SCHEDULE.items() if k not in _THEORY_DERIVED}
-    mixing = make_variant(variant).uses_mixing
-    out = _section("schedule", raw, table, {"p": 0.05 if mixing else 0.0})
-    if not mixing and out["p"] != 0.0:
+    rules = VARIANTS[variant]
+    given = [key for key in rules.derived if key in _object("schedule", raw)]
+    if given:
+        raise ConfigError(f"schedule.{given[0]}", f"variant {variant!r} derives it; drop it")
+    table = {k: v for k, v in _SCHEDULE.items() if k not in rules.derived}
+    out = _section("schedule", raw, table, {"p": 0.05 if rules.mixes else 0.0})
+    if not rules.mixes and out["p"] != 0.0:
         raise ConfigError("schedule.p", f"variant '{variant}' takes no mixing steps; p must be 0")
     if out.get("lr_schedule") == "warmup_cosine" and out["lr_warmup_steps"] < 1:
         raise ConfigError("schedule.lr_warmup_steps", "warmup_cosine needs lr_warmup_steps >= 1")

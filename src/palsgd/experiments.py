@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .algorithms import make_variant, run_training
+from .algorithms import VARIANTS, make_variant, run_training
 from .cluster import export_events_jsonl
 from .config import ConfigError, RunConfig, parse_config
 from .metrics import summarize, write_metrics_jsonl, write_summary
@@ -60,12 +60,18 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
     """One run per (parameter, value), each varied alone against the base config.
 
     Returns the comparison rows and, when out_dir is given, writes
-    ``sweep.csv`` plus one run directory per cell. Each row's ``status`` is
+    ``sweep.csv`` plus one run directory per cell, ``<out_dir>/<i>``, where i
+    is the cell's 0-based row in ``sweep.csv``. Each row's ``status`` is
     "ok", "diverged" or "error". A cell whose config is rejected or whose run
     raises is recorded as "error" with its result columns (``diverged``
     included) left empty and the message in the cell's ``error.txt``, and the
     sweep continues. A grid that is not an object mapping each path to a
-    non-empty list of values raises ConfigError("grid", ...).
+    non-empty list of distinct values raises ConfigError("grid", ...).
+
+    A cell that sets ``algo.variant`` re-derives what the ``VARIANTS`` table
+    says the variant owns: it drops the sections the variant pins and the
+    keys it derives, and sets p to 0 if the variant does not mix. It keeps
+    the base's inner optimizer (unless pinned) and, if the variant mixes, p.
     """
     if not isinstance(grid, dict):
         raise ConfigError("grid", f"must map parameter paths to value lists, got {grid!r}")
@@ -73,6 +79,9 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
     for param, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError("grid", f"{param} must map to a non-empty list, got {values!r}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError("grid", f"{param} lists the value {repeated[0]!r} twice")
         probe = copy.deepcopy(base)
         try:
             _set_path(probe, param, values[0])
@@ -83,10 +92,17 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
         for value in values:
             cell = copy.deepcopy(base)
             _set_path(cell, param, value)
-            cell_name = f"{param.replace('.', '_')}={value}"
-            cell_dir = os.path.join(out_dir, cell_name) if out_dir else None
-            row = {"param": param, "value": value, "status": "error", "final_loss": "",
-                   "sim_time_s": "", "sync_count": "", "diverged": ""}
+            # an unknown tag, a list included, is left for the parser to reject
+            rules = VARIANTS.get(value) if param == "algo.variant" and isinstance(value, str) else None
+            if rules is not None:
+                for section, keys in (("algo", rules.pinned), ("schedule", rules.derived)):
+                    for key in keys:
+                        cell[section].pop(key, None)
+                if not rules.mixes:
+                    cell["schedule"]["p"] = 0.0
+            cell_dir = os.path.join(out_dir, str(len(rows))) if out_dir else None
+            row = {**dict.fromkeys(SWEEP_CSV_HEADER, ""), "param": param, "value": value,
+                   "status": "error"}
             try:
                 cell_cfg = parse_config(json.dumps(cell))
                 summary, _ = run_experiment(cell_cfg, out_dir=cell_dir)

@@ -14,21 +14,7 @@ RECORD_SCHEMA = 2
 
 
 def record_to_obj(rec: StepRecord) -> dict:
-    obj = {
-        "schema": RECORD_SCHEMA,
-        "step": rec.step,
-        "sim_time_s": rec.sim_time_s,
-        "train_metric": rec.train_metric,
-        "consensus_sq": rec.consensus_sq,
-        "spread_sq": rec.spread_sq,
-        "comm_count": rec.comm_count,
-        "comm_seconds": rec.comm_seconds,
-    }
-    if rec.eval_loss is not None:
-        obj["eval_loss"] = rec.eval_loss
-    if rec.eval_acc is not None:
-        obj["eval_acc"] = rec.eval_acc
-    return obj
+    return {"schema": RECORD_SCHEMA, **{k: v for k, v in vars(rec).items() if v is not None}}
 
 
 def dumps_record(rec: StepRecord) -> str:

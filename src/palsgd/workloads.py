@@ -288,8 +288,6 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 class MlpWorkload:
     """Dense MLP with hand-written backprop over a flat parameter vector."""
 
-    has_eval = True
-
     def __init__(self, widths, activation: str, train: Dataset, test: Dataset | None = None,
                  batch_size: int = 8, dtype: str = "float64", init_scale: float | None = None,
                  draw_policy: str = Shards.draw_policy):
@@ -304,6 +302,7 @@ class MlpWorkload:
         self._act, self._act_grad = _activation(activation)
         self.train = train
         self.test = test
+        self.has_eval = test is not None
         self.batch_size = int(batch_size)
         if dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {DTYPES}")
@@ -384,8 +383,6 @@ class MlpWorkload:
         return _cross_entropy(self._logits(x, self.train.features), self.train.labels)
 
     def evaluate(self, x: ParamVector) -> dict:
-        if self.test is None:
-            return {}
         logits = self._logits(x, self.test.features)
         y = self.test.labels
         return {"eval_loss": _cross_entropy(logits, y),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palsgd import algorithms
-from palsgd.algorithms import (AlgoVariant, Schedule, StepRecord, Workers,
+from palsgd.algorithms import (VARIANTS, AlgoVariant, Schedule, StepRecord, Workers,
                                _WeightedAverage, consensus_probe, ddp_step,
                                make_variant, palsgd_local_step, run_training,
                                sync_round, theory_schedule)
 from palsgd.cluster import AllReduceModel, ClusterSpec, SimClock, allreduce_time
+from palsgd.config import parse_config
+from palsgd.fields import ConfigError
 from palsgd.optimizers import InnerOptConfig, OuterOptConfig, OuterOptState
 from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_JITTER,
                             RngStream, mean_of)
@@ -147,10 +150,30 @@ class TestVariants:
         with pytest.raises(ValueError):
             AlgoVariant("local_sgd", InnerOptConfig(), OuterOptConfig(variant="nesterov", lr=0.5))
 
-    def test_make_variant_keeps_a_given_outer(self):
-        assert make_variant("ddp", outer=OuterOptConfig(variant="sgd", lr=0.5)).outer.lr == 0.5
-        with pytest.raises(ValueError, match="plain parameter averaging"):
-            make_variant("local_sgd", outer=OuterOptConfig(variant="nesterov", lr=0.5))
+    @pytest.mark.parametrize("tag, section", [("ddp", "outer"), ("local_sgd", "outer"),
+                                              ("palsgd_theory", "inner"),
+                                              ("palsgd_theory", "outer")])
+    def test_pinned_section_is_rejected(self, tag, section):
+        # the API and the parser agree: a section the variant pins is an error
+        given = {"inner": InnerOptConfig(variant="adamw"),
+                 "outer": OuterOptConfig(variant="sgd", lr=0.5)}[section]
+        with pytest.raises(ConfigError) as exc:
+            make_variant(tag, **{section: given})
+        assert exc.value.field == section
+        preset = VARIANTS[tag]
+        with pytest.raises(ConfigError) as exc:
+            AlgoVariant(tag, **{"inner": preset.inner, "outer": preset.outer, section: given})
+        assert exc.value.field == section
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({"algo": {"variant": tag, section: {"variant": given.variant}},
+                                     "schedule": {"p": 0.25}}))
+        assert exc.value.field == f"algo.{section}"
+
+    def test_unknown_tag_is_rejected(self):
+        for tag in ("sgd", None, ["ddp"]):
+            with pytest.raises(ConfigError) as exc:
+                make_variant(tag)
+            assert exc.value.field == "tag"
 
     def test_diloco_defaults_are_decoupled(self):
         v = make_variant("diloco")

@@ -109,15 +109,24 @@ class TestRunExperiment:
             "workers": 2, "seed": 1, "eval_every": 40}))
         assert summary["final_eval_acc"] >= 0.9
 
+    def test_mlp_without_a_test_set_adds_no_eval_records(self):
+        _, result = run_experiment(parse({
+            "workload": {"kind": "mlp", "widths": [8, 16, 3], "samples_per_class": 10,
+                         "test_samples_per_class": 0},
+            "schedule": {"p": 0.1, "sync_interval": 8, "total_steps": 24},
+            "workers": 2, "eval_every": 5}))
+        recs = result.diagnostics.records
+        assert [r.step for r in recs] == [7, 15, 23]
+        assert all(r.eval_loss is None and r.eval_acc is None for r in recs)
+
 
 class TestSweep:
     def test_rows_match_per_run_summaries(self, tmp_path):
         cfg = parse(quad_cfg())
         rows = sweep(cfg, {"schedule.sync_interval": [4, 8, 16]}, out_dir=str(tmp_path))
         assert len(rows) == 3
-        for row in rows:
-            cell = json.loads((tmp_path / f"schedule_sync_interval={row['value']}" /
-                               "summary.json").read_text())
+        for i, row in enumerate(rows):
+            cell = json.loads((tmp_path / str(i) / "summary.json").read_text())
             assert row["final_loss"] == cell["final_loss"]
             assert row["sim_time_s"] == cell["total_sim_time_s"]
             assert row["sync_count"] == cell["sync_count"]
@@ -138,7 +147,7 @@ class TestSweep:
         bad = rows[1]
         assert bad["status"] == "error"
         assert bad["diverged"] == "" and bad["final_loss"] == ""
-        assert (tmp_path / "schedule_p=1.5" / "error.txt").exists()
+        assert (tmp_path / "1" / "error.txt").exists()
         assert [rows[0]["status"], rows[2]["status"]] == ["ok", "ok"]
         assert rows[0]["diverged"] is False and rows[2]["diverged"] is False
         with open(tmp_path / "sweep.csv") as fh:
@@ -150,6 +159,21 @@ class TestSweep:
         rows = sweep(cfg, {"schedule.alpha": [0.02, 1e9]})
         assert [r["status"] for r in rows] == ["ok", "diverged"]
         assert rows[1]["diverged"] is True and rows[1]["sync_count"] != ""
+
+    def test_variant_cells_rederive_what_the_variant_owns(self):
+        # one 3x straggler; ddp waits for it at every step, and palsgd's
+        # mixing steps take no gradient
+        cfg = parse(quad_cfg(schedule={"sync_interval": 4, "total_steps": 40}, workers=4,
+                             cluster={"worker_multipliers": [1, 1, 1, 3]}))
+        rows = sweep(cfg, {"algo.variant": ["ddp", "local_sgd", "diloco", "palsgd"]})
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        times = {r["value"]: r["sim_time_s"] for r in rows}
+        assert times["palsgd"] < times["ddp"]
+
+    def test_variant_cells_of_unknown_and_theory_tags(self):
+        # unknown tags are left to the parser; palsgd_theory drops what it pins and derives
+        rows = sweep(parse(quad_cfg()), {"algo.variant": [["ddp"], "sgd", "palsgd_theory"]})
+        assert [r["status"] for r in rows] == ["error", "error", "ok"]
 
     def test_time_decreases_with_larger_sync_interval(self, tmp_path):
         cfg = parse(quad_cfg(schedule={"total_steps": 128}))
@@ -305,8 +329,10 @@ class TestCli:
         assert len(lines) == 2 and all("status=ok " in line for line in lines)
 
     @pytest.mark.parametrize("grid", ['{"schedule.p": []}', '["schedule.p"]', '{"schedule.p": 0.1}',
-                                      '{"schedule.p": [0.1', None],
-                             ids=["empty-list", "json-list", "scalar", "invalid-json", "missing"])
+                                      '{"schedule.p": [0.1', None,
+                                      '{"schedule.sync_interval": [4, 8, 4]}'],
+                             ids=["empty-list", "json-list", "scalar", "invalid-json", "missing",
+                                  "repeated-value"])
     def test_malformed_grid_exits_two(self, tmp_path, capsys, grid):
         path = self.write_cfg(tmp_path)
         grid_path = tmp_path / "grid.json"
