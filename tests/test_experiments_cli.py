@@ -1,17 +1,19 @@
 import copy
 import csv
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from palsgd import experiments
-from palsgd.algorithms import DivergenceReport, make_variant, run_training
+from palsgd import algorithms, experiments
+from palsgd.algorithms import DivergenceReport, Schedule, make_variant, run_training
 from palsgd.cli import main
 from palsgd.config import ConfigError, RunConfig, parse_config
 from palsgd.experiments import (SWEEP_CSV_HEADER, fit_loglog_slope, gradcheck,
                                 k1_scalar_oracle, run_experiment, sweep,
-                                verify_theory)
+                                verify_theory, weighted_average_suboptimality)
 
 
 def parse(obj):
@@ -202,6 +204,12 @@ class TestVerifyTheory:
         # predicted K-slope is near 0 and the measured one is seed noise
         assert report["inconclusive"] == ["k_slope"], report["k_predicted_slope"]
         assert report["k_slope_pass"] is None
+        assert report["k1_oracle"]["oracle_se"] == 0.0
+        other = self.base()
+        other.seed = 7
+        elsewhere = verify_theory(other, k_values=(1, 2), n_seeds=3, h_values=(2,),
+                                  h_probe_steps=32)
+        assert elsewhere["k1_oracle"]["oracle_mean"] == report["k1_oracle"]["oracle_mean"]
 
     def test_more_workers_less_error_when_noise_dominates(self):
         # a small offset leaves the 1/K noise term dominant, at one alpha for every K
@@ -256,6 +264,12 @@ class TestVerifyTheory:
         with pytest.raises(ConfigError, match="k_values"):
             verify_theory(self.base(), k_values=k_values, n_seeds=3)
 
+    @pytest.mark.parametrize("kwargs", [{"h_values": (0, 2)}, {"h_values": (2, -1)},
+                                        {"h_probe_steps": 0}])
+    def test_refuses_sync_probes_below_one(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            verify_theory(self.base(), k_values=(1, 2), n_seeds=3, **kwargs)
+
     def test_requires_theory_variant(self):
         # a palsgd config has no theory step sizes and no weighted average
         with pytest.raises(ConfigError, match="palsgd_theory"):
@@ -269,6 +283,86 @@ class TestVerifyTheory:
 
     def test_slope_fit(self):
         assert fit_loglog_slope([1, 2, 4], [1.0, 0.5, 0.25]) == pytest.approx(-1.0)
+
+
+def path_suboptimality(a, z0, schedule, mixes):
+    """One run of the single-worker theory-mode recursion with its coin flips
+    given: the worker mixes at step t when mixes[t] is true. Warmup steps are
+    DDP steps, each one a sync, and ignore their flag."""
+    h, total = schedule.sync_interval, schedule.total_steps
+    warmup = min(schedule.effective_warmup, total)
+    beta = schedule.alpha_eta / schedule.p
+    z = z0.copy()
+    global_z = z.copy()
+    xhat = np.zeros_like(z)
+    w, total_w = 1.0, 0.0
+    for t in range(total):
+        total_w += w
+        xhat += (w / total_w) * (global_z - xhat)
+        w *= schedule.iterate_weight_growth
+        if t < warmup:
+            z = z - schedule.alpha_at(t) * a * z
+        elif mixes[t]:
+            z = z - beta * (z - global_z)
+        else:
+            z = z - schedule.alpha_at(t) / (1.0 - schedule.p) * a * z
+        if t < warmup or (t + 1) % h == 0 or t == total - 1:
+            global_z = z.copy()
+    return 0.5 * float(np.sum(a * xhat * xhat))
+
+
+class TestK1Oracle:
+    def k1_cell(self, warmup_steps=0):
+        # the TestVerifyTheory fixture at K = 1
+        cfg = parse({
+            "workload": {"kind": "quadratic", "dim": 4, "mu": 1.0, "L": 2.0,
+                         "noise_sigma": 1.0, "x0_offset": 0.05},
+            "algo": {"variant": "palsgd_theory"},
+            "schedule": {"p": 0.5, "sync_interval": 4, "total_steps": 600,
+                         "warmup_steps": warmup_steps},
+            "workers": 1, "seed": 100})
+        workload = cfg.workload_object()
+        exact = k1_scalar_oracle(workload.hessian_diag, workload.x0 - workload.x_star,
+                                 workload.noise_sigma, cfg.build_schedule(workload))
+        return cfg, exact
+
+    def trainer_mean_and_se(self, cfg, n_seeds=100):
+        vals = np.asarray(weighted_average_suboptimality(
+            cfg, 1, [cfg.seed + s for s in range(n_seeds)]))
+        return vals.mean(), vals.std(ddof=1) / np.sqrt(n_seeds)
+
+    @pytest.mark.parametrize("warmup_steps", [0, 3])
+    def test_noiseless_value_is_the_mean_over_every_coin_sequence(self, warmup_steps):
+        # T = 8 at H = 3 closes on a partial window; warmup 3 is one DDP window
+        a = np.array([0.5, 1.0, 2.0])
+        z0 = np.array([1.0, -0.7, 0.3])
+        schedule = Schedule(alpha=0.2, p=0.3, sync_interval=3, total_steps=8,
+                            warmup_steps=warmup_steps, alpha_eta=0.1,
+                            iterate_weight_growth=1.25)
+        free = range(schedule.effective_warmup, schedule.total_steps)
+        brute = 0.0
+        for flags in itertools.product((False, True), repeat=len(free)):
+            mixes = dict(zip(free, flags))
+            prob = math.prod(schedule.p if f else 1.0 - schedule.p for f in flags)
+            brute += prob * path_suboptimality(a, z0, schedule, mixes)
+        assert k1_scalar_oracle(a, z0, 0.0, schedule) == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("warmup_steps", [0, 64])
+    def test_trainer_mean_matches_the_exact_value(self, warmup_steps):
+        cfg, exact = self.k1_cell(warmup_steps)
+        mean, se = self.trainer_mean_and_se(cfg)
+        assert abs(mean - exact) <= 4.0 * se, (mean, se, exact)
+
+    def test_a_larger_inner_step_moves_the_trainer_mean_away(self, monkeypatch):
+        cfg, exact = self.k1_cell()
+        inner_step = algorithms.inner_step
+
+        def scaled(state, x, g, lr, rows=slice(None)):
+            inner_step(state, x, g, 1.5 * lr, rows)
+
+        monkeypatch.setattr(algorithms, "inner_step", scaled)
+        mean, se = self.trainer_mean_and_se(cfg)
+        assert abs(mean - exact) > 6.0 * se, (mean, se, exact)
 
 
 class TestGradcheck:
