@@ -16,7 +16,7 @@ from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
                          OuterOptState, inner_step, outer_step)
 from .vecmath import ParamVector, RngStream, mean_of, row_norms_sq
 from .workloads import (Dataset, LogisticWorkload, MlpWorkload,
-                        QuadraticWorkload, Shard, Shards,
+                        QuadraticWorkload, Shards,
                         generate_synthetic_classification, shard_dataset)
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "Dataset", "Diagnostics", "InnerOptConfig", "InnerOptState",
     "LogisticWorkload", "MlpWorkload", "OuterOptConfig", "OuterOptState",
     "ParamVector", "QuadraticWorkload", "RngStream", "RunConfig", "Schedule",
-    "Shard", "Shards", "SimClock", "StepRecord", "TrainResult", "Workers",
+    "Shards", "SimClock", "StepRecord", "TrainResult", "Workers",
     "allreduce_time", "consensus_probe", "ddp_step",
     "generate_synthetic_classification", "gradcheck",
     "inner_step", "load_config", "make_variant", "mean_of",

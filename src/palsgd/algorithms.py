@@ -15,11 +15,12 @@ would be set at every sync round and every DDP step, exactly when the global
 model is, to the same value, so the two are always equal.
 
 Every H steps (and once at the end of a partial window) a sync round
-aggregates the outer gradient delta = x_global - mean_k(x_k), applies the
-outer optimizer, and resets every worker's parameters to the new global
-model. DDP instead all-reduces gradients every step. Local SGD and DiLoCo are
-the p = 0 special cases with, respectively, plain-averaging and
-adamw/nesterov optimizer pairings, which the equivalence tests rely on.
+all-reduces the worker mean, lets the outer optimizer take its step on the
+outer gradient delta = x_global - mean_k(x_k), its momentum buffer advancing
+in place, and resets every worker's parameters to the new global model.
+DDP instead all-reduces gradients every step. Local SGD and DiLoCo are the
+p = 0 special cases with, respectively, plain-averaging and adamw/nesterov
+optimizer pairings, which the equivalence tests rely on.
 
 Random draws are stacked too. There is one stream per purpose (Bernoulli
 coins, data, clock jitter), and each step makes one draw from it for all K
@@ -79,11 +80,9 @@ class Schedule:
 
     @property
     def effective_warmup(self) -> int:
-        """Warmup length rounded up to a sync boundary."""
-        if self.warmup_steps == 0:
-            return 0
+        """Warmup length rounded up to a sync boundary, at most the whole run."""
         h = self.sync_interval
-        return ((self.warmup_steps + h - 1) // h) * h
+        return min((self.warmup_steps + h - 1) // h * h, self.total_steps)
 
     def alpha_at(self, t: int) -> float:
         if self.lr_schedule == "constant":
@@ -318,13 +317,14 @@ def palsgd_local_step(workers: Workers, global_x: np.ndarray, schedule: Schedule
 
 
 def sync_round(workers: Workers, global_x: np.ndarray, outer_state: OuterOptState,
-               clock: SimClock, t: int, reset_inner: bool = False):
-    """Per replica, all-reduce the outer gradient, update the (S, d) global
-    models and reset the replica's workers to its new one.
+               clock: SimClock, t: int):
+    """Per replica, all-reduce the worker mean, take the outer step from the
+    (S, d) global models and reset the replica's workers to its new one; the
+    inner state starts afresh if its config says `reset_at_sync`.
 
-    Returns the new global models, the outer state and the drift of the
-    window that closes here: `consensus_probe` of the rows before the reset,
-    against the old global models and the all-reduced mean.
+    `outer_state` advances in place. Returns the new global models and the
+    drift of the window that closes here: `consensus_probe` of the rows
+    before the reset, against the old global models and the all-reduced mean.
     """
     x = workers.stacked
     m = mean_of(x)
@@ -332,17 +332,13 @@ def sync_round(workers: Workers, global_x: np.ndarray, outer_state: OuterOptStat
     # the divergence right after the step and records nothing from it
     with np.errstate(invalid="ignore"):
         drift = consensus_probe(x, global_x, m)
-    delta = global_x - m
-    candidate, outer_state = outer_step(outer_state, global_x, delta)
-    # Plain averaging must yield the mean bit-exactly (global - (global - m)
-    # reintroduces rounding), so the lr-1 momentum-free case short-circuits.
-    new_global = m if outer_state.config.is_plain_averaging else candidate
+    new_global = outer_step(outer_state, global_x, m)
     x[:] = new_global[:, None, :]
-    if reset_inner:
+    if workers.inner.config.reset_at_sync:
         workers.inner = InnerOptState.fresh(workers.inner.config, *workers.x.shape)
     for replica in range(len(new_global)):
         clock.record_allreduce(t, new_global.shape[1], replica)
-    return new_global, outer_state, drift
+    return new_global, drift
 
 
 def ddp_step(workers: Workers, schedule: Schedule, t: int,
@@ -413,7 +409,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     n_workers = cluster.workers
     total = schedule.total_steps
     h = schedule.sync_interval
-    warmup = total if variant.tag == "ddp" else min(schedule.effective_warmup, total)
+    warmup = total if variant.tag == "ddp" else schedule.effective_warmup
 
     x0 = np.stack([workload.init_params(RngStream(s, 0, PURPOSE_INIT)) for s in seeds])
     workers = Workers.start(x0, variant.inner, [workload.shards(n_workers, s) for s in seeds],
@@ -465,9 +461,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         else:
             mixing_steps += palsgd_local_step(workers, global_x, schedule, t, workload, clock)
             if (t + 1) % h == 0 or t == total - 1:
-                global_x, outer_state, drift = sync_round(
-                    workers, global_x, outer_state, clock, t,
-                    reset_inner=variant.inner.reset_at_sync)
+                global_x, drift = sync_round(workers, global_x, outer_state, clock, t)
                 window = (mixing_steps - mixed_at_sync).reshape(len(seeds), -1).tolist()
                 for rows, counts in zip(windows, window):
                     rows.append(tuple(counts))

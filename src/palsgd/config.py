@@ -293,8 +293,13 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(workload=workload, algo=algo, schedule=schedule, cluster=cluster, **top)
     # fail fast on anything the dataclass constructors would reject later
     cfg.build_variant()
-    cfg.build_schedule(cfg.workload_object())
+    workload_obj = cfg.workload_object()
+    cfg.build_schedule(workload_obj)
     cfg.build_cluster()
+    train = getattr(workload_obj, "train", None)
+    if train is not None and cfg.workers > len(train):
+        raise ConfigError("workers", f"{cfg.workers} workers but only {len(train)} training "
+                                     "samples; each worker's shard needs one")
     return cfg
 
 

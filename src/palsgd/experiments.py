@@ -167,7 +167,7 @@ def k1_scalar_oracle(hessian_diag, x0_offset, noise_sigma: float, schedule: Sche
     grad = np.tile(np.eye(3), (a.shape[0], 1, 1))
     averager = np.eye(3)
     w, total_w = 1.0, 0.0
-    warmup = min(schedule.effective_warmup, schedule.total_steps)
+    warmup = schedule.effective_warmup
     for t in range(schedule.total_steps):
         total_w += w
         averager[2, 1:] = w / total_w, 1.0 - w / total_w

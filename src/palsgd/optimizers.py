@@ -1,10 +1,11 @@
-"""Inner and outer optimizer state machines.
+"""Inner and outer optimizer state machines, advanced in place.
 
 Inner optimizers drive the workers' local steps (sgd, momentum sgd, adamw)
 on stacked (K, d) parameters and update their stacked state in place, on the
-rows that took a gradient step. Outer optimizers consume the aggregated
-parameter delta at sync rounds (sgd, nesterov) and are pure:
-(state, inputs) -> (new global params, new state).
+rows that took a gradient step. Outer optimizers (sgd, nesterov) run at sync
+rounds on the global models, (d,) or (S, d): they take the all-reduced
+worker mean, advance their momentum buffer in place and return the new
+global models. Under plain averaging the new global model is that mean.
 """
 
 from __future__ import annotations
@@ -162,17 +163,23 @@ class OuterOptState:
         buf = np.zeros(shape) if config.variant == "nesterov" else None
         return cls(config=config, buf=buf)
 
-    def copy(self) -> "OuterOptState":
-        return OuterOptState(config=self.config, buf=None if self.buf is None else self.buf.copy())
 
+def outer_step(state: OuterOptState, x_global: ParamVector, mean: ParamVector) -> ParamVector:
+    """The new global models, given the old ones and the all-reduced worker means.
 
-def outer_step(state: OuterOptState, x_global: ParamVector, delta: ParamVector) -> tuple[ParamVector, OuterOptState]:
-    """Apply the aggregated delta as an outer gradient to the global model."""
-    _check_dims("outer_step", x_global, delta)
+    The outer gradient is delta = x_global - mean. Under plain averaging the
+    result is `mean` itself, bit for bit, since x_global - (x_global - mean)
+    reintroduces rounding. Nesterov advances `state.buf` in place, buffer
+    first (buf = momentum * buf + delta), then steps by the look-ahead
+    delta + momentum * buf.
+    """
+    _check_dims("outer_step", x_global, mean)
     cfg = state.config
-    new = state.copy()
+    if cfg.is_plain_averaging:
+        return mean
+    delta = x_global - mean
     if cfg.variant == "sgd":
-        return x_global - cfg.lr * delta, new
-    # nesterov, deep-learning reformulation: buffer first, then look-ahead
-    new.buf = cfg.momentum * state.buf + delta
-    return x_global - cfg.lr * (delta + cfg.momentum * new.buf), new
+        return x_global - cfg.lr * delta
+    state.buf *= cfg.momentum
+    state.buf += delta
+    return x_global - cfg.lr * (delta + cfg.momentum * state.buf)

@@ -44,59 +44,54 @@ class Dataset:
 
 
 @dataclass
-class Shard:
-    """A worker's slice of the dataset plus its epoch_shuffle cursor."""
-    indices: np.ndarray
-    stream: RngStream | None = None  # epoch_shuffle's permutations
-    _order: np.ndarray | None = None
-    _pos: int = 0
-
-    def next_batch(self, batch_size: int) -> np.ndarray:
-        """The next batch_size indices of the shard's epoch order; each epoch
-        is a fresh permutation, the n-th one drawn at counter n of `stream`."""
-        out = np.empty(batch_size, dtype=np.int64)
-        filled = 0
-        while filled < batch_size:
-            if self._order is None or self._pos >= len(self.indices):
-                self._order = self.indices[self.stream.permutation(len(self.indices))]
-                self._pos = 0
-            take = min(batch_size - filled, len(self.indices) - self._pos)
-            out[filled:filled + take] = self._order[self._pos:self._pos + take]
-            self._pos += take
-            filled += take
-        return out
-
-
-@dataclass
 class Shards:
-    """The K workers' shards, drawn from together: row k of a draw is worker k's.
+    """The K workers' shards as arrays, drawn from together: row k of a draw
+    is worker k's.
 
-    with_replacement makes one (K, batch) integer draw per call, row k
-    uniform over shard k, and keeps the requested rows. epoch_shuffle
-    advances only the requested shards, each through its own permutations,
-    and leaves the caller's stream untouched.
+    Shard k is `flat[starts[k]:starts[k] + sizes[k]]`, its sorted sample
+    indices. with_replacement makes one (K, batch) integer draw from the
+    caller's stream per call, row k uniform over shard k, and keeps the
+    requested rows. epoch_shuffle leaves the caller's stream untouched: shard
+    k reads its indices in epochs, epoch e permuted by its own stream keyed
+    (seed, k, PURPOSE_SHUFFLE) at counter e. `order` holds each shard's
+    current epoch at its start and `cursor` each shard's next position in it,
+    and a draw advances only the requested shards.
     """
-    parts: list[Shard]
+    flat: np.ndarray    # (n,) every shard's sorted indices, end to end
+    sizes: np.ndarray   # (K,) int64
+    seed: int = 0       # keys epoch_shuffle's permutation streams
     draw_policy: str = option(str, "with_replacement", choices=("with_replacement", "epoch_shuffle"))
 
     def __post_init__(self):
         check_fields(self)
-        sizes = [len(s.indices) for s in self.parts]
-        self._sizes = np.array(sizes)[:, None]
-        self._starts = np.cumsum([0] + sizes[:-1])[:, None]
-        self._flat = np.concatenate([s.indices for s in self.parts])  # shard k at _starts[k]
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        if self.draw_policy == "epoch_shuffle":
+            self.order = self.flat.copy()
+            self.cursor = self.sizes.copy()  # every epoch spent: the first draw starts epoch 0
+            self.streams = [RngStream(self.seed, k, PURPOSE_SHUFFLE) for k in range(len(self))]
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self.sizes)
 
     def draw(self, stream: RngStream, batch_size: int, rows) -> np.ndarray:
         """(len(rows), batch_size) sample indices for the workers in `rows`."""
         if self.draw_policy == "with_replacement":
-            picks = stream.integers(0, self._sizes, (len(self.parts), batch_size))
-            return self._flat[self._starts[rows] + picks[rows]]
+            picks = stream.integers(0, self.sizes[:, None], (len(self), batch_size))
+            return self.flat[self.starts[rows, None] + picks[rows]]
         out = np.empty((len(rows), batch_size), dtype=np.int64)
-        for i, k in enumerate(rows):
-            out[i] = self.parts[k].next_batch(batch_size)
+        for row, k in zip(out, rows):
+            lo, n = self.starts[k], self.sizes[k]
+            epoch = self.order[lo:lo + n]
+            filled = 0
+            while filled < batch_size:
+                if self.cursor[k] == n:
+                    epoch[:] = self.flat[lo:lo + n][self.streams[k].permutation(n)]
+                    self.cursor[k] = 0
+                at = self.cursor[k]
+                take = min(batch_size - filled, n - at)
+                row[filled:filled + take] = epoch[at:at + take]
+                self.cursor[k] += take
+                filled += take
         return out
 
 
@@ -126,27 +121,17 @@ def generate_synthetic_classification(n_classes: int, dim: int, samples_per_clas
 
 def shard_dataset(dataset: Dataset, workers: int, seed: int,
                   draw_policy: str = Shards.draw_policy) -> Shards:
-    """Partition evenly (sizes differ by at most 1), deterministic given (seed, K).
-
-    Under epoch_shuffle, shard k draws its permutations from the stream
-    keyed (seed, k, PURPOSE_SHUFFLE).
-    """
+    """Partition evenly (sizes differ by at most 1), deterministic given (seed, K)."""
     n = len(dataset)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers > n:
         raise ValueError(f"cannot shard {n} samples across {workers} workers")
-    stream = RngStream(seed, 0, PURPOSE_DATAGEN)
-    order = stream.permutation(n)
+    order = RngStream(seed, 0, PURPOSE_DATAGEN).permutation(n)
     base, extra = divmod(n, workers)
-    shards, start = [], 0
-    for k in range(workers):
-        size = base + (1 if k < extra else 0)
-        shards.append(Shard(indices=np.sort(order[start:start + size]),
-                            stream=(RngStream(seed, k, PURPOSE_SHUFFLE)
-                                    if draw_policy == "epoch_shuffle" else None)))
-        start += size
-    return Shards(shards, draw_policy)
+    sizes = np.full(workers, base) + (np.arange(workers) < extra)
+    flat = np.concatenate([np.sort(part) for part in np.split(order, np.cumsum(sizes)[:-1])])
+    return Shards(flat, sizes, seed, draw_policy)
 
 
 class QuadraticWorkload:

@@ -57,6 +57,9 @@ class TestSchedule:
         assert s.effective_warmup == 16
         s = Schedule(alpha=0.1, sync_interval=8, warmup_steps=0, total_steps=100)
         assert s.effective_warmup == 0
+        # a warmup longer than the run is the whole run, even off a sync boundary
+        s = Schedule(alpha=0.1, sync_interval=4, warmup_steps=50, total_steps=31)
+        assert s.effective_warmup == 31
 
     def test_warmup_cosine_profile(self):
         s = Schedule(alpha=0.4, sync_interval=1, total_steps=100,
@@ -274,7 +277,7 @@ class TestSyncRound:
         clock = SimClock(small_cluster(2))
         ws = make_workers([1.0], [3.0])
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 1)
-        new_global, outer, _ = sync_round(ws, np.array([[0.0]]), outer, clock, t=0)
+        new_global, _ = sync_round(ws, np.array([[0.0]]), outer, clock, t=0)
         assert np.array_equal(new_global, np.array([[2.0]]))
         assert clock.events[0][-1].participants == 2
 
@@ -284,7 +287,7 @@ class TestSyncRound:
         mean_before = mean_of(ws.x)
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), (1, 5))
         clock = SimClock(small_cluster(4))
-        new_global, _, _ = sync_round(ws, rng.normal(size=(1, 5)), outer, clock, t=0)
+        new_global, _ = sync_round(ws, rng.normal(size=(1, 5)), outer, clock, t=0)
         assert np.array_equal(new_global[0], mean_before)
 
     def test_post_sync_all_workers_exactly_on_global(self):
@@ -296,7 +299,7 @@ class TestSyncRound:
         clock = SimClock(small_cluster(4))
         old_global = rng.normal(size=(1, 3))
         before = ws.stacked.copy()
-        new_global, _, drift = sync_round(ws, old_global, outer, clock, t=0)
+        new_global, drift = sync_round(ws, old_global, outer, clock, t=0)
         for row in ws.x:
             assert np.array_equal(row, new_global[0])
         xi, spread = consensus_probe(ws.stacked, new_global, mean_of(ws.stacked))
@@ -311,7 +314,7 @@ class TestSyncRound:
         outer = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.3, momentum=0.9),
                                     (1, 2))
         clock = SimClock(small_cluster(4))
-        new_global, outer, _ = sync_round(ws, g[None].copy(), outer, clock, t=0)
+        new_global, _ = sync_round(ws, g[None].copy(), outer, clock, t=0)
         assert np.array_equal(new_global[0], g)
         assert np.array_equal(outer.buf, np.zeros((1, 2)))
 
@@ -445,13 +448,12 @@ class TestRunTraining:
         # after every sync round each worker row is its replica's new global model
         synced = []
 
-        def checked_sync_round(workers, global_x, outer_state, clock, t, **kw):
-            new_global, outer_state, drift = sync_round(workers, global_x, outer_state,
-                                                        clock, t, **kw)
+        def checked_sync_round(workers, global_x, outer_state, clock, t):
+            new_global, drift = sync_round(workers, global_x, outer_state, clock, t)
             for rows, model in zip(workers.stacked, new_global):
                 assert all(np.array_equal(row, model) for row in rows)
             synced.append(t)
-            return new_global, outer_state, drift
+            return new_global, drift
 
         monkeypatch.setattr(algorithms, "sync_round", checked_sync_round)
         sched = Schedule(alpha=0.02, eta=0.5, p=0.2, sync_interval=8, total_steps=92)
@@ -730,12 +732,12 @@ class TestRecordCadence:
     def test_sync_records_probe_the_rows_before_the_reset(self, monkeypatch):
         seen = {}
 
-        def probing_sync_round(workers, global_x, outer_state, clock, t, **kw):
+        def probing_sync_round(workers, global_x, outer_state, clock, t):
             for r, (rows, g) in enumerate(zip(workers.stacked, global_x)):
                 xbar = mean_of(rows)
                 seen[r, t] = (sum(float(np.dot(x - g, x - g)) for x in rows) / len(rows),
                               sum(float(np.dot(x - xbar, x - xbar)) for x in rows) / len(rows))
-            return sync_round(workers, global_x, outer_state, clock, t, **kw)
+            return sync_round(workers, global_x, outer_state, clock, t)
 
         monkeypatch.setattr(algorithms, "sync_round", probing_sync_round)
         sched = Schedule(alpha=0.02, eta=0.5, p=0.3, sync_interval=8, total_steps=30)
@@ -758,10 +760,10 @@ class TestRecordCadence:
             seen[t] = ddp_step(workers, schedule, t, *args)[0]
             return seen[t][None]
 
-        def seeing_sync_round(workers, global_x, outer_state, clock, t, **kw):
-            new_global, *rest = sync_round(workers, global_x, outer_state, clock, t, **kw)
+        def seeing_sync_round(workers, global_x, outer_state, clock, t):
+            new_global, drift = sync_round(workers, global_x, outer_state, clock, t)
             seen[t] = new_global[0]
-            return (new_global, *rest)
+            return new_global, drift
 
         monkeypatch.setattr(algorithms, "ddp_step", seeing_ddp_step)
         monkeypatch.setattr(algorithms, "sync_round", seeing_sync_round)

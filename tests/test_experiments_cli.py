@@ -403,6 +403,17 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "schedule.p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workload, samples", [
+        ({"kind": "logistic", "n_samples": 4}, 4),
+        ({"kind": "mlp", "widths": [3, 4, 2], "samples_per_class": 1}, 2)])
+    def test_more_workers_than_samples_exit_two(self, workload, samples, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"workload": workload, "algo": {"variant": "ddp"},
+                                    "schedule": {"total_steps": 4}, "workers": 8}))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'workers'" in err and f"8 workers but only {samples} training samples" in err
+
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path)
         main(["run", path, "--seed", "1"])

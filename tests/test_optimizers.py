@@ -219,27 +219,43 @@ class TestAllocations:
 class TestOuterStep:
     def test_sgd_lr1_moves_to_mean(self):
         state = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), 2)
-        x, _ = outer_step(state, vec(1.0, 1.0), vec(1.0, 1.0))
+        x = outer_step(state, vec(1.0, 1.0), vec(0.0, 0.0))
         assert np.array_equal(x, vec(0.0, 0.0))
 
+    @pytest.mark.parametrize("cfg", [OuterOptConfig(variant="sgd", lr=1.0),
+                                     OuterOptConfig(variant="nesterov", lr=1.0, momentum=0.0)])
+    def test_plain_averaging_returns_the_mean_bit_for_bit(self, cfg):
+        x_global, mean = vec(1.0), vec(0.3)
+        assert (x_global - (x_global - mean))[0] == 0.30000000000000004
+        out = outer_step(OuterOptState.fresh(cfg, 1), x_global, mean)
+        assert out is mean and out[0] == 0.3
+
     def test_nesterov_zero_momentum_equals_sgd(self):
-        delta = vec(0.3, -0.7)
+        mean = vec(0.7, 2.7)
         xg = vec(1.0, 2.0)
         sgd_state = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=0.4), 2)
         nes_state = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.4, momentum=0.0), 2)
-        a, _ = outer_step(sgd_state, xg, delta)
-        b, _ = outer_step(nes_state, xg, delta)
+        a = outer_step(sgd_state, xg, mean)
+        b = outer_step(nes_state, xg, mean)
         assert np.array_equal(a, b)
 
     def test_nesterov_two_step_scalar_oracle(self):
         state = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.1, momentum=0.9), 1)
         x = vec(0.0)
-        x, state = outer_step(state, x, vec(1.0))
+        x = outer_step(state, x, x - 1.0)  # delta = 1
         # v1 = 1; x1 = -0.1*(1 + 0.9*1) = -0.19
         assert x[0] == pytest.approx(-0.19, abs=1e-15)
-        x, state = outer_step(state, x, vec(1.0))
+        x = outer_step(state, x, x - 1.0)
         # v2 = 0.9 + 1 = 1.9; x2 = x1 - 0.1*(1 + 0.9*1.9) = x1 - 0.271
         assert x[0] == pytest.approx(-0.19 - 0.271, abs=1e-15)
+
+    def test_nesterov_buffer_advances_in_place(self):
+        state = OuterOptState.fresh(OuterOptConfig(variant="nesterov", lr=0.1, momentum=0.9), 1)
+        buf = state.buf
+        x = outer_step(state, vec(0.0), vec(-1.0))
+        assert state.buf is buf and buf[0] == 1.0
+        outer_step(state, x, x - 1.0)
+        assert state.buf is buf and buf[0] == pytest.approx(1.9, abs=1e-15)
 
     def test_variant_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,8 @@ from palsgd.cluster import AllReduceModel, ClusterSpec
 from palsgd.config import parse_config
 from palsgd.experiments import central_difference_gradient, max_relative_error
 from palsgd.optimizers import InnerOptConfig
-from palsgd.vecmath import PURPOSE_DATA, PURPOSE_INIT, RngStream
+from palsgd.vecmath import (PURPOSE_DATA, PURPOSE_DATAGEN, PURPOSE_INIT, PURPOSE_SHUFFLE,
+                            RngStream)
 from palsgd.workloads import (Dataset, LogisticWorkload, MlpWorkload, QuadraticWorkload,
                               generate_synthetic_classification, shard_dataset)
 
@@ -267,23 +268,26 @@ class TestMlp:
 class TestSharding:
     def test_even_split(self):
         data = generate_synthetic_classification(2, 3, 50, 1)  # n=100
-        shards = shard_dataset(data, 4, 0).parts
-        assert [len(s.indices) for s in shards] == [25, 25, 25, 25]
-        all_idx = np.concatenate([s.indices for s in shards])
-        assert sorted(all_idx.tolist()) == list(range(100))
+        shards = shard_dataset(data, 4, 0)
+        assert len(shards) == 4
+        assert shards.sizes.tolist() == [25, 25, 25, 25]
+        assert shards.starts.tolist() == [0, 25, 50, 75]
+        assert sorted(shards.flat.tolist()) == list(range(100))
 
     def test_uneven_split_deterministic_order(self):
         data = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 1)
-        sizes = [len(s.indices) for s in shard_dataset(data, 3, 5).parts]
-        assert sorted(sizes, reverse=True) == [4, 3, 3]
-        assert sizes == [4, 3, 3]
+        shards = shard_dataset(data, 3, 5)
+        assert shards.sizes.tolist() == [4, 3, 3]
+        assert shards.starts.tolist() == [0, 4, 7]
+        for lo, n in zip(shards.starts, shards.sizes):
+            part = shards.flat[lo:lo + n]
+            assert np.array_equal(part, np.sort(part))
 
     def test_same_seed_same_shards(self):
         data = generate_synthetic_classification(2, 3, 20, 1)
         a = shard_dataset(data, 4, 9)
         b = shard_dataset(data, 4, 9)
-        for sa, sb in zip(a.parts, b.parts):
-            assert np.array_equal(sa.indices, sb.indices)
+        assert np.array_equal(a.flat, b.flat) and np.array_equal(a.sizes, b.sizes)
 
     def test_with_replacement_rows_come_from_their_own_shard(self):
         data = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 1)
@@ -293,7 +297,8 @@ class TestSharding:
         for _ in range(40):
             for k, batch in enumerate(shards.draw(stream, 5, np.arange(3))):
                 seen[k].update(batch.tolist())
-        assert seen == [set(s.indices.tolist()) for s in shards.parts]
+        assert seen == [set(shards.flat[lo:lo + n].tolist())
+                        for lo, n in zip(shards.starts, shards.sizes)]
         # any subset of rows reads those rows of the one block drawn at that counter
         full = shards.draw(RngStream(2, 0, PURPOSE_DATA, counter=40), 5, np.arange(3))
         some = shards.draw(RngStream(2, 0, PURPOSE_DATA, counter=40), 5, [2, 0])
@@ -306,9 +311,31 @@ class TestSharding:
 
     def test_epoch_shuffle_covers_every_sample(self):
         data = Dataset(np.zeros((8, 1)), np.zeros(8, dtype=np.int64), 1)
-        shard = shard_dataset(data, 1, 0, draw_policy="epoch_shuffle").parts[0]
-        seen = shard.next_batch(8)
+        shards = shard_dataset(data, 1, 0, draw_policy="epoch_shuffle")
+        seen = shards.draw(RngStream(0, 0, PURPOSE_DATA), 8, [0])[0]
         assert sorted(seen.tolist()) == list(range(8))
+
+    def test_epoch_shuffle_permutes_each_epoch_by_the_shard_stream(self):
+        # epoch e of shard k is its sorted indices permuted by the shard's own
+        # stream at counter e, read in order across draws with a batch longer
+        # than the shard; the shards themselves come from the datagen permutation
+        data = Dataset(np.zeros((11, 1)), np.zeros(11, dtype=np.int64), 1)
+        seed, batch, draws = 6, 9, 4
+        shards = shard_dataset(data, 3, seed, draw_policy="epoch_shuffle")
+        order = RngStream(seed, 0, PURPOSE_DATAGEN).permutation(11)
+        caller = RngStream(seed, 0, PURPOSE_DATA)
+        seen = {k: [] for k in range(3)}
+        for i in range(draws):
+            rows = [0, 1, 2] if i % 2 == 0 else [2, 0]  # shard 1 advances only when asked
+            for k, row in zip(rows, shards.draw(caller, batch, rows)):
+                seen[k].extend(row.tolist())
+        assert caller.counter == 0
+        for k, (lo, n) in enumerate([(0, 4), (4, 4), (8, 3)]):
+            indices = np.sort(order[lo:lo + n])
+            epochs = [indices[RngStream(seed, k, PURPOSE_SHUFFLE, counter=e).permutation(n)]
+                      for e in range(-(-batch * draws // n))]
+            assert seen[k] == np.concatenate(epochs)[:len(seen[k])].tolist(), k
+        assert len(seen[1]) == 2 * batch and len(seen[0]) == batch * draws
 
 
     def test_epoch_shuffle_in_a_real_run(self):
@@ -334,13 +361,13 @@ class TestSharding:
             workload.draw_sample = recording_draw
             result = run_training(workload, cfg.build_variant(), cfg.build_schedule(workload),
                                   cfg.build_cluster(), cfg.seed)
-            shards = workload.shards(2, cfg.seed).parts
+            shards = workload.shards(2, cfg.seed)
             for k, steps in enumerate(result.diagnostics.gradient_steps_per_worker):
-                n = len(shards[k].indices)  # 12 samples, 2 per gradient step
+                lo, n = shards.starts[k], shards.sizes[k]  # 12 samples, 2 per gradient step
                 assert len(seen[k]) == 2 * steps
                 assert len(seen[k]) >= 2 * n, (algo, k)
                 for epoch in range(len(seen[k]) // n):
-                    assert sorted(seen[k][epoch * n:(epoch + 1) * n]) == shards[k].indices.tolist()
+                    assert sorted(seen[k][epoch * n:(epoch + 1) * n]) == shards.flat[lo:lo + n].tolist()
             if algo["variant"] == "ddp":
                 assert len(seen[0]) == len(seen[1]) == 3 * n
             else:
