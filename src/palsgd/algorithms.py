@@ -22,13 +22,16 @@ DDP instead all-reduces gradients every step. Local SGD and DiLoCo are the
 p = 0 special cases with, respectively, plain-averaging and adamw/nesterov
 optimizer pairings, which the equivalence tests rely on.
 
-Random draws are stacked too. There is one stream per purpose (Bernoulli
-coins, data, clock jitter), and each step makes one draw from it for all K
-workers, a (K, ...) block whose row k is worker k's. The data stream draws
-its block at every step, even when every row mixes, so block n belongs to
-step n, and a worker's sample at step t does not depend on p or on K; rows
-that mix discard theirs. Every row is still rounded as that worker's own 1-D
-update.
+Random draws are stacked and chunked too. Each per-step purpose (Bernoulli
+coins, data, clock jitter) has one `StreamChunks` per run: a step's draw is
+one (S*K, n) slice of a preallocated (S, K, C, n) buffer, row s*K + k
+worker k's of replica s, and one generator call per replica fills the
+buffer every C = max(1, 1024 // n) steps. So the i-th draw of a purpose is
+slot i % C of chunk i // C, and chunk c is draw c of the replica's stream.
+The data chunks serve a draw at every step, even when every row mixes, so
+draw n belongs to step n, and a worker's sample at step t does not depend
+on p or on K; rows that mix discard theirs. Every row is still rounded as
+that worker's own 1-D update.
 
 A leading replica axis runs S seeds of one configuration as one batch: the
 state is (S*K, d), replica-major, and the global models (S, d). Each replica
@@ -51,8 +54,8 @@ from .cluster import ClusterSpec, CommEvent, SimClock
 from .fields import ConfigError, check_fields, option
 from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
                          OuterOptState, inner_step, outer_step)
-from .vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_INIT,
-                      ParamVector, RngStream, mean_of, row_norms_sq)
+from .vecmath import (PURPOSE_BERNOULLI, PURPOSE_INIT, ParamVector, RngStream,
+                      StreamChunks, mean_of, row_norms_sq)
 
 
 @dataclass(frozen=True)
@@ -197,36 +200,35 @@ def make_variant(tag: str, inner: InnerOptConfig | None = None,
 @dataclass
 class Workers:
     """S replicas of K workers, stacked replica-major: row s*K + k of `x` and
-    of the optimizer state is worker k of replica s, which draws from its own
-    streams, keyed (seed_s, 0, purpose), and its own shards."""
+    of the optimizer state is worker k of replica s, which draws from its
+    replica's streams, keyed (seed_s, 0, purpose), and its own shard."""
 
     x: np.ndarray                   # (S*K, d) parameters
     inner: InnerOptState
-    shards: list                    # per replica, the workload's shards(K, seed_s)
-    data_streams: list[RngStream]
-    bern_streams: list[RngStream]
+    shards: object                  # the workload's shards of all S*K workers
+    data: StreamChunks | None       # the workload's data chunks; None if it draws none
+    coins: StreamChunks             # one Bernoulli uniform per worker and step
 
     @classmethod
-    def start(cls, x0: np.ndarray, inner: InnerOptConfig, shards: list,
-              seeds: list[int]) -> "Workers":
-        """K = len(shards[s]) workers per replica at its row of x0 (S, d), fresh state."""
-        x = np.repeat(x0, len(shards[0]), axis=0)
-        return cls(x=x, inner=InnerOptState.fresh(inner, *x.shape), shards=list(shards),
-                   data_streams=[RngStream(s, 0, PURPOSE_DATA) for s in seeds],
-                   bern_streams=[RngStream(s, 0, PURPOSE_BERNOULLI) for s in seeds])
+    def start(cls, x0: np.ndarray, inner: InnerOptConfig, workload, workers: int,
+              seeds: Sequence[int]) -> "Workers":
+        """`workers` workers per replica at its row of x0 (S, d), fresh state."""
+        x = np.repeat(x0, workers, axis=0)
+        shards = workload.shards(workers, seeds)
+        return cls(x=x, inner=InnerOptState.fresh(inner, *x.shape), shards=shards,
+                   data=workload.sample_chunks(shards, workers, seeds),
+                   coins=StreamChunks(seeds, PURPOSE_BERNOULLI, workers, 1))
 
     @property
     def stacked(self) -> np.ndarray:
         """The (S, K, d) view of `x`."""
-        return self.x.reshape(len(self.shards), -1, self.x.shape[1])
+        return self.x.reshape(len(self.coins.streams), -1, self.x.shape[1])
 
     def draw(self, workload, rows: np.ndarray):
-        """Samples for the rows set in the (S*K,) mask `rows`, each replica
-        drawing from its own stream and shards as it would alone."""
-        parts = [workload.draw_sample(stream, shards, mask.nonzero()[0])
-                 for stream, shards, mask in zip(self.data_streams, self.shards,
-                                                 rows.reshape(len(self.shards), -1))]
-        return np.concatenate(parts)
+        """Samples for the rows set in the (S*K,) mask `rows`, read from this
+        step's draw of the data chunks."""
+        block = None if self.data is None else self.data.next()
+        return workload.draw_sample(block, self.shards, rows.nonzero()[0])
 
 
 @dataclass
@@ -298,7 +300,7 @@ def palsgd_local_step(workers: Workers, global_x: np.ndarray, schedule: Schedule
     k = x.shape[0] // len(global_x)
     p = schedule.p
     if p > 0.0:
-        mixing = np.concatenate([s.uniform_vector(k) for s in workers.bern_streams]) <= p
+        mixing = workers.coins.next()[:, 0] <= p
     else:
         mixing = np.zeros(x.shape[0], dtype=bool)
     mixed = mixing.nonzero()[0]
@@ -412,8 +414,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     warmup = total if variant.tag == "ddp" else schedule.effective_warmup
 
     x0 = np.stack([workload.init_params(RngStream(s, 0, PURPOSE_INIT)) for s in seeds])
-    workers = Workers.start(x0, variant.inner, [workload.shards(n_workers, s) for s in seeds],
-                            seeds)
+    workers = Workers.start(x0, variant.inner, workload, n_workers, seeds)
     global_x = x0.copy()
     outer_state = OuterOptState.fresh(variant.outer, x0.shape)
     clock = SimClock(cluster, seeds)

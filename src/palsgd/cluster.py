@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import ConfigError, check_fields, option
-from .vecmath import PURPOSE_JITTER, RngStream
+from .vecmath import PURPOSE_JITTER, StreamChunks
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,11 @@ class SimClock:
     A single owner (the trainer loop) advances the clock. It is replica-major
     whatever the seeds: `times` is (S, K), one row of worker times per seed,
     advanced by one cost array per step; `events` holds one list of
-    CommEvents and `comm_seconds` one float per replica. Replica s draws its
-    jitter from its own stream, keyed by seed s, so row s is the clock of
-    seed s alone. A replica's global time is the max over its row, realized
-    at each of its barriers.
+    CommEvents and `comm_seconds` one float per replica. The jitter is one
+    uniform per worker and step from `StreamChunks` of purpose
+    PURPOSE_JITTER; replica s reads its own stream's chunks, keyed by seed s,
+    so row s is the clock of seed s alone. A replica's global time is the
+    max over its row, realized at each of its barriers.
     """
 
     def __init__(self, spec: ClusterSpec, seeds: Sequence[int] = (0,)):
@@ -94,16 +95,15 @@ class SimClock:
         # per worker of every replica, flat like the masks advance_step takes
         self._step_cost = np.tile([spec.step_cost(k) for k in range(spec.workers)], len(seeds))
         self._mixing_cost = self._step_cost * spec.mixing_cost_fraction
-        # one uniform per worker and step: row k of one (K,) draw per replica
-        self._jitter_streams = ([RngStream(s, 0, PURPOSE_JITTER) for s in seeds]
-                                if spec.jitter > 0 else None)
+        self._jitter = (StreamChunks(seeds, PURPOSE_JITTER, spec.workers, 1)
+                        if spec.jitter > 0 else None)
 
     def advance_step(self, is_gradient_step: np.ndarray) -> None:
         """Advance every worker by one step; `is_gradient_step` masks the S*K
         workers, replica-major."""
         cost = np.where(is_gradient_step, self._step_cost, self._mixing_cost)
-        if self._jitter_streams is not None:
-            u = np.concatenate([s.uniform_vector(self.spec.workers) for s in self._jitter_streams])
+        if self._jitter is not None:
+            u = self._jitter.next()[:, 0]
             cost *= 1.0 + self.spec.jitter * (2.0 * u - 1.0)
         self.times += cost.reshape(self.times.shape)
 

@@ -70,12 +70,12 @@ class RngStream:
     stream, or reconstructing it at an arbitrary counter, reproduces every
     value bit-exactly, and no stream's consumption can shift another's.
 
-    The trainer keeps one stream per purpose and replica, keyed (seed, 0,
-    purpose) by the replica's seed, and makes one draw per step for the
-    replica's K workers: a (K, ...) block whose row k belongs to worker k.
-    Philox yields its values in order, so the first k rows of a K-row block
-    of uniforms or Gaussians equal the k-row block, and a worker's draws do
-    not depend on how many workers run beside it.
+    The trainer's per-step draws go through `StreamChunks`: one stream per
+    purpose and replica, keyed (seed, 0, purpose) by the replica's seed,
+    whose draw c is chunk c, a (K, C, n) block serving C steps of the
+    replica's K workers. Philox yields its values in order, so the first k
+    rows of a K-row block of uniforms or Gaussians equal the k-row block,
+    and a worker's draws do not depend on how many workers run beside it.
     """
 
     __slots__ = ("seed", "worker", "purpose", "counter", "_bitgen", "_gen", "_state")
@@ -110,9 +110,10 @@ class RngStream:
         """One draw in [0, 1)."""
         return float(self._position().random())
 
-    def uniform_vector(self, n: int) -> np.ndarray:
-        """n iid draws in [0, 1); one counter tick for the whole block."""
-        return self._position().random(n)
+    def uniform_vector(self, n, out: np.ndarray | None = None) -> np.ndarray:
+        """iid draws in [0, 1) of shape n, written into `out` when given (of
+        that shape); one counter tick for the whole block."""
+        return self._position().random(n, out=out)
 
     def gaussian(self, sigma: float) -> float:
         if sigma < 0:
@@ -122,14 +123,21 @@ class RngStream:
             return 0.0
         return float(self._position().standard_normal() * sigma)
 
-    def gaussian_vector(self, n: int, sigma: float) -> ParamVector:
-        """n iid N(0, sigma^2) values; one counter tick for the whole vector."""
+    def gaussian_vector(self, n, sigma: float, out: np.ndarray | None = None) -> ParamVector:
+        """iid N(0, sigma^2) values of shape n, written into `out` when given
+        (of that shape); one counter tick for the whole vector. Scaling in
+        place rounds as `standard_normal(n) * sigma` does."""
         if sigma < 0:
             raise ValueError("sigma must be >= 0")
+        if out is None:
+            out = np.empty(n)
         if sigma == 0.0:
             self.counter += 1
-            return np.zeros(n)
-        return self._position().standard_normal(n) * sigma
+            out.fill(0.0)
+            return out
+        self._position().standard_normal(out=out)
+        out *= sigma
+        return out
 
     def integers(self, low, high, n) -> np.ndarray:
         """Uniform integers in [low, high) of shape n; one counter tick.
@@ -141,3 +149,47 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._position().permutation(n)
+
+
+# Values per worker in one chunk; the chunk length is set by the row width alone.
+CHUNK_VALUES = 1024
+
+
+def fill_uniform(stream: RngStream, out: np.ndarray, replica: int) -> None:
+    """A chunk of uniforms in [0, 1), as `StreamChunks` fills it."""
+    stream.uniform_vector(out.shape, out=out)
+
+
+class StreamChunks:
+    """One purpose's per-step draws for S replicas of K workers, each worker
+    drawing `width` values per step, served C = max(1, CHUNK_VALUES // width)
+    steps per generator call.
+
+    Chunk c of replica s is draw c of its stream, keyed (seed_s, 0, purpose):
+    one call of ``fill(stream, out, s)`` at counter block c that fills the
+    replica's (K, C, width) slice of one preallocated (S, K, C, width)
+    buffer in place, worker-major. The i-th draw of a run is slot i % C of
+    chunk i // C, so every value is a pure function of (seed, purpose, i),
+    and C depends on the width alone, never on K, S or the run length.
+    Worker-major rows keep the first k rows of a K-worker chunk of uniforms
+    or Gaussians equal to the k-worker chunk.
+    """
+
+    def __init__(self, seeds, purpose: int, workers: int, width: int, fill=fill_uniform,
+                 dtype=np.float64):
+        self.steps = max(1, CHUNK_VALUES // width)
+        self.streams = [RngStream(s, 0, purpose) for s in seeds]
+        self.fill = fill
+        self.buf = np.empty((len(self.streams), workers, self.steps, width), dtype)
+        self.drawn = 0
+
+    def next(self) -> np.ndarray:
+        """The next step's (S*K, width) draw, a view: row s*K + k is worker k
+        of replica s."""
+        chunk, slot = divmod(self.drawn, self.steps)
+        if slot == 0:
+            for replica, (stream, out) in enumerate(zip(self.streams, self.buf)):
+                stream.counter = chunk
+                self.fill(stream, out, replica)
+        self.drawn += 1
+        return self.buf[:, :, slot].reshape(-1, self.buf.shape[-1])

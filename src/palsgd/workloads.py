@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import check_fields, option
-from .vecmath import (PURPOSE_DATAGEN, PURPOSE_SHUFFLE, DimensionMismatchError,
-                      ParamVector, RngStream, _check_dims)
+from .vecmath import (PURPOSE_DATA, PURPOSE_DATAGEN, PURPOSE_SHUFFLE,
+                      DimensionMismatchError, ParamVector, RngStream, StreamChunks,
+                      _check_dims)
 
 ACTIVATIONS = ("relu", "tanh")
 DTYPES = ("float64", "float32")
@@ -45,21 +46,22 @@ class Dataset:
 
 @dataclass
 class Shards:
-    """The K workers' shards as arrays, drawn from together: row k of a draw
-    is worker k's.
+    """The K workers' shards of S replicas as arrays, drawn from together:
+    shard s*K + k, replica-major, is worker k's of replica s.
 
-    Shard k is `flat[starts[k]:starts[k] + sizes[k]]`, its sorted sample
-    indices. with_replacement makes one (K, batch) integer draw from the
-    caller's stream per call, row k uniform over shard k, and keeps the
-    requested rows. epoch_shuffle leaves the caller's stream untouched: shard
-    k reads its indices in epochs, epoch e permuted by its own stream keyed
-    (seed, k, PURPOSE_SHUFFLE) at counter e. `order` holds each shard's
-    current epoch at its start and `cursor` each shard's next position in it,
-    and a draw advances only the requested shards.
+    Shard i is `flat[starts[i]:starts[i] + sizes[i]]`, its sorted sample
+    indices; `seeds` holds the replicas' seeds. with_replacement reads the
+    data stream's chunks (`chunks`): a draw's (S*K, batch) block of positions,
+    row i uniform over shard i, and keeps the requested rows. epoch_shuffle
+    draws no data stream: shard k of replica s reads its indices in epochs,
+    epoch e permuted by its own stream keyed (seed_s, k, PURPOSE_SHUFFLE) at
+    counter e. `order` holds each shard's current epoch at its start and
+    `cursor` each shard's next position in it, and a draw advances only the
+    requested shards.
     """
     flat: np.ndarray    # (n,) every shard's sorted indices, end to end
-    sizes: np.ndarray   # (K,) int64
-    seed: int = 0       # keys epoch_shuffle's permutation streams
+    sizes: np.ndarray   # (S*K,) int64
+    seeds: tuple = (0,)
     draw_policy: str = option(str, "with_replacement", choices=("with_replacement", "epoch_shuffle"))
 
     def __post_init__(self):
@@ -68,18 +70,55 @@ class Shards:
         if self.draw_policy == "epoch_shuffle":
             self.order = self.flat.copy()
             self.cursor = self.sizes.copy()  # every epoch spent: the first draw starts epoch 0
-            self.streams = [RngStream(self.seed, k, PURPOSE_SHUFFLE) for k in range(len(self))]
+            self.streams = [RngStream(seed, k, PURPOSE_SHUFFLE)
+                            for seed in self.seeds for k in range(self.workers)]
+
+    @classmethod
+    def stack(cls, parts: list["Shards"]) -> "Shards":
+        """One Shards of the replicas' shards in `parts`, in their order."""
+        return cls(np.concatenate([p.flat for p in parts]),
+                   np.concatenate([p.sizes for p in parts]),
+                   sum((p.seeds for p in parts), ()), parts[0].draw_policy)
 
     def __len__(self) -> int:
         return len(self.sizes)
 
-    def draw(self, stream: RngStream, batch_size: int, rows) -> np.ndarray:
-        """(len(rows), batch_size) sample indices for the workers in `rows`."""
+    @property
+    def workers(self) -> int:
+        return len(self) // len(self.seeds)
+
+    def chunks(self, batch_size: int) -> StreamChunks | None:
+        """The data stream's chunks of shard positions under with_replacement;
+        None under epoch_shuffle."""
+        if self.draw_policy == "epoch_shuffle":
+            return None
+        return StreamChunks(self.seeds, PURPOSE_DATA, self.workers, batch_size,
+                            self._fill_positions, np.int64)
+
+    def _fill_positions(self, stream: RngStream, out: np.ndarray, replica: int) -> None:
+        # one (K, C, batch) integer draw, row k uniform over the replica's shard k
+        k = self.workers
+        out[...] = stream.integers(0, self.sizes[replica * k:(replica + 1) * k, None, None],
+                                   out.shape)
+
+    def draw(self, positions, batch_size: int, rows) -> np.ndarray:
+        """(len(rows), batch_size) sample indices for the shards in `rows`;
+        `positions` is the with_replacement draw's block, unread under
+        epoch_shuffle."""
+        rows = np.asarray(rows, dtype=np.int64)
         if self.draw_policy == "with_replacement":
-            picks = stream.integers(0, self.sizes[:, None], (len(self), batch_size))
-            return self.flat[self.starts[rows, None] + picks[rows]]
+            return self.flat[self.starts[rows, None] + positions[rows]]
+        # a row that stays inside its current epoch is one gather; only rows
+        # that reach an epoch's end refill, one at a time
+        cursor = self.cursor[rows]
+        inside = cursor + batch_size <= self.sizes[rows]
         out = np.empty((len(rows), batch_size), dtype=np.int64)
-        for row, k in zip(out, rows):
+        fast = rows[inside]
+        first = self.starts[fast] + cursor[inside]
+        out[inside] = self.order[first[:, None] + np.arange(batch_size)]
+        self.cursor[fast] += batch_size
+        for i in np.flatnonzero(~inside):
+            row, k = out[i], rows[i]
             lo, n = self.starts[k], self.sizes[k]
             epoch = self.order[lo:lo + n]
             filled = 0
@@ -131,7 +170,7 @@ def shard_dataset(dataset: Dataset, workers: int, seed: int,
     base, extra = divmod(n, workers)
     sizes = np.full(workers, base) + (np.arange(workers) < extra)
     flat = np.concatenate([np.sort(part) for part in np.split(order, np.cumsum(sizes)[:-1])])
-    return Shards(flat, sizes, seed, draw_policy)
+    return Shards(flat, sizes, (seed,), draw_policy)
 
 
 class QuadraticWorkload:
@@ -168,17 +207,22 @@ class QuadraticWorkload:
         # E f(x*, xi) = 0.5 * c * trace(A)
         return 0.5 * self._noise_scale ** 2 * float(np.sum(self.hessian_diag))
 
-    def shards(self, workers: int, seed: int):
-        return [None] * workers  # noise model is IID, nothing to shard
+    def shards(self, workers: int, seeds):
+        return None  # noise model is IID, nothing to shard
 
     def init_params(self, stream: RngStream) -> ParamVector:
         return self.x0.copy()
 
-    def draw_sample(self, stream: RngStream, shards, rows) -> np.ndarray:
-        """Noise rows for the workers in `rows`: one (K, d) block of `stream`
-        per call, K = len(shards), row k for worker k."""
-        k = len(shards)
-        return stream.gaussian_vector(k * self.dim, self._noise_scale).reshape(k, self.dim)[rows]
+    def sample_chunks(self, shards, workers: int, seeds) -> StreamChunks:
+        """The data stream's chunks: d noise values per worker and step."""
+        return StreamChunks(seeds, PURPOSE_DATA, workers, self.dim, self._fill_noise)
+
+    def _fill_noise(self, stream: RngStream, out: np.ndarray, replica: int) -> None:
+        stream.gaussian_vector(out.shape, self._noise_scale, out=out)
+
+    def draw_sample(self, block: np.ndarray, shards, rows) -> np.ndarray:
+        """Noise rows for the workers in `rows` of a step's (S*K, d) block."""
+        return block[rows]
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
         """Gradient rows at the rows of x (n, d), one noise sample per row."""
@@ -211,15 +255,20 @@ class LogisticWorkload:
         self.draw_policy = draw_policy
         self.dim = train.features.shape[1]
 
-    def shards(self, workers: int, seed: int):
-        return shard_dataset(self.train, workers, seed, self.draw_policy)
+    def shards(self, workers: int, seeds) -> Shards:
+        return Shards.stack([shard_dataset(self.train, workers, s, self.draw_policy)
+                             for s in seeds])
+
+    def sample_chunks(self, shards: Shards, workers: int, seeds) -> StreamChunks | None:
+        return shards.chunks(self.batch_size)
 
     def init_params(self, stream: RngStream) -> ParamVector:
         return np.zeros(self.dim)
 
-    def draw_sample(self, stream: RngStream, shards: Shards, rows) -> np.ndarray:
-        """(len(rows), batch_size) sample indices for the workers in `rows`."""
-        return shards.draw(stream, self.batch_size, rows)
+    def draw_sample(self, block, shards: Shards, rows) -> np.ndarray:
+        """(len(rows), batch_size) sample indices for the workers in `rows`,
+        from a step's (S*K, batch_size) block of shard positions."""
+        return shards.draw(block, self.batch_size, rows)
 
     def _loss(self, x: ParamVector, feats: np.ndarray, labels: np.ndarray) -> float:
         """Mean loss plus the L2 term at one parameter vector; no gradient."""
@@ -317,12 +366,17 @@ class MlpWorkload:
             parts.append(np.zeros(b))
         return np.concatenate(parts).astype(self.dtype, copy=False).astype(np.float64)
 
-    def shards(self, workers: int, seed: int):
-        return shard_dataset(self.train, workers, seed, self.draw_policy)
+    def shards(self, workers: int, seeds) -> Shards:
+        return Shards.stack([shard_dataset(self.train, workers, s, self.draw_policy)
+                             for s in seeds])
 
-    def draw_sample(self, stream: RngStream, shards: Shards, rows) -> np.ndarray:
-        """(len(rows), batch_size) sample indices for the workers in `rows`."""
-        return shards.draw(stream, self.batch_size, rows)
+    def sample_chunks(self, shards: Shards, workers: int, seeds) -> StreamChunks | None:
+        return shards.chunks(self.batch_size)
+
+    def draw_sample(self, block, shards: Shards, rows) -> np.ndarray:
+        """(len(rows), batch_size) sample indices for the workers in `rows`,
+        from a step's (S*K, batch_size) block of shard positions."""
+        return shards.draw(block, self.batch_size, rows)
 
     def _forward(self, layers, feats: np.ndarray):
         """Pre-activations and activations of features (n, b, in) under

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,10 +34,23 @@ def small_cluster(workers, **kw):
     return ClusterSpec(workers=workers, **kw)
 
 
-def make_workers(*xs, inner_cfg=None, seed=0):
-    """One replica of stacked workers, row k at xs[k], with fresh sgd state and streams."""
-    ws = Workers.start(np.zeros((1, len(xs[0]))), inner_cfg or InnerOptConfig(variant="sgd"),
-                       [[None] * len(xs)], [seed])
+def chunk_draws(stream_draw, workers, width, steps):
+    """The first `steps` per-step (workers, width) draws of one purpose by the
+    chunk definition: chunk c is draw c of the purpose's stream, laid out
+    (workers, C, width) with C = max(1, 1024 // width), and step i reads slot
+    i % C of chunk i // C. `stream_draw(n)` makes the stream's next n-value draw."""
+    c = max(1, 1024 // width)
+    chunks = [stream_draw(workers * c * width).reshape(workers, c, width)
+              for _ in range(-(-steps // c))]
+    return [chunks[i // c][:, i % c] for i in range(steps)]
+
+
+def make_workers(*xs, workload=None, inner_cfg=None, seed=0):
+    """One replica of stacked workers, row k at xs[k], with fresh sgd state and
+    the chunks of `workload`'s draws (a noiseless quadratic by default)."""
+    d = len(xs[0])
+    ws = Workers.start(np.zeros((1, d)), inner_cfg or InnerOptConfig(variant="sgd"),
+                       workload or quadratic(diag=(1.0,) * d, sigma=0.0), len(xs), [seed])
     ws.x[:] = np.asarray(xs, dtype=float)
     return ws
 
@@ -188,7 +202,7 @@ class TestPalsgdLocalStep:
         workload = quadratic(sigma=0.0)
         sched = Schedule(alpha=0.1, p=0.0, total_steps=10)
         clock = SimClock(small_cluster(1))
-        ws = make_workers([1.0, 1.0])
+        ws = make_workers([1.0, 1.0], workload=workload)
         mixed = palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock)
         assert not mixed.any()
         # sgd step on grad = diag*(x - 0) = [1, 2]
@@ -201,7 +215,7 @@ class TestPalsgdLocalStep:
         # find a seed whose first Bernoulli draw lands in the mixing branch
         seed = next(s for s in range(100)
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
-        ws = make_workers([3.0, -1.0], seed=seed)
+        ws = make_workers([3.0, -1.0], workload=workload, seed=seed)
         mixed = palsgd_local_step(ws, np.array([[3.0, -1.0]]), sched, 0, workload, clock)
         assert mixed.all()
         assert np.array_equal(ws.x[0], np.array([3.0, -1.0]))
@@ -213,7 +227,7 @@ class TestPalsgdLocalStep:
         seed = next(s for s in range(1000)
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.05)
         clock = SimClock(small_cluster(1))
-        ws = make_workers([2.0], seed=seed)
+        ws = make_workers([2.0], workload=workload, seed=seed)
         assert palsgd_local_step(ws, np.array([[0.0]]), sched, 0, workload, clock).all()
         assert abs(ws.x[0, 0]) <= 1e-15
 
@@ -225,7 +239,7 @@ class TestPalsgdLocalStep:
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.5)
         clock = SimClock(small_cluster(1))
         anchor = np.array([1.0, -2.0])
-        ws = make_workers([4.0, 4.0], seed=seed)
+        ws = make_workers([4.0, 4.0], workload=workload, seed=seed)
         before = float(np.linalg.norm(ws.x[0] - anchor))
         assert palsgd_local_step(ws, anchor[None], sched, 0, workload, clock).all()
         after = float(np.linalg.norm(ws.x[0] - anchor))
@@ -237,12 +251,13 @@ class TestPalsgdLocalStep:
         seed = next(s for s in range(100)
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
         clock = SimClock(small_cluster(1))
-        ws = make_workers([1.0, 1.0], inner_cfg=InnerOptConfig(variant="adamw"), seed=seed)
+        ws = make_workers([1.0, 1.0], workload=workload, inner_cfg=InnerOptConfig(variant="adamw"),
+                          seed=seed)
         assert palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock).all()
         assert ws.inner.step[0] == 0
-        # the data stream advances one block per step whether rows mix or not;
-        # a mixing row's part of the block is discarded
-        assert ws.data_streams[0].counter == 1
+        # the data chunks serve one draw per step whether rows mix or not; a
+        # mixing row's part of it is discarded, and the first draw fills chunk 0
+        assert ws.data.drawn == 1 and ws.data.streams[0].counter == 1
 
     def test_mixing_step_is_cheap_on_the_clock(self):
         workload = quadratic(sigma=0.0)
@@ -251,23 +266,23 @@ class TestPalsgdLocalStep:
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
         clock = SimClock(ClusterSpec(workers=1, compute_time_per_step=1.0,
                                      mixing_cost_fraction=0.25))
-        ws = make_workers([1.0, 1.0], seed=seed)
+        ws = make_workers([1.0, 1.0], workload=workload, seed=seed)
         palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock)
         assert clock.times[0, 0] == 0.25
 
     def test_masked_rows_step_alone(self):
         # rows that mix take no optimizer step and discard their data row; the
-        # others step; the whole step draws one data block
+        # others step; the whole step reads one draw of the data chunks
         workload = quadratic(diag=(1.0, 2.0), sigma=1.0)
         sched = Schedule(alpha=0.1, eta=0.5, p=0.5, total_steps=10)
-        ws = make_workers(*np.arange(16.0).reshape(8, 2),
+        ws = make_workers(*np.arange(16.0).reshape(8, 2), workload=workload,
                           inner_cfg=InnerOptConfig(variant="adamw"), seed=4)
         before = ws.x.copy()
         mixed = palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload,
                                   SimClock(small_cluster(8)))
         assert 0 < mixed.sum() < 8
         assert ws.inner.step.tolist() == (~mixed).astype(int).tolist()
-        assert ws.data_streams[0].counter == 1
+        assert ws.data.drawn == 1 and ws.data.streams[0].counter == 1
         coeff = sched.mix_coefficient(0)
         assert np.array_equal(ws.x[mixed], before[mixed] - coeff * before[mixed])
 
@@ -320,7 +335,7 @@ class TestSyncRound:
 
     def test_empty_worker_list_rejected(self):
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), (1, 1))
-        ws = Workers.start(np.zeros((1, 1)), InnerOptConfig(), [[]], seeds=[0])
+        ws = Workers.start(np.zeros((1, 1)), InnerOptConfig(), quadratic(diag=(1.0,)), 0, [0])
         with pytest.raises(ValueError):
             sync_round(ws, np.array([[0.0]]), outer, SimClock(small_cluster(1)), t=0)
 
@@ -331,7 +346,7 @@ class TestDdpStep:
         workload = quadratic(diag=(1.0,), sigma=0.0)
         sched = Schedule(alpha=0.1, total_steps=10)
         clock = SimClock(small_cluster(2))
-        ws = make_workers([1.0], [3.0])
+        ws = make_workers([1.0], [3.0], workload=workload)
         ddp_step(ws, sched, 0, workload, clock)
         # grads 1 and 3, mean 2; both workers step from their own params
         assert np.allclose(ws.x[0], [0.8], rtol=1e-15)
@@ -342,7 +357,7 @@ class TestDdpStep:
         workload = quadratic(diag=(2.0,), sigma=0.0)
         sched = Schedule(alpha=0.25, total_steps=10)
         clock = SimClock(small_cluster(1))
-        ws = make_workers([1.0])
+        ws = make_workers([1.0], workload=workload)
         ddp_step(ws, sched, 0, workload, clock)
         assert np.allclose(ws.x[0], [0.5], rtol=1e-15)
         assert clock.events[0][0].duration_s == 0.0
@@ -518,8 +533,8 @@ class TestNoiselessRecursionOracle:
                               small_cluster(1), seed, record_every=1)
 
         # independent recursion: replay the Bernoulli flags, scalar math only
-        flags_stream = RngStream(seed, 0, PURPOSE_BERNOULLI)
-        flags = [flags_stream.uniform() <= p for _ in range(total)]
+        coins = chunk_draws(RngStream(seed, 0, PURPOSE_BERNOULLI).uniform_vector, 1, 1, total)
+        flags = [coin[0, 0] <= p for coin in coins]
         beta = sched.alpha_eta / p
         lr = sched.alpha / (1.0 - p)
         z = np.ones(3)
@@ -564,14 +579,16 @@ class TestDilocoHandTrace:
         noise_scale = sigma / math.sqrt(float(np.sum(diag ** 2)))
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.1
         stream = RngStream(seed, 0, PURPOSE_DATA)
+        # one (2, 1) draw per step, row k for worker k
+        blocks = chunk_draws(lambda n: stream.gaussian_vector(n, noise_scale), 2, 1, 2)
         xs = [np.array([1.0]), np.array([1.0])]
         ms = [np.zeros(1), np.zeros(1)]
         vs = [np.zeros(1), np.zeros(1)]
         for step in (1, 2):
-            block = stream.gaussian_vector(2, noise_scale)  # one draw, row k for worker k
+            block = blocks[step - 1]
             for k in range(2):
                 x, m, v = xs[k], ms[k], vs[k]
-                xi = block[k:k + 1]
+                xi = block[k]
                 g = diag * (x - xi)
                 m = b1 * m + (1.0 - b1) * g
                 v = b2 * v + (1.0 - b2) * (g * g)
@@ -602,10 +619,11 @@ class TestPerWorkerReference:
                               sched, cluster, seed, record_every=1)
 
         noise_scale = sigma / math.sqrt(float(np.sum(diag ** 2)))
-        # one draw per stream and step, row k for worker k
-        bern = RngStream(seed, 0, PURPOSE_BERNOULLI)
+        # one draw per purpose and step, row k for worker k
         data = RngStream(seed, 0, PURPOSE_DATA)
-        jitter = RngStream(seed, 0, PURPOSE_JITTER)
+        all_coins = chunk_draws(RngStream(seed, 0, PURPOSE_BERNOULLI).uniform_vector, n, 1, total)
+        all_noise = chunk_draws(lambda m: data.gaussian_vector(m, noise_scale), n, 3, total)
+        all_jitter = chunk_draws(RngStream(seed, 0, PURPOSE_JITTER).uniform_vector, n, 1, total)
         xs = [np.ones(3) for _ in range(n)]
         anchors = [np.ones(3) for _ in range(n)]
         ms, vs, steps = [np.zeros(3) for _ in range(n)], [np.zeros(3) for _ in range(n)], [0] * n
@@ -615,9 +633,7 @@ class TestPerWorkerReference:
         clipped_steps = []  # per step: which gradient rows were clipped
         for t in range(total):
             clipped = []
-            coins = bern.uniform_vector(n)
-            noise = data.gaussian_vector(n * 3, noise_scale).reshape(n, 3)
-            jitter_u = jitter.uniform_vector(n)
+            coins, noise, jitter_u = all_coins[t][:, 0], all_noise[t], all_jitter[t][:, 0]
             for k in range(n):
                 mixing = coins[k] <= p
                 if mixing:
@@ -806,15 +822,15 @@ def local_steps(workers, p, total, seed=3, jitter=0.25):
     noise = {}
     t_now = [0]
 
-    def recording_draw(stream, shards, rows):
-        out = plain_draw(stream, shards, rows)
+    def recording_draw(block, shards, rows):
+        out = plain_draw(block, shards, rows)
         noise.update({(t_now[0], int(k)): row for k, row in zip(rows, out)})
         return out
 
     workload.draw_sample = recording_draw
     sched = Schedule(alpha=0.05, eta=0.5, p=p, total_steps=total)
     ws = Workers.start(workload.x0[None], InnerOptConfig(variant="adamw", clip_norm=2.0),
-                       [workload.shards(workers, seed)], [seed])
+                       workload, workers, [seed])
     clock = SimClock(small_cluster(workers, jitter=jitter), [seed])
     masks = []
     for t in range(total):
@@ -824,13 +840,14 @@ def local_steps(workers, p, total, seed=3, jitter=0.25):
 
 
 class TestBlockDraws:
-    """One draw per stream and step for all K workers, row k for worker k."""
+    """One draw per purpose and step for all K workers, row k for worker k."""
 
     def test_worker_rows_do_not_depend_on_worker_count(self):
         # without a sync a worker sees only its own coin, noise and jitter
-        # rows, so the first three workers of five run as three workers alone
-        ws3, clock3, masks3, noise3 = local_steps(3, 0.3, 24)
-        ws5, clock5, masks5, noise5 = local_steps(5, 0.3, 24)
+        # rows, so the first three workers of five run as three workers alone;
+        # 1100 steps cross a chunk boundary of every purpose (C = 1024, 341, 1024)
+        ws3, clock3, masks3, noise3 = local_steps(3, 0.3, 1100)
+        ws5, clock5, masks5, noise5 = local_steps(5, 0.3, 1100)
         assert 0 < masks3.sum() < masks3.size
         assert np.array_equal(masks5[:, :3], masks3)
         assert set(noise3) == {key for key in noise5 if key[1] < 3}
@@ -839,9 +856,9 @@ class TestBlockDraws:
         assert clock5.times[0, :3].tolist() == clock3.times[0].tolist()
 
     def test_noise_rows_do_not_depend_on_p(self):
-        _, _, _, at_zero = local_steps(4, 0.0, 20)
-        _, _, masks, at_p = local_steps(4, 0.3, 20)
-        assert len(at_zero) == 4 * 20
+        _, _, _, at_zero = local_steps(4, 0.0, 400)  # crosses the noise chunks' C = 341
+        _, _, masks, at_p = local_steps(4, 0.3, 400)
+        assert len(at_zero) == 4 * 400
         assert len(at_p) == (~masks).sum() < len(at_zero)
         for key, row in at_p.items():
             assert np.array_equal(row, at_zero[key]), key
@@ -857,13 +874,14 @@ class TestBlockDraws:
                 return _plain(self, *args, **kwargs)
 
             monkeypatch.setattr(RngStream, name, counted)
-        total = 20
+        total = 1100
         sched = Schedule(alpha=0.02, eta=0.5, p=0.3, sync_interval=8, total_steps=total)
         result = run_training(quadratic(diag=(1.0, 2.0, 4.0)), make_variant("palsgd"), sched,
                               small_cluster(32, jitter=0.1), seed=1)
         assert 0 < sum(result.diagnostics.mixing_steps_per_worker) < 32 * total
-        # a coin block, a noise block and a jitter block per step
-        assert len(calls) <= 3 * total
+        # one generator call per purpose and chunk, whatever K: the coins and
+        # the jitter serve C = 1024 steps a chunk, the 3-wide noise rows 341
+        assert Counter(calls) == {PURPOSE_BERNOULLI: 2, PURPOSE_JITTER: 2, PURPOSE_DATA: 4}
 
 
 def runs_alone_and_batched(workload, variant, schedule, cluster, seeds, **kw):
@@ -908,14 +926,29 @@ class TestReplicaAxis:
     """S seeds as one batched run_training call against S runs alone."""
 
     def test_quad_palsgd_with_warmup_jitter_and_stragglers(self):
+        # 1100 steps cross a chunk boundary of the coins (C = 1024, drawn after
+        # the warmup), the 3-wide noise rows (C = 341) and the jitter (C = 1024)
         sched = Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=4, warmup_steps=6,
-                         total_steps=30)
+                         total_steps=1100)
         cluster = small_cluster(3, jitter=0.2, worker_multipliers=(1.0, 2.5, 1.0))
         alone, batched = runs_alone_and_batched(
             quadratic(diag=(1.0, 2.0, 4.0)), make_variant("palsgd"), sched, cluster, [5, 11, 2])
         assert make_variant("palsgd").inner.variant == "adamw"
         assert sched.effective_warmup == 8  # ddp_step runs for the first 8 steps
-        assert 0 < sum(batched.diagnostics.mixing_steps_per_worker) < 3 * 3 * 22
+        assert 0 < sum(batched.diagnostics.mixing_steps_per_worker) < 3 * 3 * 1092
+        assert_replicas_equal_runs_alone(alone, batched)
+
+    def test_logistic_palsgd_with_jitter_draws_positions_per_replica(self):
+        # with_replacement positions come from each replica's own shards, and
+        # masked rows discard theirs; 1100 steps cross a chunk boundary of the
+        # positions (C = 1024 // 4), the coins and the jitter (C = 1024)
+        train, _ = classification(2, 5, 40)
+        workload = LogisticWorkload(train, l2_reg=0.01, batch_size=4)
+        sched = Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=8, total_steps=1100)
+        cluster = small_cluster(3, jitter=0.3, worker_multipliers=(1.0, 1.5, 1.0))
+        alone, batched = runs_alone_and_batched(workload, make_variant("palsgd"), sched,
+                                                cluster, [1, 2, 3])
+        assert 0 < sum(batched.diagnostics.mixing_steps_per_worker) < 3 * 3 * 1100
         assert_replicas_equal_runs_alone(alone, batched)
 
     def test_logistic_ddp(self):
@@ -972,7 +1005,7 @@ class TestReplicaAxis:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("seeds", [[1, 4, 6], [11, 3, 5]])
     def test_divergence_matches_the_run_alone(self, seeds):
-        # alone, these seeds diverge at steps 52, 46, 47 and 52, 50, 50
+        # alone, these seeds diverge at steps 51, 46, 50 and 52, 52, 48
         sgd = InnerOptConfig(variant="sgd")
         variant = make_variant("palsgd", inner=sgd, outer=OuterOptConfig(variant="nesterov", lr=0.7))
         sched = Schedule(alpha=1e9, eta=1e-9, p=0.5, sync_interval=4, total_steps=200)

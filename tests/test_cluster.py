@@ -98,7 +98,8 @@ class TestSimClock:
                            mixing_cost_fraction=0.1, worker_multipliers=(1.0, 3.0, 1.0))
         clock = SimClock(spec, [4])
         clock.advance_step(np.array([True, False, True]))
-        u = RngStream(4, 0, PURPOSE_JITTER).uniform_vector(3)  # row k for worker k
+        # step 0 reads slot 0 of chunk 0, laid out (K, C, 1) with C = 1024
+        u = RngStream(4, 0, PURPOSE_JITTER).uniform_vector(3 * 1024).reshape(3, 1024)[:, 0]
         base = [2.0, 2.0 * 3.0 * 0.1, 2.0]
         assert clock.times[0].tolist() == [b * (1.0 + 0.5 * (2.0 * x - 1.0))
                                            for b, x in zip(base, u)]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, RngStream, mean_of,
-                            row_norms_sq)
+from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, RngStream, StreamChunks,
+                            fill_uniform, mean_of, row_norms_sq)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -186,3 +186,46 @@ class TestRngStream:
         for _ in range(n // block):
             total += float(np.sum(s.uniform_vector(block)))
         assert 0.498 <= total / n <= 0.502
+
+
+def fill_gaussian(stream, out, replica):
+    stream.gaussian_vector(out.shape, 0.5, out=out)
+
+
+class TestStreamChunks:
+    def test_in_place_fills_equal_plain_draws(self):
+        for sigma in (0.0, 0.7):
+            out = np.full((3, 4, 5), np.nan)
+            got = RngStream(4, 0, PURPOSE_DATA).gaussian_vector(out.shape, sigma, out=out)
+            want = RngStream(4, 0, PURPOSE_DATA).gaussian_vector(60, sigma).reshape(3, 4, 5)
+            assert got is out and out.tobytes() == want.tobytes()
+        out = np.empty((3, 4, 5))
+        got = RngStream(4, 0, PURPOSE_DATA).uniform_vector(out.shape, out=out)
+        want = RngStream(4, 0, PURPOSE_DATA).uniform_vector(60).reshape(3, 4, 5)
+        assert got is out and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fill, draw", [
+        (fill_uniform, lambda stream, n: stream.uniform_vector(n)),
+        (fill_gaussian, lambda stream, n: stream.gaussian_vector(n, 0.5))])
+    def test_chunk_c_is_draw_c_of_the_stream(self, fill, draw):
+        # step i reads slot i % C of chunk i // C, and chunk c of replica s is
+        # draw c of RngStream(seed_s, 0, purpose) laid out (K, C, n)
+        seeds, k, width = [3, 8], 5, 3
+        c = 1024 // width
+        chunks = StreamChunks(seeds, PURPOSE_DATA, k, width, fill)
+        steps = np.stack([chunks.next().copy() for _ in range(2 * c + 7)])  # (T, S*K, n)
+        for s, seed in enumerate(seeds):
+            want = np.concatenate([draw(RngStream(seed, 0, PURPOSE_DATA, counter=n), k * c * width)
+                                   .reshape(k, c, width) for n in range(3)], axis=1)
+            got = steps[:, s * k:(s + 1) * k].transpose(1, 0, 2)
+            assert got.tobytes() == want[:, :len(steps)].tobytes()
+        assert [stream.counter for stream in chunks.streams] == [3, 3]
+        assert np.shares_memory(chunks.next(), chunks.buf)  # a step's draw is a view
+
+    @pytest.mark.parametrize("workers", [1, 5, 32])
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+    def test_chunk_length_depends_on_the_width_alone(self, workers, seeds):
+        for width, steps in ((1, 1024), (3, 341), (64, 16), (1024, 1), (5000, 1)):
+            chunks = StreamChunks(seeds, PURPOSE_DATA, workers, width)
+            assert chunks.steps == steps
+            assert chunks.buf.shape == (len(seeds), workers, steps, width)

@@ -30,17 +30,17 @@ def quadratic_full_gradient(w, x):
     return w.hessian_diag * (x - w.x_star)
 
 
-def variance_at_optimum(w, n_samples, stream, chunk=4096):
+def variance_at_optimum(w, n_samples, seed, workers=64):
     """Monte Carlo estimate of E||grad f(x*, xi)||^2 from the workload's own
-    noise draws, `chunk` samples per block."""
-    total, done = 0.0, 0
-    while done < n_samples:
-        take = min(chunk, n_samples - done)
-        xi = w.draw_sample(stream, w.shards(take, 0), np.arange(take))
-        g = w.stochastic_gradient(np.tile(w.x_star, (take, 1)), xi)
+    noise draws, at least `n_samples` of them, one row per worker and step."""
+    chunks = w.sample_chunks(w.shards(workers, [seed]), workers, [seed])
+    x_star = np.tile(w.x_star, (workers, 1))
+    steps = -(-n_samples // workers)
+    total = 0.0
+    for _ in range(steps):
+        g = w.stochastic_gradient(x_star, w.draw_sample(chunks.next(), None, np.arange(workers)))
         total += float(np.sum(g * g))
-        done += take
-    return total / n_samples
+    return total / (steps * workers)
 
 
 def logistic_row_reference(w, x, idx):
@@ -166,22 +166,22 @@ class TestQuadratic:
 
     def test_smoothness_witness(self):
         w = make_quadratic((1.0, 4.0), sigma=1.0)
-        stream = RngStream(1, 0, PURPOSE_DATA)
+        chunks = w.sample_chunks(None, 1, [1])
         rng = np.random.default_rng(1)
         for _ in range(100):
-            xi = w.draw_sample(stream, w.shards(1, 0), [0])[0]
+            xi = w.draw_sample(chunks.next(), None, [0])[0]
             x, y = rng.normal(size=2), rng.normal(size=2)
             lhs = np.linalg.norm(grad(w, x, xi) - grad(w, y, xi))
             assert lhs <= w.smoothness * np.linalg.norm(x - y) * (1 + 1e-12)
 
     def test_variance_at_optimum_zero_noise(self):
         w = make_quadratic((1.0, 1.0), sigma=0.0)
-        assert variance_at_optimum(w, 100, RngStream(0, 0, PURPOSE_DATA)) == 0.0
+        assert variance_at_optimum(w, 100, 0) == 0.0
 
     @pytest.mark.parametrize("sigma,expected,tol", [(1.0, 1.0, 0.01), (2.0, 4.0, 0.04)])
     def test_variance_at_optimum_calibration(self, sigma, expected, tol):
         w = QuadraticWorkload(np.ones(4), np.zeros(4), sigma)
-        est = variance_at_optimum(w, 1_000_000, RngStream(31, 0, PURPOSE_DATA))
+        est = variance_at_optimum(w, 1_000_000, 31)
         assert abs(est - expected) <= tol
 
     def test_rejects_bad_spectrum(self):
@@ -233,11 +233,12 @@ class TestMlp:
         w = self.make(activation)
         init = RngStream(10, 0, PURPOSE_INIT)
         probe = RngStream(11, 0, PURPOSE_DATA)
-        shards = w.shards(1, 0)
+        shards = w.shards(1, [0])
+        chunks = w.sample_chunks(shards, 1, [0])
         worst = 0.0
         for _ in range(10):
             x = w.init_params(init) + probe.gaussian_vector(w.dim, 0.2)
-            idx = w.draw_sample(probe, shards, [0])[0]
+            idx = w.draw_sample(chunks.next(), shards, [0])[0]
             analytic = grad(w, x, idx)
             numeric = central_difference_gradient(lambda v: w.batch_objective(v, idx), x)
             worst = max(worst, max_relative_error(analytic, numeric))
@@ -292,16 +293,21 @@ class TestSharding:
     def test_with_replacement_rows_come_from_their_own_shard(self):
         data = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 1)
         shards = shard_dataset(data, 3, 5)  # sizes 4, 3, 3
-        stream = RngStream(2, 0, PURPOSE_DATA)
+        chunks = shards.chunks(5)
         seen = [set(), set(), set()]
         for _ in range(40):
-            for k, batch in enumerate(shards.draw(stream, 5, np.arange(3))):
+            for k, batch in enumerate(shards.draw(chunks.next(), 5, np.arange(3))):
                 seen[k].update(batch.tolist())
         assert seen == [set(shards.flat[lo:lo + n].tolist())
                         for lo, n in zip(shards.starts, shards.sizes)]
-        # any subset of rows reads those rows of the one block drawn at that counter
-        full = shards.draw(RngStream(2, 0, PURPOSE_DATA, counter=40), 5, np.arange(3))
-        some = shards.draw(RngStream(2, 0, PURPOSE_DATA, counter=40), 5, [2, 0])
+        # draw 40 is slot 40 of chunk 0, one (K, C, batch) integer draw of the
+        # stream keyed (seed, 0, PURPOSE_DATA), C = 1024 // 5; any subset of
+        # rows reads those rows of it
+        block = chunks.next()
+        chunk = RngStream(5, 0, PURPOSE_DATA).integers(0, shards.sizes[:, None, None], (3, 204, 5))
+        assert np.array_equal(block, chunk[:, 40])
+        full = shards.draw(block, 5, np.arange(3))
+        some = shards.draw(block, 5, [2, 0])
         assert np.array_equal(some, full[[2, 0]])
 
     def test_more_workers_than_samples_rejected(self):
@@ -337,6 +343,28 @@ class TestSharding:
             assert seen[k] == np.concatenate(epochs)[:len(seen[k])].tolist(), k
         assert len(seen[1]) == 2 * batch and len(seen[0]) == batch * draws
 
+    def test_epoch_shuffle_draw_gathers_rows_inside_an_epoch_and_refills_the_rest(self):
+        # sizes 5, 5, 4 and batch 2: the third draw reads shard 1 inside its
+        # epoch, while shard 0 reaches its epoch's end mid-batch and shard 2
+        # starts a new epoch; each shard reads its epochs in order either way
+        data = Dataset(np.zeros((14, 1)), np.zeros(14, dtype=np.int64), 1)
+        seed = 3
+        shards = shard_dataset(data, 3, seed, draw_policy="epoch_shuffle")
+        epochs = [np.concatenate([shards.flat[lo:lo + n][
+            RngStream(seed, k, PURPOSE_SHUFFLE, counter=e).permutation(n)] for e in range(2)])
+            for k, (lo, n) in enumerate(zip(shards.starts, shards.sizes))]
+        pos = [0, 0, 0]
+
+        def read(rows):
+            for k, batch in zip(rows, shards.draw(None, 2, rows)):
+                assert batch.tolist() == epochs[k][pos[k]:pos[k] + 2].tolist(), (rows, k)
+                pos[k] += 2
+
+        read([0, 1, 2])  # every shard starts its first epoch
+        read([0, 2])     # every row inside its epoch
+        assert shards.cursor.tolist() == [4, 2, 4]
+        read([0, 1, 2])
+        assert shards.cursor.tolist() == [1, 4, 2]
 
     def test_epoch_shuffle_in_a_real_run(self):
         # ddp steps every row every step; palsgd with p > 0 steps only the rows
@@ -352,8 +380,8 @@ class TestSharding:
             seen = {0: [], 1: []}
             plain_draw = workload.draw_sample
 
-            def recording_draw(stream, shards, rows):
-                idx = plain_draw(stream, shards, rows)
+            def recording_draw(block, shards, rows):
+                idx = plain_draw(block, shards, rows)
                 for k, batch in zip(rows, idx):
                     seen[k].extend(batch.tolist())
                 return idx
@@ -361,7 +389,7 @@ class TestSharding:
             workload.draw_sample = recording_draw
             result = run_training(workload, cfg.build_variant(), cfg.build_schedule(workload),
                                   cfg.build_cluster(), cfg.seed)
-            shards = workload.shards(2, cfg.seed)
+            shards = workload.shards(2, [cfg.seed])
             for k, steps in enumerate(result.diagnostics.gradient_steps_per_worker):
                 lo, n = shards.starts[k], shards.sizes[k]  # 12 samples, 2 per gradient step
                 assert len(seen[k]) == 2 * steps
