@@ -216,7 +216,7 @@ class Workers:
         x = np.repeat(x0, workers, axis=0)
         shards = workload.shards(workers, seeds)
         return cls(x=x, inner=InnerOptState.fresh(inner, *x.shape), shards=shards,
-                   data=workload.sample_chunks(shards, workers, seeds),
+                   data=workload.sample_chunks(workers, seeds),
                    coins=StreamChunks(seeds, PURPOSE_BERNOULLI, workers, 1))
 
     @property

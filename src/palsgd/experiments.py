@@ -11,11 +11,10 @@ import os
 
 import numpy as np
 
-from .algorithms import VARIANTS, Schedule, Workers, make_variant, run_training
+from .algorithms import VARIANTS, Schedule, make_variant, run_training
 from .cluster import export_events_jsonl
 from .config import ConfigError, RunConfig, parse_config
 from .metrics import summarize, write_metrics_jsonl, write_summary
-from .optimizers import InnerOptConfig
 from .vecmath import PURPOSE_INIT, RngStream
 from .workloads import (LogisticWorkload, MlpWorkload,
                         generate_synthetic_classification)
@@ -332,11 +331,12 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
         worst = 0.0
         init_stream = RngStream(seed, 0, PURPOSE_INIT)
         # one worker's data draws, as the trainer makes them
-        sampler = Workers.start(np.zeros((1, workload.dim)), InnerOptConfig(), workload, 1, [seed])
+        shards = workload.shards(1, [seed])
+        chunks = workload.sample_chunks(1, [seed])
         for probe in range(probes):
             x = workload.init_params(init_stream)
             x = x + init_stream.gaussian_vector(x.shape[0], 0.3)
-            idx = sampler.draw(workload, np.ones(1, dtype=bool))[0]
+            idx = workload.draw_sample(None if chunks is None else chunks.next(), shards, [0])[0]
             analytic = workload.stochastic_gradient(x[None], [idx])[0]
             numeric = central_difference_gradient(
                 lambda v: workload.batch_objective(v, idx), x, step)

@@ -155,7 +155,7 @@ class RngStream:
 CHUNK_VALUES = 1024
 
 
-def fill_uniform(stream: RngStream, out: np.ndarray, replica: int) -> None:
+def fill_uniform(stream: RngStream, out: np.ndarray) -> None:
     """A chunk of uniforms in [0, 1), as `StreamChunks` fills it."""
     stream.uniform_vector(out.shape, out=out)
 
@@ -166,7 +166,7 @@ class StreamChunks:
     steps per generator call.
 
     Chunk c of replica s is draw c of its stream, keyed (seed_s, 0, purpose):
-    one call of ``fill(stream, out, s)`` at counter block c that fills the
+    one call of ``fill(stream, out)`` at counter block c that fills the
     replica's (K, C, width) slice of one preallocated (S, K, C, width)
     buffer in place, worker-major. The i-th draw of a run is slot i % C of
     chunk i // C, so every value is a pure function of (seed, purpose, i),
@@ -188,8 +188,8 @@ class StreamChunks:
         of replica s."""
         chunk, slot = divmod(self.drawn, self.steps)
         if slot == 0:
-            for replica, (stream, out) in enumerate(zip(self.streams, self.buf)):
+            for stream, out in zip(self.streams, self.buf):
                 stream.counter = chunk
-                self.fill(stream, out, replica)
+                self.fill(stream, out)
         self.drawn += 1
         return self.buf[:, :, slot].reshape(-1, self.buf.shape[-1])

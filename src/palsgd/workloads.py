@@ -50,9 +50,10 @@ class Shards:
     shard s*K + k, replica-major, is worker k's of replica s.
 
     Shard i is `flat[starts[i]:starts[i] + sizes[i]]`, its sorted sample
-    indices; `seeds` holds the replicas' seeds. with_replacement reads the
-    data stream's chunks (`chunks`): a draw's (S*K, batch) block of positions,
-    row i uniform over shard i, and keeps the requested rows. epoch_shuffle
+    indices; `seeds` holds the replicas' seeds. with_replacement reads a step's
+    (S*K, batch) block of the data stream's chunks (the workload's
+    `sample_chunks`), row i uniform over shard i's positions, and keeps the
+    requested rows. epoch_shuffle
     draws no data stream: shard k of replica s reads its indices in epochs,
     epoch e permuted by its own stream keyed (seed_s, k, PURPOSE_SHUFFLE) at
     counter e. `order` holds each shard's current epoch at its start and
@@ -86,20 +87,6 @@ class Shards:
     @property
     def workers(self) -> int:
         return len(self) // len(self.seeds)
-
-    def chunks(self, batch_size: int) -> StreamChunks | None:
-        """The data stream's chunks of shard positions under with_replacement;
-        None under epoch_shuffle."""
-        if self.draw_policy == "epoch_shuffle":
-            return None
-        return StreamChunks(self.seeds, PURPOSE_DATA, self.workers, batch_size,
-                            self._fill_positions, np.int64)
-
-    def _fill_positions(self, stream: RngStream, out: np.ndarray, replica: int) -> None:
-        # one (K, C, batch) integer draw, row k uniform over the replica's shard k
-        k = self.workers
-        out[...] = stream.integers(0, self.sizes[replica * k:(replica + 1) * k, None, None],
-                                   out.shape)
 
     def draw(self, positions, batch_size: int, rows) -> np.ndarray:
         """(len(rows), batch_size) sample indices for the shards in `rows`;
@@ -158,6 +145,13 @@ def generate_synthetic_classification(n_classes: int, dim: int, samples_per_clas
     return Dataset(features=feats, labels=labels, n_classes=n_classes)
 
 
+def shard_sizes(n: int, workers: int) -> np.ndarray:
+    """The (workers,) shard sizes of n samples, even up to 1; the seed only
+    picks which samples go where."""
+    base, extra = divmod(n, workers)
+    return np.full(workers, base) + (np.arange(workers) < extra)
+
+
 def shard_dataset(dataset: Dataset, workers: int, seed: int,
                   draw_policy: str = Shards.draw_policy) -> Shards:
     """Partition evenly (sizes differ by at most 1), deterministic given (seed, K)."""
@@ -167,8 +161,7 @@ def shard_dataset(dataset: Dataset, workers: int, seed: int,
     if workers > n:
         raise ValueError(f"cannot shard {n} samples across {workers} workers")
     order = RngStream(seed, 0, PURPOSE_DATAGEN).permutation(n)
-    base, extra = divmod(n, workers)
-    sizes = np.full(workers, base) + (np.arange(workers) < extra)
+    sizes = shard_sizes(n, workers)
     flat = np.concatenate([np.sort(part) for part in np.split(order, np.cumsum(sizes)[:-1])])
     return Shards(flat, sizes, (seed,), draw_policy)
 
@@ -213,11 +206,11 @@ class QuadraticWorkload:
     def init_params(self, stream: RngStream) -> ParamVector:
         return self.x0.copy()
 
-    def sample_chunks(self, shards, workers: int, seeds) -> StreamChunks:
+    def sample_chunks(self, workers: int, seeds) -> StreamChunks:
         """The data stream's chunks: d noise values per worker and step."""
         return StreamChunks(seeds, PURPOSE_DATA, workers, self.dim, self._fill_noise)
 
-    def _fill_noise(self, stream: RngStream, out: np.ndarray, replica: int) -> None:
+    def _fill_noise(self, stream: RngStream, out: np.ndarray) -> None:
         stream.gaussian_vector(out.shape, self._noise_scale, out=out)
 
     def draw_sample(self, block: np.ndarray, shards, rows) -> np.ndarray:
@@ -238,7 +231,35 @@ class QuadraticWorkload:
         return self.suboptimality(x) + self.noise_floor
 
 
-class LogisticWorkload:
+class ShardedWorkload:
+    """The shards and data chunks of a workload that trains on `train`,
+    sharded per worker, in index batches of `batch_size` under `draw_policy`.
+    Each subclass defines its own `draw_sample`, so a wrapper set on one
+    class's method leaves the other's alone."""
+
+    train: Dataset
+    batch_size: int
+    draw_policy: str
+
+    def shards(self, workers: int, seeds) -> Shards:
+        return Shards.stack([shard_dataset(self.train, workers, s, self.draw_policy)
+                             for s in seeds])
+
+    def sample_chunks(self, workers: int, seeds) -> StreamChunks | None:
+        """The data stream's chunks of shard positions under with_replacement,
+        worker k's uniform over its shard, whose size is the same in every
+        replica; None under epoch_shuffle."""
+        if self.draw_policy == "epoch_shuffle":
+            return None
+        high = shard_sizes(len(self.train), workers)[:, None, None]
+
+        def fill(stream: RngStream, out: np.ndarray) -> None:
+            out[...] = stream.integers(0, high, out.shape)
+
+        return StreamChunks(seeds, PURPOSE_DATA, workers, self.batch_size, fill, np.int64)
+
+
+class LogisticWorkload(ShardedWorkload):
     """Binary logistic regression; parameters are the weight vector."""
 
     has_eval = False
@@ -254,13 +275,6 @@ class LogisticWorkload:
         self.batch_size = int(batch_size)
         self.draw_policy = draw_policy
         self.dim = train.features.shape[1]
-
-    def shards(self, workers: int, seeds) -> Shards:
-        return Shards.stack([shard_dataset(self.train, workers, s, self.draw_policy)
-                             for s in seeds])
-
-    def sample_chunks(self, shards: Shards, workers: int, seeds) -> StreamChunks | None:
-        return shards.chunks(self.batch_size)
 
     def init_params(self, stream: RngStream) -> ParamVector:
         return np.zeros(self.dim)
@@ -319,7 +333,7 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(logZ - shifted[np.arange(len(labels)), labels]))
 
 
-class MlpWorkload:
+class MlpWorkload(ShardedWorkload):
     """Dense MLP with hand-written backprop over a flat parameter vector."""
 
     def __init__(self, widths, activation: str, train: Dataset, test: Dataset | None = None,
@@ -365,13 +379,6 @@ class MlpWorkload:
             parts.append(stream.gaussian_vector(a * b, scale))
             parts.append(np.zeros(b))
         return np.concatenate(parts).astype(self.dtype, copy=False).astype(np.float64)
-
-    def shards(self, workers: int, seeds) -> Shards:
-        return Shards.stack([shard_dataset(self.train, workers, s, self.draw_policy)
-                             for s in seeds])
-
-    def sample_chunks(self, shards: Shards, workers: int, seeds) -> StreamChunks | None:
-        return shards.chunks(self.batch_size)
 
     def draw_sample(self, block, shards: Shards, rows) -> np.ndarray:
         """(len(rows), batch_size) sample indices for the workers in `rows`,

@@ -188,7 +188,7 @@ class TestRngStream:
         assert 0.498 <= total / n <= 0.502
 
 
-def fill_gaussian(stream, out, replica):
+def fill_gaussian(stream, out):
     stream.gaussian_vector(out.shape, 0.5, out=out)
 
 

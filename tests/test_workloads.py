@@ -33,7 +33,7 @@ def quadratic_full_gradient(w, x):
 def variance_at_optimum(w, n_samples, seed, workers=64):
     """Monte Carlo estimate of E||grad f(x*, xi)||^2 from the workload's own
     noise draws, at least `n_samples` of them, one row per worker and step."""
-    chunks = w.sample_chunks(w.shards(workers, [seed]), workers, [seed])
+    chunks = w.sample_chunks(workers, [seed])
     x_star = np.tile(w.x_star, (workers, 1))
     steps = -(-n_samples // workers)
     total = 0.0
@@ -166,7 +166,7 @@ class TestQuadratic:
 
     def test_smoothness_witness(self):
         w = make_quadratic((1.0, 4.0), sigma=1.0)
-        chunks = w.sample_chunks(None, 1, [1])
+        chunks = w.sample_chunks(1, [1])
         rng = np.random.default_rng(1)
         for _ in range(100):
             xi = w.draw_sample(chunks.next(), None, [0])[0]
@@ -234,7 +234,7 @@ class TestMlp:
         init = RngStream(10, 0, PURPOSE_INIT)
         probe = RngStream(11, 0, PURPOSE_DATA)
         shards = w.shards(1, [0])
-        chunks = w.sample_chunks(shards, 1, [0])
+        chunks = w.sample_chunks(1, [0])
         worst = 0.0
         for _ in range(10):
             x = w.init_params(init) + probe.gaussian_vector(w.dim, 0.2)
@@ -291,9 +291,10 @@ class TestSharding:
         assert np.array_equal(a.flat, b.flat) and np.array_equal(a.sizes, b.sizes)
 
     def test_with_replacement_rows_come_from_their_own_shard(self):
-        data = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 1)
-        shards = shard_dataset(data, 3, 5)  # sizes 4, 3, 3
-        chunks = shards.chunks(5)
+        w = LogisticWorkload(Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 2),
+                             batch_size=5)
+        shards = w.shards(3, [5])  # sizes 4, 3, 3
+        chunks = w.sample_chunks(3, [5])
         seen = [set(), set(), set()]
         for _ in range(40):
             for k, batch in enumerate(shards.draw(chunks.next(), 5, np.arange(3))):
