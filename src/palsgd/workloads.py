@@ -50,15 +50,14 @@ class Shards:
     shard s*K + k, replica-major, is worker k's of replica s.
 
     Shard i is `flat[starts[i]:starts[i] + sizes[i]]`, its sorted sample
-    indices; `seeds` holds the replicas' seeds. with_replacement reads a step's
-    (S*K, batch) block of the data stream's chunks (the workload's
-    `sample_chunks`), row i uniform over shard i's positions, and keeps the
-    requested rows. epoch_shuffle
-    draws no data stream: shard k of replica s reads its indices in epochs,
-    epoch e permuted by its own stream keyed (seed_s, k, PURPOSE_SHUFFLE) at
-    counter e. `order` holds each shard's current epoch at its start and
-    `cursor` each shard's next position in it, and a draw advances only the
-    requested shards.
+    indices; `seeds` holds the replicas' seeds. with_replacement reads a
+    step's (S*K, batch) block of the workload's `sample_chunks`, row i
+    uniform over shard i's positions, and keeps the requested rows.
+    epoch_shuffle draws no data stream: shard k of replica s reads its
+    indices in epochs, epoch e permuted by its own stream keyed (seed_s, k,
+    PURPOSE_SHUFFLE) at counter e. `order` holds each shard's current epoch
+    at its start and `cursor` each shard's next position in it, and a draw
+    advances only the requested shards.
     """
     flat: np.ndarray    # (n,) every shard's sorted indices, end to end
     sizes: np.ndarray   # (S*K,) int64
