@@ -28,10 +28,15 @@ one (S*K, n) slice of a preallocated (S, K, C, n) buffer, row s*K + k
 worker k's of replica s, and one generator call per replica fills the
 buffer every C = max(1, 1024 // n) steps. So the i-th draw of a purpose is
 slot i % C of chunk i // C, and chunk c is draw c of the replica's stream.
-The data chunks serve a draw at every step, even when every row mixes, so
-draw n belongs to step n, and a worker's sample at step t does not depend
-on p or on K; rows that mix discard theirs. Every row is still rounded as
-that worker's own 1-D update.
+The data draws sit behind the workload: `workload.sampler(K, seeds)` is the
+run's one draw object (the quadratic's noise chunks, or the logistic and
+MLP `Shards`), and `draw_sample(sampler, rows)` gives a step's samples for
+`rows`. Its data chunks (noise, or with_replacement shard positions) serve
+a draw at every step, even when every row mixes, so draw n belongs to step
+n, and a worker's sample at step t does not depend on p or on K; rows that
+mix discard theirs. epoch_shuffle reads no data stream: each shard permutes
+its epochs by its own stream. Every row is still rounded as that worker's
+own 1-D update.
 
 A leading replica axis runs S seeds of one configuration as one batch: the
 state is (S*K, d), replica-major, and the global models (S, d). Each replica
@@ -205,8 +210,7 @@ class Workers:
 
     x: np.ndarray                   # (S*K, d) parameters
     inner: InnerOptState
-    shards: object                  # the workload's shards of all S*K workers
-    data: StreamChunks | None       # the workload's data chunks; None if it draws none
+    sampler: object                 # the workload's data draws for all S*K workers
     coins: StreamChunks             # one Bernoulli uniform per worker and step
 
     @classmethod
@@ -214,9 +218,8 @@ class Workers:
               seeds: Sequence[int]) -> "Workers":
         """`workers` workers per replica at its row of x0 (S, d), fresh state."""
         x = np.repeat(x0, workers, axis=0)
-        shards = workload.shards(workers, seeds)
-        return cls(x=x, inner=InnerOptState.fresh(inner, *x.shape), shards=shards,
-                   data=workload.sample_chunks(workers, seeds),
+        return cls(x=x, inner=InnerOptState.fresh(inner, *x.shape),
+                   sampler=workload.sampler(workers, seeds),
                    coins=StreamChunks(seeds, PURPOSE_BERNOULLI, workers, 1))
 
     @property
@@ -225,10 +228,8 @@ class Workers:
         return self.x.reshape(len(self.coins.streams), -1, self.x.shape[1])
 
     def draw(self, workload, rows: np.ndarray):
-        """Samples for the rows set in the (S*K,) mask `rows`, read from this
-        step's draw of the data chunks."""
-        block = None if self.data is None else self.data.next()
-        return workload.draw_sample(block, self.shards, rows.nonzero()[0])
+        """This step's samples for the rows set in the (S*K,) mask `rows`."""
+        return workload.draw_sample(self.sampler, rows.nonzero()[0])
 
 
 @dataclass

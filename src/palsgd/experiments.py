@@ -331,12 +331,11 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
         worst = 0.0
         init_stream = RngStream(seed, 0, PURPOSE_INIT)
         # one worker's data draws, as the trainer makes them
-        shards = workload.shards(1, [seed])
-        chunks = workload.sample_chunks(1, [seed])
+        sampler = workload.sampler(1, [seed])
         for probe in range(probes):
             x = workload.init_params(init_stream)
             x = x + init_stream.gaussian_vector(x.shape[0], 0.3)
-            idx = workload.draw_sample(None if chunks is None else chunks.next(), shards, [0])[0]
+            idx = workload.draw_sample(sampler, [0])[0]
             analytic = workload.stochastic_gradient(x[None], [idx])[0]
             numeric = central_difference_gradient(
                 lambda v: workload.batch_objective(v, idx), x, step)

@@ -46,39 +46,41 @@ class Dataset:
 
 @dataclass
 class Shards:
-    """The K workers' shards of S replicas as arrays, drawn from together:
-    shard s*K + k, replica-major, is worker k's of replica s.
+    """The K workers' shards of S replicas as arrays, and the run's data
+    draws from them: shard s*K + k, replica-major, is worker k's of replica s.
 
     Shard i is `flat[starts[i]:starts[i] + sizes[i]]`, its sorted sample
-    indices; `seeds` holds the replicas' seeds. with_replacement reads a
-    step's (S*K, batch) block of the workload's `sample_chunks`, row i
-    uniform over shard i's positions, and keeps the requested rows.
-    epoch_shuffle draws no data stream: shard k of replica s reads its
-    indices in epochs, epoch e permuted by its own stream keyed (seed_s, k,
-    PURPOSE_SHUFFLE) at counter e. `order` holds each shard's current epoch
-    at its start and `cursor` each shard's next position in it, and a draw
-    advances only the requested shards.
+    indices; `seeds` holds the replicas' seeds. Each draw gives a shard
+    `batch_size` indices. with_replacement reads a step's (S*K, batch_size)
+    draw of `positions`, the data stream's chunks, row i uniform over shard
+    i's positions. epoch_shuffle draws no data stream: shard k of replica s
+    reads its indices in epochs, epoch e permuted by its own stream keyed
+    (seed_s, k, PURPOSE_SHUFFLE) at counter e. `order` holds each shard's
+    current epoch at its start and `cursor` each shard's next position in
+    it, and a draw advances only the requested shards.
     """
     flat: np.ndarray    # (n,) every shard's sorted indices, end to end
     sizes: np.ndarray   # (S*K,) int64
     seeds: tuple = (0,)
+    batch_size: int = option(int, 1, low=1)
     draw_policy: str = option(str, "with_replacement", choices=("with_replacement", "epoch_shuffle"))
 
     def __post_init__(self):
         check_fields(self)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        if self.draw_policy == "epoch_shuffle":
+        if self.draw_policy == "with_replacement":
+            high = self.sizes[:self.workers, None, None]  # the same in every replica
+
+            def fill(stream: RngStream, out: np.ndarray) -> None:
+                out[...] = stream.integers(0, high, out.shape)
+
+            self.positions = StreamChunks(self.seeds, PURPOSE_DATA, self.workers,
+                                          self.batch_size, fill, np.int64)
+        else:
             self.order = self.flat.copy()
             self.cursor = self.sizes.copy()  # every epoch spent: the first draw starts epoch 0
             self.streams = [RngStream(seed, k, PURPOSE_SHUFFLE)
                             for seed in self.seeds for k in range(self.workers)]
-
-    @classmethod
-    def stack(cls, parts: list["Shards"]) -> "Shards":
-        """One Shards of the replicas' shards in `parts`, in their order."""
-        return cls(np.concatenate([p.flat for p in parts]),
-                   np.concatenate([p.sizes for p in parts]),
-                   sum((p.seeds for p in parts), ()), parts[0].draw_policy)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -87,33 +89,25 @@ class Shards:
     def workers(self) -> int:
         return len(self) // len(self.seeds)
 
-    def draw(self, positions, batch_size: int, rows) -> np.ndarray:
-        """(len(rows), batch_size) sample indices for the shards in `rows`;
-        `positions` is the with_replacement draw's block, unread under
-        epoch_shuffle."""
+    def draw(self, rows) -> np.ndarray:
+        """(len(rows), batch_size) sample indices for the shards in `rows`.
+        with_replacement reads the next step's positions at every call, also
+        for no rows, so draw n belongs to step n; epoch_shuffle fills one
+        requested row at a time, refilling a shard's epoch when it runs out."""
         rows = np.asarray(rows, dtype=np.int64)
         if self.draw_policy == "with_replacement":
-            return self.flat[self.starts[rows, None] + positions[rows]]
-        # a row that stays inside its current epoch is one gather; only rows
-        # that reach an epoch's end refill, one at a time
-        cursor = self.cursor[rows]
-        inside = cursor + batch_size <= self.sizes[rows]
-        out = np.empty((len(rows), batch_size), dtype=np.int64)
-        fast = rows[inside]
-        first = self.starts[fast] + cursor[inside]
-        out[inside] = self.order[first[:, None] + np.arange(batch_size)]
-        self.cursor[fast] += batch_size
-        for i in np.flatnonzero(~inside):
-            row, k = out[i], rows[i]
+            return self.flat[self.starts[rows, None] + self.positions.next()[rows]]
+        out = np.empty((len(rows), self.batch_size), dtype=np.int64)
+        for row, k in zip(out, rows):
             lo, n = self.starts[k], self.sizes[k]
             epoch = self.order[lo:lo + n]
             filled = 0
-            while filled < batch_size:
+            while filled < self.batch_size:
                 if self.cursor[k] == n:
                     epoch[:] = self.flat[lo:lo + n][self.streams[k].permutation(n)]
                     self.cursor[k] = 0
                 at = self.cursor[k]
-                take = min(batch_size - filled, n - at)
+                take = min(self.batch_size - filled, n - at)
                 row[filled:filled + take] = epoch[at:at + take]
                 self.cursor[k] += take
                 filled += take
@@ -144,25 +138,23 @@ def generate_synthetic_classification(n_classes: int, dim: int, samples_per_clas
     return Dataset(features=feats, labels=labels, n_classes=n_classes)
 
 
-def shard_sizes(n: int, workers: int) -> np.ndarray:
-    """The (workers,) shard sizes of n samples, even up to 1; the seed only
-    picks which samples go where."""
-    base, extra = divmod(n, workers)
-    return np.full(workers, base) + (np.arange(workers) < extra)
-
-
-def shard_dataset(dataset: Dataset, workers: int, seed: int,
+def shard_dataset(dataset: Dataset, workers: int, seeds, batch_size: int = 1,
                   draw_policy: str = Shards.draw_policy) -> Shards:
-    """Partition evenly (sizes differ by at most 1), deterministic given (seed, K)."""
+    """The shards of `workers` workers in each replica of `seeds`, drawn
+    `batch_size` indices at a time under `draw_policy`. Each replica splits
+    the samples evenly (sizes differ by at most 1, the larger first); its
+    seed picks which samples go where."""
     n = len(dataset)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers > n:
         raise ValueError(f"cannot shard {n} samples across {workers} workers")
-    order = RngStream(seed, 0, PURPOSE_DATAGEN).permutation(n)
-    sizes = shard_sizes(n, workers)
-    flat = np.concatenate([np.sort(part) for part in np.split(order, np.cumsum(sizes)[:-1])])
-    return Shards(flat, sizes, (seed,), draw_policy)
+    base, extra = divmod(n, workers)
+    sizes = np.full(workers, base) + (np.arange(workers) < extra)
+    cuts = np.cumsum(sizes)[:-1]
+    orders = [RngStream(seed, 0, PURPOSE_DATAGEN).permutation(n) for seed in seeds]
+    flat = np.concatenate([np.sort(part) for order in orders for part in np.split(order, cuts)])
+    return Shards(flat, np.tile(sizes, len(seeds)), tuple(seeds), batch_size, draw_policy)
 
 
 class QuadraticWorkload:
@@ -199,22 +191,21 @@ class QuadraticWorkload:
         # E f(x*, xi) = 0.5 * c * trace(A)
         return 0.5 * self._noise_scale ** 2 * float(np.sum(self.hessian_diag))
 
-    def shards(self, workers: int, seeds):
-        return None  # noise model is IID, nothing to shard
-
     def init_params(self, stream: RngStream) -> ParamVector:
         return self.x0.copy()
 
-    def sample_chunks(self, workers: int, seeds) -> StreamChunks:
-        """The data stream's chunks: d noise values per worker and step."""
+    def sampler(self, workers: int, seeds) -> StreamChunks:
+        """The run's data draws: the data stream's chunks of d noise values
+        per worker and step; the noise is IID, so there is nothing to shard."""
         return StreamChunks(seeds, PURPOSE_DATA, workers, self.dim, self._fill_noise)
 
     def _fill_noise(self, stream: RngStream, out: np.ndarray) -> None:
         stream.gaussian_vector(out.shape, self._noise_scale, out=out)
 
-    def draw_sample(self, block: np.ndarray, shards, rows) -> np.ndarray:
-        """Noise rows for the workers in `rows` of a step's (S*K, d) block."""
-        return block[rows]
+    def draw_sample(self, sampler: StreamChunks, rows) -> np.ndarray:
+        """Noise rows for the workers in `rows`, from the next step's (S*K, d)
+        draw of `sampler`, which advances whatever `rows` holds."""
+        return sampler.next()[rows]
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
         """Gradient rows at the rows of x (n, d), one noise sample per row."""
@@ -231,31 +222,17 @@ class QuadraticWorkload:
 
 
 class ShardedWorkload:
-    """The shards and data chunks of a workload that trains on `train`,
-    sharded per worker, in index batches of `batch_size` under `draw_policy`.
-    Each subclass defines its own `draw_sample`, so a wrapper set on one
-    class's method leaves the other's alone."""
+    """A workload that trains on `train`, sharded per worker and drawn in
+    index batches of `batch_size` under `draw_policy`: its sampler is the
+    run's `Shards`. Each subclass defines its own `draw_sample`, so a
+    wrapper set on one class's method leaves the other's alone."""
 
     train: Dataset
     batch_size: int
     draw_policy: str
 
-    def shards(self, workers: int, seeds) -> Shards:
-        return Shards.stack([shard_dataset(self.train, workers, s, self.draw_policy)
-                             for s in seeds])
-
-    def sample_chunks(self, workers: int, seeds) -> StreamChunks | None:
-        """The data stream's chunks of shard positions under with_replacement,
-        worker k's uniform over its shard, whose size is the same in every
-        replica; None under epoch_shuffle."""
-        if self.draw_policy == "epoch_shuffle":
-            return None
-        high = shard_sizes(len(self.train), workers)[:, None, None]
-
-        def fill(stream: RngStream, out: np.ndarray) -> None:
-            out[...] = stream.integers(0, high, out.shape)
-
-        return StreamChunks(seeds, PURPOSE_DATA, workers, self.batch_size, fill, np.int64)
+    def sampler(self, workers: int, seeds) -> Shards:
+        return shard_dataset(self.train, workers, seeds, self.batch_size, self.draw_policy)
 
 
 class LogisticWorkload(ShardedWorkload):
@@ -278,10 +255,10 @@ class LogisticWorkload(ShardedWorkload):
     def init_params(self, stream: RngStream) -> ParamVector:
         return np.zeros(self.dim)
 
-    def draw_sample(self, block, shards: Shards, rows) -> np.ndarray:
+    def draw_sample(self, sampler: Shards, rows) -> np.ndarray:
         """(len(rows), batch_size) sample indices for the workers in `rows`,
-        from a step's (S*K, batch_size) block of shard positions."""
-        return shards.draw(block, self.batch_size, rows)
+        the next draw of the run's shards."""
+        return sampler.draw(rows)
 
     def _loss(self, x: ParamVector, feats: np.ndarray, labels: np.ndarray) -> float:
         """Mean loss plus the L2 term at one parameter vector; no gradient."""
@@ -379,10 +356,10 @@ class MlpWorkload(ShardedWorkload):
             parts.append(np.zeros(b))
         return np.concatenate(parts).astype(self.dtype, copy=False).astype(np.float64)
 
-    def draw_sample(self, block, shards: Shards, rows) -> np.ndarray:
+    def draw_sample(self, sampler: Shards, rows) -> np.ndarray:
         """(len(rows), batch_size) sample indices for the workers in `rows`,
-        from a step's (S*K, batch_size) block of shard positions."""
-        return shards.draw(block, self.batch_size, rows)
+        the next draw of the run's shards."""
+        return sampler.draw(rows)
 
     def _forward(self, layers, feats: np.ndarray):
         """Pre-activations and activations of features (n, b, in) under

@@ -16,7 +16,7 @@ from palsgd.cluster import AllReduceModel, ClusterSpec, SimClock, allreduce_time
 from palsgd.config import parse_config
 from palsgd.fields import ConfigError
 from palsgd.optimizers import InnerOptConfig, OuterOptConfig, OuterOptState
-from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_JITTER,
+from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_INIT, PURPOSE_JITTER,
                             RngStream, mean_of)
 from palsgd.metrics import dumps_record
 from palsgd.workloads import (LogisticWorkload, MlpWorkload, QuadraticWorkload,
@@ -257,7 +257,7 @@ class TestPalsgdLocalStep:
         assert ws.inner.step[0] == 0
         # the data chunks serve one draw per step whether rows mix or not; a
         # mixing row's part of it is discarded, and the first draw fills chunk 0
-        assert ws.data.drawn == 1 and ws.data.streams[0].counter == 1
+        assert ws.sampler.drawn == 1 and ws.sampler.streams[0].counter == 1
 
     def test_mixing_step_is_cheap_on_the_clock(self):
         workload = quadratic(sigma=0.0)
@@ -282,7 +282,7 @@ class TestPalsgdLocalStep:
                                   SimClock(small_cluster(8)))
         assert 0 < mixed.sum() < 8
         assert ws.inner.step.tolist() == (~mixed).astype(int).tolist()
-        assert ws.data.drawn == 1 and ws.data.streams[0].counter == 1
+        assert ws.sampler.drawn == 1 and ws.sampler.streams[0].counter == 1
         coeff = sched.mix_coefficient(0)
         assert np.array_equal(ws.x[mixed], before[mixed] - coeff * before[mixed])
 
@@ -813,29 +813,31 @@ class TestRecordCadence:
                 == [dumps_record(rec) for rec in b.diagnostics.records])
 
 
-def local_steps(workers, p, total, seed=3, jitter=0.25):
+def local_steps(workers, p, total, seed=3, jitter=0.25, workload=None):
     """`total` PALSGD local steps of `workers` workers with no sync; returns
-    the workers, the clock, the (total, K) mixing masks and the noise row each
-    gradient step drew, keyed (t, k)."""
-    workload = quadratic(diag=(1.0, 2.0, 4.0), sigma=1.0)
+    the workers, the clock, the (total, K) mixing masks and the sample each
+    gradient step drew, keyed (t, k). The workload is a noisy 3-D quadratic
+    unless one is given."""
+    workload = workload or quadratic(diag=(1.0, 2.0, 4.0), sigma=1.0)
     plain_draw = workload.draw_sample
     noise = {}
     t_now = [0]
 
-    def recording_draw(block, shards, rows):
-        out = plain_draw(block, shards, rows)
+    def recording_draw(sampler, rows):
+        out = plain_draw(sampler, rows)
         noise.update({(t_now[0], int(k)): row for k, row in zip(rows, out)})
         return out
 
     workload.draw_sample = recording_draw
     sched = Schedule(alpha=0.05, eta=0.5, p=p, total_steps=total)
-    ws = Workers.start(workload.x0[None], InnerOptConfig(variant="adamw", clip_norm=2.0),
+    x0 = workload.init_params(RngStream(seed, 0, PURPOSE_INIT))
+    ws = Workers.start(x0[None], InnerOptConfig(variant="adamw", clip_norm=2.0),
                        workload, workers, [seed])
     clock = SimClock(small_cluster(workers, jitter=jitter), [seed])
     masks = []
     for t in range(total):
         t_now[0] = t
-        masks.append(palsgd_local_step(ws, np.zeros((1, 3)), sched, t, workload, clock))
+        masks.append(palsgd_local_step(ws, np.zeros((1, len(x0))), sched, t, workload, clock))
     return ws, clock, np.array(masks), noise
 
 
@@ -859,6 +861,21 @@ class TestBlockDraws:
         _, _, _, at_zero = local_steps(4, 0.0, 400)  # crosses the noise chunks' C = 341
         _, _, masks, at_p = local_steps(4, 0.3, 400)
         assert len(at_zero) == 4 * 400
+        assert len(at_p) == (~masks).sum() < len(at_zero)
+        for key, row in at_p.items():
+            assert np.array_equal(row, at_zero[key]), key
+
+    def test_index_rows_do_not_depend_on_p(self):
+        # a sharded worker's with_replacement positions are read at every step,
+        # also at a step where every row mixes and draws no rows, so its index
+        # batch at step t is the same at any p; 300 steps cross the
+        # positions' chunk boundary (C = 1024 // 4)
+        train, _ = classification(2, 5, 40)
+        workload = LogisticWorkload(train, l2_reg=0.01, batch_size=4)
+        _, _, _, at_zero = local_steps(3, 0.0, 300, workload=workload)
+        _, _, masks, at_p = local_steps(3, 0.6, 300, workload=workload)
+        assert masks[:256].all(axis=1).any() and masks[256:].all(axis=1).any()
+        assert len(at_zero) == 3 * 300
         assert len(at_p) == (~masks).sum() < len(at_zero)
         for key, row in at_p.items():
             assert np.array_equal(row, at_zero[key]), key

@@ -12,6 +12,9 @@ from palsgd.experiments import central_difference_gradient, max_relative_error
 from palsgd.optimizers import InnerOptConfig
 from palsgd.vecmath import (PURPOSE_DATA, PURPOSE_DATAGEN, PURPOSE_INIT, PURPOSE_SHUFFLE,
                             RngStream)
+
+RNG_METHODS = ("uniform", "uniform_vector", "gaussian", "gaussian_vector",
+               "integers", "permutation")
 from palsgd.workloads import (Dataset, LogisticWorkload, MlpWorkload, QuadraticWorkload,
                               generate_synthetic_classification, shard_dataset)
 
@@ -33,12 +36,12 @@ def quadratic_full_gradient(w, x):
 def variance_at_optimum(w, n_samples, seed, workers=64):
     """Monte Carlo estimate of E||grad f(x*, xi)||^2 from the workload's own
     noise draws, at least `n_samples` of them, one row per worker and step."""
-    chunks = w.sample_chunks(workers, [seed])
+    sampler = w.sampler(workers, [seed])
     x_star = np.tile(w.x_star, (workers, 1))
     steps = -(-n_samples // workers)
     total = 0.0
     for _ in range(steps):
-        g = w.stochastic_gradient(x_star, w.draw_sample(chunks.next(), None, np.arange(workers)))
+        g = w.stochastic_gradient(x_star, w.draw_sample(sampler, np.arange(workers)))
         total += float(np.sum(g * g))
     return total / (steps * workers)
 
@@ -166,10 +169,10 @@ class TestQuadratic:
 
     def test_smoothness_witness(self):
         w = make_quadratic((1.0, 4.0), sigma=1.0)
-        chunks = w.sample_chunks(1, [1])
+        sampler = w.sampler(1, [1])
         rng = np.random.default_rng(1)
         for _ in range(100):
-            xi = w.draw_sample(chunks.next(), None, [0])[0]
+            xi = w.draw_sample(sampler, [0])[0]
             x, y = rng.normal(size=2), rng.normal(size=2)
             lhs = np.linalg.norm(grad(w, x, xi) - grad(w, y, xi))
             assert lhs <= w.smoothness * np.linalg.norm(x - y) * (1 + 1e-12)
@@ -233,12 +236,11 @@ class TestMlp:
         w = self.make(activation)
         init = RngStream(10, 0, PURPOSE_INIT)
         probe = RngStream(11, 0, PURPOSE_DATA)
-        shards = w.shards(1, [0])
-        chunks = w.sample_chunks(1, [0])
+        sampler = w.sampler(1, [0])
         worst = 0.0
         for _ in range(10):
             x = w.init_params(init) + probe.gaussian_vector(w.dim, 0.2)
-            idx = w.draw_sample(chunks.next(), shards, [0])[0]
+            idx = w.draw_sample(sampler, [0])[0]
             analytic = grad(w, x, idx)
             numeric = central_difference_gradient(lambda v: w.batch_objective(v, idx), x)
             worst = max(worst, max_relative_error(analytic, numeric))
@@ -269,7 +271,7 @@ class TestMlp:
 class TestSharding:
     def test_even_split(self):
         data = generate_synthetic_classification(2, 3, 50, 1)  # n=100
-        shards = shard_dataset(data, 4, 0)
+        shards = shard_dataset(data, 4, [0])
         assert len(shards) == 4
         assert shards.sizes.tolist() == [25, 25, 25, 25]
         assert shards.starts.tolist() == [0, 25, 50, 75]
@@ -277,7 +279,7 @@ class TestSharding:
 
     def test_uneven_split_deterministic_order(self):
         data = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 1)
-        shards = shard_dataset(data, 3, 5)
+        shards = shard_dataset(data, 3, [5])
         assert shards.sizes.tolist() == [4, 3, 3]
         assert shards.starts.tolist() == [0, 4, 7]
         for lo, n in zip(shards.starts, shards.sizes):
@@ -286,57 +288,70 @@ class TestSharding:
 
     def test_same_seed_same_shards(self):
         data = generate_synthetic_classification(2, 3, 20, 1)
-        a = shard_dataset(data, 4, 9)
-        b = shard_dataset(data, 4, 9)
+        a = shard_dataset(data, 4, [9])
+        b = shard_dataset(data, 4, [9])
         assert np.array_equal(a.flat, b.flat) and np.array_equal(a.sizes, b.sizes)
 
     def test_with_replacement_rows_come_from_their_own_shard(self):
         w = LogisticWorkload(Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 2),
                              batch_size=5)
-        shards = w.shards(3, [5])  # sizes 4, 3, 3
-        chunks = w.sample_chunks(3, [5])
+        shards = w.sampler(3, [5])  # sizes 4, 3, 3
         seen = [set(), set(), set()]
         for _ in range(40):
-            for k, batch in enumerate(shards.draw(chunks.next(), 5, np.arange(3))):
+            for k, batch in enumerate(shards.draw(np.arange(3))):
                 seen[k].update(batch.tolist())
         assert seen == [set(shards.flat[lo:lo + n].tolist())
                         for lo, n in zip(shards.starts, shards.sizes)]
-        # draw 40 is slot 40 of chunk 0, one (K, C, batch) integer draw of the
-        # stream keyed (seed, 0, PURPOSE_DATA), C = 1024 // 5; any subset of
-        # rows reads those rows of it
-        block = chunks.next()
+        # draw i reads slot i of chunk 0, one (K, C, batch) integer draw of the
+        # stream keyed (seed, 0, PURPOSE_DATA), C = 1024 // 5; draw 40 reads
+        # every row of slot 40, and draw 41, for a subset of rows, those rows
+        # of slot 41
         chunk = RngStream(5, 0, PURPOSE_DATA).integers(0, shards.sizes[:, None, None], (3, 204, 5))
-        assert np.array_equal(block, chunk[:, 40])
-        full = shards.draw(block, 5, np.arange(3))
-        some = shards.draw(block, 5, [2, 0])
-        assert np.array_equal(some, full[[2, 0]])
+
+        def indices(rows, slot):
+            return shards.flat[shards.starts[rows, None] + chunk[rows, slot]]
+
+        assert np.array_equal(shards.draw(np.arange(3)), indices([0, 1, 2], 40))
+        assert np.array_equal(shards.draw([2, 0]), indices([2, 0], 41))
 
     def test_more_workers_than_samples_rejected(self):
         data = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), 1)
         with pytest.raises(ValueError, match="shard"):
-            shard_dataset(data, 5, 0)
+            shard_dataset(data, 5, [0])
 
     def test_epoch_shuffle_covers_every_sample(self):
         data = Dataset(np.zeros((8, 1)), np.zeros(8, dtype=np.int64), 1)
-        shards = shard_dataset(data, 1, 0, draw_policy="epoch_shuffle")
-        seen = shards.draw(RngStream(0, 0, PURPOSE_DATA), 8, [0])[0]
+        shards = shard_dataset(data, 1, [0], 8, draw_policy="epoch_shuffle")
+        seen = shards.draw([0])[0]
         assert sorted(seen.tolist()) == list(range(8))
 
-    def test_epoch_shuffle_permutes_each_epoch_by_the_shard_stream(self):
+    def test_epoch_shuffle_permutes_each_epoch_by_the_shard_stream(self, monkeypatch):
         # epoch e of shard k is its sorted indices permuted by the shard's own
         # stream at counter e, read in order across draws with a batch longer
         # than the shard; the shards themselves come from the datagen permutation
         data = Dataset(np.zeros((11, 1)), np.zeros(11, dtype=np.int64), 1)
         seed, batch, draws = 6, 9, 4
-        shards = shard_dataset(data, 3, seed, draw_policy="epoch_shuffle")
+        shards = shard_dataset(data, 3, [seed], batch, draw_policy="epoch_shuffle")
         order = RngStream(seed, 0, PURPOSE_DATAGEN).permutation(11)
-        caller = RngStream(seed, 0, PURPOSE_DATA)
+        calls = []
+        for name in RNG_METHODS:
+            plain = getattr(RngStream, name)
+
+            def counted(self, *args, _name=name, _plain=plain, **kwargs):
+                calls.append((_name, self.purpose))
+                return _plain(self, *args, **kwargs)
+
+            monkeypatch.setattr(RngStream, name, counted)
         seen = {k: [] for k in range(3)}
         for i in range(draws):
             rows = [0, 1, 2] if i % 2 == 0 else [2, 0]  # shard 1 advances only when asked
-            for k, row in zip(rows, shards.draw(caller, batch, rows)):
+            for k, row in zip(rows, shards.draw(rows)):
                 seen[k].extend(row.tolist())
-        assert caller.counter == 0
+        monkeypatch.undo()
+        # epoch_shuffle draws no data stream: its only generator calls are the
+        # shard streams' permutations, one per epoch started
+        assert set(calls) == {("permutation", PURPOSE_SHUFFLE)}
+        assert len(calls) == sum(-(-len(seen[k]) // n) for k, n in enumerate((4, 4, 3)))
         for k, (lo, n) in enumerate([(0, 4), (4, 4), (8, 3)]):
             indices = np.sort(order[lo:lo + n])
             epochs = [indices[RngStream(seed, k, PURPOSE_SHUFFLE, counter=e).permutation(n)]
@@ -350,14 +365,14 @@ class TestSharding:
         # starts a new epoch; each shard reads its epochs in order either way
         data = Dataset(np.zeros((14, 1)), np.zeros(14, dtype=np.int64), 1)
         seed = 3
-        shards = shard_dataset(data, 3, seed, draw_policy="epoch_shuffle")
+        shards = shard_dataset(data, 3, [seed], 2, draw_policy="epoch_shuffle")
         epochs = [np.concatenate([shards.flat[lo:lo + n][
             RngStream(seed, k, PURPOSE_SHUFFLE, counter=e).permutation(n)] for e in range(2)])
             for k, (lo, n) in enumerate(zip(shards.starts, shards.sizes))]
         pos = [0, 0, 0]
 
         def read(rows):
-            for k, batch in zip(rows, shards.draw(None, 2, rows)):
+            for k, batch in zip(rows, shards.draw(rows)):
                 assert batch.tolist() == epochs[k][pos[k]:pos[k] + 2].tolist(), (rows, k)
                 pos[k] += 2
 
@@ -381,8 +396,8 @@ class TestSharding:
             seen = {0: [], 1: []}
             plain_draw = workload.draw_sample
 
-            def recording_draw(block, shards, rows):
-                idx = plain_draw(block, shards, rows)
+            def recording_draw(sampler, rows):
+                idx = plain_draw(sampler, rows)
                 for k, batch in zip(rows, idx):
                     seen[k].extend(batch.tolist())
                 return idx
@@ -390,7 +405,7 @@ class TestSharding:
             workload.draw_sample = recording_draw
             result = run_training(workload, cfg.build_variant(), cfg.build_schedule(workload),
                                   cfg.build_cluster(), cfg.seed)
-            shards = workload.shards(2, [cfg.seed])
+            shards = workload.sampler(2, [cfg.seed])
             for k, steps in enumerate(result.diagnostics.gradient_steps_per_worker):
                 lo, n = shards.starts[k], shards.sizes[k]  # 12 samples, 2 per gradient step
                 assert len(seen[k]) == 2 * steps
