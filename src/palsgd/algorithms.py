@@ -43,8 +43,12 @@ state is (S*K, d), replica-major, and the global models (S, d). Each replica
 keeps its own streams, keyed by its seed, its shards and its row of the
 replica-major SimClock; every reduction runs along one replica's K rows in a
 lone run's order, and all else is elementwise, so each replica is
-bit-identical to a run of its seed alone. Everything inside the loop keeps
-the replica axis; only `run_training`'s result drops it, for an int seed.
+bit-identical to a run of its seed alone. The replicas all-reduce at the
+same steps, so a sync round or DDP step does its per-replica work once for
+all S: one `SimClock.allreduce` barriers every replica and logs one shared
+CommEvent per replica, one `consensus_probe` covers both references, and a
+record makes one objective call. Everything inside the loop keeps the
+replica axis; only `run_training`'s result drops it, for an int seed.
 """
 
 from __future__ import annotations
@@ -227,10 +231,6 @@ class Workers:
         """The (S, K, d) view of `x`."""
         return self.x.reshape(len(self.coins.streams), -1, self.x.shape[1])
 
-    def draw(self, workload, rows: np.ndarray):
-        """This step's samples for the rows set in the (S*K,) mask `rows`."""
-        return workload.draw_sample(self.sampler, rows.nonzero()[0])
-
 
 @dataclass
 class StepRecord:
@@ -284,13 +284,16 @@ def consensus_probe(x: np.ndarray, global_x: np.ndarray,
                     xbar: np.ndarray) -> tuple[list[float], list[float]]:
     """Per replica of the (S, K, d) stack x, with (S, d) global_x and xbar:
     (consensus distance vs the global copy, spread around the worker mean
-    xbar), each a sum of per-row squared norms in worker order over K."""
+    xbar), each the mean of the replica's K per-row squared norms.
+
+    Both references go through one `row_norms_sq` over the (2*S*K, d)
+    differences, and `np.add.accumulate` sums each replica's K norms in
+    worker order, left to right, as a Python `sum` over them would."""
     s, k, d = x.shape
-    out = []
-    for ref in (global_x, xbar):
-        norms = row_norms_sq((x - ref[:, None]).reshape(s * k, d)).reshape(s, k)
-        out.append([sum(rows) / k for rows in norms.tolist()])
-    return out[0], out[1]
+    diffs = x - np.stack((global_x, xbar))[:, :, None]
+    norms = row_norms_sq(diffs.reshape(2 * s * k, d)).reshape(2, s, k)
+    xi, spread = (np.add.accumulate(norms, axis=2)[..., -1] / k).tolist()
+    return xi, spread
 
 
 def palsgd_local_step(workers: Workers, global_x: np.ndarray, schedule: Schedule, t: int,
@@ -308,10 +311,11 @@ def palsgd_local_step(workers: Workers, global_x: np.ndarray, schedule: Schedule
     if mixed.size:
         coeff = schedule.mix_coefficient(t)
         anchor = global_x.take(mixed // k, 0)  # each mixed row's replica's global model
-        x[mixed] = x[mixed] - coeff * (x[mixed] - anchor)
+        rows = x[mixed]
+        x[mixed] = rows - coeff * (rows - anchor)
     stepping = ~mixing
-    samples = workers.draw(workload, stepping)
     stepped = stepping.nonzero()[0]
+    samples = workload.draw_sample(workers.sampler, stepped)
     if stepped.size:
         g = workload.stochastic_gradient(x[stepped], samples)
         inner_step(workers.inner, x, g, schedule.alpha_at(t) / (1.0 - p), stepped)
@@ -339,8 +343,7 @@ def sync_round(workers: Workers, global_x: np.ndarray, outer_state: OuterOptStat
     x[:] = new_global[:, None, :]
     if workers.inner.config.reset_at_sync:
         workers.inner = InnerOptState.fresh(workers.inner.config, *workers.x.shape)
-    for replica in range(len(new_global)):
-        clock.record_allreduce(t, new_global.shape[1], replica)
+    clock.allreduce(t, new_global.shape[1])
     return new_global, drift
 
 
@@ -349,14 +352,13 @@ def ddp_step(workers: Workers, schedule: Schedule, t: int,
     """Gradient all-reduce every step: identical updates on every worker of a
     replica. Returns the (S, d) new global models, row s that of replica s."""
     x = workers.x
-    everyone = np.ones(x.shape[0], dtype=bool)
-    grads = workload.stochastic_gradient(x, workers.draw(workload, everyone))
-    clock.advance_step(everyone)
+    samples = workload.draw_sample(workers.sampler, np.arange(x.shape[0]))
+    grads = workload.stochastic_gradient(x, samples)
+    clock.advance_step(np.ones(x.shape[0], dtype=bool))
     gbar = mean_of(grads.reshape(workers.stacked.shape))
     k = x.shape[0] // len(gbar)
     inner_step(workers.inner, x, gbar.repeat(k, 0), schedule.alpha_at(t))
-    for replica in range(len(gbar)):
-        clock.record_allreduce(t, x.shape[1], replica)
+    clock.allreduce(t, x.shape[1])
     return x[::k].copy()
 
 
@@ -428,7 +430,12 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     averager = (_WeightedAverage(x0.shape, schedule.iterate_weight_growth)
                 if schedule.iterate_weight_growth is not None else None)
 
-    objective = getattr(workload, "suboptimality", workload.full_objective)
+    # one call per record: the quadratic's suboptimality takes the (S, d)
+    # stack, the other objectives one model at a time
+    objective = getattr(workload, "suboptimality", None)
+    if objective is None:
+        def objective(models):
+            return [workload.full_objective(row) for row in models]
     evaluates = workload.has_eval and eval_every is not None
 
     def record(t: int, drift, evaluate: bool) -> None:
@@ -442,8 +449,9 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
             at = global_x
         xi, spread = drift
         sim_times = clock.times.max(axis=1).tolist()
+        values = objective(at)
         for r, rows in enumerate(records):
-            rec = StepRecord(t, sim_times[r], objective(at[r]), xi[r], spread[r],
+            rec = StepRecord(t, sim_times[r], values[r], xi[r], spread[r],
                              len(clock.events[r]), clock.comm_seconds[r])
             if evaluate:
                 ev = workload.evaluate(at[r])

@@ -83,8 +83,11 @@ class SimClock:
     CommEvents and `comm_seconds` one float per replica. The jitter is one
     uniform per worker and step from `StreamChunks` of purpose
     PURPOSE_JITTER; replica s reads its own stream's chunks, keyed by seed s,
-    so row s is the clock of seed s alone. A replica's global time is the
-    max over its row, realized at each of its barriers.
+    so row s is the clock of seed s alone. The replicas of a batch sync at
+    the same steps, so one `barrier` waits every replica's workers for the
+    slowest of their own row at once, and `allreduce` builds one CommEvent
+    that `record_allreduce` logs into each replica's list. A replica's global
+    time is the max over its row, realized at each barrier.
     """
 
     def __init__(self, spec: ClusterSpec, seeds: Sequence[int] = (0,)):
@@ -107,17 +110,25 @@ class SimClock:
             cost *= 1.0 + self.spec.jitter * (2.0 * u - 1.0)
         self.times += cost.reshape(self.times.shape)
 
-    def barrier(self, duration: float = 0.0, replica: int = 0) -> None:
-        self.times[replica] = self.times[replica].max() + duration
+    def barrier(self, duration: float = 0.0) -> None:
+        """Move every worker of each replica to its replica's slowest, plus `duration`."""
+        self.times[:] = self.times.max(axis=1, keepdims=True) + duration
 
-    def record_allreduce(self, step: int, dim: int, replica: int = 0) -> CommEvent:
-        """Barrier one replica's workers through one all-reduce and log it."""
+    def allreduce(self, step: int, dim: int) -> CommEvent:
+        """Barrier every replica's workers through one all-reduce of `dim`
+        parameters, and log its one event in each replica's list."""
         payload = self.spec.payload_bytes(dim)
         duration = allreduce_time(payload, self.spec.workers, self.spec.allreduce)
-        self.barrier(duration, replica)
-        self.comm_seconds[replica] += duration
+        self.barrier(duration)
         event = CommEvent(step=step, payload_bytes=payload, duration_s=duration,
                           participants=self.spec.workers)
+        for replica in range(len(self.events)):
+            self.record_allreduce(event, replica)
+        return event
+
+    def record_allreduce(self, event: CommEvent, replica: int) -> CommEvent:
+        """Log one replica's share of an all-reduce: its event and its seconds."""
+        self.comm_seconds[replica] += event.duration_s
         self.events[replica].append(event)
         return event
 

@@ -137,7 +137,7 @@ def weighted_average_suboptimality(cfg: RunConfig, workers: int, seeds: list[int
     if result.diverged:
         raise RuntimeError(f"theory run diverged (workers={workers}, "
                            f"seed={seeds[result.divergence.replica]})")
-    return [workload.suboptimality(x_hat) for x_hat in result.weighted_average]
+    return workload.suboptimality(result.weighted_average)
 
 
 def fit_loglog_slope(x_values, y_values) -> float:

@@ -213,9 +213,15 @@ class QuadraticWorkload:
             raise DimensionMismatchError("quadratic gradient", x.shape[-1], self.dim)
         return self.hessian_diag * (x - self.x_star - np.asarray(samples))
 
-    def suboptimality(self, x: ParamVector) -> float:
+    def suboptimality(self, x: np.ndarray) -> float | list[float]:
+        """F(x) - F(x*) of one (d,) model, or of each row of an (S, d) stack
+        as a list of S floats, each bit-equal to the 1-D value: a stacked
+        (1, d) @ (d, 1) matmul runs np.dot's kernel, as `row_norms_sq` does."""
         d = x - self.x_star
-        return 0.5 * float(np.dot(d * self.hessian_diag, d))
+        if d.ndim == 1:
+            return 0.5 * float(np.dot(d * self.hessian_diag, d))
+        dots = np.matmul((d * self.hessian_diag)[:, None, :], d[:, :, None])[:, 0, 0]
+        return (0.5 * dots).tolist()
 
     def full_objective(self, x: ParamVector) -> float:
         return self.suboptimality(x) + self.noise_floor

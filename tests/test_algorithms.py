@@ -363,7 +363,36 @@ class TestDdpStep:
         assert clock.events[0][0].duration_s == 0.0
 
 
+def probe_reference(x, global_x, xbar):
+    """Per replica, the Python sum in worker order of the rows' squared norms
+    against each reference, over K."""
+    k = x.shape[1]
+    return tuple([sum(float(np.dot(row - r, row - r)) for row in rows) / k
+                  for rows, r in zip(x, ref)] for ref in (global_x, xbar))
+
+
 class TestConsensusProbe:
+    @pytest.mark.parametrize("s,k,d", [(1, 1, 3), (3, 1, 5), (2, 4, 7), (3, 5, 64), (2, 32, 4)])
+    def test_equals_the_per_replica_sum(self, s, k, d):
+        rng = np.random.default_rng(s * 100 + k * 10 + d)
+        x = rng.normal(size=(s, k, d))
+        global_x = rng.normal(size=(s, d))
+        got = consensus_probe(x, global_x, mean_of(x))
+        want = probe_reference(x, global_x, mean_of(x))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_non_finite_rows(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 4, 6))
+        x[1, 2, 0] = np.inf
+        x[2, 0, 3] = np.nan
+        global_x = rng.normal(size=(3, 6))
+        with np.errstate(invalid="ignore"):
+            got = consensus_probe(x, global_x, mean_of(x))
+            want = probe_reference(x, global_x, mean_of(x))
+        assert np.isfinite(got[0][0]) and not np.isfinite(got[0][1:]).any()
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_examples(self):
         xi, spread = consensus_probe(np.array([[[1.0], [-1.0]]]), np.array([[0.0]]),
                                      np.array([[0.0]]))
@@ -899,6 +928,29 @@ class TestBlockDraws:
         # one generator call per purpose and chunk, whatever K: the coins and
         # the jitter serve C = 1024 steps a chunk, the 3-wide noise rows 341
         assert Counter(calls) == {PURPOSE_BERNOULLI: 2, PURPOSE_JITTER: 2, PURPOSE_DATA: 4}
+
+
+@pytest.mark.parametrize("tag,syncs", [("palsgd", 4), ("ddp", 14)])
+def test_each_replica_logs_each_allreduce_through_record_allreduce(monkeypatch, tag, syncs):
+    # bench/run.py's traced check wraps SimClock.record_allreduce and expects
+    # one call per replica and all-reduce, each returning the event it logs
+    returned = []
+    original = SimClock.record_allreduce
+
+    def counting(self, *args, **kwargs):
+        returned.append(original(self, *args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(SimClock, "record_allreduce", counting)
+    seeds = [4, 5, 6]
+    sched = Schedule(alpha=0.05, eta=0.5, p=0.3 if tag == "palsgd" else 0.0, sync_interval=4,
+                     total_steps=14)
+    cluster = small_cluster(3, bytes_per_param=4)
+    result = run_training(quadratic(diag=(1.0, 2.0, 4.0)), make_variant(tag), sched, cluster,
+                          seeds)
+    assert [len(events) for events in result.events] == [syncs] * len(seeds)
+    assert len(returned) == len(seeds) * syncs
+    assert all(event.payload_bytes == 3 * 4 for event in returned)
 
 
 def runs_alone_and_batched(workload, variant, schedule, cluster, seeds, **kw):

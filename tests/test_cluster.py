@@ -74,7 +74,7 @@ class TestSimClock:
         spec = ClusterSpec(workers=4, allreduce=AllReduceModel(latency_s=1e-3,
                                                                bandwidth_bytes_per_s=1e6))
         clock = SimClock(spec)
-        event = clock.record_allreduce(step=7, dim=100)
+        event = clock.allreduce(step=7, dim=100)
         assert event.payload_bytes == 800
         assert event.duration_s == allreduce_time(800, 4, spec.allreduce)
         assert event.participants == 4
@@ -106,7 +106,7 @@ class TestSimClock:
 
     def test_replicas_advance_as_clocks_alone(self):
         # row s of a clock over seeds (3, 8) is the clock of seed 3 or 8 alone;
-        # an all-reduce barriers its own replica only
+        # one all-reduce barriers each replica's workers to its own slowest
         spec = ClusterSpec(workers=3, jitter=0.4, worker_multipliers=(1.0, 2.0, 1.0))
         both = SimClock(spec, [3, 8])
         alone = [SimClock(spec, [3]), SimClock(spec, [8])]
@@ -115,14 +115,19 @@ class TestSimClock:
             both.advance_step(mask.ravel())
             for clock, row in zip(alone, mask):
                 clock.advance_step(row)
-            if t == 2:
-                both.record_allreduce(t, dim=4, replica=1)
-                alone[1].record_allreduce(t, dim=4)
+            if t in (2, 4):
+                # the replicas' slowest workers differ, so a barrier across
+                # replicas would show
+                slowest = both.times.max(axis=1)
+                assert slowest[0] != slowest[1]
+                assert both.allreduce(t, dim=4) == alone[0].allreduce(t, dim=4)
+                alone[1].allreduce(t, dim=4)
+                assert both.times.tolist() == [c.times[0].tolist() for c in alone]
         assert both.times.tolist() == [c.times[0].tolist() for c in alone]
         assert both.times.max(axis=1).tolist() == [max(c.times[0]) for c in alone]
         assert both.comm_seconds == [c.comm_seconds[0] for c in alone]
         assert both.events == [c.events[0] for c in alone]
-        assert both.events[0] == [] and len(both.events[1]) == 1
+        assert [[e.step for e in events] for events in both.events] == [[2, 4], [2, 4]]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -138,8 +143,8 @@ class TestEventExport:
         spec = ClusterSpec(workers=2, allreduce=AllReduceModel(latency_s=0.0,
                                                                bandwidth_bytes_per_s=8.0))
         clock = SimClock(spec)
-        clock.record_allreduce(0, dim=2)
-        clock.record_allreduce(5, dim=2)
+        clock.allreduce(0, dim=2)
+        clock.allreduce(5, dim=2)
         path = tmp_path / "events.jsonl"
         export_events_jsonl(clock.events[0], str(path))
         rows = [json.loads(line) for line in path.read_text().splitlines()]

@@ -144,6 +144,16 @@ class TestQuadratic:
         assert w.suboptimality(w.x_star) == 0.0
         assert w.suboptimality(np.array([3.0, 4.0])) == 12.5
 
+    @pytest.mark.parametrize("dim", [1, 4, 64, 874])
+    def test_stacked_suboptimality_equals_each_row(self, dim):
+        rng = np.random.default_rng(dim)
+        w = make_quadratic(rng.uniform(0.5, 4.0, dim), x_star=rng.normal(size=dim))
+        stack = rng.normal(size=(5, dim))
+        got = w.suboptimality(stack)
+        assert isinstance(got, list) and all(type(v) is float for v in got)
+        want = [w.suboptimality(row) for row in stack]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_mu_and_smoothness(self):
         w = make_quadratic((1.0, 3.0, 4.0))
         assert w.mu == 1.0 and w.smoothness == 4.0
