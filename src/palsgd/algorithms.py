@@ -430,12 +430,9 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     averager = (_WeightedAverage(x0.shape, schedule.iterate_weight_growth)
                 if schedule.iterate_weight_growth is not None else None)
 
-    # one call per record: the quadratic's suboptimality takes the (S, d)
-    # stack, the other objectives one model at a time
-    objective = getattr(workload, "suboptimality", None)
-    if objective is None:
-        def objective(models):
-            return [workload.full_objective(row) for row in models]
+    # the quadratic's suboptimality takes the (S, d) stack in one call; the
+    # other workloads' full objective takes one model at a time
+    suboptimality = getattr(workload, "suboptimality", None)
     evaluates = workload.has_eval and eval_every is not None
 
     def record(t: int, drift, evaluate: bool) -> None:
@@ -449,9 +446,10 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
             at = global_x
         xi, spread = drift
         sim_times = clock.times.max(axis=1).tolist()
-        values = objective(at)
-        for r, rows in enumerate(records):
-            rec = StepRecord(t, sim_times[r], values[r], xi[r], spread[r],
+        values = (suboptimality(at) if suboptimality is not None
+                  else map(workload.full_objective, at))
+        for r, (rows, value) in enumerate(zip(records, values)):
+            rec = StepRecord(t, sim_times[r], value, xi[r], spread[r],
                              len(clock.events[r]), clock.comm_seconds[r])
             if evaluate:
                 ev = workload.evaluate(at[r])
