@@ -44,11 +44,10 @@ keeps its own streams, keyed by its seed, its shards and its row of the
 replica-major SimClock; every reduction runs along one replica's K rows in a
 lone run's order, and all else is elementwise, so each replica is
 bit-identical to a run of its seed alone. The replicas all-reduce at the
-same steps, so a sync round or DDP step does its per-replica work once for
-all S: one `SimClock.allreduce` barriers every replica and logs one shared
-CommEvent per replica, one `consensus_probe` covers both references, and a
-record makes one objective call. Everything inside the loop keeps the
-replica axis; only `run_training`'s result drops it, for an int seed.
+same steps, so a sync round or DDP step makes one `SimClock.allreduce`
+call, which barriers every replica and logs one shared CommEvent per
+replica; a record on the quadratic makes one objective call. Everything inside the loop keeps the replica axis; only
+`run_training`'s result drops it, for an int seed.
 """
 
 from __future__ import annotations
@@ -284,16 +283,13 @@ def consensus_probe(x: np.ndarray, global_x: np.ndarray,
                     xbar: np.ndarray) -> tuple[list[float], list[float]]:
     """Per replica of the (S, K, d) stack x, with (S, d) global_x and xbar:
     (consensus distance vs the global copy, spread around the worker mean
-    xbar), each the mean of the replica's K per-row squared norms.
-
-    Both references go through one `row_norms_sq` over the (2*S*K, d)
-    differences, and `np.add.accumulate` sums each replica's K norms in
-    worker order, left to right, as a Python `sum` over them would."""
+    xbar), each a sum of per-row squared norms in worker order over K."""
     s, k, d = x.shape
-    diffs = x - np.stack((global_x, xbar))[:, :, None]
-    norms = row_norms_sq(diffs.reshape(2 * s * k, d)).reshape(2, s, k)
-    xi, spread = (np.add.accumulate(norms, axis=2)[..., -1] / k).tolist()
-    return xi, spread
+    out = []
+    for ref in (global_x, xbar):
+        norms = row_norms_sq((x - ref[:, None]).reshape(s * k, d)).reshape(s, k)
+        out.append([sum(rows) / k for rows in norms.tolist()])
+    return out[0], out[1]
 
 
 def palsgd_local_step(workers: Workers, global_x: np.ndarray, schedule: Schedule, t: int,
@@ -352,9 +348,10 @@ def ddp_step(workers: Workers, schedule: Schedule, t: int,
     """Gradient all-reduce every step: identical updates on every worker of a
     replica. Returns the (S, d) new global models, row s that of replica s."""
     x = workers.x
-    samples = workload.draw_sample(workers.sampler, np.arange(x.shape[0]))
+    everyone = np.ones(x.shape[0], dtype=bool)
+    samples = workload.draw_sample(workers.sampler, everyone.nonzero()[0])
     grads = workload.stochastic_gradient(x, samples)
-    clock.advance_step(np.ones(x.shape[0], dtype=bool))
+    clock.advance_step(everyone)
     gbar = mean_of(grads.reshape(workers.stacked.shape))
     k = x.shape[0] // len(gbar)
     inner_step(workers.inner, x, gbar.repeat(k, 0), schedule.alpha_at(t))

@@ -214,13 +214,11 @@ class QuadraticWorkload:
         return self.hessian_diag * (x - self.x_star - np.asarray(samples))
 
     def suboptimality(self, x: np.ndarray) -> float | list[float]:
-        """F(x) - F(x*) of one (d,) model, or of each row of an (S, d) stack
-        as a list of S floats, each bit-equal to the 1-D value: a stacked
+        """F(x) - F(x*): a float for one (d,) model, a list of S floats for
+        an (S, d) stack. Each is bit-equal to 0.5 * np.dot(H d, d): a
         (1, d) @ (d, 1) matmul runs np.dot's kernel, as `row_norms_sq` does."""
         d = x - self.x_star
-        if d.ndim == 1:
-            return 0.5 * float(np.dot(d * self.hessian_diag, d))
-        dots = np.matmul((d * self.hessian_diag)[:, None, :], d[:, :, None])[:, 0, 0]
+        dots = np.matmul((d * self.hessian_diag)[..., None, :], d[..., :, None])[..., 0, 0]
         return (0.5 * dots).tolist()
 
     def full_objective(self, x: ParamVector) -> float:

@@ -152,7 +152,12 @@ class TestQuadratic:
         got = w.suboptimality(stack)
         assert isinstance(got, list) and all(type(v) is float for v in got)
         want = [w.suboptimality(row) for row in stack]
+        assert all(type(v) is float for v in want)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+        # each value is the 1-D formula's, summed in np.dot's order
+        dots = [0.5 * float(np.dot((row - w.x_star) * w.hessian_diag, row - w.x_star))
+                for row in stack]
+        assert np.array(got).tobytes() == np.array(dots).tobytes()
 
     def test_mu_and_smoothness(self):
         w = make_quadratic((1.0, 3.0, 4.0))
