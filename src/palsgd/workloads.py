@@ -255,6 +255,7 @@ class LogisticWorkload(ShardedWorkload):
         self.batch_size = int(batch_size)
         self.draw_policy = draw_policy
         self.dim = train.features.shape[1]
+        self._y = train.labels.astype(np.float64)  # class ids 0/1 convert exactly
 
     def init_params(self, stream: RngStream) -> ParamVector:
         return np.zeros(self.dim)
@@ -264,12 +265,12 @@ class LogisticWorkload(ShardedWorkload):
         the next draw of the run's shards."""
         return sampler.draw(rows)
 
-    def _loss(self, x: ParamVector, feats: np.ndarray, labels: np.ndarray) -> float:
-        """Mean loss plus the L2 term at one parameter vector; no gradient."""
+    def _loss(self, x: ParamVector, feats: np.ndarray, y: np.ndarray) -> float:
+        """Mean loss plus the L2 term at one parameter vector, float labels y;
+        no gradient."""
         z = feats @ x
-        y = labels.astype(np.float64)
-        # log(1 + e^z) - y z, computed stably
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        # log(1 + e^z) - y z; softplus by SIMD exp/log1p, as logaddexp is a scalar libm loop
+        loss = float(np.mean(_softplus(z) - y * z))
         return loss + 0.5 * self.l2_reg * float(np.dot(x, x))
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
@@ -279,7 +280,7 @@ class LogisticWorkload(ShardedWorkload):
         gather. Each row rounds as the 1-row call does."""
         samples = np.asarray(samples)
         feats = self.train.features[samples]
-        y = self.train.labels[samples].astype(np.float64)
+        y = self._y[samples]
         z = (feats @ x[:, :, None])[:, :, 0]
         with np.errstate(over="ignore"):  # e^-z = inf below z = -709 gives sig = 0, the limit
             sig = 1.0 / (1.0 + np.exp(-z))
@@ -287,10 +288,15 @@ class LogisticWorkload(ShardedWorkload):
         return grad + self.l2_reg * x
 
     def batch_objective(self, x: ParamVector, sample: np.ndarray) -> float:
-        return self._loss(x, self.train.features[sample], self.train.labels[sample])
+        return self._loss(x, self.train.features[sample], self._y[sample])
 
     def full_objective(self, x: ParamVector) -> float:
-        return self._loss(x, self.train.features, self.train.labels)
+        return self._loss(x, self.train.features, self._y)
+
+
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) elementwise, stable at any z: e^-|z| never overflows."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _activation(name: str):
