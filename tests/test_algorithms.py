@@ -1,13 +1,14 @@
 import json
 import math
 from collections import Counter
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palsgd import algorithms
+from palsgd import algorithms, workloads
 from palsgd.algorithms import (VARIANTS, AlgoVariant, Schedule, StepRecord, Workers,
                                _WeightedAverage, consensus_probe, ddp_step,
                                make_variant, palsgd_local_step, run_training,
@@ -1090,3 +1091,39 @@ class TestReplicaAxis:
         for r, one in enumerate(alone):
             assert batched.diagnostics.records[r] == [rec for rec in one.diagnostics.records
                                                       if rec.step < report.step]
+
+
+class TestLogisticSoftplus:
+    """The logistic objective's softplus form moves only the recorded train_metric."""
+
+    @pytest.mark.parametrize("tag", ["ddp", "palsgd"])
+    def test_only_the_metric_moves(self, tag, monkeypatch):
+        train, _ = classification(2, 8, 1000)
+        workload = LogisticWorkload(train, l2_reg=0.01, batch_size=8)
+        sched = Schedule(alpha=0.1, eta=0.5, p=0.3 if tag == "palsgd" else 0.0,
+                         sync_interval=4, total_steps=60)
+        cluster = small_cluster(4, jitter=0.2)
+
+        def run():
+            return run_training(workload, make_variant(tag), sched, cluster, seed=5,
+                                record_every=3)
+
+        calls = []
+
+        def reference(z):
+            calls.append(len(z))
+            return np.logaddexp(0.0, z)
+
+        new = run()
+        monkeypatch.setattr(workloads, "_softplus", reference)
+        ref = run()
+        assert calls == [len(train)] * len(ref.diagnostics.records)
+        assert repr(new.events) == repr(ref.events)
+        assert new.global_model.tobytes() == ref.global_model.tobytes()
+        assert new.worker_time.tobytes() == ref.worker_time.tobytes()
+        assert repr(new.comm_seconds) == repr(ref.comm_seconds)
+        for a, b in zip(new.diagnostics.records, ref.diagnostics.records, strict=True):
+            # repr round-trips a float exactly, so equal reprs are equal bits
+            other_fields = [repr(astuple(replace(r, train_metric=0.0))) for r in (a, b)]
+            assert other_fields[0] == other_fields[1]
+            assert a.train_metric == pytest.approx(b.train_metric, rel=1e-15, abs=0.0)

@@ -16,7 +16,7 @@ from palsgd.vecmath import (PURPOSE_DATA, PURPOSE_DATAGEN, PURPOSE_INIT, PURPOSE
 RNG_METHODS = ("uniform", "uniform_vector", "gaussian", "gaussian_vector",
                "integers", "permutation")
 from palsgd.workloads import (Dataset, LogisticWorkload, MlpWorkload, QuadraticWorkload,
-                              generate_synthetic_classification, shard_dataset)
+                              _softplus, generate_synthetic_classification, shard_dataset)
 
 
 def grad(workload, x, sample):
@@ -55,6 +55,19 @@ def logistic_row_reference(w, x, idx):
         sig = 1.0 / (1.0 + np.exp(-z))
     grad = feats.T @ (sig - y) / len(idx)
     return grad + w.l2_reg * x
+
+
+def softplus_reference(z):
+    """log(1 + e^z) by np.logaddexp, the form the logistic objective once took."""
+    with np.errstate(invalid="ignore"):  # logaddexp flags a nan input
+        return np.logaddexp(0.0, z)
+
+
+def logistic_loss_reference(w, x, idx):
+    """The logistic objective over the samples idx, its softplus by logaddexp."""
+    z = w.train.features[idx] @ x
+    y = w.train.labels[idx].astype(np.float64)
+    return float(np.mean(softplus_reference(z) - y * z)) + 0.5 * w.l2_reg * float(np.dot(x, x))
 
 
 def mlp_row_reference(w, x, idx):
@@ -239,6 +252,45 @@ class TestLogistic:
         data = generate_synthetic_classification(3, 4, 10, 0)
         with pytest.raises(ValueError):
             LogisticWorkload(data)
+
+    def test_objectives_match_the_logaddexp_loss(self):
+        w = self.make(n=400, dim=6)
+        rng = np.random.default_rng(4)
+        everything = np.arange(len(w.train))
+        for scale in np.repeat([1e-3, 0.1, 1.0, 10.0, 100.0], 10):
+            x = rng.normal(size=w.dim) * scale
+            idx = rng.integers(0, len(w.train), 16)
+            assert w.full_objective(x) == pytest.approx(
+                logistic_loss_reference(w, x, everything), rel=1e-15, abs=0.0)
+            assert w.batch_objective(x, idx) == pytest.approx(
+                logistic_loss_reference(w, x, idx), rel=1e-15, abs=0.0)
+
+
+class TestSoftplus:
+    """The logistic objective's softplus against np.logaddexp(0, z)."""
+
+    EDGES = np.array([0.0, 5e-324, -5e-324, 37.0, -37.0, 709.0, -709.0, 746.0, -746.0,
+                      800.0, -800.0, np.inf, -np.inf, np.nan])
+
+    def test_within_a_few_ulps_of_logaddexp(self):
+        mag = np.logspace(-8, np.log10(700.0), 2001)
+        z = np.concatenate([-mag[::-1], mag])
+        got, want = _softplus(z), softplus_reference(z)
+        assert (got > 0).all() and (want > 0).all()
+        # positive doubles order as their bit patterns: the difference counts ulps
+        assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 8
+
+    def test_edge_values_equal_logaddexp(self):
+        got, want = _softplus(self.EDGES), softplus_reference(self.EDGES)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _softplus(self.EDGES)
+            with pytest.raises(RuntimeWarning):  # the check sees a warning numpy raises
+                np.logaddexp(0.0, self.EDGES)
 
 
 class TestMlp:
