@@ -9,7 +9,7 @@ that mixes its parameters toward the last-synced global model:
 
     x_k <- x_k - (alpha_t * eta_t / p) * (x_k - x_global)
 
-so one step is one Bernoulli-masked row update of the (K, d) array. No
+so one step is one full-width update of the (K, d) array. No
 per-worker anchor (a worker's copy of the last-synced model) is stored: it
 would be set at every sync round and every DDP step, exactly when the global
 model is, to the same value, so the two are always equal.
@@ -30,13 +30,14 @@ buffer every C = max(1, 1024 // n) steps. So the i-th draw of a purpose is
 slot i % C of chunk i // C, and chunk c is draw c of the replica's stream.
 The data draws sit behind the workload: `workload.sampler(K, seeds)` is the
 run's one draw object (the quadratic's noise chunks, or the logistic and
-MLP `Shards`), and `draw_sample(sampler, rows)` gives a step's samples for
-`rows`. Its data chunks (noise, or with_replacement shard positions) serve
-a draw at every step, even when every row mixes, so draw n belongs to step
-n, and a worker's sample at step t does not depend on p or on K; rows that
-mix discard theirs. epoch_shuffle reads no data stream: each shard permutes
-its epochs by its own stream. Every row is still rounded as that worker's
-own 1-D update.
+MLP `Shards`), and `draw_sample(sampler, stepping)` gives a step's samples,
+a row per worker. Every row takes its gradient step, rounded as that
+worker's own 1-D update; the boolean `stepping` mask picks the rows whose
+optimizer state advances, and the mixing rows take the mix in its place.
+The data chunks (noise, or with_replacement positions) serve one draw per
+step whatever the mask, so a worker's sample at step t does not depend on p
+or on K. epoch_shuffle reads no data stream: each shard permutes its epochs
+by its own stream and advances only on its worker's gradient steps.
 
 A leading replica axis runs S seeds of one configuration as one batch: the
 state is (S*K, d), replica-major, and the global models (S, d). Each replica
@@ -46,8 +47,9 @@ lone run's order, and all else is elementwise, so each replica is
 bit-identical to a run of its seed alone. The replicas all-reduce at the
 same steps, so a sync round or DDP step makes one `SimClock.allreduce`
 call, which barriers every replica and logs one shared CommEvent per
-replica; a record on the quadratic makes one objective call. Everything inside the loop keeps the replica axis; only
-`run_training`'s result drops it, for an int seed.
+replica; a record on the quadratic makes one objective call. Everything
+inside the loop keeps the replica axis; only `run_training`'s result drops
+it, for an int seed.
 """
 
 from __future__ import annotations
@@ -295,26 +297,22 @@ def consensus_probe(x: np.ndarray, global_x: np.ndarray,
 def palsgd_local_step(workers: Workers, global_x: np.ndarray, schedule: Schedule, t: int,
                       workload, clock: SimClock) -> np.ndarray:
     """One local iteration of every worker, against the (S, d) global models;
-    returns the (S*K,) mask of rows that mixed."""
-    x = workers.x
-    k = x.shape[0] // len(global_x)
+    returns the (S*K,) mask of rows that mixed, which take the mix in place
+    of the step that every row computes."""
     p = schedule.p
     if p > 0.0:
         mixing = workers.coins.next()[:, 0] <= p
     else:
-        mixing = np.zeros(x.shape[0], dtype=bool)
-    mixed = mixing.nonzero()[0]
-    if mixed.size:
-        coeff = schedule.mix_coefficient(t)
-        anchor = global_x.take(mixed // k, 0)  # each mixed row's replica's global model
-        rows = x[mixed]
-        x[mixed] = rows - coeff * (rows - anchor)
+        mixing = np.zeros(workers.x.shape[0], dtype=bool)
     stepping = ~mixing
-    stepped = stepping.nonzero()[0]
-    samples = workload.draw_sample(workers.sampler, stepped)
-    if stepped.size:
-        g = workload.stochastic_gradient(x[stepped], samples)
-        inner_step(workers.inner, x, g, schedule.alpha_at(t) / (1.0 - p), stepped)
+    samples = workload.draw_sample(workers.sampler, stepping)
+    g = workload.stochastic_gradient(workers.x, samples)
+    x = inner_step(workers.inner, workers.x, g, schedule.alpha_at(t) / (1.0 - p), stepping)
+    if mixing.any():
+        old = workers.stacked
+        mixed = old - schedule.mix_coefficient(t) * (old - global_x[:, None])
+        np.copyto(x, mixed.reshape(x.shape), where=mixing[:, None])
+    workers.x = x
     clock.advance_step(stepping)
     return mixing
 
@@ -349,14 +347,14 @@ def ddp_step(workers: Workers, schedule: Schedule, t: int,
     replica. Returns the (S, d) new global models, row s that of replica s."""
     x = workers.x
     everyone = np.ones(x.shape[0], dtype=bool)
-    samples = workload.draw_sample(workers.sampler, everyone.nonzero()[0])
+    samples = workload.draw_sample(workers.sampler, everyone)
     grads = workload.stochastic_gradient(x, samples)
     clock.advance_step(everyone)
     gbar = mean_of(grads.reshape(workers.stacked.shape))
     k = x.shape[0] // len(gbar)
-    inner_step(workers.inner, x, gbar.repeat(k, 0), schedule.alpha_at(t))
+    workers.x = inner_step(workers.inner, x, gbar.repeat(k, 0), schedule.alpha_at(t), everyone)
     clock.allreduce(t, x.shape[1])
-    return x[::k].copy()
+    return workers.x[::k].copy()
 
 
 class _WeightedAverage:

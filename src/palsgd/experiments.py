@@ -146,7 +146,7 @@ def fit_loglog_slope(x_values, y_values) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def k1_scalar_oracle(hessian_diag, x0_offset, noise_sigma: float, schedule: Schedule) -> float:
+def k1_scalar_oracle(hessian_diag, x0_offset, noise_sigma, schedule: Schedule):
     """Exact expected weighted-average suboptimality of one theory-mode worker.
 
     On the diagonal quadratic a step is a random linear map of the offsets
@@ -154,13 +154,16 @@ def k1_scalar_oracle(hessian_diag, x0_offset, noise_sigma: float, schedule: Sche
     x_hat) follows a closed recursion, independent of the trainer machinery:
     the averager update, then the step in expectation over the mixing coin
     (a DDP step with sync in warmup) plus its gradient noise, then at each
-    sync the global model takes the worker's.
+    sync the global model takes the worker's. A sequence of `noise_sigma`
+    values gives a list from one recursion with a leading noise axis, each
+    value bit-equal to the float that its float call returns.
     """
     a = np.asarray(hessian_diag, dtype=np.float64)
-    noise_var = noise_sigma ** 2 / float(np.sum(a * a))
+    sigmas = np.asarray(noise_sigma, dtype=np.float64)
+    noise_var = np.atleast_1d(sigmas) ** 2 / float(np.sum(a * a))
     z0 = np.asarray(x0_offset, dtype=np.float64)
-    moment = np.zeros((a.shape[0], 3, 3))  # per coordinate
-    moment[:, :2, :2] = (z0 * z0)[:, None, None]
+    moment = np.zeros((len(noise_var), a.shape[0], 3, 3))  # per sigma and coordinate
+    moment[..., :2, :2] = (z0 * z0)[:, None, None]
     beta = schedule.alpha_eta / schedule.p
     mix = np.array([[1.0 - beta, beta, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     sync = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -180,12 +183,13 @@ def k1_scalar_oracle(hessian_diag, x0_offset, noise_sigma: float, schedule: Sche
         lr_a = schedule.alpha_at(t) / (1.0 - p) * a
         grad[:, 0, 0] = 1.0 - lr_a
         stepped = grad @ moment @ grad.transpose(0, 2, 1)
-        stepped[:, 0, 0] += lr_a * lr_a * noise_var
+        stepped[..., 0, 0] += lr_a * lr_a * noise_var[:, None]
         moment = (1.0 - p) * stepped + p * (mix @ moment @ mix.T)
         # the closing sync of a partial window comes after the last average
         if t < warmup or (t + 1) % schedule.sync_interval == 0:
             moment = sync @ moment @ sync.T
-    return 0.5 * float(np.sum(a * moment[:, 2, 2]))
+    values = [0.5 * float(np.sum(a * per_sigma[:, 2, 2])) for per_sigma in moment]
+    return values if sigmas.ndim else values[0]
 
 
 def verify_theory(cfg: RunConfig, out_dir: str | None = None,
@@ -243,7 +247,10 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
     slope = fit_loglog_slope(k_values, means)
     k_min = min(k_values)
     offset = workload.x0 - workload.x_star
-    bias = k1_scalar_oracle(workload.hessian_diag, offset, 0.0, schedules[k_min])
+    # the noiseless bias and, when 1 in k_values (so k_min = 1), the K=1 mean
+    sigmas = [0.0, workload.noise_sigma] if 1 in k_values else [0.0]
+    exact = k1_scalar_oracle(workload.hessian_diag, offset, sigmas, schedules[k_min])
+    bias = exact[0]
     variance = means[k_values.index(k_min)] - bias
     predicted = fit_loglog_slope(k_values, [bias + variance * k_min / k for k in k_values])
     alphas = {str(k): schedules[k].alpha for k in k_values}
@@ -263,8 +270,7 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
         impl_vals = np.asarray(per_k[1])
         impl_mean = float(impl_vals.mean())
         impl_se = float(impl_vals.std(ddof=1) / math.sqrt(len(impl_vals)))
-        oracle_mean = k1_scalar_oracle(workload.hessian_diag, offset, workload.noise_sigma,
-                                       schedules[1])
+        oracle_mean = exact[1]
         gap = abs(impl_mean - oracle_mean)
         bound = 2.0 * impl_se
         report["k1_oracle"] = {
@@ -335,7 +341,7 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
         for probe in range(probes):
             x = workload.init_params(init_stream)
             x = x + init_stream.gaussian_vector(x.shape[0], 0.3)
-            idx = workload.draw_sample(sampler, [0])[0]
+            idx = workload.draw_sample(sampler, np.ones(1, dtype=bool))[0]
             analytic = workload.stochastic_gradient(x[None], [idx])[0]
             numeric = central_difference_gradient(
                 lambda v: workload.batch_objective(v, idx), x, step)

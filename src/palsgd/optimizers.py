@@ -1,8 +1,9 @@
 """Inner and outer optimizer state machines, advanced in place.
 
 Inner optimizers drive the workers' local steps (sgd, momentum sgd, adamw)
-on stacked (K, d) parameters and update their stacked state in place, on the
-rows that took a gradient step. Outer optimizers (sgd, nesterov) run at sync
+on stacked (K, d) parameters: every row is stepped, into a new array, and
+the stacked state advances in place on the rows of a boolean mask, the rows
+that took a gradient step. Outer optimizers (sgd, nesterov) run at sync
 rounds on the global models, (d,) or (S, d): they take the all-reduced
 worker mean, advance their momentum buffer in place and return the new
 global models. Under plain averaging the new global model is that mean.
@@ -72,28 +73,27 @@ class InnerOptState:
 
 
 def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
-               rows=slice(None)) -> None:
-    """One gradient-driven update of the rows `rows` of x (K, d), in place.
+               mask: np.ndarray) -> np.ndarray:
+    """Every row of x (K, d) stepped by its row of g, as a new array; x and g
+    are never written. The state advances in place on the rows of the
+    boolean (K,) `mask` only. Each row rounds exactly as a 1-D update of
+    that worker alone: the clip norm is a per-row dot, and Adam's bias
+    corrections are Python float powers. A row outside the mask takes them
+    at count + 1, which keeps them finite; the caller discards its result.
 
-    g holds one gradient row per selected row, or a single row that all of
-    them share; it is never written. The state's rows advance in place; other
-    rows are untouched. Every row is rounded exactly as a 1-D update of that
-    worker alone: the clip norm is a per-row dot, and Adam's bias corrections
-    are Python float powers.
-
-    The update runs the same elementwise operations, in the same order, as
-    the textbook formulas, but in place on arrays made by this call: the
-    first multiply of each moment allocates, so a slice `rows` never aliases
-    the state, and the rest are in-place operators. Clipping scales each row
-    by a factor that is exactly 1.0 on rows under the bound, which keeps
-    their bits.
+    The update runs the textbook formulas' elementwise operations in their
+    order, in place on arrays made by this call, and one masked `np.copyto`
+    per moment writes the state. Clipping scales each row by a factor that
+    is exactly 1.0 on rows under the bound, which keeps their bits.
     """
     if x.shape[-1] != g.shape[-1]:
         raise DimensionMismatchError("inner_step", x.shape[-1], g.shape[-1])
     if lr <= 0:
         raise ValueError(f"inner_step: lr must be > 0, got {lr}")
     cfg = state.config
-    state.step[rows] += 1
+    counts = state.step + 1
+    np.copyto(state.step, counts, where=mask)
+    rows = mask[:, None]
 
     if cfg.clip_norm is not None:
         norms = np.sqrt(row_norms_sq(g))
@@ -103,38 +103,35 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
             g = g * scale[:, None]
 
     if cfg.variant == "sgd":
-        x[rows] -= g * lr
-        return
+        return x - g * lr
 
     if cfg.variant == "sgd_momentum":
-        m = state.m[rows] * cfg.momentum
+        m = state.m * cfg.momentum
         m += g
-        state.m[rows] = m
+        np.copyto(state.m, m, where=rows)
         m *= lr
-        x[rows] -= m
-        return
+        return x - m
 
     # adamw: decoupled weight decay, bias-corrected moments
-    m = state.m[rows] * cfg.beta1
+    m = state.m * cfg.beta1
     m += g * (1.0 - cfg.beta1)
-    v = state.v[rows] * cfg.beta2
+    v = state.v * cfg.beta2
     g2 = g * g
     g2 *= 1.0 - cfg.beta2
     v += g2
-    state.m[rows] = m
-    state.v[rows] = v
-    c1, c2 = state.corrections_at(state.step[rows])
+    np.copyto(state.m, m, where=rows)
+    np.copyto(state.v, v, where=rows)
+    c1, c2 = state.corrections_at(counts)
     m /= c1[:, None]                    # m_hat
     v /= c2[:, None]                    # v_hat
     np.sqrt(v, out=v)
     v += cfg.eps
     m *= lr
     m /= v                              # lr * m_hat / (sqrt(v_hat) + eps)
-    xr = x[rows]
-    out = xr * (lr * cfg.weight_decay)
-    np.subtract(xr, out, out=out)       # decoupled decay
+    out = x * (lr * cfg.weight_decay)
+    np.subtract(x, out, out=out)        # decoupled decay
     out -= m
-    x[rows] = out
+    return out
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ class Shards:
     reads its indices in epochs, epoch e permuted by its own stream keyed
     (seed_s, k, PURPOSE_SHUFFLE) at counter e. `order` holds each shard's
     current epoch at its start and `cursor` each shard's next position in
-    it, and a draw advances only the requested shards.
+    it, and a draw advances only the shards its mask picks.
     """
     flat: np.ndarray    # (n,) every shard's sorted indices, end to end
     sizes: np.ndarray   # (S*K,) int64
@@ -89,16 +89,16 @@ class Shards:
     def workers(self) -> int:
         return len(self) // len(self.seeds)
 
-    def draw(self, rows) -> np.ndarray:
-        """(len(rows), batch_size) sample indices for the shards in `rows`.
-        with_replacement reads the next step's positions at every call, also
-        for no rows, so draw n belongs to step n; epoch_shuffle fills one
-        requested row at a time, refilling a shard's epoch when it runs out."""
-        rows = np.asarray(rows, dtype=np.int64)
+    def draw(self, mask: np.ndarray) -> np.ndarray:
+        """The next step's (S*K, batch_size) sample indices, a row per shard;
+        the boolean `mask` picks the shards that step. with_replacement reads
+        every row's positions at every call, so draw n belongs to step n.
+        epoch_shuffle advances only the masked shards, one at a time, and an
+        unmasked row holds its shard's first index, which no step uses."""
         if self.draw_policy == "with_replacement":
-            return self.flat[self.starts[rows, None] + self.positions.next()[rows]]
-        out = np.empty((len(rows), self.batch_size), dtype=np.int64)
-        for row, k in zip(out, rows):
+            return self.flat[self.starts[:, None] + self.positions.next()]
+        out = np.repeat(self.flat[self.starts, None], self.batch_size, axis=1)
+        for k in np.flatnonzero(mask):
             lo, n = self.starts[k], self.sizes[k]
             epoch = self.order[lo:lo + n]
             filled = 0
@@ -108,7 +108,7 @@ class Shards:
                     self.cursor[k] = 0
                 at = self.cursor[k]
                 take = min(self.batch_size - filled, n - at)
-                row[filled:filled + take] = epoch[at:at + take]
+                out[k, filled:filled + take] = epoch[at:at + take]
                 self.cursor[k] += take
                 filled += take
         return out
@@ -202,10 +202,9 @@ class QuadraticWorkload:
     def _fill_noise(self, stream: RngStream, out: np.ndarray) -> None:
         stream.gaussian_vector(out.shape, self._noise_scale, out=out)
 
-    def draw_sample(self, sampler: StreamChunks, rows) -> np.ndarray:
-        """Noise rows for the workers in `rows`, from the next step's (S*K, d)
-        draw of `sampler`, which advances whatever `rows` holds."""
-        return sampler.next()[rows]
+    def draw_sample(self, sampler: StreamChunks, mask: np.ndarray) -> np.ndarray:
+        """A copy of the next step's (S*K, d) noise draw, whatever `mask` holds."""
+        return sampler.next().copy()
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
         """Gradient rows at the rows of x (n, d), one noise sample per row."""
@@ -260,10 +259,9 @@ class LogisticWorkload(ShardedWorkload):
     def init_params(self, stream: RngStream) -> ParamVector:
         return np.zeros(self.dim)
 
-    def draw_sample(self, sampler: Shards, rows) -> np.ndarray:
-        """(len(rows), batch_size) sample indices for the workers in `rows`,
-        the next draw of the run's shards."""
-        return sampler.draw(rows)
+    def draw_sample(self, sampler: Shards, mask: np.ndarray) -> np.ndarray:
+        """The shards' next (S*K, batch_size) draw; the `mask` rows step."""
+        return sampler.draw(mask)
 
     def _loss(self, x: ParamVector, feats: np.ndarray, y: np.ndarray) -> float:
         """Mean loss plus the L2 term at one parameter vector, float labels y;
@@ -366,10 +364,9 @@ class MlpWorkload(ShardedWorkload):
             parts.append(np.zeros(b))
         return np.concatenate(parts).astype(self.dtype, copy=False).astype(np.float64)
 
-    def draw_sample(self, sampler: Shards, rows) -> np.ndarray:
-        """(len(rows), batch_size) sample indices for the workers in `rows`,
-        the next draw of the run's shards."""
-        return sampler.draw(rows)
+    def draw_sample(self, sampler: Shards, mask: np.ndarray) -> np.ndarray:
+        """The shards' next (S*K, batch_size) draw; the `mask` rows step."""
+        return sampler.draw(mask)
 
     def _forward(self, layers, feats: np.ndarray):
         """Pre-activations and activations of features (n, b, in) under
