@@ -18,7 +18,7 @@ from palsgd.config import parse_config
 from palsgd.fields import ConfigError
 from palsgd.optimizers import InnerOptConfig, OuterOptConfig, OuterOptState
 from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_INIT, PURPOSE_JITTER,
-                            RngStream, mean_of)
+                            RngStream, StreamChunks, mean_of, row_norms_sq)
 from palsgd.metrics import dumps_record
 from palsgd.workloads import (LogisticWorkload, MlpWorkload, QuadraticWorkload,
                               generate_synthetic_classification)
@@ -272,8 +272,9 @@ class TestPalsgdLocalStep:
         assert clock.times[0, 0] == 0.25
 
     def test_masked_rows_step_alone(self):
-        # rows that mix take no optimizer step and discard their data row; the
-        # others step; the whole step reads one draw of the data chunks
+        # rows that mix keep their optimizer state and take the mix in place
+        # of their step; the others step; the whole step reads one draw of
+        # the data chunks
         workload = quadratic(diag=(1.0, 2.0), sigma=1.0)
         sched = Schedule(alpha=0.1, eta=0.5, p=0.5, total_steps=10)
         ws = make_workers(*np.arange(16.0).reshape(8, 2), workload=workload,
@@ -286,6 +287,149 @@ class TestPalsgdLocalStep:
         assert ws.sampler.drawn == 1 and ws.sampler.streams[0].counter == 1
         coeff = sched.mix_coefficient(0)
         assert np.array_equal(ws.x[mixed], before[mixed] - coeff * before[mixed])
+
+
+def reference_inner_step(state, x, g, lr, rows):
+    """The index-set inner step that the masked full-width one replaced: the
+    rows `rows` of x and of the state advance in place, g holding their rows."""
+    cfg = state.config
+    state.step[rows] += 1
+    if cfg.clip_norm is not None:
+        norms = np.sqrt(row_norms_sq(g))
+        over = norms > cfg.clip_norm
+        if over.any():
+            scale = np.divide(cfg.clip_norm, norms, out=np.ones_like(norms), where=over)
+            g = g * scale[:, None]
+    if cfg.variant == "sgd":
+        x[rows] -= g * lr
+        return
+    if cfg.variant == "sgd_momentum":
+        m = state.m[rows] * cfg.momentum
+        m += g
+        state.m[rows] = m
+        m *= lr
+        x[rows] -= m
+        return
+    m = state.m[rows] * cfg.beta1
+    m += g * (1.0 - cfg.beta1)
+    v = state.v[rows] * cfg.beta2
+    g2 = g * g
+    g2 *= 1.0 - cfg.beta2
+    v += g2
+    state.m[rows] = m
+    state.v[rows] = v
+    c1, c2 = state.corrections_at(state.step[rows])
+    m /= c1[:, None]
+    v /= c2[:, None]
+    np.sqrt(v, out=v)
+    v += cfg.eps
+    m *= lr
+    m /= v
+    xr = x[rows]
+    out = xr * (lr * cfg.weight_decay)
+    np.subtract(xr, out, out=out)
+    out -= m
+    x[rows] = out
+
+
+def reference_draw(sampler, rows):
+    """The samples of the workers in `rows` only, as the index-set draw gave them."""
+    if isinstance(sampler, StreamChunks):
+        return sampler.next()[rows]
+    if sampler.draw_policy == "with_replacement":
+        return sampler.flat[sampler.starts[rows, None] + sampler.positions.next()[rows]]
+    out = np.empty((len(rows), sampler.batch_size), dtype=np.int64)
+    for row, k in zip(out, rows):
+        lo, n = sampler.starts[k], sampler.sizes[k]
+        epoch = sampler.order[lo:lo + n]
+        filled = 0
+        while filled < sampler.batch_size:
+            if sampler.cursor[k] == n:
+                epoch[:] = sampler.flat[lo:lo + n][sampler.streams[k].permutation(n)]
+                sampler.cursor[k] = 0
+            at = sampler.cursor[k]
+            take = min(sampler.batch_size - filled, n - at)
+            row[filled:filled + take] = epoch[at:at + take]
+            sampler.cursor[k] += take
+            filled += take
+    return out
+
+
+def reference_local_step(workers, global_x, schedule, t, workload, clock):
+    """The index-set local step that the full-width one replaced: the mixing
+    rows mix in place, then only the stepping rows draw and step."""
+    x = workers.x
+    k = x.shape[0] // len(global_x)
+    p = schedule.p
+    if p > 0.0:
+        mixing = workers.coins.next()[:, 0] <= p
+    else:
+        mixing = np.zeros(x.shape[0], dtype=bool)
+    mixed = mixing.nonzero()[0]
+    if mixed.size:
+        coeff = schedule.mix_coefficient(t)
+        anchor = global_x.take(mixed // k, 0)
+        rows = x[mixed]
+        x[mixed] = rows - coeff * (rows - anchor)
+    stepping = ~mixing
+    stepped = stepping.nonzero()[0]
+    samples = reference_draw(workers.sampler, stepped)
+    if stepped.size:
+        g = workload.stochastic_gradient(x[stepped], samples)
+        reference_inner_step(workers.inner, x, g, schedule.alpha_at(t) / (1.0 - p), stepped)
+    clock.advance_step(stepping)
+    return mixing
+
+
+class TestFullWidthStep:
+    """The full-width local step against the index-set step it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("inner", [
+        InnerOptConfig(variant="sgd"),
+        InnerOptConfig(variant="sgd_momentum", momentum=0.8, clip_norm=2.0),
+        InnerOptConfig(variant="adamw", clip_norm=1.0, weight_decay=0.01)],
+        ids=["sgd", "sgd_momentum", "adamw"])
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp", "logistic"])
+    def test_matches_the_index_set_reference(self, kind, inner, p):
+        # quadratic noise chunks, with_replacement MLP shards and
+        # epoch_shuffle logistic shards, S = 2 replicas of K = 3 workers
+        train, _ = classification(2 if kind == "logistic" else 3, 4, 12)
+        workload = {
+            "quadratic": lambda: quadratic(diag=(1.0, 2.0, 4.0)),
+            "mlp": lambda: MlpWorkload([4, 5, 3], "tanh", train, batch_size=3),
+            "logistic": lambda: LogisticWorkload(train, l2_reg=0.01, batch_size=5,
+                                                 draw_policy="epoch_shuffle"),
+        }[kind]()
+        seeds, workers, h, total = [3, 8], 3, 8, 200
+        sched = Schedule(alpha=0.05, eta=0.5, p=p, sync_interval=h, total_steps=total)
+        outer = OuterOptConfig(variant="nesterov", lr=0.7, momentum=0.9)
+
+        def start():
+            x0 = np.stack([workload.init_params(RngStream(s, 0, PURPOSE_INIT)) for s in seeds])
+            return (Workers.start(x0, inner, workload, workers, seeds),
+                    SimClock(small_cluster(workers, jitter=0.2), seeds), x0.copy(),
+                    OuterOptState.fresh(outer, x0.shape))
+
+        ws, clock, global_x, outer_state = start()
+        ref, ref_clock, ref_global, ref_outer = start()
+        mixed = 0
+        for t in range(total):
+            mask = palsgd_local_step(ws, global_x, sched, t, workload, clock)
+            ref_mask = reference_local_step(ref, ref_global, sched, t, workload, ref_clock)
+            assert np.array_equal(mask, ref_mask), t
+            assert ws.x.tobytes() == ref.x.tobytes(), t
+            assert ws.inner.step.tolist() == ref.inner.step.tolist(), t
+            for buf, ref_buf in ((ws.inner.m, ref.inner.m), (ws.inner.v, ref.inner.v)):
+                assert buf is None if ref_buf is None else buf.tobytes() == ref_buf.tobytes(), t
+            assert clock.times.tobytes() == ref_clock.times.tobytes(), t
+            mixed += int(mask.sum())
+            if (t + 1) % h == 0:
+                global_x, _ = sync_round(ws, global_x, outer_state, clock, t)
+                ref_global, _ = sync_round(ref, ref_global, ref_outer, ref_clock, t)
+                assert global_x.tobytes() == ref_global.tobytes(), t
+        assert np.isfinite(ws.x).all()
+        assert (mixed == 0) if p == 0.0 else (0 < mixed < total * len(seeds) * workers)
 
 
 class TestSyncRound:
@@ -853,9 +997,9 @@ def local_steps(workers, p, total, seed=3, jitter=0.25, workload=None):
     noise = {}
     t_now = [0]
 
-    def recording_draw(sampler, rows):
-        out = plain_draw(sampler, rows)
-        noise.update({(t_now[0], int(k)): row for k, row in zip(rows, out)})
+    def recording_draw(sampler, mask):
+        out = plain_draw(sampler, mask)
+        noise.update({(t_now[0], int(k)): out[k].copy() for k in np.flatnonzero(mask)})
         return out
 
     workload.draw_sample = recording_draw
@@ -897,7 +1041,7 @@ class TestBlockDraws:
 
     def test_index_rows_do_not_depend_on_p(self):
         # a sharded worker's with_replacement positions are read at every step,
-        # also at a step where every row mixes and draws no rows, so its index
+        # also at a step where every row mixes and none steps, so its index
         # batch at step t is the same at any p; 300 steps cross the
         # positions' chunk boundary (C = 1024 // 4)
         train, _ = classification(2, 5, 40)

@@ -211,6 +211,31 @@ class TestVerifyTheory:
                                   h_probe_steps=32)
         assert elsewhere["k1_oracle"]["oracle_mean"] == report["k1_oracle"]["oracle_mean"]
 
+    @pytest.mark.parametrize("k_values", [(1, 2), (2, 4)])
+    def test_one_oracle_call_gives_the_bias_and_the_k1_mean(self, monkeypatch, k_values):
+        noise_levels = []
+
+        def counted(a, z0, noise_sigma, schedule):
+            noise_levels.append(noise_sigma)
+            return k1_scalar_oracle(a, z0, noise_sigma, schedule)
+
+        monkeypatch.setattr(experiments, "k1_scalar_oracle", counted)
+        cfg = self.base()
+        report = verify_theory(cfg, k_values=k_values, n_seeds=3, h_values=(2,),
+                               h_probe_steps=16)
+        workload = cfg.workload_object()
+        at_min = copy.copy(cfg)
+        at_min.workers = min(k_values)
+        args = (workload.hessian_diag, workload.x0 - workload.x_star)
+        schedule = at_min.build_schedule(workload)
+        assert len(noise_levels) == 1
+        assert report["k_bias"] == k1_scalar_oracle(*args, 0.0, schedule)
+        if 1 in k_values:
+            assert (report["k1_oracle"]["oracle_mean"]
+                    == k1_scalar_oracle(*args, workload.noise_sigma, schedule))
+        else:
+            assert "k1_oracle" not in report
+
     def test_more_workers_less_error_when_noise_dominates(self):
         # a small offset leaves the 1/K noise term dominant, at one alpha for every K
         report = verify_theory(self.base(x0_offset=1e-4), k_values=(1, 2, 4), n_seeds=4,
@@ -347,6 +372,25 @@ class TestK1Oracle:
             brute += prob * path_suboptimality(a, z0, schedule, mixes)
         assert k1_scalar_oracle(a, z0, 0.0, schedule) == pytest.approx(brute, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 4, 64])
+    @pytest.mark.parametrize("warmup_steps", [0, 16])
+    @pytest.mark.parametrize("lr_schedule", ["constant", "warmup_cosine"])
+    def test_noise_levels_stack_bit_for_bit(self, dim, warmup_steps, lr_schedule):
+        # one recursion with a leading noise axis against one call per level
+        rng = np.random.default_rng(dim)
+        a = rng.uniform(0.5, 2.0, size=dim)
+        z0 = rng.normal(size=dim)
+        schedule = Schedule(alpha=0.01, p=0.5, sync_interval=4, total_steps=90,
+                            warmup_steps=warmup_steps, lr_schedule=lr_schedule,
+                            lr_warmup_steps=10, alpha_eta=0.0625,
+                            iterate_weight_growth=1.01)
+        sigma = 0.7
+        alone = [k1_scalar_oracle(a, z0, s, schedule) for s in (0.0, sigma, 2 * sigma)]
+        assert all(type(value) is float for value in alone)
+        stacked = k1_scalar_oracle(a, z0, [0.0, sigma, 2 * sigma], schedule)
+        assert [v.hex() for v in stacked] == [v.hex() for v in alone]
+        assert len(set(alone)) == 3
+
     @pytest.mark.parametrize("warmup_steps", [0, 64])
     def test_trainer_mean_matches_the_exact_value(self, warmup_steps):
         cfg, exact = self.k1_cell(warmup_steps)
@@ -357,8 +401,8 @@ class TestK1Oracle:
         cfg, exact = self.k1_cell()
         inner_step = algorithms.inner_step
 
-        def scaled(state, x, g, lr, rows=slice(None)):
-            inner_step(state, x, g, 1.5 * lr, rows)
+        def scaled(state, x, g, lr, mask):
+            return inner_step(state, x, g, 1.5 * lr, mask)
 
         monkeypatch.setattr(algorithms, "inner_step", scaled)
         mean, se = self.trainer_mean_and_se(cfg)

@@ -17,10 +17,9 @@ def fresh_inner(variant="sgd", dim=1, workers=1, **kw):
 
 
 def step1(state, x, g, lr):
-    """One inner step of a single worker, on a copy of x; returns the new x."""
+    """One inner step of a single worker; returns the new x."""
     xs = np.array([x], dtype=np.float64)
-    inner_step(state, xs, np.array([g], dtype=np.float64), lr)
-    return xs[0]
+    return inner_step(state, xs, np.array([g], dtype=np.float64), lr, np.ones(1, dtype=bool))[0]
 
 
 class TestInnerSgd:
@@ -113,12 +112,12 @@ class TestInnerAdamw:
         state = InnerOptState.fresh(InnerOptConfig(variant="adamw", clip_norm=3.0), n, d)
         ms, vs, counts = np.zeros((n, d)), np.zeros((n, d)), [0] * n
         for _ in range(30):
-            rows = np.flatnonzero(rng.random(n) < 0.7)
-            g = rng.normal(size=(len(rows), d)) * rng.uniform(0.1, 2.0, size=(len(rows), 1))
+            mask = rng.random(n) < 0.7
+            g = rng.normal(size=(n, d)) * rng.uniform(0.1, 2.0, size=(n, 1))
             xs = np.zeros((n, d))
-            inner_step(state, xs, g, 0.1, rows)
-            for i, k in enumerate(rows):
-                gk = g[i]
+            out = inner_step(state, xs, g, 0.1, mask)
+            for k in np.flatnonzero(mask):
+                gk = g[k]
                 norm = float(np.sqrt(np.dot(gk, gk)))
                 if norm > 3.0:
                     gk = gk * (3.0 / norm)
@@ -127,19 +126,24 @@ class TestInnerAdamw:
                 vs[k] = 0.999 * vs[k] + (1.0 - 0.999) * (gk * gk)
                 m_hat = ms[k] / (1.0 - 0.9 ** counts[k])
                 v_hat = vs[k] / (1.0 - 0.999 ** counts[k])
-                assert np.array_equal(xs[k], -0.1 * m_hat / (np.sqrt(v_hat) + 1e-8))
-            assert not xs[np.setdiff1d(np.arange(n), rows)].any()
+                assert np.array_equal(out[k], -0.1 * m_hat / (np.sqrt(v_hat) + 1e-8))
+            # x is not written, and the state rows outside the mask are unchanged
+            assert not xs.any()
+            assert state.step.tolist() == counts
+            assert np.array_equal(state.m, ms) and np.array_equal(state.v, vs)
+            assert np.isfinite(out).all()
         assert min(counts) > 7
         assert state.step.tolist() == counts
         assert np.array_equal(state.m, ms) and np.array_equal(state.v, vs)
 
 
-    @pytest.mark.parametrize("as_slice", [False, True])
-    def test_long_run_matches_per_row_reference(self, as_slice):
-        # Rows as an index array of a random subset each step, or in separate
-        # runs as slice(None); clipping on some rows only, weight decay on.
-        # Every step compares x and the whole state with a per-row reference,
-        # and the run outgrows the first bias-correction table.
+    @pytest.mark.parametrize("every_row", [False, True])
+    def test_long_run_matches_per_row_reference(self, every_row):
+        # A mask of a random subset each step, or in separate runs of every
+        # row; clipping on some rows only, weight decay on. The masked rows of
+        # each result replace those of x, as the trainer's do. Every step
+        # compares x and the whole state with a per-row reference, and the
+        # run outgrows the first bias-correction table.
         rng = np.random.default_rng(31)
         n, d, lr, clip, wd = 6, 5, 0.01, 1.0, 0.05
         state = InnerOptState.fresh(
@@ -147,11 +151,11 @@ class TestInnerAdamw:
         x = rng.normal(size=(n, d))
         xs, ms, vs, counts = x.copy(), np.zeros((n, d)), np.zeros((n, d)), [0] * n
         for _ in range(400):
-            idx = np.arange(n) if as_slice else np.flatnonzero(rng.random(n) < 0.8)
-            g = rng.normal(size=(len(idx), d)) * rng.uniform(0.05, 1.0, size=(len(idx), 1))
-            inner_step(state, x, g, lr, slice(None) if as_slice else idx)
-            for i, k in enumerate(idx):
-                gk = g[i]
+            mask = np.ones(n, dtype=bool) if every_row else rng.random(n) < 0.8
+            g = rng.normal(size=(n, d)) * rng.uniform(0.05, 1.0, size=(n, 1))
+            np.copyto(x, inner_step(state, x, g, lr, mask), where=mask[:, None])
+            for k in np.flatnonzero(mask):
+                gk = g[k]
                 norm = float(np.sqrt(np.dot(gk, gk)))
                 if norm > clip:
                     gk = gk * (clip / norm)
@@ -168,14 +172,14 @@ class TestInnerAdamw:
 
     @pytest.mark.parametrize("variant", ["sgd", "sgd_momentum", "adamw"])
     def test_gradient_unwritten_and_state_unaliased(self, variant):
-        # a clipped row and an unclipped one, rows as slice(None): the first
-        # moment must hold the moment itself, not a later in-place stage of it
+        # a clipped row and an unclipped one, both stepping: the first moment
+        # must hold the moment itself, not a later in-place stage of it
         state = fresh_inner(variant, dim=3, workers=2, clip_norm=1.0)
         g = np.array([[3.0, 4.0, 0.0], [0.1, -0.2, 0.3]])
         g_before = g.copy()
         x = np.ones((2, 3))
-        inner_step(state, x, g, 0.1, slice(None))
-        assert np.array_equal(g, g_before)
+        out = inner_step(state, x, g, 0.1, np.ones(2, dtype=bool))
+        assert np.array_equal(g, g_before) and np.array_equal(x, np.ones((2, 3)))
         clipped = g * np.array([[0.2], [1.0]])
         if variant == "sgd_momentum":
             assert np.array_equal(state.m, clipped)
@@ -183,7 +187,7 @@ class TestInnerAdamw:
             assert np.array_equal(state.m, (1.0 - 0.9) * clipped)
             assert np.array_equal(state.v, (1.0 - 0.999) * (clipped * clipped))
         for buf in (state.m, state.v):
-            assert buf is None or not (np.shares_memory(buf, x) or np.shares_memory(buf, g))
+            assert buf is None or not any(np.shares_memory(buf, a) for a in (x, g, out))
 
     @pytest.mark.parametrize("betas", [(0.9, 0.999), (0.5, 0.97)])
     def test_bias_table_matches_python_powers(self, betas):
@@ -197,19 +201,21 @@ class TestInnerAdamw:
 
 
 class TestAllocations:
-    @pytest.mark.parametrize("rows", [np.arange(8), slice(None)], ids=["index", "slice"])
-    def test_adamw_clip_step_peak(self, rows):
-        # out-of-place formulas peaked at 10 (K, d) temporaries here, the in-place update at 6
+    @pytest.mark.parametrize("mask", [np.ones(8, dtype=bool), np.arange(8) % 3 > 0],
+                             ids=["all", "some"])
+    def test_adamw_clip_step_peak(self, mask):
+        # out-of-place formulas peaked at 10 (K, d) temporaries here, the
+        # in-place update at 6, the masked one (its result included) at 5
         k, d = 8, 874
         rng = np.random.default_rng(4)
         state = InnerOptState.fresh(
             InnerOptConfig(variant="adamw", clip_norm=1.0, weight_decay=0.01), k, d)
         x = rng.normal(size=(k, d))
         g = rng.normal(size=(k, d)) * np.linspace(0.01, 0.1, k)[:, None]  # some rows clip
-        inner_step(state, x, g, 0.01, rows)
+        inner_step(state, x, g, 0.01, mask)
         tracemalloc.start()
         try:
-            inner_step(state, x, g, 0.01, rows)
+            inner_step(state, x, g, 0.01, mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,6 +280,6 @@ class TestStatePersistence:
     def test_adamw_state_not_shared_between_copies(self):
         # two fresh states share no arrays, and a step moves only its own rows
         state, other = fresh_inner("adamw", dim=2, workers=2), fresh_inner("adamw", dim=2, workers=2)
-        inner_step(state, np.zeros((2, 2)), vec(1.0, 1.0)[None, :], 0.1, np.array([1]))
+        inner_step(state, np.zeros((2, 2)), np.ones((2, 2)), 0.1, np.array([False, True]))
         assert state.step.tolist() == [0, 1] and other.step.tolist() == [0, 0]
         assert np.array_equal(state.m[0], np.zeros(2)) and np.array_equal(other.m, np.zeros((2, 2)))

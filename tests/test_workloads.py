@@ -41,7 +41,7 @@ def variance_at_optimum(w, n_samples, seed, workers=64):
     steps = -(-n_samples // workers)
     total = 0.0
     for _ in range(steps):
-        g = w.stochastic_gradient(x_star, w.draw_sample(sampler, np.arange(workers)))
+        g = w.stochastic_gradient(x_star, w.draw_sample(sampler, np.ones(workers, dtype=bool)))
         total += float(np.sum(g * g))
     return total / (steps * workers)
 
@@ -200,7 +200,7 @@ class TestQuadratic:
         sampler = w.sampler(1, [1])
         rng = np.random.default_rng(1)
         for _ in range(100):
-            xi = w.draw_sample(sampler, [0])[0]
+            xi = w.draw_sample(sampler, np.ones(1, dtype=bool))[0]
             x, y = rng.normal(size=2), rng.normal(size=2)
             lhs = np.linalg.norm(grad(w, x, xi) - grad(w, y, xi))
             assert lhs <= w.smoothness * np.linalg.norm(x - y) * (1 + 1e-12)
@@ -307,7 +307,7 @@ class TestMlp:
         worst = 0.0
         for _ in range(10):
             x = w.init_params(init) + probe.gaussian_vector(w.dim, 0.2)
-            idx = w.draw_sample(sampler, [0])[0]
+            idx = w.draw_sample(sampler, np.ones(1, dtype=bool))[0]
             analytic = grad(w, x, idx)
             numeric = central_difference_gradient(lambda v: w.batch_objective(v, idx), x)
             worst = max(worst, max_relative_error(analytic, numeric))
@@ -365,21 +365,21 @@ class TestSharding:
         shards = w.sampler(3, [5])  # sizes 4, 3, 3
         seen = [set(), set(), set()]
         for _ in range(40):
-            for k, batch in enumerate(shards.draw(np.arange(3))):
+            for k, batch in enumerate(shards.draw(np.ones(3, dtype=bool))):
                 seen[k].update(batch.tolist())
         assert seen == [set(shards.flat[lo:lo + n].tolist())
                         for lo, n in zip(shards.starts, shards.sizes)]
         # draw i reads slot i of chunk 0, one (K, C, batch) integer draw of the
         # stream keyed (seed, 0, PURPOSE_DATA), C = 1024 // 5; draw 40 reads
-        # every row of slot 40, and draw 41, for a subset of rows, those rows
-        # of slot 41
+        # every row of slot 40, and draw 41, whose mask picks a subset of the
+        # rows, still every row of slot 41
         chunk = RngStream(5, 0, PURPOSE_DATA).integers(0, shards.sizes[:, None, None], (3, 204, 5))
 
         def indices(rows, slot):
             return shards.flat[shards.starts[rows, None] + chunk[rows, slot]]
 
-        assert np.array_equal(shards.draw(np.arange(3)), indices([0, 1, 2], 40))
-        assert np.array_equal(shards.draw([2, 0]), indices([2, 0], 41))
+        assert np.array_equal(shards.draw(np.ones(3, dtype=bool)), indices([0, 1, 2], 40))
+        assert np.array_equal(shards.draw(np.array([True, False, True])), indices([0, 1, 2], 41))
 
     def test_more_workers_than_samples_rejected(self):
         data = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), 1)
@@ -389,7 +389,7 @@ class TestSharding:
     def test_epoch_shuffle_covers_every_sample(self):
         data = Dataset(np.zeros((8, 1)), np.zeros(8, dtype=np.int64), 1)
         shards = shard_dataset(data, 1, [0], 8, draw_policy="epoch_shuffle")
-        seen = shards.draw([0])[0]
+        seen = shards.draw(np.ones(1, dtype=bool))[0]
         assert sorted(seen.tolist()) == list(range(8))
 
     def test_epoch_shuffle_permutes_each_epoch_by_the_shard_stream(self, monkeypatch):
@@ -411,9 +411,10 @@ class TestSharding:
             monkeypatch.setattr(RngStream, name, counted)
         seen = {k: [] for k in range(3)}
         for i in range(draws):
-            rows = [0, 1, 2] if i % 2 == 0 else [2, 0]  # shard 1 advances only when asked
-            for k, row in zip(rows, shards.draw(rows)):
-                seen[k].extend(row.tolist())
+            mask = np.array([True, i % 2 == 0, True])  # shard 1 advances only when masked
+            out = shards.draw(mask)
+            for k in np.flatnonzero(mask):
+                seen[k].extend(out[k].tolist())
         monkeypatch.undo()
         # epoch_shuffle draws no data stream: its only generator calls are the
         # shard streams' permutations, one per epoch started
@@ -439,8 +440,9 @@ class TestSharding:
         pos = [0, 0, 0]
 
         def read(rows):
-            for k, batch in zip(rows, shards.draw(rows)):
-                assert batch.tolist() == epochs[k][pos[k]:pos[k] + 2].tolist(), (rows, k)
+            out = shards.draw(np.isin(np.arange(3), rows))
+            for k in rows:
+                assert out[k].tolist() == epochs[k][pos[k]:pos[k] + 2].tolist(), (rows, k)
                 pos[k] += 2
 
         read([0, 1, 2])  # every shard starts its first epoch
@@ -448,6 +450,32 @@ class TestSharding:
         assert shards.cursor.tolist() == [4, 2, 4]
         read([0, 1, 2])
         assert shards.cursor.tolist() == [1, 4, 2]
+
+    def test_epoch_shuffle_mask_draw_moves_only_the_masked_shards(self):
+        # sizes 5, 5, 4 and batch 2 over 12 draws: every shard crosses epochs
+        data = Dataset(np.zeros((14, 1)), np.zeros(14, dtype=np.int64), 1)
+        shards = shard_dataset(data, 3, [4], 2, draw_policy="epoch_shuffle")
+        first = shards.flat[shards.starts]
+        rng = np.random.default_rng(2)
+        for _ in range(12):
+            mask = rng.random(3) < 0.6
+            cursor = shards.cursor.copy()
+            out = shards.draw(mask)
+            assert out.shape == (3, 2)
+            assert np.array_equal(shards.cursor[~mask], cursor[~mask])
+            assert (out[~mask] == first[~mask, None]).all()
+            for k in np.flatnonzero(mask):
+                lo, n = shards.starts[k], shards.sizes[k]
+                assert set(out[k].tolist()) <= set(shards.flat[lo:lo + n].tolist())
+        # a step that masks shard 1 off is one that shard 1 never took
+        a = shard_dataset(data, 3, [4], 2, draw_policy="epoch_shuffle")
+        b = shard_dataset(data, 3, [4], 2, draw_policy="epoch_shuffle")
+        everyone = np.ones(3, dtype=bool)
+        assert np.array_equal(a.draw(everyone), b.draw(everyone))
+        a.draw(np.array([True, False, True]))
+        later, skipped, both = a.draw(everyone), b.draw(everyone), b.draw(everyone)
+        assert np.array_equal(later[1], skipped[1])
+        assert np.array_equal(later[[0, 2]], both[[0, 2]])
 
     def test_epoch_shuffle_in_a_real_run(self):
         # ddp steps every row every step; palsgd with p > 0 steps only the rows
@@ -463,10 +491,10 @@ class TestSharding:
             seen = {0: [], 1: []}
             plain_draw = workload.draw_sample
 
-            def recording_draw(sampler, rows):
-                idx = plain_draw(sampler, rows)
-                for k, batch in zip(rows, idx):
-                    seen[k].extend(batch.tolist())
+            def recording_draw(sampler, mask):
+                idx = plain_draw(sampler, mask)
+                for k in np.flatnonzero(mask):
+                    seen[k].extend(idx[k].tolist())
                 return idx
 
             workload.draw_sample = recording_draw
