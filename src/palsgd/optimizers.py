@@ -93,7 +93,6 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
     cfg = state.config
     counts = state.step + 1
     np.copyto(state.step, counts, where=mask)
-    rows = mask[:, None]
 
     if cfg.clip_norm is not None:
         norms = np.sqrt(row_norms_sq(g))
@@ -108,7 +107,7 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
     if cfg.variant == "sgd_momentum":
         m = state.m * cfg.momentum
         m += g
-        np.copyto(state.m, m, where=rows)
+        np.copyto(state.m, m, where=mask[:, None])
         m *= lr
         return x - m
 
@@ -119,8 +118,8 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
     g2 = g * g
     g2 *= 1.0 - cfg.beta2
     v += g2
-    np.copyto(state.m, m, where=rows)
-    np.copyto(state.v, v, where=rows)
+    np.copyto(state.m, m, where=mask[:, None])
+    np.copyto(state.v, v, where=mask[:, None])
     c1, c2 = state.corrections_at(counts)
     m /= c1[:, None]                    # m_hat
     v /= c2[:, None]                    # v_hat
