@@ -9,10 +9,10 @@ that mixes its parameters toward the last-synced global model:
 
     x_k <- x_k - (alpha_t * eta_t / p) * (x_k - x_global)
 
-so one step is one full-width update of the (K, d) array. No
-per-worker anchor (a worker's copy of the last-synced model) is stored: it
-would be set at every sync round and every DDP step, exactly when the global
-model is, to the same value, so the two are always equal.
+so one step is one full-width update of the (K, d) array. No per-worker
+anchor (a worker's copy of the last-synced model) is stored: it would be set
+at every sync round and every DDP step, exactly when the global model is, to
+the same value, so the two are always equal.
 
 Every H steps (and once at the end of a partial window) a sync round
 all-reduces the worker mean, lets the outer optimizer take its step on the
@@ -33,7 +33,7 @@ run's one draw object (the quadratic's noise chunks, or the logistic and
 MLP `Shards`), and `draw_sample(sampler, stepping)` gives a step's samples,
 a row per worker. Every row takes its gradient step, rounded as that
 worker's own 1-D update; the boolean `stepping` mask picks the rows whose
-optimizer state advances, and the mixing rows take the mix in its place.
+optimizer state advances, and the mixing rows take the mix instead.
 The data chunks (noise, or with_replacement positions) serve one draw per
 step whatever the mask, so a worker's sample at step t does not depend on p
 or on K. epoch_shuffle reads no data stream: each shard permutes its epochs
