@@ -79,7 +79,7 @@ class Schedule:
     warmup_steps: int = option(int, 0, low=0)
     total_steps: int = option(int, 1, low=1)
     lr_schedule: str = option(str, "constant", choices=("constant", "warmup_cosine"))
-    lr_warmup_steps: int = option(int, 0, low=0)
+    lr_warmup_steps: int = option(int, 0, low=0, read_when=("warmup_cosine",))
     # Exact alpha*eta product. The mixing update only ever consumes the
     # product, so theory mode pins it to p/(2H) directly rather than
     # re-multiplying two rounded floats.
@@ -155,28 +155,31 @@ def theory_schedule(mu: float, smoothness: float, p: float, sync_interval: int,
 
 @dataclass(frozen=True)
 class VariantRules:
-    """One variant's preset optimizers, the sections of them it pins, the
-    schedule keys it derives itself, and whether it mixes (else p is 0)."""
+    """One variant's preset optimizers, and the dotted config keys its runs
+    never read: an ``algo`` section pinned to its preset, a schedule key it
+    derives, or a key its loop never touches. It mixes unless it leaves
+    ``schedule.p`` unread."""
 
     inner: InnerOptConfig
     outer: OuterOptConfig
-    pinned: tuple[str, ...] = ()
-    derived: tuple[str, ...] = ()
-    mixes: bool = False
+    unread: tuple[str, ...] = ()
 
 
 _SGD, _AVERAGING = InnerOptConfig(), OuterOptConfig(variant="sgd", lr=1.0)
 _ADAMW = InnerOptConfig(variant="adamw", clip_norm=1.0)
 _NESTEROV = OuterOptConfig(variant="nesterov", lr=0.7)
-# ddp never runs an outer step and local_sgd syncs by plain averaging;
-# palsgd_theory runs the optimizers and schedule its convergence theory assumes
+_NO_MIXING = ("schedule.eta", "schedule.p", "cluster.mixing_cost_fraction")
+# ddp never syncs and local_sgd syncs by plain averaging; palsgd_theory
+# runs the optimizers and schedule its convergence theory assumes
 VARIANTS = {
-    "ddp": VariantRules(_SGD, _AVERAGING, pinned=("outer",)),
-    "local_sgd": VariantRules(_SGD, _AVERAGING, pinned=("outer",)),
-    "diloco": VariantRules(_ADAMW, _NESTEROV),
-    "palsgd": VariantRules(_ADAMW, _NESTEROV, mixes=True),
-    "palsgd_theory": VariantRules(_SGD, _AVERAGING, pinned=("inner", "outer"), mixes=True,
-                                  derived=("alpha", "eta", "lr_schedule", "lr_warmup_steps")),
+    "ddp": VariantRules(_SGD, _AVERAGING, ("algo.outer", "algo.inner.reset_at_sync", *_NO_MIXING,
+                                           "schedule.sync_interval", "schedule.warmup_steps")),
+    "local_sgd": VariantRules(_SGD, _AVERAGING, ("algo.outer", *_NO_MIXING)),
+    "diloco": VariantRules(_ADAMW, _NESTEROV, _NO_MIXING),
+    "palsgd": VariantRules(_ADAMW, _NESTEROV),
+    "palsgd_theory": VariantRules(_SGD, _AVERAGING, (
+        "algo.inner", "algo.outer", "schedule.alpha", "schedule.eta", "schedule.lr_schedule",
+        "schedule.lr_warmup_steps")),
 }
 
 
@@ -189,13 +192,13 @@ class AlgoVariant:
     def __post_init__(self):
         check_fields(self)
         rules = VARIANTS[self.tag]
-        for section in rules.pinned:
-            if getattr(self, section) != getattr(rules, section):
+        for section in ("inner", "outer"):
+            if f"algo.{section}" in rules.unread and getattr(self, section) != getattr(rules, section):
                 raise ConfigError(section, f"variant {self.tag!r} fixes its {section} optimizer")
 
     @property
     def uses_mixing(self) -> bool:
-        return VARIANTS[self.tag].mixes
+        return "schedule.p" not in VARIANTS[self.tag].unread
 
 
 def make_variant(tag: str, inner: InnerOptConfig | None = None,

@@ -5,9 +5,9 @@
     palsgd verify-theory <config.json> [--seed N] [--out-dir DIR] [--seeds N] [--k-values 1,2,4,8]
     palsgd gradcheck <config.json>
 
-``run`` exits 0 on completion and 3 when the run diverged; config errors, and
-flags the command does not take, exit 2. ``verify-theory`` and ``gradcheck``
-exit 4 when a check fails.
+``run`` exits 0 on completion and 3 when the run diverged; config errors (a
+given key that the run does not read among them), and flags the command does
+not take, exit 2. ``verify-theory`` and ``gradcheck`` exit 4 when a check fails.
 
 ``verify-theory`` fits the log-log slope of suboptimality against the worker
 count K (``--k-values`` needs two or more distinct counts >= 1). It also splits

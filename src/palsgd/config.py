@@ -7,7 +7,7 @@ Where a key's default and bound live:
   ``workload.draw_policy``, are declared once, as field metadata on the
   runtime dataclasses (``InnerOptConfig``, ``OuterOptConfig``, ``Schedule``,
   ``ClusterSpec``, ``AllReduceModel``, ``AlgoVariant``, ``Shards``; see
-  ``fields.py``). Where a config default differs from the library one (four
+  ``fields.py``). Where a config default differs from the library one (five
   ``schedule`` keys and ``workers``), the tables below replace the default
   and keep the bound.
 * The other ``workload`` keys (one table per kind) and the top-level
@@ -20,17 +20,22 @@ the final step among them. ``eval_every`` adds its evaluation steps when the
 workload has an evaluation set, and ``metrics_every`` (default none) adds
 every step that is a multiple of it.
 
-Variant rules: the ``VARIANTS`` table in ``algorithms.py`` declares, once
-per variant, its preset optimizers, the ``algo`` sections it pins to them and
-the ``schedule`` keys it derives (both rejected when given), and whether it
-mixes (``schedule.p`` defaults to 0.05 if so and must be 0 if not). A key
-that an unpinned section leaves out keeps the preset's value, so
-``{"weight_decay": 0.1}`` under palsgd still runs adamw with clip_norm 1.0.
+Variant rules: a given key that its run does not read is rejected, naming
+the key and the reason. The ``VARIANTS`` table in ``algorithms.py`` lists
+each variant's preset optimizers and the dotted keys it never reads: the
+``algo`` sections it pins, the ``schedule`` keys it derives, and the keys
+its loop never touches (``schedule.p`` unless it mixes). A field's
+``read_when`` names the values of its section's choice field under which it
+acts (AdamW's moments under ``variant: adamw``), and ``eval_every`` acts on
+a workload with an evaluation set. A key that an unpinned section leaves
+out keeps the preset's value, so ``{"weight_decay": 0.1}`` under palsgd
+still runs adamw with clip_norm 1.0. Keys that act or not by a number stay
+accepted: p = 0 under palsgd, or ``cluster.allreduce`` on one worker.
 
 Unknown keys are rejected at every nesting level (ablation grids make silent
 typos expensive) and every constraint violation names the offending field.
-``RunConfig.normalized()`` echoes the config back with all defaults filled,
-including the optimizers that actually run, which is what gets written next
+``RunConfig.normalized()`` echoes the keys the run reads, defaults filled and
+the optimizers that actually run included, which is what gets written next
 to a run's metrics.
 """
 
@@ -61,7 +66,7 @@ TOP_KEYS = {"workers": _CLUSTER.pop("workers"),  # set at the top level, not in 
 _ALLREDUCE = specs(AllReduceModel)
 _VARIANT = specs(AlgoVariant, tag="palsgd")["tag"]
 _OPTIMIZERS = {"inner": specs(InnerOptConfig), "outer": specs(OuterOptConfig)}
-_SCHEDULE = specs(Schedule, alpha=0.01, eta=0.5, sync_interval=16, total_steps=1600)
+_SCHEDULE = specs(Schedule, alpha=0.01, eta=0.5, p=0.05, sync_interval=16, total_steps=1600)
 
 _DATASET = {"data_seed": Spec(int, 7),
             "spread": Spec(float, 1.0, low=0, low_open=True),
@@ -92,6 +97,12 @@ _WORKLOADS = {
 _KIND = Spec(str, "quadratic", choices=tuple(_WORKLOADS))
 # quadratic keys that take a number (broadcast to every coordinate) or a list
 _BROADCAST = {"x_star": Spec(float, 0.0), "x0_offset": Spec(float, 1.0)}
+# every dotted key the parser knows, sections included
+KEYS = frozenset({*TOP_KEYS, "algo.variant", "algo.inner", "algo.outer", "cluster.allreduce",
+                  *(f"algo.{s}.{k}" for s, table in _OPTIMIZERS.items() for k in table),
+                  *(f"schedule.{k}" for k in _SCHEDULE), *(f"cluster.{k}" for k in _CLUSTER),
+                  *(f"cluster.allreduce.{k}" for k in _ALLREDUCE), "workload.kind",
+                  *(f"workload.{k}" for table in (*_WORKLOADS.values(), _BROADCAST) for k in table)})
 
 
 def _object(name: str, raw) -> dict:
@@ -100,16 +111,31 @@ def _object(name: str, raw) -> dict:
     return raw
 
 
-def _section(name: str, raw, table: dict[str, Spec], defaults: dict | None = None,
-             other_keys: tuple = ()) -> dict:
-    """Every key of `table`, checked, from `raw` or else `defaults` or the Spec default."""
+def _section(name: str, raw, table: dict[str, Spec], unread: dict[str, str],
+             defaults: dict | None = None, other_keys: tuple = ()) -> dict:
+    """Every key of `table` that the run reads, checked, from `raw` or else
+    `defaults` or the Spec default. A key is not read if `unread` maps its
+    dotted name to the reason, or if the section's choice field holds none of
+    its `read_when` values, which enters it in `unread`."""
     allowed = set(table) | set(other_keys)
     unknown = set(_object(name, raw)) - allowed
     if unknown:
         raise ConfigError(name, f"unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
     defaults = defaults or {}
-    return {key: spec.check(f"{name}.{key}", raw.get(key, defaults.get(key, spec.default)))
-            for key, spec in table.items()}
+    out = {key: spec.check(f"{name}.{key}", raw.get(key, defaults.get(key, spec.default)))
+           for key, spec in table.items()}
+    for key, spec in table.items():
+        if spec.read_when:
+            choice = next(k for k, s in table.items() if set(spec.read_when) <= set(s.choices or ()))
+            if out[choice] not in spec.read_when:
+                unread.setdefault(f"{name}.{key}", f"read only when {name}.{choice} is one of "
+                                                   f"{list(spec.read_when)}, not {out[choice]!r}")
+    return {key: value for key, value in out.items() if f"{name}.{key}" not in unread}
+
+
+def _holds(tree, dotted: str) -> bool:
+    key, _, rest = dotted.partition(".")
+    return isinstance(tree, dict) and key in tree and (not rest or _holds(tree[key], rest))
 
 
 @contextmanager
@@ -137,7 +163,8 @@ class RunConfig:
 
     def normalized(self) -> dict:
         return {"schema_version": SCHEMA_VERSION,
-                **{f.name: getattr(self, f.name) for f in fields(self) if f.init}}
+                **{f.name: getattr(self, f.name) for f in fields(self)
+                   if f.init and (f.name != "eval_every" or self.workload_object().has_eval)}}
 
     def workload_object(self):
         """The workload built from the ``workload`` section, built again only
@@ -205,7 +232,7 @@ def _parse_workload(raw) -> dict:
     if kind == "mlp" and isinstance(widths, list) and widths:
         derived = {"dim": widths[0], "classes": widths[-1]}
     other_keys = ("kind", *_BROADCAST) if kind == "quadratic" else ("kind",)
-    out = {"kind": kind, **_section("workload", raw, _WORKLOADS[kind], derived, other_keys)}
+    out = {"kind": kind, **_section("workload", raw, _WORKLOADS[kind], {}, derived, other_keys)}
     if kind == "quadratic":
         mu, big_l = out.pop("mu"), out.pop("L")
         if out["hessian_diag"] is None:
@@ -244,49 +271,47 @@ def _parse_workload(raw) -> dict:
     return out
 
 
-def _parse_algo(raw) -> dict:
-    out = _section("algo", raw, {"variant": _VARIANT}, other_keys=tuple(_OPTIMIZERS))
+def _parse_algo(raw, unread: dict[str, str]) -> dict:
+    """The algo section; enters the variant's unread keys in `unread`."""
+    out = _section("algo", raw, {"variant": _VARIANT}, unread, other_keys=tuple(_OPTIMIZERS))
     variant = out["variant"]
     rules = VARIANTS[variant]
+    unread.update(dict.fromkeys(rules.unread, f"variant {variant!r} fixes it or never reads it"))
     for section, table in _OPTIMIZERS.items():
-        if section not in rules.pinned:
-            out[section] = _section(f"algo.{section}", raw.get(section, {}), table,
+        if f"algo.{section}" not in unread:
+            out[section] = _section(f"algo.{section}", raw.get(section, {}), table, unread,
                                     asdict(getattr(rules, section)))
-        elif section in raw:
-            raise ConfigError(f"algo.{section}",
-                              f"variant {variant!r} fixes its {section} optimizer; drop the section")
     return out
 
 
-def _parse_schedule(raw, variant: str) -> dict:
-    rules = VARIANTS[variant]
-    given = [key for key in rules.derived if key in _object("schedule", raw)]
-    if given:
-        raise ConfigError(f"schedule.{given[0]}", f"variant {variant!r} derives it; drop it")
-    table = {k: v for k, v in _SCHEDULE.items() if k not in rules.derived}
-    out = _section("schedule", raw, table, {"p": 0.05 if rules.mixes else 0.0})
-    if not rules.mixes and out["p"] != 0.0:
-        raise ConfigError("schedule.p", f"variant '{variant}' takes no mixing steps; p must be 0")
+def _parse_schedule(raw, unread: dict[str, str]) -> dict:
+    out = _section("schedule", raw, _SCHEDULE, unread)
     if out.get("lr_schedule") == "warmup_cosine" and out["lr_warmup_steps"] < 1:
         raise ConfigError("schedule.lr_warmup_steps", "warmup_cosine needs lr_warmup_steps >= 1")
     return out
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, given: dict | None = None) -> RunConfig:
+    """The run config of a JSON document. A key its run does not read is
+    rejected if `given` (by default the whole document) holds it, and left
+    out if not: a sweep cell gives only the key it sets."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("<document>", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<document>", "top level must be a JSON object")
-    raw.pop("schema_version", None)  # accept re-parsing a normalized dump
-    top = _section("<top>", raw, TOP_KEYS, other_keys=("workload", "algo", "schedule", "cluster"))
-    algo = _parse_algo(raw.get("algo", {}))
+    version = raw.pop("schema_version", SCHEMA_VERSION)  # as a normalized dump writes it
+    Spec(int, SCHEMA_VERSION, choices=(SCHEMA_VERSION,)).check("schema_version", version)
+    unread: dict[str, str] = {}  # dotted key -> why its run does not read it
+    top = _section("<top>", raw, TOP_KEYS, {}, other_keys=("workload", "algo", "schedule", "cluster"))
+    algo = _parse_algo(raw.get("algo", {}), unread)
     workload = _parse_workload(raw.get("workload", {}))
-    schedule = _parse_schedule(raw.get("schedule", {}), algo["variant"])
+    schedule = _parse_schedule(raw.get("schedule", {}), unread)
     cluster_raw = raw.get("cluster", {})
-    cluster = _section("cluster", cluster_raw, _CLUSTER, other_keys=("allreduce",))
-    cluster["allreduce"] = _section("cluster.allreduce", cluster_raw.get("allreduce", {}), _ALLREDUCE)
+    cluster = _section("cluster", cluster_raw, _CLUSTER, unread, other_keys=("allreduce",))
+    allreduce_raw = cluster_raw.get("allreduce", {})
+    cluster["allreduce"] = _section("cluster.allreduce", allreduce_raw, _ALLREDUCE, unread)
     if algo["variant"] == "palsgd_theory" and workload["kind"] != "quadratic":
         raise ConfigError("algo.variant", "palsgd_theory needs the quadratic workload (known mu, L, sigma)")
 
@@ -294,6 +319,11 @@ def parse_config(text: str) -> RunConfig:
     # fail fast on anything the dataclass constructors would reject later
     cfg.build_variant()
     workload_obj = cfg.workload_object()
+    if not workload_obj.has_eval:
+        unread["eval_every"] = "read only on a workload with an evaluation set"
+    for key, why in unread.items():
+        if _holds(raw if given is None else given, key):
+            raise ConfigError(key, why)
     cfg.build_schedule(workload_obj)
     cfg.build_cluster()
     train = getattr(workload_obj, "train", None)

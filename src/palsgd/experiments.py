@@ -11,9 +11,9 @@ import os
 
 import numpy as np
 
-from .algorithms import VARIANTS, Schedule, make_variant, run_training
+from .algorithms import Schedule, make_variant, run_training
 from .cluster import export_events_jsonl
-from .config import ConfigError, RunConfig, parse_config
+from .config import KEYS, ConfigError, RunConfig, parse_config
 from .metrics import summarize, write_metrics_jsonl, write_summary
 from .vecmath import PURPOSE_INIT, RngStream
 from .workloads import (LogisticWorkload, MlpWorkload,
@@ -44,16 +44,13 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None):
     return summary, result
 
 
-def _set_path(tree: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
+def _set_path(tree: dict, dotted: str, value) -> dict:
+    *sections, key = dotted.split(".")
     node = tree
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise KeyError(dotted)
-        node = node[key]
-    if not isinstance(node, dict) or keys[-1] not in node:
-        raise KeyError(dotted)
-    node[keys[-1]] = value
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
+    return tree
 
 
 def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> list[dict]:
@@ -68,10 +65,11 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
     sweep continues. A grid that is not an object mapping each path to a
     non-empty list of distinct values raises ConfigError("grid", ...).
 
-    A cell that sets ``algo.variant`` re-derives what the ``VARIANTS`` table
-    says the variant owns: it drops the sections the variant pins and the
-    keys it derives, and sets p to 0 if the variant does not mix. It keeps
-    the base's inner optimizer (unless pinned) and, if the variant mixes, p.
+    A cell is the base's normalized config with one key set, and only that
+    key given to the parser: it drops the base's keys its run does not read,
+    and is an "error" cell if its run does not read the swept key. So a ddp
+    base swept to palsgd mixes at the default p. A path that names no config
+    key raises ConfigError.
     """
     if not isinstance(grid, dict):
         raise ConfigError("grid", f"must map parameter paths to value lists, got {grid!r}")
@@ -82,29 +80,17 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ConfigError("grid", f"{param} lists the value {repeated[0]!r} twice")
-        probe = copy.deepcopy(base)
-        try:
-            _set_path(probe, param, values[0])
-        except KeyError:
-            raise ConfigError(param, "sweep parameter not present in the config")
+        if param not in KEYS:
+            raise ConfigError(param, "sweep parameter not present in the config keys")
     rows = []
     for param, values in grid.items():
         for value in values:
-            cell = copy.deepcopy(base)
-            _set_path(cell, param, value)
-            # an unknown tag, a list included, is left for the parser to reject
-            rules = VARIANTS.get(value) if param == "algo.variant" and isinstance(value, str) else None
-            if rules is not None:
-                for section, keys in (("algo", rules.pinned), ("schedule", rules.derived)):
-                    for key in keys:
-                        cell[section].pop(key, None)
-                if not rules.mixes:
-                    cell["schedule"]["p"] = 0.0
+            cell = _set_path(copy.deepcopy(base), param, value)
             cell_dir = os.path.join(out_dir, str(len(rows))) if out_dir else None
             row = {**dict.fromkeys(SWEEP_CSV_HEADER, ""), "param": param, "value": value,
                    "status": "error"}
             try:
-                cell_cfg = parse_config(json.dumps(cell))
+                cell_cfg = parse_config(json.dumps(cell), given=_set_path({}, param, value))
                 summary, _ = run_experiment(cell_cfg, out_dir=cell_dir)
                 row.update(status="diverged" if summary["diverged"] else "ok",
                            final_loss=summary["final_loss"],

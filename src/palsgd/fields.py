@@ -28,7 +28,9 @@ _KINDS = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"),
 
 @dataclass(frozen=True)
 class Spec:
-    """Type, default and bound of one key; a None default makes the key optional."""
+    """Type, default and bound of one key; a None default makes the key optional.
+    `read_when` lists the values of the section's choice field (the field
+    whose `choices` hold them) under which the key acts."""
 
     kind: type
     default: object = MISSING
@@ -37,7 +39,8 @@ class Spec:
     low_open: bool = False    # low itself is out of bounds
     high_open: bool = True    # high itself is out of bounds
     choices: tuple | None = None
-    sequence: bool = False    # a list whose every element obeys the rule
+    sequence: bool = False    # a non-empty list whose every element obeys the rule
+    read_when: tuple | None = None
 
     def check(self, name: str, value):
         """The value as the run uses it, or ConfigError(name, ...)."""
@@ -45,8 +48,8 @@ class Spec:
             return None
         if not self.sequence:
             return self._check_one(name, value)
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(name, f"expected a list, got {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(name, f"expected a non-empty list, got {value!r}")
         return [self._check_one(name, v) for v in value]
 
     def _check_one(self, name: str, value):

@@ -25,15 +25,15 @@ BIAS_TABLE_MIN = 256
 @dataclass(frozen=True)
 class InnerOptConfig:
     variant: str = option(str, "sgd", choices=("sgd", "sgd_momentum", "adamw"))
-    momentum: float = option(float, 0.9, low=0, high=1)             # sgd_momentum only
-    beta1: float = option(float, 0.9, low=0, high=1)                # adamw
-    beta2: float = option(float, 0.999, low=0, high=1)              # adamw
-    eps: float = option(float, 1e-8, low=0, low_open=True)          # adamw
-    weight_decay: float = option(float, 0.0, low=0)                 # adamw, decoupled
+    momentum: float = option(float, 0.9, low=0, high=1, read_when=("sgd_momentum",))
+    beta1: float = option(float, 0.9, low=0, high=1, read_when=("adamw",))
+    beta2: float = option(float, 0.999, low=0, high=1, read_when=("adamw",))
+    eps: float = option(float, 1e-8, low=0, low_open=True, read_when=("adamw",))
+    weight_decay: float = option(float, 0.0, low=0, read_when=("adamw",))  # decoupled
     # global-norm clip applied to g before the step
     clip_norm: float | None = option(float, None, low=0, low_open=True)
-    # ablation knob; default keeps state across syncs
-    reset_at_sync: bool = option(bool, False)
+    # ablation knob; default keeps state across syncs, and plain sgd has none
+    reset_at_sync: bool = option(bool, False, read_when=("sgd_momentum", "adamw"))
 
     def __post_init__(self):
         check_fields(self)
@@ -137,7 +137,7 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
 class OuterOptConfig:
     variant: str = option(str, "nesterov", choices=("sgd", "nesterov"))
     lr: float = option(float, 1.0, low=0, low_open=True)
-    momentum: float = option(float, 0.9, low=0, high=1)  # nesterov only
+    momentum: float = option(float, 0.9, low=0, high=1, read_when=("nesterov",))
 
     def __post_init__(self):
         check_fields(self)

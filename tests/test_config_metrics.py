@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from palsgd.algorithms import Schedule, StepRecord
+from palsgd.algorithms import VARIANTS, Schedule, StepRecord
 from palsgd.cluster import AllReduceModel, ClusterSpec
-from palsgd.config import ConfigError, parse_config
+from palsgd.config import KEYS, ConfigError, parse_config
+from palsgd.fields import specs
 from palsgd.optimizers import InnerOptConfig, OuterOptConfig
 from palsgd.metrics import (RECORD_SCHEMA, dumps_record, record_to_obj,
                             summarize, write_metrics_jsonl)
@@ -13,6 +14,13 @@ from palsgd.metrics import (RECORD_SCHEMA, dumps_record, record_to_obj,
 
 def parse(obj):
     return parse_config(json.dumps(obj))
+
+
+def lookup(tree: dict, dotted: str):
+    """The value at a dotted path of a config tree, or None."""
+    for key in dotted.split("."):
+        tree = tree.get(key) if isinstance(tree, dict) else None
+    return tree
 
 
 def obj_to_record(obj: dict) -> StepRecord:
@@ -40,6 +48,40 @@ class TestParsing:
     def test_normalized_dump_reparses_to_itself(self, variant):
         norm = parse({"algo": {"variant": variant}}).normalized()
         assert parse(norm).normalized() == norm
+        # and holds only keys the run reads
+        assert not [path for path in VARIANTS[variant].unread if lookup(norm, path) is not None]
+        for name, cls in (("inner", InnerOptConfig), ("outer", OuterOptConfig)):
+            section = norm["algo"].get(name, {})
+            for key, spec in specs(cls).items():
+                if section and spec.read_when:
+                    assert (key in section) == (section["variant"] in spec.read_when), key
+        assert "lr_warmup_steps" not in norm["schedule"]  # under a constant lr schedule
+        assert "eval_every" not in norm  # the quadratic has no evaluation set
+
+    def test_variant_rules_name_real_keys(self):
+        # a typo in the table would leave the key it meant accepted; each
+        # path is a key that palsgd reads, and given to its variant it is
+        # rejected by name
+        full = parse({"schedule": {"lr_schedule": "warmup_cosine", "lr_warmup_steps": 4}}).normalized()
+        for variant, rules in VARIANTS.items():
+            for path in rules.unread:
+                assert path in KEYS and lookup(full, path) is not None, path
+                tree: dict = {"algo": {"variant": variant}}
+                *sections, key = path.split(".")
+                node = tree
+                for section in sections:
+                    node = node.setdefault(section, {})
+                node[key] = lookup(full, path)
+                with pytest.raises(ConfigError, match=f"variant '{variant}'") as exc:
+                    parse(tree)
+                assert exc.value.field == path
+
+    @pytest.mark.parametrize("version", [99, "x", True, 1.0, None])
+    def test_schema_version_other_than_the_current_rejected(self, version):
+        with pytest.raises(ConfigError) as exc:
+            parse({"schema_version": version})
+        assert exc.value.field == "schema_version"
+        assert parse({"schema_version": 1}).normalized()["schema_version"] == 1
 
     def test_partial_optimizer_sections_keep_the_preset(self):
         cfg = parse({"algo": {"variant": "palsgd", "inner": {"weight_decay": 0.1},
@@ -78,7 +120,7 @@ class TestParsing:
             parse({"cluster": {"allreduce": {"algorithm": "ring"}}})
 
     def test_non_mixing_variant_rejects_positive_p(self):
-        with pytest.raises(ConfigError, match="no mixing steps"):
+        with pytest.raises(ConfigError, match=r"schedule\.p.*'diloco' fixes it or never reads it"):
             parse({"algo": {"variant": "diloco"}, "schedule": {"p": 0.1}})
 
     def test_theory_mode_requires_quadratic(self):
@@ -207,9 +249,11 @@ class TestSummary:
                                                  ("palsgd", 12)])
     def test_summary_equals_the_last_record(self, variant, warmup):
         # the run ends in an all-reduce, so its last record reads the final clock
+        schedule = {"total_steps": 60}
+        if variant != "ddp":  # ddp reads neither: it all-reduces every step
+            schedule.update(sync_interval=8, warmup_steps=warmup)
         cfg = parse({"workload": {"kind": "quadratic"}, "algo": {"variant": variant},
-                     "schedule": {"total_steps": 60, "sync_interval": 8, "warmup_steps": warmup},
-                     "cluster": {"jitter": 0.2}, "workers": 3})
+                     "schedule": schedule, "cluster": {"jitter": 0.2}, "workers": 3})
         from palsgd.experiments import run_experiment
         summary, result = run_experiment(cfg)
         last = result.diagnostics.records[-1]

@@ -112,14 +112,17 @@ class TestRunExperiment:
         assert summary["final_eval_acc"] >= 0.9
 
     def test_mlp_without_a_test_set_adds_no_eval_records(self):
-        _, result = run_experiment(parse({
-            "workload": {"kind": "mlp", "widths": [8, 16, 3], "samples_per_class": 10,
-                         "test_samples_per_class": 0},
-            "schedule": {"p": 0.1, "sync_interval": 8, "total_steps": 24},
-            "workers": 2, "eval_every": 5}))
+        raw = {"workload": {"kind": "mlp", "widths": [8, 16, 3], "samples_per_class": 10,
+                            "test_samples_per_class": 0},
+               "schedule": {"p": 0.1, "sync_interval": 8, "total_steps": 24}, "workers": 2}
+        _, result = run_experiment(parse(raw))
         recs = result.diagnostics.records
         assert [r.step for r in recs] == [7, 15, 23]
         assert all(r.eval_loss is None and r.eval_acc is None for r in recs)
+        # eval_every could not act on this run
+        with pytest.raises(ConfigError) as exc:
+            parse({**raw, "eval_every": 5})
+        assert exc.value.field == "eval_every"
 
 
 class TestSweep:
@@ -176,6 +179,40 @@ class TestSweep:
         # unknown tags are left to the parser; palsgd_theory drops what it pins and derives
         rows = sweep(parse(quad_cfg()), {"algo.variant": [["ddp"], "sgd", "palsgd_theory"]})
         assert [r["status"] for r in rows] == ["error", "error", "ok"]
+
+    @pytest.mark.parametrize("param, values", [
+        ("algo.variant", ["ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory"]),
+        ("algo.inner.variant", ["sgd", "sgd_momentum", "adamw"]),
+        ("algo.outer.variant", ["sgd", "nesterov"])])
+    def test_selector_cells_drop_the_keys_their_run_does_not_read(self, tmp_path, param, values):
+        rows = sweep(parse(quad_cfg()), {param: values}, out_dir=str(tmp_path))
+        assert [r["status"] for r in rows] == ["ok"] * len(values)
+        for i, value in enumerate(values):
+            cell = json.loads((tmp_path / str(i) / "config.json").read_text())
+            assert parse(cell).normalized() == cell
+        if param == "algo.variant":  # ddp drops what palsgd reads and it does not
+            ddp = json.loads((tmp_path / "0" / "config.json").read_text())
+            assert "outer" not in ddp["algo"]
+            assert not {"eta", "p", "sync_interval"} & set(ddp["schedule"])
+
+    def test_ddp_base_swept_to_palsgd_mixes_at_the_default_p(self, tmp_path):
+        base = parse({"workload": {"kind": "quadratic", "dim": 4}, "algo": {"variant": "ddp"},
+                      "schedule": {"total_steps": 32}, "workers": 2})
+        rows = sweep(base, {"algo.variant": ["palsgd"]}, out_dir=str(tmp_path))
+        assert rows[0]["status"] == "ok"
+        assert json.loads((tmp_path / "0" / "config.json").read_text())["schedule"]["p"] == 0.05
+
+    @pytest.mark.parametrize("param, value, field", [
+        ("schedule.eta", 0.25, "schedule.eta"), ("algo.outer.lr", 0.5, "algo.outer"),
+        ("eval_every", 4, "eval_every")])
+    def test_cell_whose_run_does_not_read_the_swept_key_is_an_error(self, tmp_path, param, value,
+                                                                    field):
+        base = parse({"workload": {"kind": "quadratic", "dim": 4}, "algo": {"variant": "ddp"},
+                      "schedule": {"total_steps": 32}, "workers": 2})
+        rows = sweep(base, {param: [value]}, out_dir=str(tmp_path))
+        assert rows[0]["status"] == "error"
+        reason = (tmp_path / "0" / "error.txt").read_text()
+        assert reason.startswith(f"config field '{field}'") and "read" in reason
 
     def test_time_decreases_with_larger_sync_interval(self, tmp_path):
         cfg = parse(quad_cfg(schedule={"total_steps": 128}))
@@ -301,8 +338,7 @@ class TestVerifyTheory:
             verify_theory(parse(quad_cfg()), k_values=(1, 2), n_seeds=3)
 
     def test_requires_quadratic(self):
-        cfg = parse({"workload": {"kind": "mlp"}, "schedule": {"p": 0.0},
-                     "algo": {"variant": "diloco"}})
+        cfg = parse({"workload": {"kind": "mlp"}, "algo": {"variant": "diloco"}})
         with pytest.raises(ConfigError, match="quadratic"):
             verify_theory(cfg)
 
@@ -446,6 +482,44 @@ class TestCli:
         path.write_text(json.dumps({"schedule": {"p": 2.0}}))
         assert main(["run", str(path)]) == 2
         assert "schedule.p" in capsys.readouterr().err
+
+    # each key can not act on its run: the ten of the first audit, then
+    # eta without mixing, reset_at_sync with no state to reset, and an
+    # adamw moment under sgd_momentum
+    @pytest.mark.parametrize("key, cfg", [
+        ("algo.inner.momentum", {"algo": {"inner": {"variant": "adamw", "momentum": 0.5}}}),
+        ("algo.inner.beta1", {"algo": {"inner": {"variant": "sgd", "beta1": 0.5}}}),
+        ("algo.outer.momentum", {"algo": {"outer": {"variant": "sgd", "momentum": 0.5}}}),
+        ("schedule.eta", {"algo": {"variant": "ddp"}, "schedule": {"eta": 0.25}}),
+        ("schedule.sync_interval", {"algo": {"variant": "ddp"}, "schedule": {"sync_interval": 7}}),
+        ("schedule.warmup_steps", {"algo": {"variant": "ddp"}, "schedule": {"warmup_steps": 4}}),
+        ("schedule.lr_warmup_steps", {"schedule": {"lr_schedule": "constant",
+                                                   "lr_warmup_steps": 5}}),
+        ("cluster.mixing_cost_fraction", {"algo": {"variant": "ddp"},
+                                          "cluster": {"mixing_cost_fraction": 0.5}}),
+        ("eval_every", {"workload": {"kind": "quadratic"}, "eval_every": 4}),
+        ("eval_every", {"workload": {"kind": "mlp", "widths": [4, 8, 3], "samples_per_class": 10,
+                                     "test_samples_per_class": 0}, "eval_every": 4}),
+        ("schedule.eta", {"algo": {"variant": "local_sgd"}, "schedule": {"eta": 0.25}}),
+        ("schedule.eta", {"algo": {"variant": "diloco"}, "schedule": {"eta": 0.25}}),
+        ("algo.inner.reset_at_sync", {"algo": {"inner": {"variant": "sgd", "reset_at_sync": True}}}),
+        ("algo.inner.reset_at_sync", {"algo": {"variant": "ddp",
+                                               "inner": {"variant": "sgd_momentum",
+                                                         "reset_at_sync": True}}}),
+        ("algo.inner.beta1", {"algo": {"inner": {"variant": "sgd_momentum", "beta1": 0.5}}}),
+    ])
+    def test_key_its_run_does_not_read_exits_two(self, tmp_path, capsys, key, cfg):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**cfg, "schedule": {"total_steps": 8, **cfg.get("schedule", {})}}))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{key}'" in err and "read" in err
+
+    def test_empty_hessian_diag_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"workload": {"kind": "quadratic", "hessian_diag": []}}))
+        assert main(["run", str(path)]) == 2
+        assert "config field 'workload.hessian_diag': expected a non-empty list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workload, samples", [
         ({"kind": "logistic", "n_samples": 4}, 4),
