@@ -12,7 +12,8 @@ Where a key's default and bound live:
   and keep the bound.
 * The other ``workload`` keys (one table per kind) and the top-level
   ``seed``, ``metrics_every``, ``eval_every`` and ``out_dir`` are declared
-  in the tables below.
+  in the tables below. ``RunConfig.build_workload`` derives what the
+  workload section, kept as given, leaves out.
 
 Metrics cadence: a run writes a record after every step that ends in an
 all-reduce, that is every DDP step (warmup included) and every sync round,
@@ -29,8 +30,11 @@ its loop never touches (``schedule.p`` unless it mixes). A field's
 acts (AdamW's moments under ``variant: adamw``), and ``eval_every`` acts on
 a workload with an evaluation set. A key that an unpinned section leaves
 out keeps the preset's value, so ``{"weight_decay": 0.1}`` under palsgd
-still runs adamw with clip_norm 1.0. Keys that act or not by a number stay
-accepted: p = 0 under palsgd, or ``cluster.allreduce`` on one worker.
+still runs adamw with clip_norm 1.0. ``workload.kind`` is a choice field:
+another kind's keys are not read, nor are the keys a given list fixes
+(``hessian_diag`` fixes dim, mu and L; ``widths`` fixes dim and classes).
+Keys that act or not by a number stay accepted: p = 0 under palsgd, or
+``cluster.allreduce`` on one worker.
 
 Unknown keys are rejected at every nesting level (ablation grids make silent
 typos expensive) and every constraint violation names the offending field.
@@ -44,7 +48,7 @@ from __future__ import annotations
 import copy
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -95,14 +99,18 @@ _WORKLOADS = {
             **_DATASET},
 }
 _KIND = Spec(str, "quadratic", choices=tuple(_WORKLOADS))
-# quadratic keys that take a number (broadcast to every coordinate) or a list
+# quadratic keys that take a number (one value for every coordinate) or a list
 _BROADCAST = {"x_star": Spec(float, 0.0), "x0_offset": Spec(float, 1.0)}
+# the kinds that read each workload key, and the keys that each given list fixes
+_READ_BY = {key: [kind for kind, table in _WORKLOADS.items() if key in table]
+            for table in _WORKLOADS.values() for key in table} | dict.fromkeys(_BROADCAST, ["quadratic"])
+_FIXED_BY = {"hessian_diag": ("dim", "mu", "L"), "widths": ("dim", "classes")}
 # every dotted key the parser knows, sections included
 KEYS = frozenset({*TOP_KEYS, "algo.variant", "algo.inner", "algo.outer", "cluster.allreduce",
                   *(f"algo.{s}.{k}" for s, table in _OPTIMIZERS.items() for k in table),
                   *(f"schedule.{k}" for k in _SCHEDULE), *(f"cluster.{k}" for k in _CLUSTER),
                   *(f"cluster.allreduce.{k}" for k in _ALLREDUCE), "workload.kind",
-                  *(f"workload.{k}" for table in (*_WORKLOADS.values(), _BROADCAST) for k in table)})
+                  *(f"workload.{k}" for k in _READ_BY)})
 
 
 def _object(name: str, raw) -> dict:
@@ -174,11 +182,13 @@ class RunConfig:
         return self._built[1]
 
     def build_workload(self):
+        """The section's workload, deriving the quadratic's hessian_diag from
+        (mu, L, dim) and the mlp's widths as [dim, 32, classes] unless given."""
         w = self.workload
         if w["kind"] == "quadratic":
-            diag = np.asarray(w["hessian_diag"], dtype=np.float64)
-            x_star = np.asarray(w["x_star"], dtype=np.float64)
-            x0 = x_star + np.asarray(w["x0_offset"], dtype=np.float64)
+            diag = w["hessian_diag"] or np.linspace(w["mu"], w["L"], w["dim"])
+            x_star = np.full(len(diag), w["x_star"], dtype=np.float64)
+            x0 = x_star + np.full(len(diag), w["x0_offset"], dtype=np.float64)
             return QuadraticWorkload(diag, x_star, w["noise_sigma"], x0=x0)
         clusters = dict(spread=w["spread"], center_scale=w["center_scale"])
         if w["kind"] == "logistic":
@@ -186,12 +196,13 @@ class RunConfig:
                                                      w["data_seed"], **clusters)
             return LogisticWorkload(data, l2_reg=w["l2_reg"], batch_size=w["batch_size"],
                                     draw_policy=w["draw_policy"])
+        widths = w["widths"] or [w["dim"], 32, w["classes"]]
         data = generate_synthetic_classification(
-            w["classes"], w["dim"], w["samples_per_class"], w["data_seed"], **clusters)
+            widths[-1], widths[0], w["samples_per_class"], w["data_seed"], **clusters)
         test = generate_synthetic_classification(
-            w["classes"], w["dim"], w["test_samples_per_class"], w["data_seed"], **clusters,
+            widths[-1], widths[0], w["test_samples_per_class"], w["data_seed"], **clusters,
             split=1) if w["test_samples_per_class"] else None
-        return MlpWorkload(w["widths"], w["activation"], data, test=test,
+        return MlpWorkload(widths, w["activation"], data, test=test,
                            batch_size=w["batch_size"], dtype=w["dtype"],
                            init_scale=w["init_scale"], draw_policy=w["draw_policy"])
 
@@ -225,49 +236,36 @@ class RunConfig:
                                worker_multipliers=None if mult is None else tuple(mult), **c)
 
 
-def _parse_workload(raw) -> dict:
+def _parse_workload(raw, unread: dict[str, str]) -> dict:
+    """The workload section as given, defaults filled, for ``build_workload``
+    to derive the rest; enters in `unread` the keys another kind reads and
+    the keys a given list fixes (``_FIXED_BY``)."""
     kind = _KIND.check("workload.kind", _object("workload", raw).get("kind", _KIND.default))
-    widths = raw.get("widths")
-    derived = {}  # an mlp's dim and classes default to its outer widths
-    if kind == "mlp" and isinstance(widths, list) and widths:
-        derived = {"dim": widths[0], "classes": widths[-1]}
-    other_keys = ("kind", *_BROADCAST) if kind == "quadratic" else ("kind",)
-    out = {"kind": kind, **_section("workload", raw, _WORKLOADS[kind], {}, derived, other_keys)}
+    for key, kinds in _READ_BY.items():
+        if kind not in kinds:
+            unread[f"workload.{key}"] = f"read only when workload.kind is one of {kinds}, not {kind!r}"
+    for given, keys in _FIXED_BY.items():
+        if given in _WORKLOADS[kind] and raw.get(given) is not None:
+            unread.update({f"workload.{k}": f"derived from workload.{given}, so never read" for k in keys})
+    out = {"kind": kind, **_section("workload", raw, _WORKLOADS[kind], unread,
+                                    other_keys=("kind", *_READ_BY))}
     if kind == "quadratic":
-        mu, big_l = out.pop("mu"), out.pop("L")
-        if out["hessian_diag"] is None:
-            if big_l < mu:
-                raise ConfigError("workload.L", f"must be >= mu ({mu}), got {big_l}")
-            out["hessian_diag"] = np.linspace(mu, big_l, out["dim"]).tolist()
-        elif "mu" in raw or "L" in raw:
-            raise ConfigError("workload.hessian_diag", "give either hessian_diag or (mu, L), not both")
-        elif "dim" in raw and len(out["hessian_diag"]) != out["dim"]:
-            raise ConfigError("workload.hessian_diag",
-                              f"length {len(out['hessian_diag'])} != dim {out['dim']}")
-        dim = out["dim"] = len(out["hessian_diag"])
+        if out["hessian_diag"] is None and out["L"] < out["mu"]:
+            raise ConfigError("workload.L", f"must be >= mu ({out['mu']}), got {out['L']}")
+        dim = out["dim"] if out["hessian_diag"] is None else len(out["hessian_diag"])
         for key, spec in _BROADCAST.items():
             name, value = f"workload.{key}", raw.get(key, spec.default)
-            if isinstance(value, list):
-                vec = [spec.check(name, v) for v in value]
-            else:
-                vec = [spec.check(name, value)] * dim
-            if len(vec) != dim:
-                raise ConfigError(name, f"length {len(vec)} != dim {dim}")
-            out[key] = vec
+            out[key] = replace(spec, sequence=isinstance(value, list)).check(name, value)
+            if isinstance(value, list) and len(value) != dim:
+                raise ConfigError(name, f"length {len(value)} != dim {dim}")
     elif kind == "logistic":
         if out["n_samples"] % 2:
             raise ConfigError("workload.n_samples",
                               f"must be even (two balanced classes), got {out['n_samples']}")
-    else:
-        if out["widths"] is None:
-            out["widths"] = [out["dim"], 32, out["classes"]]
+    elif out["widths"] is not None:
         if len(out["widths"]) < 2:
             raise ConfigError("workload.widths", "must be a list of at least two layer widths")
-        if out["widths"][0] != out["dim"]:
-            raise ConfigError("workload.widths", f"first width {out['widths'][0]} != dim {out['dim']}")
-        if out["widths"][-1] != out["classes"]:
-            raise ConfigError("workload.widths",
-                              f"last width {out['widths'][-1]} != classes {out['classes']}")
+        _WORKLOADS["mlp"]["classes"].check("workload.widths", out["widths"][-1])
     return out
 
 
@@ -306,7 +304,7 @@ def parse_config(text: str, given: dict | None = None) -> RunConfig:
     unread: dict[str, str] = {}  # dotted key -> why its run does not read it
     top = _section("<top>", raw, TOP_KEYS, {}, other_keys=("workload", "algo", "schedule", "cluster"))
     algo = _parse_algo(raw.get("algo", {}), unread)
-    workload = _parse_workload(raw.get("workload", {}))
+    workload = _parse_workload(raw.get("workload", {}), unread)
     schedule = _parse_schedule(raw.get("schedule", {}), unread)
     cluster_raw = raw.get("cluster", {})
     cluster = _section("cluster", cluster_raw, _CLUSTER, unread, other_keys=("allreduce",))

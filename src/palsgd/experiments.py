@@ -288,6 +288,11 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
     return report
 
 
+# a float32 gradient's largest gap to its float64 twin's, over the twin's
+# largest entry: 64 float32 eps (at most 22 measured, widths up to [64, 128, 10])
+FLOAT32_GAP = 64 * float(np.finfo(np.float32).eps)
+
+
 def central_difference_gradient(loss_fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     grad = np.empty_like(x)
     for i in range(x.shape[0]):
@@ -307,7 +312,12 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
 
 def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5,
               seed: int = 99) -> dict:
-    """Analytic vs central-difference gradients for the data workloads."""
+    """Analytic vs central-difference gradients for the data workloads.
+
+    A central difference cannot resolve a float32 loss, so a float32 mlp is
+    checked through its float64 twin: the twin's gradient against the
+    central difference, and the float32 gradient against the twin's, within
+    ``FLOAT32_GAP`` of the twin's largest entry (``float64_gap``)."""
     results = {}
     data2 = generate_synthetic_classification(2, 6, 20, seed)
     logistic = LogisticWorkload(data2, l2_reg=0.05, batch_size=5)
@@ -320,7 +330,11 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
         else:
             mlp = built
     for name, workload in (("logistic", logistic), ("mlp", mlp)):
-        worst = 0.0
+        twin = workload
+        if getattr(workload, "dtype", None) is np.float32:
+            twin = copy.copy(workload)
+            twin.dtype = np.float64
+        worst = gap = 0.0
         init_stream = RngStream(seed, 0, PURPOSE_INIT)
         # one worker's data draws, as the trainer makes them
         sampler = workload.sampler(1, [seed])
@@ -328,10 +342,13 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
             x = workload.init_params(init_stream)
             x = x + init_stream.gaussian_vector(x.shape[0], 0.3)
             idx = workload.draw_sample(sampler, np.ones(1, dtype=bool))[0]
-            analytic = workload.stochastic_gradient(x[None], [idx])[0]
+            analytic = twin.stochastic_gradient(x[None], [idx])[0]
             numeric = central_difference_gradient(
-                lambda v: workload.batch_objective(v, idx), x, step)
+                lambda v: twin.batch_objective(v, idx), x, step)
             worst = max(worst, max_relative_error(analytic, numeric))
-        results[name] = {"max_relative_error": worst, "pass": worst < 1e-4, "probes": probes}
+            own = workload.stochastic_gradient(x[None], [idx])[0]
+            gap = max(gap, float(np.max(np.abs(own - analytic)) / np.max(np.abs(analytic))))
+        results[name] = {"max_relative_error": worst, "float64_gap": gap, "probes": probes,
+                         "pass": worst < 1e-4 and gap <= FLOAT32_GAP}
     results["pass"] = all(results[n]["pass"] for n in ("logistic", "mlp"))
     return results

@@ -44,19 +44,28 @@ class TestParsing:
         assert norm["workers"] == 8
         assert norm["cluster"]["allreduce"] == {"latency_s": 1e-3, "bandwidth_bytes_per_s": 1e9}
 
-    @pytest.mark.parametrize("variant", ["ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory"])
-    def test_normalized_dump_reparses_to_itself(self, variant):
-        norm = parse({"algo": {"variant": variant}}).normalized()
+    @pytest.mark.parametrize("variant, workload, unread", [
+        *((v, {}, ()) for v in ("ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory")),
+        ("palsgd", {"kind": "logistic"}, ("mu", "L", "noise_sigma", "x_star", "widths")),
+        ("palsgd", {"kind": "mlp"}, ("mu", "L", "x0_offset", "n_samples", "l2_reg")),
+        ("palsgd", {"kind": "mlp", "widths": [4, 8, 3]}, ("dim", "classes")),
+        ("palsgd", {"kind": "quadratic", "hessian_diag": [1.0, 2.0]}, ("dim", "mu", "L"))],
+        ids=["ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory", "logistic", "mlp",
+             "mlp-widths", "quadratic-hessian_diag"])
+    def test_normalized_dump_reparses_to_itself(self, variant, workload, unread):
+        norm = parse({"algo": {"variant": variant}, "workload": workload}).normalized()
         assert parse(norm).normalized() == norm
         # and holds only keys the run reads
         assert not [path for path in VARIANTS[variant].unread if lookup(norm, path) is not None]
+        assert not set(unread) & set(norm["workload"])
         for name, cls in (("inner", InnerOptConfig), ("outer", OuterOptConfig)):
             section = norm["algo"].get(name, {})
             for key, spec in specs(cls).items():
                 if section and spec.read_when:
                     assert (key in section) == (section["variant"] in spec.read_when), key
         assert "lr_warmup_steps" not in norm["schedule"]  # under a constant lr schedule
-        assert "eval_every" not in norm  # the quadratic has no evaluation set
+        # the quadratic and the logistic have no evaluation set
+        assert ("eval_every" in norm) == (norm["workload"]["kind"] == "mlp")
 
     def test_variant_rules_name_real_keys(self):
         # a typo in the table would leave the key it meant accepted; each
@@ -147,6 +156,33 @@ class TestParsing:
         cfg = parse({"workload": {"kind": "quadratic", "hessian_diag": [1.0, 2.0, 3.0]}})
         assert cfg.build_workload().dim == 3
 
+    @pytest.mark.parametrize("section", [
+        {}, {"dim": 5, "mu": 0.3, "L": 7.1},
+        {"dim": 3, "mu": 2.0, "L": 2.0, "x_star": -0.0, "x0_offset": -0.0},
+        {"dim": 3, "x_star": [-0.0, 1.5, -2.25], "x0_offset": 0.1},
+        {"hessian_diag": [0.5, 3.0, 1e-3], "x_star": 0.7, "x0_offset": [-1.0, 0.0, -0.0]}])
+    def test_quadratic_build_matches_the_expanded_section(self, section):
+        # the expansion the parser stored in the section before the build derived it
+        w = parse({"workload": {"kind": "quadratic", **section}}).normalized()["workload"]
+        diag = w["hessian_diag"] or np.linspace(w["mu"], w["L"], w["dim"]).tolist()
+        vectors = {key: w[key] if isinstance(w[key], list) else [w[key]] * len(diag)
+                   for key in ("x_star", "x0_offset")}
+        x_star = np.asarray(vectors["x_star"], dtype=np.float64)
+        expected = {"hessian_diag": np.asarray(diag, dtype=np.float64), "x_star": x_star,
+                    "x0": x_star + np.asarray(vectors["x0_offset"], dtype=np.float64)}
+        built = parse({"workload": {"kind": "quadratic", **section}}).build_workload()
+        for name, reference in expected.items():
+            array = getattr(built, name)
+            assert array.dtype == np.float64 and array.tobytes() == reference.tobytes(), name
+            assert array.flags.writeable, name
+
+    def test_mlp_build_derives_the_default_widths(self):
+        cfg = parse({"workload": {"kind": "mlp", "dim": 5, "classes": 3, "samples_per_class": 4}})
+        assert cfg.normalized()["workload"]["widths"] is None
+        built = cfg.build_workload()
+        assert built.widths == [5, 32, 3]
+        assert built.train.features.shape[1] == 5 and built.train.n_classes == 3
+
     def test_worker_multipliers_length_checked(self):
         with pytest.raises(ConfigError, match="worker_multipliers"):
             parse({"workers": 4, "cluster": {"worker_multipliers": [1.0, 2.0]}})
@@ -169,8 +205,14 @@ class TestParsing:
             parse_config("{nope")
 
     def test_mlp_width_constraints(self):
-        with pytest.raises(ConfigError, match="widths"):
+        with pytest.raises(ConfigError, match="widths") as exc:
             parse({"workload": {"kind": "mlp", "widths": [4, 8, 3], "dim": 5}})
+        assert exc.value.field == "workload.dim"
+        assert "derived from workload.widths" in exc.value.reason
+        # the last width is the class count, with its bound
+        with pytest.raises(ConfigError, match=">= 2") as exc:
+            parse({"workload": {"kind": "mlp", "widths": [4, 8, 1]}})
+        assert exc.value.field == "workload.widths"
 
 
 class TestFieldSpecs:

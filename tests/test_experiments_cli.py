@@ -183,7 +183,8 @@ class TestSweep:
     @pytest.mark.parametrize("param, values", [
         ("algo.variant", ["ddp", "local_sgd", "diloco", "palsgd", "palsgd_theory"]),
         ("algo.inner.variant", ["sgd", "sgd_momentum", "adamw"]),
-        ("algo.outer.variant", ["sgd", "nesterov"])])
+        ("algo.outer.variant", ["sgd", "nesterov"]),
+        ("workload.kind", ["quadratic", "logistic", "mlp"])])
     def test_selector_cells_drop_the_keys_their_run_does_not_read(self, tmp_path, param, values):
         rows = sweep(parse(quad_cfg()), {param: values}, out_dir=str(tmp_path))
         assert [r["status"] for r in rows] == ["ok"] * len(values)
@@ -194,6 +195,32 @@ class TestSweep:
             ddp = json.loads((tmp_path / "0" / "config.json").read_text())
             assert "outer" not in ddp["algo"]
             assert not {"eta", "p", "sync_interval"} & set(ddp["schedule"])
+        if param == "workload.kind":  # the mlp drops the quadratic's keys and keeps its dim
+            mlp = json.loads((tmp_path / "2" / "config.json").read_text())["workload"]
+            assert not {"mu", "L", "hessian_diag", "x_star"} & set(mlp) and mlp["dim"] == 4
+
+    # from the d = 4 quadratic base and from the default mlp base, each cell
+    # changes the model's shape
+    @pytest.mark.parametrize("workload, param, values", [
+        ({}, "workload.dim", [4, 8]),
+        ({}, "workload.L", [2.0, 8.0]),
+        ({}, "workload.mu", [0.5, 2.0]),
+        ({}, "workload.hessian_diag", [[1.0, 2.0, 3.0], [1.0] * 6]),
+        ({"kind": "mlp"}, "workload.dim", [16, 8]),
+        ({"kind": "mlp"}, "workload.classes", [10, 4]),
+        ({"kind": "mlp"}, "workload.widths", [[16, 8, 10], [5, 3]])],
+        ids=["quad-dim", "quad-L", "quad-mu", "quad-hessian_diag", "mlp-dim", "mlp-classes",
+             "mlp-widths"])
+    def test_cells_that_change_the_workload_shape(self, tmp_path, workload, param, values):
+        base = quad_cfg()
+        if workload:
+            base["workload"] = workload
+        rows = sweep(parse(base), {param: values}, out_dir=str(tmp_path))
+        assert [r["status"] for r in rows] == ["ok"] * len(values)
+        for i, value in enumerate(values):
+            cell = json.loads((tmp_path / str(i) / "config.json").read_text())
+            assert parse(cell).normalized() == cell
+            assert cell["workload"][param.split(".")[1]] == value
 
     def test_ddp_base_swept_to_palsgd_mixes_at_the_default_p(self, tmp_path):
         base = parse({"workload": {"kind": "quadratic", "dim": 4}, "algo": {"variant": "ddp"},
@@ -507,6 +534,13 @@ class TestCli:
                                                "inner": {"variant": "sgd_momentum",
                                                          "reset_at_sync": True}}}),
         ("algo.inner.beta1", {"algo": {"inner": {"variant": "sgd_momentum", "beta1": 0.5}}}),
+        ("workload.mu", {"workload": {"hessian_diag": [1.0, 2.0], "mu": 1.0}}),
+        ("workload.dim", {"workload": {"hessian_diag": [1.0, 2.0], "dim": 2}}),
+        ("workload.classes", {"workload": {"kind": "mlp", "widths": [4, 8, 3], "classes": 3,
+                                           "samples_per_class": 10}}),
+        ("workload.noise_sigma", {"workload": {"kind": "logistic", "noise_sigma": 1.0}}),
+        ("workload.n_samples", {"workload": {"kind": "mlp", "widths": [4, 8, 3],
+                                             "samples_per_class": 10, "n_samples": 20}}),
     ])
     def test_key_its_run_does_not_read_exits_two(self, tmp_path, capsys, key, cfg):
         path = tmp_path / "config.json"
@@ -568,6 +602,16 @@ class TestCli:
         path = self.write_cfg(tmp_path)
         assert main(["gradcheck", path]) == 0
         assert json.loads(capsys.readouterr().out)["pass"]
+
+    def test_gradcheck_passes_on_a_float32_mlp(self, tmp_path, capsys):
+        # checked through its float64 twin; the float32 gradient stays close to the twin's
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"workload": {"kind": "mlp", "widths": [6, 9, 5],
+                                                 "samples_per_class": 12, "dtype": "float32"}}))
+        assert main(["gradcheck", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)["mlp"]
+        assert report["max_relative_error"] < 1e-4
+        assert 0.0 < report["float64_gap"] <= experiments.FLOAT32_GAP
 
     @pytest.mark.parametrize("command, flag", [
         ("gradcheck", "--seed"), ("gradcheck", "--out-dir"), ("gradcheck", "--metrics-every"),
