@@ -50,13 +50,17 @@ call, which barriers every replica and logs one shared CommEvent per
 replica; a record on the quadratic makes one objective call. Everything
 inside the loop keeps the replica axis; only `run_training`'s result drops
 it, for an int seed.
+
+Records are columns, not objects: a record appends one tuple of its step,
+counts and (S,) values, stacked at the end into the (S, R) columns of
+`Diagnostics`, whose `records` builds StepRecords from them on access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -249,22 +253,51 @@ class StepRecord:
     eval_acc: float | None = None
 
 
+# a record's values in the order run_training appends them: the StepRecord
+# fields, then `evaluated`; the (R,) ones shared by the replicas, by dtype
+RECORD_COLUMNS = (*(f.name for f in fields(StepRecord)), "evaluated")
+SHARED_COLUMNS = {"step": np.int64, "comm_count": np.int64, "evaluated": bool}
+
+
 @dataclass
 class Diagnostics:
-    # with a replica axis, records and window_mixing_counts hold one list per replica
-    records: list[StepRecord] = field(default_factory=list)
-    # one tuple of per-worker mixing-step counts per sync window
-    window_mixing_counts: list[tuple[int, ...]] = field(default_factory=list)
+    # record i's values at entry i of each RECORD_COLUMNS column: (R,) for the
+    # SHARED_COLUMNS, else (S, R) floats, (R,) for an int seed, with nan eval
+    # values where `evaluated` is False
+    columns: dict[str, np.ndarray]
+    # each worker's mixing-step count per sync window: (S, W, K), (W, K) for an int seed
+    window_mixing_counts: np.ndarray
     # flat over the S*K workers, replica-major
-    mixing_steps_per_worker: list[int] = field(default_factory=list)
-    gradient_steps_per_worker: list[int] = field(default_factory=list)
+    mixing_steps_per_worker: list[int]
+    gradient_steps_per_worker: list[int]
+
+    def rows(self, replica: int = 0) -> Iterator[dict]:
+        """The replica's records, one at a time, as dicts of their StepRecord
+        fields in Python numbers, with no eval keys where not evaluated."""
+        names, shape = RECORD_COLUMNS[:-1], self.columns["train_metric"].shape
+        per_name = [np.atleast_2d(np.broadcast_to(self.columns[n], shape))[replica].tolist()
+                    for n in names]
+        for values, evaluated in zip(zip(*per_name), self.columns["evaluated"].tolist()):
+            row = dict(zip(names, values))
+            if not evaluated:
+                del row["eval_loss"], row["eval_acc"]
+            yield row
+
+    @property
+    def records(self) -> list[StepRecord] | list[list[StepRecord]]:
+        """StepRecords built from the columns on access: a list per replica."""
+        metric = self.columns["train_metric"]
+        per_replica = [[StepRecord(**row) for row in self.rows(r)]
+                       for r in range(len(np.atleast_2d(metric)))]
+        return per_replica if metric.ndim == 2 else per_replica[0]
 
 
 @dataclass
 class DivergenceReport:
     step: int
     worker: int | None
-    last_record: StepRecord | None
+    # index of the replica's last record with a finite train_metric, or None
+    last_record: int | None
     replica: int = 0
 
 
@@ -285,15 +318,16 @@ class TrainResult:
 
 
 def consensus_probe(x: np.ndarray, global_x: np.ndarray,
-                    xbar: np.ndarray) -> tuple[list[float], list[float]]:
+                    xbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per replica of the (S, K, d) stack x, with (S, d) global_x and xbar:
-    (consensus distance vs the global copy, spread around the worker mean
-    xbar), each a sum of per-row squared norms in worker order over K."""
+    the (S,) consensus distances vs the global copy and spreads around the
+    worker mean xbar, each the mean of the rows' squared norms, summed left
+    to right over K (``np.add.accumulate``, as `mean_of` sums)."""
     s, k, d = x.shape
     out = []
     for ref in (global_x, xbar):
         norms = row_norms_sq((x - ref[:, None]).reshape(s * k, d)).reshape(s, k)
-        out.append([sum(rows) / k for rows in norms.tolist()])
+        out.append(np.add.accumulate(norms, axis=1)[:, -1] / k)
     return out[0], out[1]
 
 
@@ -386,17 +420,18 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
 
     `seed` is an int or a sequence of S seeds, run as one stacked batch in
     which each replica is bit-identical to a run of its seed alone. A
-    sequence gives (S, d) models, one list of records, of window counts and
-    of events per replica, (S, K) worker times and S comm totals, as the
-    replica-major SimClock keeps them; an int is S = 1, and this function is
-    the one place that drops the axis for it. Per-worker step counts are
-    flat over the S*K workers, replica-major. The batch stops at the first
-    step with a non-finite row and reports the first replica with one, at
-    the step, worker and last finite record of that replica's run alone.
+    sequence gives (S, d) models, (S, R) record columns, (S, W, K) window
+    counts, one list of events per replica, (S, K) worker times and S comm
+    totals, as the replica-major SimClock keeps them; an int is S = 1, and
+    this function is the one place that drops the axis for it. Per-worker
+    step counts are flat over the S*K workers, replica-major. The batch stops
+    at the first step with a non-finite row and reports the first replica
+    with one, at the step, worker and last finite record of that replica's
+    run alone.
 
-    A StepRecord is taken after every step that ends in an all-reduce: every
-    DDP step (warmup included) and every sync round, the final step among
-    them. It is also taken at each step t with t % record_every == 0 when
+    A record is taken after every step that ends in an all-reduce: every DDP
+    step (warmup included) and every sync round, the final step among them.
+    It is also taken at each step t with t % record_every == 0 when
     `record_every` is given, and at each eval step, (t + 1) % eval_every == 0,
     when the workload has an evaluation set. After an all-reduce,
     `train_metric` and the evaluation read the new global model, which every
@@ -409,7 +444,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         raise ValueError(f"variant {variant.tag!r} takes no mixing steps; schedule.p must be 0")
     batched = np.ndim(seed) > 0
     seeds = list(seed) if batched else [seed]
-    n_workers = cluster.workers
+    n_replicas, n_workers = len(seeds), cluster.workers
     total = schedule.total_steps
     h = schedule.sync_interval
     warmup = total if variant.tag == "ddp" else schedule.effective_warmup
@@ -419,8 +454,8 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     global_x = x0.copy()
     outer_state = OuterOptState.fresh(variant.outer, x0.shape)
     clock = SimClock(cluster, seeds)
-    records: list[list[StepRecord]] = [[] for _ in seeds]
-    windows: list[list[tuple[int, ...]]] = [[] for _ in seeds]
+    records: list[tuple] = []  # per record, its values in RECORD_COLUMNS order
+    windows: list[np.ndarray] = []
     # every worker takes one mixing or one gradient step per iteration, and a
     # window's mixing counts are the growth of mixing_steps since the last sync
     mixing_steps = np.zeros(workers.x.shape[0], dtype=np.int64)
@@ -432,6 +467,8 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     # other workloads' full objective takes one model at a time
     suboptimality = getattr(workload, "suboptimality", None)
     evaluates = workload.has_eval and eval_every is not None
+    on_global = (np.zeros(n_replicas),) * 2  # a DDP step's drift: all on the global model
+    unevaluated = np.full(n_replicas, np.nan)
 
     def record(t: int, drift, evaluate: bool) -> None:
         # after an all-reduce every worker holds the new global model, and
@@ -442,18 +479,14 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
             drift = consensus_probe(x, global_x, at)
         else:
             at = global_x
-        xi, spread = drift
-        sim_times = clock.times.max(axis=1).tolist()
         values = (suboptimality(at) if suboptimality is not None
-                  else map(workload.full_objective, at))
-        for r, (rows, value) in enumerate(zip(records, values)):
-            rec = StepRecord(t, sim_times[r], value, xi[r], spread[r],
-                             len(clock.events[r]), clock.comm_seconds[r])
-            if evaluate:
-                ev = workload.evaluate(at[r])
-                rec.eval_loss = ev.get("eval_loss")
-                rec.eval_acc = ev.get("eval_acc")
-            rows.append(rec)
+                  else [workload.full_objective(model) for model in at])
+        loss = acc = unevaluated
+        if evaluate:
+            evals = [workload.evaluate(model) for model in at]
+            loss, acc = [ev["eval_loss"] for ev in evals], [ev["eval_acc"] for ev in evals]
+        records.append((t, clock.times.max(axis=1), values, *drift, len(clock.events[0]),
+                     list(clock.comm_seconds), loss, acc, evaluate))
 
     divergence = None
     for t in range(total):
@@ -463,25 +496,19 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         drift = None  # set by an all-reduce
         if t < warmup:
             global_x = ddp_step(workers, schedule, t, workload, clock)
-            drift = ([0.0] * len(seeds),) * 2  # every worker is on the global model
+            drift = on_global
         else:
             mixing_steps += palsgd_local_step(workers, global_x, schedule, t, workload, clock)
             if (t + 1) % h == 0 or t == total - 1:
                 global_x, drift = sync_round(workers, global_x, outer_state, clock, t)
-                window = (mixing_steps - mixed_at_sync).reshape(len(seeds), -1).tolist()
-                for rows, counts in zip(windows, window):
-                    rows.append(tuple(counts))
+                windows.append(mixing_steps - mixed_at_sync)
                 mixed_at_sync = mixing_steps.copy()
 
         if not np.isfinite(workers.x).all():
             # the first bad row is the first bad worker of the first replica
-            # that has one; keep only finite records in the dump, and point
-            # the report at that replica's last one taken before the blow-up
+            # that has one; every record so far was taken before the blow-up
             finite = np.isfinite(workers.x).all(axis=1)
-            replica, worker = divmod(int(np.argmin(finite)), n_workers)
-            last_finite = next((r for r in reversed(records[replica])
-                                if math.isfinite(r.train_metric)), None)
-            divergence = DivergenceReport(t, worker, last_finite, replica)
+            divergence = divmod(int(np.argmin(finite)), n_workers)
             break
 
         # the final step always all-reduces: a partial last window syncs too
@@ -493,7 +520,18 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     def view(per_replica):
         return per_replica if batched else per_replica[0]
 
-    diag = Diagnostics(view(records), view(windows), mixing_steps.tolist(),
+    columns = {}
+    for i, name in enumerate(RECORD_COLUMNS):
+        values = [rec[i] for rec in records]
+        columns[name] = (np.array(values, SHARED_COLUMNS[name]) if name in SHARED_COLUMNS else
+                         np.array(values, float).reshape(-1, n_replicas).T)
+    if divergence is not None:
+        replica, worker = divergence
+        finite = np.flatnonzero(np.isfinite(columns["train_metric"][replica]))
+        divergence = DivergenceReport(t, worker, int(finite[-1]) if finite.size else None, replica)
+    columns = {n: c if n in SHARED_COLUMNS else view(c) for n, c in columns.items()}
+    counts = np.array(windows, dtype=np.int64).reshape(-1, n_replicas, n_workers).swapaxes(0, 1)
+    diag = Diagnostics(columns, view(counts), mixing_steps.tolist(),
                        (t + 1 - mixing_steps).tolist())
     return TrainResult(global_model=view(global_x), diagnostics=diag,
                        weighted_average=view(averager.value) if averager else None,

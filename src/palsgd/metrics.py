@@ -1,4 +1,4 @@
-"""Metrics emission: JSONL step records and the end-of-run summary.
+"""Metrics emission: JSONL step records and the end-of-run summary, from the record columns.
 
 Serialization is deterministic (sorted keys, repr-exact floats) so that two
 runs of the same config+seed produce byte-identical files.
@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 
-from .algorithms import StepRecord, TrainResult
+import numpy as np
+
+from .algorithms import Diagnostics, StepRecord, TrainResult
 
 RECORD_SCHEMA = 2
 
@@ -21,18 +23,20 @@ def dumps_record(rec: StepRecord) -> str:
     return json.dumps(record_to_obj(rec), sort_keys=True)
 
 
-def write_metrics_jsonl(records: list[StepRecord], path: str) -> None:
+def write_metrics_jsonl(diagnostics: Diagnostics, path: str) -> None:
+    """One line per record of a one-seed run, written from its columns."""
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(dumps_record(rec) + "\n")
+        for row in diagnostics.rows():
+            fh.write(json.dumps({"schema": RECORD_SCHEMA, **row}, sort_keys=True) + "\n")
 
 
 def summarize(result: TrainResult) -> dict:
-    recs = result.diagnostics.records
+    columns = result.diagnostics.columns
+    metric = columns["train_metric"].tolist()
     summary = {
         "schema": RECORD_SCHEMA,
-        "final_loss": recs[-1].train_metric if recs else None,
-        "best_loss": min((r.train_metric for r in recs), default=None),
+        "final_loss": metric[-1] if metric else None,
+        "best_loss": min(metric, default=None),
         "total_sim_time_s": float(max(result.worker_time)),
         "total_comm_seconds": result.comm_seconds,
         "sync_count": len(result.events),
@@ -41,10 +45,10 @@ def summarize(result: TrainResult) -> dict:
     if result.divergence is not None:
         summary["diverged_at_step"] = result.divergence.step
         summary["diverged_worker"] = result.divergence.worker
-    final_eval = next((r for r in reversed(recs) if r.eval_acc is not None), None)
-    if final_eval is not None:
-        summary["final_eval_loss"] = final_eval.eval_loss
-        summary["final_eval_acc"] = final_eval.eval_acc
+    evaluated = np.flatnonzero(columns["evaluated"])
+    if evaluated.size:
+        summary["final_eval_loss"] = float(columns["eval_loss"][evaluated[-1]])
+        summary["final_eval_acc"] = float(columns["eval_acc"][evaluated[-1]])
     return summary
 
 

@@ -2,9 +2,11 @@
 
 Parameter vectors are plain 1-D float64 numpy arrays; the trainer stacks the
 K workers' vectors of S replicas as the rows of an (S*K, d) array. Every
-reduction in the trainer flows through the handful of operations here so that
-it has a single, fixed summation order, and random draws are replayable
-bit-exactly.
+reduction in the trainer has a single, fixed summation order, the same on
+every Python and numpy build: a sum over the worker axis (`mean_of` here, and
+the drift in `algorithms.consensus_probe`) adds left to right through
+``np.add.accumulate``, and a row's squared norm is one dot kernel
+(`row_norms_sq`). Random draws are replayable bit-exactly.
 """
 
 from __future__ import annotations

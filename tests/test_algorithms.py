@@ -463,9 +463,10 @@ class TestSyncRound:
         for row in ws.x:
             assert np.array_equal(row, new_global[0])
         xi, spread = consensus_probe(ws.stacked, new_global, mean_of(ws.stacked))
-        assert xi == [0.0] and spread == [0.0]
+        assert xi.tobytes() == spread.tobytes() == np.zeros(1).tobytes()
         # the returned drift is the probe of the rows before the reset
-        assert drift == consensus_probe(before, old_global, mean_of(before))
+        want = consensus_probe(before, old_global, mean_of(before))
+        assert np.array(drift).tobytes() == np.array(want).tobytes()
         assert drift[0][0] > 0.0 and drift[1][0] > 0.0
 
     def test_no_drift_leaves_global_fixed(self):
@@ -508,11 +509,33 @@ class TestDdpStep:
         assert clock.events[0][0].duration_s == 0.0
 
 
+def ordered_sum(values) -> float:
+    """The float sum of `values`, added left to right by a loop: the same on
+    every Python, while the builtin `sum` is compensated from CPython 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def neumaier_sum(values, start=0.0) -> float:
+    """A compensated (Neumaier) float sum, as CPython 3.12's builtin `sum`."""
+    total, compensation = start, 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
 def probe_reference(x, global_x, xbar):
-    """Per replica, the Python sum in worker order of the rows' squared norms
-    against each reference, over K."""
+    """Per replica, the rows' squared norms against each reference, summed in
+    worker order by `ordered_sum`, over K."""
     k = x.shape[1]
-    return tuple([sum(float(np.dot(row - r, row - r)) for row in rows) / k
+    return tuple([ordered_sum(float(np.dot(row - r, row - r)) for row in rows) / k
                   for rows, r in zip(x, ref)] for ref in (global_x, xbar))
 
 
@@ -541,13 +564,30 @@ class TestConsensusProbe:
     def test_examples(self):
         xi, spread = consensus_probe(np.array([[[1.0], [-1.0]]]), np.array([[0.0]]),
                                      np.array([[0.0]]))
-        assert xi == [1.0]
-        assert spread == [1.0]
+        assert xi.tobytes() == np.array([1.0]).tobytes()
+        assert spread.tobytes() == np.array([1.0]).tobytes()
 
     def test_single_worker(self):
         xi, spread = consensus_probe(np.array([[[2.0, 0.0]]]), np.array([[0.0, 0.0]]),
                                      np.array([[2.0, 0.0]]))
-        assert xi == [4.0] and spread == [0.0]
+        assert xi.tobytes() == np.array([4.0]).tobytes()
+        assert spread.tobytes() == np.array([0.0]).tobytes()
+
+    def test_a_compensated_builtin_sum_does_not_move_the_drift(self, monkeypatch):
+        # CPython 3.12's compensated sum rounds 9 of these 16 rows' sums
+        # otherwise than the left-to-right one
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 32, 4))
+        global_x = rng.normal(size=(8, 4))
+        xbar = mean_of(x)
+        norms = [[float(np.dot(row - ref, row - ref)) for row in rows]
+                 for refs in (global_x, xbar) for rows, ref in zip(x, refs)]
+        assert sum(neumaier_sum(n) != ordered_sum(n) for n in norms) >= 4
+        before = consensus_probe(x, global_x, xbar)
+        monkeypatch.setattr(algorithms, "sum", neumaier_sum, raising=False)
+        after = consensus_probe(x, global_x, xbar)
+        assert np.array(after).tobytes() == np.array(before).tobytes()
+        assert np.array(after).tobytes() == np.array(probe_reference(x, global_x, xbar)).tobytes()
 
 
 def run(variant, schedule, workload=None, workers=2, seed=123, sigma=1.0, **cluster_kw):
@@ -669,8 +709,11 @@ class TestRunTraining:
         assert result.diverged
         assert result.divergence is not None
         assert 0 <= result.divergence.step < 400
-        assert result.divergence.last_record is None or \
-            np.isfinite(result.divergence.last_record.train_metric)
+        # the records run up to the blow-up; the report indexes the last finite one
+        records, last = result.diagnostics.records, result.divergence.last_record
+        assert records and records[-1].step < result.divergence.step
+        assert np.isfinite(records[last].train_metric)
+        assert not np.isfinite([r.train_metric for r in records[last + 1:]]).any()
 
     def test_weighted_average_tracked_in_theory_mode(self):
         workload = quadratic(diag=(1.0, 2.0), sigma=0.5, offset=1.0)
@@ -838,8 +881,8 @@ class TestPerWorkerReference:
                     mean += x
                 mean /= n
                 # a sync step records the closing window's drift, before the reset
-                drift = (sum(float(np.dot(x - anchors[0], x - anchors[0])) for x in xs) / n,
-                         sum(float(np.dot(x - mean, x - mean)) for x in xs) / n)
+                drift = (ordered_sum(float(np.dot(x - anchors[0], x - anchors[0])) for x in xs) / n,
+                         ordered_sum(float(np.dot(x - mean, x - mean)) for x in xs) / n)
                 delta = global_x - mean
                 buf = 0.9 * buf + delta
                 global_x = global_x - 0.7 * (delta + 0.9 * buf)
@@ -856,8 +899,8 @@ class TestPerWorkerReference:
                 for x in xs[1:]:
                     xbar += x
                 xbar /= n
-                drift = (sum(float(np.dot(x - anchors[0], x - anchors[0])) for x in xs) / n,
-                         sum(float(np.dot(x - xbar, x - xbar)) for x in xs) / n)
+                drift = (ordered_sum(float(np.dot(x - anchors[0], x - anchors[0])) for x in xs) / n,
+                         ordered_sum(float(np.dot(x - xbar, x - xbar)) for x in xs) / n)
             else:
                 xbar = global_x  # after the all-reduce, every worker's model
             records.append(StepRecord(
@@ -873,7 +916,7 @@ class TestPerWorkerReference:
         assert all(r.consensus_sq > 0.0 for r in records if (r.step + 1) % h == 0)
         assert result.diagnostics.records == records
         assert result.worker_time.tolist() == times
-        assert result.diagnostics.window_mixing_counts == windows
+        assert result.diagnostics.window_mixing_counts.tolist() == [list(w) for w in windows]
 
 
 def allreduce_steps(total, h, ddp_steps):
@@ -925,8 +968,8 @@ class TestRecordCadence:
         def probing_sync_round(workers, global_x, outer_state, clock, t):
             for r, (rows, g) in enumerate(zip(workers.stacked, global_x)):
                 xbar = mean_of(rows)
-                seen[r, t] = (sum(float(np.dot(x - g, x - g)) for x in rows) / len(rows),
-                              sum(float(np.dot(x - xbar, x - xbar)) for x in rows) / len(rows))
+                seen[r, t] = (ordered_sum(float(np.dot(x - g, x - g)) for x in rows) / len(rows),
+                              ordered_sum(float(np.dot(x - xbar, x - xbar)) for x in rows) / len(rows))
             return sync_round(workers, global_x, outer_state, clock, t)
 
         monkeypatch.setattr(algorithms, "sync_round", probing_sync_round)
@@ -1125,7 +1168,8 @@ def assert_replicas_equal_runs_alone(alone, batched):
         rows = slice(r * k, (r + 1) * k)
         assert diag.mixing_steps_per_worker[rows] == one.diagnostics.mixing_steps_per_worker
         assert diag.gradient_steps_per_worker[rows] == one.diagnostics.gradient_steps_per_worker
-        assert diag.window_mixing_counts[r] == one.diagnostics.window_mixing_counts
+        assert (diag.window_mixing_counts[r].tolist()
+                == one.diagnostics.window_mixing_counts.tolist())
     sync_steps = [e.step for e in batched.events[0]]
     assert all([e.step for e in one.events] == sync_steps for one in alone)
 
@@ -1232,6 +1276,8 @@ class TestReplicaAxis:
         assert batched.diverged and report.replica == first
         assert (report.step, report.worker) == (want.step, want.worker)
         assert report.last_record == want.last_record is not None
+        assert (batched.diagnostics.records[first][report.last_record]
+                == alone[first].diagnostics.records[want.last_record])
         for r, one in enumerate(alone):
             assert batched.diagnostics.records[r] == [rec for rec in one.diagnostics.records
                                                       if rec.step < report.step]

@@ -261,10 +261,52 @@ class TestMetricsRoundTrip:
             assert obj_to_record(json.loads(dumps_record(rec))) == rec
 
     def test_jsonl_file_round_trip(self, tmp_path):
-        records = [self.rec(step=i, train_metric=float(i)) for i in range(5)]
+        from palsgd.experiments import run_experiment
+        _, result = run_experiment(parse({"schedule": {"total_steps": 20, "sync_interval": 8},
+                                          "metrics_every": 3}))
         path = tmp_path / "metrics.jsonl"
-        write_metrics_jsonl(records, str(path))
-        assert read_metrics_jsonl(str(path)) == records
+        write_metrics_jsonl(result.diagnostics, str(path))
+        records = result.diagnostics.records
+        assert len(records) == 9 and read_metrics_jsonl(str(path)) == records
+
+    MLP = {"workload": {"kind": "mlp", "widths": [4, 6, 3], "samples_per_class": 10},
+           "schedule": {"total_steps": 30, "sync_interval": 8}, "workers": 3,
+           "eval_every": 7, "metrics_every": 5}
+
+    def test_columns_write_the_bytes_of_the_view(self, tmp_path):
+        from palsgd.experiments import run_experiment
+        _, result = run_experiment(parse(self.MLP), out_dir=str(tmp_path))
+        records = result.diagnostics.records
+        text = (tmp_path / "metrics.jsonl").read_text()
+        assert text == "".join(dumps_record(rec) + "\n" for rec in records)
+        # evaluated rows at (t + 1) % 7 == 0 and the last step, the others without eval keys
+        evals = [6, 13, 20, 27, 29]
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert [obj["step"] for obj in lines] == sorted({*evals, *range(0, 30, 5), 7, 15, 23})
+        assert [obj["step"] for obj in lines if "eval_loss" in obj] == evals
+        assert [obj["step"] for obj in lines if "eval_acc" in obj] == evals
+        assert result.diagnostics.columns["evaluated"].tolist() == [o["step"] in evals for o in lines]
+
+    def test_batched_replicas_view_the_runs_alone(self, tmp_path):
+        from palsgd.algorithms import run_training
+        cfg = parse(self.MLP)
+        workload = cfg.workload_object()
+        seeds = [1, 2, 3]
+
+        def run(seed):
+            return run_training(workload, cfg.build_variant(), cfg.build_schedule(workload),
+                                cfg.build_cluster(), seed, record_every=5, eval_every=7)
+
+        diag = run(seeds).diagnostics
+        for r, seed in enumerate(seeds):
+            path = tmp_path / f"{seed}.jsonl"
+            write_metrics_jsonl(run(seed).diagnostics, str(path))
+            view = "".join(dumps_record(rec) + "\n" for rec in diag.records[r])
+            assert view == path.read_text()
+        counts = diag.window_mixing_counts
+        assert counts.shape == (3, 4, 3) and counts.dtype == np.int64
+        assert counts.sum(axis=1).ravel().tolist() == diag.mixing_steps_per_worker
+        assert 0 < sum(diag.mixing_steps_per_worker) < 3 * 3 * 30
 
     def test_steps_strictly_increasing_in_run_output(self, tmp_path):
         cfg = parse({"workload": {"kind": "quadratic"},

@@ -336,7 +336,7 @@ class TestVerifyTheory:
     def test_diverged_replica_names_its_seed(self, monkeypatch):
         def second_replica_diverges(*args, **kwargs):
             result = run_training(*args, **kwargs)
-            result.divergence = DivergenceReport(step=3, worker=0, last_record=None, replica=1)
+            result.divergence = DivergenceReport(step=3, worker=0, last_record=0, replica=1)
             return result
 
         monkeypatch.setattr(experiments, "run_training", second_replica_diverges)
@@ -612,6 +612,15 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)["mlp"]
         assert report["max_relative_error"] < 1e-4
         assert 0.0 < report["float64_gap"] <= experiments.FLOAT32_GAP
+
+    def test_gradcheck_passes_on_a_float64_relu_mlp(self, tmp_path, capsys):
+        # a fixed 1e-6 floor exited 4 here: an entry of 1.9e-9 differed from its
+        # central difference by 2.7e-10, the rounding error of eps * |f(x)| / step
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"workload": {"kind": "mlp", "activation": "relu"}}))
+        assert main(["gradcheck", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)["mlp"]
+        assert report["pass"] and report["max_relative_error"] < experiments.GRADCHECK_RTOL
 
     @pytest.mark.parametrize("command, flag", [
         ("gradcheck", "--seed"), ("gradcheck", "--out-dir"), ("gradcheck", "--metrics-every"),
