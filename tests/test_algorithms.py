@@ -968,8 +968,9 @@ class TestRecordCadence:
         def probing_sync_round(workers, global_x, outer_state, clock, t):
             for r, (rows, g) in enumerate(zip(workers.stacked, global_x)):
                 xbar = mean_of(rows)
-                seen[r, t] = (ordered_sum(float(np.dot(x - g, x - g)) for x in rows) / len(rows),
-                              ordered_sum(float(np.dot(x - xbar, x - xbar)) for x in rows) / len(rows))
+                k = len(rows)
+                seen[r, t] = (ordered_sum(float(np.dot(x - g, x - g)) for x in rows) / k,
+                              ordered_sum(float(np.dot(x - xbar, x - xbar)) for x in rows) / k)
             return sync_round(workers, global_x, outer_state, clock, t)
 
         monkeypatch.setattr(algorithms, "sync_round", probing_sync_round)

@@ -285,7 +285,8 @@ class TestMetricsRoundTrip:
         assert [obj["step"] for obj in lines] == sorted({*evals, *range(0, 30, 5), 7, 15, 23})
         assert [obj["step"] for obj in lines if "eval_loss" in obj] == evals
         assert [obj["step"] for obj in lines if "eval_acc" in obj] == evals
-        assert result.diagnostics.columns["evaluated"].tolist() == [o["step"] in evals for o in lines]
+        evaluated = result.diagnostics.columns["evaluated"].tolist()
+        assert evaluated == [obj["step"] in evals for obj in lines]
 
     def test_batched_replicas_view_the_runs_alone(self, tmp_path):
         from palsgd.algorithms import run_training
