@@ -51,15 +51,23 @@ replica; a record on the quadratic makes one objective call. Everything
 inside the loop keeps the replica axis; only `run_training`'s result drops
 it, for an int seed.
 
-Records are columns, not objects: a record appends one tuple of its step,
-counts and (S,) values, stacked at the end into the (S, R) columns of
-`Diagnostics`, whose `records` builds StepRecords from them on access.
+Records are columns, not objects, and their values are computed a block of
+records at a time. A record takes its step, times and comm totals on the
+spot, and holds the (S, d) models it evaluates and, when it probes, the
+(S, K, d) rows with their two references; no line writes the workers' rows
+in place, so it holds them without a copy. A block of pending records is
+evaluated with one probe over their stacked rows and one objective call on
+the quadratic when what they hold reaches RECORD_BLOCK_BYTES, and after the
+last step. Each block gives (n, S) columns, concatenated at the end into the
+(S, R) columns of `Diagnostics`, whose `records` builds StepRecords from
+them on access.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -257,6 +265,9 @@ class StepRecord:
 # fields, then `evaluated`; the (R,) ones shared by the replicas, by dtype
 RECORD_COLUMNS = (*(f.name for f in fields(StepRecord)), "evaluated")
 SHARED_COLUMNS = {"step": np.int64, "comm_count": np.int64, "evaluated": bool}
+# the bytes of models, rows and references that pending records may hold
+# before run_training computes their values as one block
+RECORD_BLOCK_BYTES = 32 * 1024
 
 
 @dataclass
@@ -322,7 +333,11 @@ def consensus_probe(x: np.ndarray, global_x: np.ndarray,
     """Per replica of the (S, K, d) stack x, with (S, d) global_x and xbar:
     the (S,) consensus distances vs the global copy and spreads around the
     worker mean xbar, each the mean of the rows' squared norms, summed left
-    to right over K (``np.add.accumulate``, as `mean_of` sums)."""
+    to right over K (``np.add.accumulate``, as `mean_of` sums).
+
+    Every replica's values depend on its own rows alone, so the trainer
+    probes a block of records at once, their rows stacked along the replica
+    axis, when it computes the block's values."""
     s, k, d = x.shape
     out = []
     for ref in (global_x, xbar):
@@ -360,22 +375,21 @@ def sync_round(workers: Workers, global_x: np.ndarray, outer_state: OuterOptStat
     (S, d) global models and reset the replica's workers to its new one; the
     inner state starts afresh if its config says `reset_at_sync`.
 
-    `outer_state` advances in place. Returns the new global models and the
-    drift of the window that closes here: `consensus_probe` of the rows
-    before the reset, against the old global models and the all-reduced mean.
+    `outer_state` advances in place; the reset puts the workers' rows in a
+    new array and leaves the old one as it was. Returns the new global
+    models and the inputs of the closing window's drift: the (S, K, d) rows
+    before the reset, the old global models and the all-reduced mean. The
+    trainer passes them to `consensus_probe` when it computes the window's
+    record.
     """
     x = workers.stacked
     m = mean_of(x)
-    # rows that blew up this step give inf - inf here; the trainer reports
-    # the divergence right after the step and records nothing from it
-    with np.errstate(invalid="ignore"):
-        drift = consensus_probe(x, global_x, m)
     new_global = outer_step(outer_state, global_x, m)
-    x[:] = new_global[:, None, :]
+    workers.x = np.repeat(new_global, x.shape[1], axis=0)
     if workers.inner.config.reset_at_sync:
         workers.inner = InnerOptState.fresh(workers.inner.config, *workers.x.shape)
     clock.allreduce(t, new_global.shape[1])
-    return new_global, drift
+    return new_global, (x, global_x, m)
 
 
 def ddp_step(workers: Workers, schedule: Schedule, t: int,
@@ -436,9 +450,17 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     when the workload has an evaluation set. After an all-reduce,
     `train_metric` and the evaluation read the new global model, which every
     worker then holds; at a sync round `consensus_sq` and `spread_sq` are the
-    drift of the window that closed, probed before the reset, and at a DDP
-    step they are 0.0. At any other step the record reads the worker mean and
-    probes the rows as they are.
+    drift of the window that closed, probed on the rows before the reset, and
+    at a DDP step they are 0.0. At any other step the record reads the worker
+    mean and probes the rows as they are.
+
+    A record's step, worker times and comm totals are taken at its step; its
+    train metric, drift and evaluation are computed later, for a block of
+    records at once: when the arrays the pending records hold reach
+    RECORD_BLOCK_BYTES, after the last step, and after a divergence, before
+    the report reads the train metrics. Each value is computed by the same
+    per-row kernels as for a record alone, so the block boundaries move no
+    bit.
     """
     if not variant.uses_mixing and schedule.p != 0.0:
         raise ValueError(f"variant {variant.tag!r} takes no mixing steps; schedule.p must be 0")
@@ -454,7 +476,14 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     global_x = x0.copy()
     outer_state = OuterOptState.fresh(variant.outer, x0.shape)
     clock = SimClock(cluster, seeds)
-    records: list[tuple] = []  # per record, its values in RECORD_COLUMNS order
+    # per pending record: step, worker times, comm count, comm seconds, the
+    # (S, d) models, whether to evaluate, and the probe's inputs or None
+    pending: list[tuple] = []
+    held = 0  # bytes of the arrays that only the pending records hold
+    # per evaluated block, its (n,) and (n, S) columns in RECORD_COLUMNS order,
+    # after an empty one: a run that diverges at its first step has no records
+    blocks = [tuple(np.empty((0,) if name in SHARED_COLUMNS else (0, n_replicas),
+                             SHARED_COLUMNS.get(name, float)) for name in RECORD_COLUMNS)]
     windows: list[np.ndarray] = []
     # every worker takes one mixing or one gradient step per iteration, and a
     # window's mixing counts are the growth of mixing_steps since the last sync
@@ -463,44 +492,58 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     averager = (_WeightedAverage(x0.shape, schedule.iterate_weight_growth)
                 if schedule.iterate_weight_growth is not None else None)
 
-    # the quadratic's suboptimality takes the (S, d) stack in one call; the
+    # the quadratic's suboptimality takes the (n, S, d) stack in one call; the
     # other workloads' full objective takes one model at a time
     suboptimality = getattr(workload, "suboptimality", None)
     evaluates = workload.has_eval and eval_every is not None
-    on_global = (np.zeros(n_replicas),) * 2  # a DDP step's drift: all on the global model
-    unevaluated = np.full(n_replicas, np.nan)
 
-    def record(t: int, drift, evaluate: bool) -> None:
-        # after an all-reduce every worker holds the new global model, and
-        # `drift` is the step's; otherwise read the worker mean and probe
-        if drift is None:
-            x = workers.stacked
-            at = mean_of(x)
-            drift = consensus_probe(x, global_x, at)
-        else:
-            at = global_x
-        values = (suboptimality(at) if suboptimality is not None
-                  else [workload.full_objective(model) for model in at])
-        loss = acc = unevaluated
-        if evaluate:
-            evals = [workload.evaluate(model) for model in at]
-            loss, acc = [ev["eval_loss"] for ev in evals], [ev["eval_acc"] for ev in evals]
-        records.append((t, clock.times.max(axis=1), values, *drift, len(clock.events[0]),
-                     list(clock.comm_seconds), loss, acc, evaluate))
+    def record(t: int, models: np.ndarray, evaluate: bool, probe) -> None:
+        nonlocal held
+        pending.append((t, clock.times.max(axis=1), len(clock.events[0]),
+                        list(clock.comm_seconds), models, evaluate, probe))
+        # the references of a probe are as small as the models, and most are
+        # another record's models
+        held += models.nbytes + (probe[0].nbytes if probe else 0)
+        if held >= RECORD_BLOCK_BYTES:
+            evaluate_pending()
+
+    def evaluate_pending() -> None:
+        nonlocal held
+        steps, times, counts, seconds, models, evaluated, probes = zip(*pending)
+        pending.clear()
+        held = 0
+        values = (suboptimality(np.array(models)) if suboptimality is not None
+                  else [[workload.full_objective(model) for model in at] for at in models])
+        shape = (len(steps), n_replicas)
+        consensus, spread = np.zeros((2, *shape))  # a DDP record's: all on the global model
+        probed = [i for i, probe in enumerate(probes) if probe is not None]
+        if probed:
+            x, g, xbar = map(np.concatenate, zip(*(probes[i] for i in probed)))
+            del probes  # the stacked rows replace the held ones before the probe
+            drift = consensus_probe(x, g, xbar)
+            consensus[probed], spread[probed] = (a.reshape(-1, n_replicas) for a in drift)
+        loss, acc = np.full((2, *shape), np.nan)
+        for i in compress(range(len(steps)), evaluated):
+            evals = [workload.evaluate(model) for model in models[i]]
+            loss[i], acc[i] = [ev["eval_loss"] for ev in evals], [ev["eval_acc"] for ev in evals]
+        blocks.append((np.array(steps, np.int64), np.array(times), np.array(values, float),
+                       consensus, spread, np.array(counts, np.int64), np.array(seconds),
+                       loss, acc, np.array(evaluated, bool)))
 
     divergence = None
     for t in range(total):
         if averager is not None:
             averager.add(global_x)
 
-        drift = None  # set by an all-reduce
+        # the final step always all-reduces: a partial last window syncs too
+        synced = t < warmup or (t + 1) % h == 0 or t == total - 1
+        probe = None  # at a sync round, the rows before the reset and their references
         if t < warmup:
             global_x = ddp_step(workers, schedule, t, workload, clock)
-            drift = on_global
         else:
             mixing_steps += palsgd_local_step(workers, global_x, schedule, t, workload, clock)
-            if (t + 1) % h == 0 or t == total - 1:
-                global_x, drift = sync_round(workers, global_x, outer_state, clock, t)
+            if synced:
+                global_x, probe = sync_round(workers, global_x, outer_state, clock, t)
                 windows.append(mixing_steps - mixed_at_sync)
                 mixed_at_sync = mixing_steps.copy()
 
@@ -511,20 +554,23 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
             divergence = divmod(int(np.argmin(finite)), n_workers)
             break
 
-        # the final step always all-reduces: a partial last window syncs too
         evaluate = evaluates and ((t + 1) % eval_every == 0 or t == total - 1)
-        if (drift is not None or evaluate
-                or (record_every is not None and t % record_every == 0)):
-            record(t, drift, evaluate)
+        if synced or evaluate or (record_every is not None and t % record_every == 0):
+            models = global_x
+            if not synced:
+                x = workers.stacked
+                models = mean_of(x)
+                probe = (x, global_x, models)
+            record(t, models, evaluate, probe)
+
+    if pending:
+        evaluate_pending()
 
     def view(per_replica):
         return per_replica if batched else per_replica[0]
 
-    columns = {}
-    for i, name in enumerate(RECORD_COLUMNS):
-        values = [rec[i] for rec in records]
-        columns[name] = (np.array(values, SHARED_COLUMNS[name]) if name in SHARED_COLUMNS else
-                         np.array(values, float).reshape(-1, n_replicas).T)
+    columns = {name: np.concatenate(parts) if name in SHARED_COLUMNS else np.concatenate(parts).T
+               for name, parts in zip(RECORD_COLUMNS, zip(*blocks))}
     if divergence is not None:
         replica, worker = divergence
         finite = np.flatnonzero(np.isfinite(columns["train_metric"][replica]))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple, replace
 
@@ -459,13 +460,16 @@ class TestSyncRound:
         clock = SimClock(small_cluster(4))
         old_global = rng.normal(size=(1, 3))
         before = ws.stacked.copy()
-        new_global, drift = sync_round(ws, old_global, outer, clock, t=0)
+        new_global, inputs = sync_round(ws, old_global, outer, clock, t=0)
         for row in ws.x:
             assert np.array_equal(row, new_global[0])
         xi, spread = consensus_probe(ws.stacked, new_global, mean_of(ws.stacked))
         assert xi.tobytes() == spread.tobytes() == np.zeros(1).tobytes()
-        # the returned drift is the probe of the rows before the reset
+        # the returned inputs probe as the rows before the reset, which the
+        # reset left as they were
+        drift = consensus_probe(*inputs)
         want = consensus_probe(before, old_global, mean_of(before))
+        assert inputs[0].tobytes() == before.tobytes()
         assert np.array(drift).tobytes() == np.array(want).tobytes()
         assert drift[0][0] > 0.0 and drift[1][0] > 0.0
 
@@ -1282,6 +1286,101 @@ class TestReplicaAxis:
         for r, one in enumerate(alone):
             assert batched.diagnostics.records[r] == [rec for rec in one.diagnostics.records
                                                       if rec.step < report.step]
+
+
+def palsgd_straggler_run():
+    # record_every = 7 takes records off the H = 4 grid, with their own probe
+    sched = Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=4, warmup_steps=6,
+                     total_steps=90)
+    cluster = small_cluster(3, jitter=0.2, worker_multipliers=(1.0, 2.5, 1.0))
+    return run_training(quadratic(diag=(1.0, 2.0, 4.0)), make_variant("palsgd"), sched,
+                        cluster, 5, record_every=7)
+
+
+def ddp_run():
+    train, _ = classification(2, 5, 40)
+    workload = LogisticWorkload(train, l2_reg=0.01, batch_size=4)
+    return run_training(workload, make_variant("ddp"), Schedule(alpha=0.1, total_steps=30),
+                        small_cluster(4), 3)
+
+
+def mlp_eval_run():
+    train, test = classification(3, 4, 20)
+    workload = MlpWorkload([4, 6, 3], "tanh", train, test=test, batch_size=3)
+    sched = Schedule(alpha=0.01, eta=0.5, p=0.3, sync_interval=4, total_steps=30)
+    return run_training(workload, make_variant("palsgd"), sched, small_cluster(3), 4,
+                        eval_every=5)
+
+
+def batched_run():
+    sched = Schedule(alpha=0.05, eta=0.5, p=0.3, sync_interval=4, total_steps=60)
+    return run_training(quadratic(diag=(1.0, 2.0, 4.0)), make_variant("palsgd"), sched,
+                        small_cluster(3, jitter=0.1), [5, 11, 2], record_every=3)
+
+
+def diverging_run():
+    # alone, these seeds diverge at steps 51, 46 and 50
+    variant = make_variant("palsgd", inner=InnerOptConfig(variant="sgd"),
+                           outer=OuterOptConfig(variant="nesterov", lr=0.7))
+    sched = Schedule(alpha=1e9, eta=1e-9, p=0.5, sync_interval=4, total_steps=200)
+    return run_training(quadratic(diag=(1.0, 2.0, 4.0), sigma=1.0), variant, sched,
+                        small_cluster(3), [1, 4, 6], record_every=3)
+
+
+class TestRecordBlocks:
+    """Records are computed a block at a time: where the blocks end moves no
+    bit of any column, and the arrays the pending records hold stay bounded."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("run", [palsgd_straggler_run, ddp_run, mlp_eval_run, batched_run,
+                                     diverging_run])
+    def test_block_boundaries_move_no_bit(self, run, monkeypatch):
+        probes = []
+
+        def counted_probe(x, global_x, xbar):
+            probes.append(len(x))
+            return consensus_probe(x, global_x, xbar)
+
+        monkeypatch.setattr(algorithms, "consensus_probe", counted_probe)
+        results, probe_calls = [], []
+        for block_bytes in (0, 2 ** 40):  # every record its own block; one block
+            monkeypatch.setattr(algorithms, "RECORD_BLOCK_BYTES", block_bytes)
+            probes.clear()
+            results.append(run())
+            probe_calls.append(list(probes))
+        each, one = results
+        assert each.diagnostics.columns.keys() == one.diagnostics.columns.keys()
+        for name, column in each.diagnostics.columns.items():
+            other = one.diagnostics.columns[name]
+            assert (column.dtype, column.shape) == (other.dtype, other.shape), name
+            assert column.tobytes() == other.tobytes(), name
+        assert repr(each.divergence) == repr(one.divergence)
+        if each.diverged:
+            assert each.divergence.last_record is not None
+        # every probed record is probed alone, or all of them at once
+        per_record, whole = probe_calls
+        assert len(whole) == (1 if per_record else 0) and sum(per_record) == sum(whole)
+        assert len(per_record) > 1 or run is ddp_run
+
+    def test_held_records_stay_bounded(self):
+        # held to the end, the 2 000 records' (32, 64) rows would take 32 MB
+        k, d, total = 32, 64, 2000
+        workload = quadratic(diag=np.linspace(1.0, 4.0, d))
+        sched = Schedule(alpha=0.05, eta=0.5, p=0.1, sync_interval=16, total_steps=total)
+        tracemalloc.start()
+        try:
+            result = run_training(workload, make_variant("palsgd"), sched, small_cluster(k), 5,
+                                  record_every=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.diagnostics.columns["step"]) == total
+        # the run's own state (its (K, C, d) noise chunk and (K, C) coins, the
+        # workers and their temporaries) and its finished column blocks stay
+        # under 3 MiB; the rows of a few blocks, held, stacked and differenced
+        # when a block is evaluated, come on top
+        assert peak < 3 * 2 ** 20 + 4 * algorithms.RECORD_BLOCK_BYTES
 
 
 class TestLogisticSoftplus:
