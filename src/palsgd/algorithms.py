@@ -265,8 +265,8 @@ class StepRecord:
 # fields, then `evaluated`; the (R,) ones shared by the replicas, by dtype
 RECORD_COLUMNS = (*(f.name for f in fields(StepRecord)), "evaluated")
 SHARED_COLUMNS = {"step": np.int64, "comm_count": np.int64, "evaluated": bool}
-# the bytes of models, rows and references that pending records may hold
-# before run_training computes their values as one block
+# the bytes of models and probed rows that pending records may hold before
+# run_training computes their values as one block
 RECORD_BLOCK_BYTES = 32 * 1024
 
 

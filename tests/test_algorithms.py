@@ -1331,8 +1331,9 @@ class TestRecordBlocks:
     """Records are computed a block at a time: where the blocks end moves no
     bit of any column, and the arrays the pending records hold stay bounded."""
 
+    # the diverging run overflows in its steps; a block holds no row of the
+    # step that blew up, so nothing it probes or evaluates is invalid
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("run", [palsgd_straggler_run, ddp_run, mlp_eval_run, batched_run,
                                      diverging_run])
     def test_block_boundaries_move_no_bit(self, run, monkeypatch):
