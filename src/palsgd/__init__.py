@@ -5,10 +5,10 @@ Local SGD, DiLoCo) on deterministic simulated worker clusters, with exact
 communication accounting and convergence-theory verification utilities.
 """
 
-from .algorithms import (AlgoVariant, Diagnostics, Schedule, StepRecord,
-                         TrainResult, Workers, consensus_probe, ddp_step,
-                         make_variant, palsgd_local_step, run_training,
-                         sync_round, theory_schedule)
+from .algorithms import (AlgoVariant, Diagnostics, Schedule, TrainResult,
+                         Workers, consensus_probe, ddp_step, make_variant,
+                         palsgd_local_step, run_training, sync_round,
+                         theory_schedule)
 from .cluster import AllReduceModel, ClusterSpec, CommEvent, SimClock, allreduce_time
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .experiments import gradcheck, run_experiment, sweep, verify_theory
@@ -24,7 +24,7 @@ __all__ = [
     "Dataset", "Diagnostics", "InnerOptConfig", "InnerOptState",
     "LogisticWorkload", "MlpWorkload", "OuterOptConfig", "OuterOptState",
     "ParamVector", "QuadraticWorkload", "RngStream", "RunConfig", "Schedule",
-    "Shards", "SimClock", "StepRecord", "TrainResult", "Workers",
+    "Shards", "SimClock", "TrainResult", "Workers",
     "allreduce_time", "consensus_probe", "ddp_step",
     "generate_synthetic_classification", "gradcheck",
     "inner_step", "load_config", "make_variant", "mean_of",

@@ -59,16 +59,15 @@ in place, so it holds them without a copy. A block of pending records is
 evaluated with one probe over their stacked rows and one objective call on
 the quadratic when what they hold reaches RECORD_BLOCK_BYTES, and after the
 last step. Each block gives (n, S) columns, concatenated at the end into the
-(S, R) columns of `Diagnostics`, whose `records` builds StepRecords from
-them on access.
+(S, R) columns of `Diagnostics`, the one form a run's records take.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -248,22 +247,10 @@ class Workers:
         return self.x.reshape(len(self.coins.streams), -1, self.x.shape[1])
 
 
-@dataclass
-class StepRecord:
-    step: int
-    sim_time_s: float
-    train_metric: float
-    consensus_sq: float
-    spread_sq: float
-    comm_count: int
-    comm_seconds: float
-    eval_loss: float | None = None
-    eval_acc: float | None = None
-
-
-# a record's values in the order run_training appends them: the StepRecord
-# fields, then `evaluated`; the (R,) ones shared by the replicas, by dtype
-RECORD_COLUMNS = (*(f.name for f in fields(StepRecord)), "evaluated")
+# a record's values in the order run_training appends them, `evaluated` last;
+# the (R,) ones shared by the replicas, by dtype
+RECORD_COLUMNS = ("step", "sim_time_s", "train_metric", "consensus_sq", "spread_sq",
+                  "comm_count", "comm_seconds", "eval_loss", "eval_acc", "evaluated")
 SHARED_COLUMNS = {"step": np.int64, "comm_count": np.int64, "evaluated": bool}
 # the bytes of models and probed rows that pending records may hold before
 # run_training computes their values as one block
@@ -272,35 +259,15 @@ RECORD_BLOCK_BYTES = 32 * 1024
 
 @dataclass
 class Diagnostics:
-    # record i's values at entry i of each RECORD_COLUMNS column: (R,) for the
-    # SHARED_COLUMNS, else (S, R) floats, (R,) for an int seed, with nan eval
-    # values where `evaluated` is False
+    # the run's records, record i at entry i of each RECORD_COLUMNS column:
+    # (R,) for the SHARED_COLUMNS, else (S, R) floats, (R,) for an int seed,
+    # with nan eval values where `evaluated` is False
     columns: dict[str, np.ndarray]
     # each worker's mixing-step count per sync window: (S, W, K), (W, K) for an int seed
     window_mixing_counts: np.ndarray
     # flat over the S*K workers, replica-major
     mixing_steps_per_worker: list[int]
     gradient_steps_per_worker: list[int]
-
-    def rows(self, replica: int = 0) -> Iterator[dict]:
-        """The replica's records, one at a time, as dicts of their StepRecord
-        fields in Python numbers, with no eval keys where not evaluated."""
-        names, shape = RECORD_COLUMNS[:-1], self.columns["train_metric"].shape
-        per_name = [np.atleast_2d(np.broadcast_to(self.columns[n], shape))[replica].tolist()
-                    for n in names]
-        for values, evaluated in zip(zip(*per_name), self.columns["evaluated"].tolist()):
-            row = dict(zip(names, values))
-            if not evaluated:
-                del row["eval_loss"], row["eval_acc"]
-            yield row
-
-    @property
-    def records(self) -> list[StepRecord] | list[list[StepRecord]]:
-        """StepRecords built from the columns on access: a list per replica."""
-        metric = self.columns["train_metric"]
-        per_replica = [[StepRecord(**row) for row in self.rows(r)]
-                       for r in range(len(np.atleast_2d(metric)))]
-        return per_replica if metric.ndim == 2 else per_replica[0]
 
 
 @dataclass

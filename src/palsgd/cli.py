@@ -97,7 +97,7 @@ def main(argv=None) -> int:
                     grid = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError("grid", str(exc)) from None
-            rows = sweep(cfg, grid, out_dir=cfg.out_dir)
+            rows = sweep(cfg, grid)
             for row in rows:
                 print(f"{row['param']}={row['value']}: status={row['status']} "
                       f"final_loss={row['final_loss']} "

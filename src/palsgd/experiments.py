@@ -56,14 +56,15 @@ def _set_path(tree: dict, dotted: str, value) -> dict:
 def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> list[dict]:
     """One run per (parameter, value), each varied alone against the base config.
 
-    Returns the comparison rows and, when out_dir is given, writes
-    ``sweep.csv`` plus one run directory per cell, ``<out_dir>/<i>``, where i
-    is the cell's 0-based row in ``sweep.csv``. Each row's ``status`` is
-    "ok", "diverged" or "error". A cell whose config is rejected or whose run
-    raises is recorded as "error" with its result columns (``diverged``
-    included) left empty and the message in the cell's ``error.txt``, and the
-    sweep continues. A grid that is not an object mapping each path to a
-    non-empty list of distinct values raises ConfigError("grid", ...).
+    Returns the comparison rows and, when out_dir (by default the base's
+    ``out_dir``) is set, writes ``sweep.csv`` plus one run directory per
+    cell, ``<out_dir>/<i>``, where i is the cell's 0-based row in
+    ``sweep.csv``. Each row's ``status`` is "ok", "diverged" or "error". A
+    cell whose config is rejected or whose run raises is recorded as "error"
+    with its result columns (``diverged`` included) left empty and the
+    message in the cell's ``error.txt``, and the sweep continues. A grid
+    that is not an object mapping each path to a non-empty list of distinct
+    values raises ConfigError("grid", ...).
 
     A cell is the base's normalized config with one key set, and only that
     key given to the parser: it drops the base's keys its run does not read,
@@ -74,6 +75,7 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
     if not isinstance(grid, dict):
         raise ConfigError("grid", f"must map parameter paths to value lists, got {grid!r}")
     base = cfg.normalized()
+    out_dir = out_dir or cfg.out_dir
     for param, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError("grid", f"{param} must map to a non-empty list, got {values!r}")

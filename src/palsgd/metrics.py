@@ -10,24 +10,26 @@ import json
 
 import numpy as np
 
-from .algorithms import Diagnostics, StepRecord, TrainResult
+from .algorithms import RECORD_COLUMNS, Diagnostics, TrainResult
 
 RECORD_SCHEMA = 2
 
 
-def record_to_obj(rec: StepRecord) -> dict:
-    return {"schema": RECORD_SCHEMA, **{k: v for k, v in vars(rec).items() if v is not None}}
-
-
-def dumps_record(rec: StepRecord) -> str:
-    return json.dumps(record_to_obj(rec), sort_keys=True)
-
-
 def write_metrics_jsonl(diagnostics: Diagnostics, path: str) -> None:
-    """One line per record of a one-seed run, written from its columns."""
+    """One line per record of a one-seed run, written from its columns: the
+    record's values, without the eval ones where it was not evaluated."""
+    columns = diagnostics.columns
+    if columns["train_metric"].ndim != 1:
+        raise ValueError(f"metrics.jsonl holds one seed's records; got a batch of "
+                         f"{len(columns['train_metric'])} replicas")
+    names = RECORD_COLUMNS[:-1]
+    values = zip(*(columns[name].tolist() for name in names))
     with open(path, "w") as fh:
-        for row in diagnostics.rows():
-            fh.write(json.dumps({"schema": RECORD_SCHEMA, **row}, sort_keys=True) + "\n")
+        for row, evaluated in zip(values, columns["evaluated"].tolist()):
+            obj = {"schema": RECORD_SCHEMA, **dict(zip(names, row))}
+            if not evaluated:
+                del obj["eval_loss"], obj["eval_acc"]
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def summarize(result: TrainResult) -> dict:

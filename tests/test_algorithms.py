@@ -2,7 +2,6 @@ import json
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palsgd import algorithms, workloads
-from palsgd.algorithms import (VARIANTS, AlgoVariant, Schedule, StepRecord, Workers,
+from palsgd.algorithms import (VARIANTS, AlgoVariant, Schedule, Workers,
                                _WeightedAverage, consensus_probe, ddp_step,
                                make_variant, palsgd_local_step, run_training,
                                sync_round, theory_schedule)
@@ -20,9 +19,9 @@ from palsgd.fields import ConfigError
 from palsgd.optimizers import InnerOptConfig, OuterOptConfig, OuterOptState
 from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_INIT, PURPOSE_JITTER,
                             RngStream, StreamChunks, mean_of, row_norms_sq)
-from palsgd.metrics import dumps_record
 from palsgd.workloads import (LogisticWorkload, MlpWorkload, QuadraticWorkload,
                               generate_synthetic_classification)
+from record_columns import assert_columns_equal, reference_metrics_text, replica_columns
 
 
 def quadratic(diag=(1.0, 2.0), sigma=1.0, offset=1.0):
@@ -608,8 +607,7 @@ class TestReductionIdentities:
         a = run(make_variant("palsgd", inner=sgd, outer=plain), sched)
         b = run(make_variant("local_sgd", inner=sgd), sched)
         assert np.array_equal(a.global_model, b.global_model)
-        assert [r.train_metric for r in a.diagnostics.records] == \
-               [r.train_metric for r in b.diagnostics.records]
+        assert_columns_equal(a.diagnostics.columns, b.diagnostics.columns)
 
     @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 40), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -645,8 +643,8 @@ class TestReductionIdentities:
         a = run(make_variant("local_sgd"), sched, workers=4)
         b = run(make_variant("ddp"), sched, workers=4)
         assert np.max(np.abs(a.global_model - b.global_model)) < 1e-12
-        for ra, rb in zip(a.diagnostics.records, b.diagnostics.records):
-            assert abs(ra.train_metric - rb.train_metric) <= 1e-12 * max(1.0, ra.train_metric)
+        metric_a, metric_b = (r.diagnostics.columns["train_metric"] for r in (a, b))
+        assert (np.abs(metric_a - metric_b) <= 1e-12 * np.maximum(1.0, metric_a)).all()
 
     def test_mixing_variant_guard(self):
         sched = Schedule(alpha=0.05, p=0.1, eta=0.5, sync_interval=4, total_steps=20)
@@ -703,8 +701,7 @@ class TestRunTraining:
         a = run(v, sched, workers=3, seed=7)
         b = run(v, sched, workers=3, seed=7)
         assert np.array_equal(a.global_model, b.global_model)
-        assert [(r.step, r.train_metric, r.sim_time_s) for r in a.diagnostics.records] == \
-               [(r.step, r.train_metric, r.sim_time_s) for r in b.diagnostics.records]
+        assert_columns_equal(a.diagnostics.columns, b.diagnostics.columns)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_produces_structured_report(self):
@@ -714,10 +711,10 @@ class TestRunTraining:
         assert result.divergence is not None
         assert 0 <= result.divergence.step < 400
         # the records run up to the blow-up; the report indexes the last finite one
-        records, last = result.diagnostics.records, result.divergence.last_record
-        assert records and records[-1].step < result.divergence.step
-        assert np.isfinite(records[last].train_metric)
-        assert not np.isfinite([r.train_metric for r in records[last + 1:]]).any()
+        columns, last = result.diagnostics.columns, result.divergence.last_record
+        assert columns["step"].size and columns["step"][-1] < result.divergence.step
+        assert np.isfinite(columns["train_metric"][last])
+        assert not np.isfinite(columns["train_metric"][last + 1:]).any()
 
     def test_weighted_average_tracked_in_theory_mode(self):
         workload = quadratic(diag=(1.0, 2.0), sigma=0.5, offset=1.0)
@@ -778,8 +775,8 @@ class TestNoiselessRecursionOracle:
                 global_z = z.copy()
             subopts.append(0.5 * float(np.sum(diag * z * z)))
 
-        for rec, expected in zip(result.diagnostics.records, subopts):
-            assert rec.train_metric == pytest.approx(expected, rel=1e-10, abs=1e-300)
+        assert (result.diagnostics.columns["train_metric"].tolist()
+                == pytest.approx(subopts, rel=1e-10, abs=1e-300))
         impl = workload.suboptimality(result.weighted_average)
         oracle = 0.5 * float(np.sum(diag * xhat * xhat))
         assert impl == pytest.approx(oracle, rel=1e-10)
@@ -850,7 +847,7 @@ class TestPerWorkerReference:
         ms, vs, steps = [np.zeros(3) for _ in range(n)], [np.zeros(3) for _ in range(n)], [0] * n
         global_x, buf = np.ones(3), np.zeros(3)
         times, comm_count, comm_seconds = [0.0] * n, 0, 0.0
-        windows, window, records = [], [0] * n, []
+        windows, window, reference = [], [0] * n, {}  # reference: the record columns
         clipped_steps = []  # per step: which gradient rows were clipped
         for t in range(total):
             clipped = []
@@ -907,18 +904,22 @@ class TestPerWorkerReference:
                          ordered_sum(float(np.dot(x - xbar, x - xbar)) for x in xs) / n)
             else:
                 xbar = global_x  # after the all-reduce, every worker's model
-            records.append(StepRecord(
-                step=t, sim_time_s=max(times),
-                train_metric=0.5 * float(np.dot(xbar * diag, xbar)),
-                consensus_sq=drift[0], spread_sq=drift[1],
-                comm_count=comm_count, comm_seconds=comm_seconds))
+            record = dict(step=t, sim_time_s=max(times),
+                          train_metric=0.5 * float(np.dot(xbar * diag, xbar)),
+                          consensus_sq=drift[0], spread_sq=drift[1],
+                          comm_count=comm_count, comm_seconds=comm_seconds)
+            for name, value in record.items():
+                reference.setdefault(name, []).append(value)
 
         # the trace covers both branches, and steps where clipping hits some rows only
         assert 0 < sum(sum(w) for w in windows) < n * total
         assert any(any(c) and not all(c) for c in clipped_steps)
         assert np.array_equal(result.global_model, global_x)
-        assert all(r.consensus_sq > 0.0 for r in records if (r.step + 1) % h == 0)
-        assert result.diagnostics.records == records
+        assert all(drift > 0.0 for t, drift in zip(reference["step"], reference["consensus_sq"])
+                   if (t + 1) % h == 0)
+        columns = result.diagnostics.columns
+        assert {name: columns[name].tolist() for name in reference} == reference
+        assert not columns["evaluated"].any()
         assert result.worker_time.tolist() == times
         assert result.diagnostics.window_mixing_counts.tolist() == [list(w) for w in windows]
 
@@ -939,7 +940,7 @@ class TestRecordCadence:
                          warmup_steps=warmup, total_steps=30)
         result = run_training(quadratic(), make_variant(tag), sched, small_cluster(3), seed=2)
         want = allreduce_steps(30, 4, 30 if tag == "ddp" else sched.effective_warmup)
-        assert [r.step for r in result.diagnostics.records] == want
+        assert result.diagnostics.columns["step"].tolist() == want
         assert [e.step for e in result.events] == want
         assert want[-1] == 29 and (warmup == 0 or want[:8] == list(range(8)))
 
@@ -948,7 +949,7 @@ class TestRecordCadence:
         result = run_training(quadratic(), make_variant("palsgd"), sched, small_cluster(2),
                               seed=2, record_every=5)
         want = sorted({*allreduce_steps(30, 8, 0), *range(0, 30, 5)})
-        assert [r.step for r in result.diagnostics.records] == want
+        assert result.diagnostics.columns["step"].tolist() == want
 
     def test_eval_steps_off_the_sync_grid_are_recorded(self):
         train, test = classification(3, 4, 20)
@@ -957,14 +958,16 @@ class TestRecordCadence:
         result = run_training(workload, make_variant("palsgd"), sched, small_cluster(3),
                               seed=4, eval_every=5)
         evals = [4, 9, 14, 19, 21]  # (t + 1) % 5 == 0, and the final step
-        records = result.diagnostics.records
-        assert [r.step for r in records] == sorted({*allreduce_steps(22, 4, 0), *evals})
-        assert [r.step for r in records if r.eval_acc is not None] == evals
-        assert all(r.eval_loss is not None for r in records if r.step in evals)
+        columns = result.diagnostics.columns
+        evaluated = columns["evaluated"]
+        assert columns["step"].tolist() == sorted({*allreduce_steps(22, 4, 0), *evals})
+        assert columns["step"][evaluated].tolist() == evals
+        for name in ("eval_loss", "eval_acc"):  # a number exactly where evaluated
+            assert np.isnan(columns[name]).tolist() == (~evaluated).tolist()
         # a workload with no evaluation set adds no eval steps
         quad = run_training(quadratic(), make_variant("palsgd"), sched, small_cluster(3),
                             seed=4, eval_every=5)
-        assert [r.step for r in quad.diagnostics.records] == allreduce_steps(22, 4, 0)
+        assert quad.diagnostics.columns["step"].tolist() == allreduce_steps(22, 4, 0)
 
     def test_sync_records_probe_the_rows_before_the_reset(self, monkeypatch):
         seen = {}
@@ -981,11 +984,12 @@ class TestRecordCadence:
         sched = Schedule(alpha=0.02, eta=0.5, p=0.3, sync_interval=8, total_steps=30)
         result = run_training(quadratic(diag=(1.0, 2.0, 4.0)), make_variant("palsgd"), sched,
                               small_cluster(4), seed=[3, 8])
-        for r, records in enumerate(result.diagnostics.records):
-            assert [rec.step for rec in records] == [7, 15, 23, 29]
-            for rec in records:
-                assert (rec.consensus_sq, rec.spread_sq) == seen[r, rec.step]
-                assert rec.consensus_sq > 0.0 and rec.spread_sq > 0.0
+        columns = result.diagnostics.columns
+        assert columns["step"].tolist() == [7, 15, 23, 29]
+        for r in range(2):
+            drift = zip(columns["consensus_sq"][r].tolist(), columns["spread_sq"][r].tolist())
+            assert list(drift) == [seen[r, t] for t in (7, 15, 23, 29)]
+        assert (columns["consensus_sq"] > 0.0).all() and (columns["spread_sq"] > 0.0).all()
 
     @pytest.mark.parametrize("tag, warmup", [("ddp", 0), ("local_sgd", 0), ("palsgd", 0),
                                              ("palsgd", 8)])
@@ -1011,16 +1015,17 @@ class TestRecordCadence:
                          sync_interval=4, warmup_steps=warmup, total_steps=18)
         result = run_training(workload, make_variant(tag), sched, small_cluster(7), seed=6,
                               eval_every=100)
-        records = result.diagnostics.records
-        assert [r.step for r in records] == sorted(seen) and records[-1].step == 17
-        final = records[-1]
-        assert final.train_metric == workload.full_objective(result.global_model)
-        assert final.eval_loss == workload.evaluate(result.global_model)["eval_loss"]
-        assert all(r.train_metric == workload.full_objective(seen[r.step]) for r in records)
+        columns = result.diagnostics.columns
+        steps, metric = columns["step"].tolist(), columns["train_metric"].tolist()
+        assert steps == sorted(seen) and steps[-1] == 17
+        assert metric[-1] == workload.full_objective(result.global_model)
+        assert columns["eval_loss"][-1] == workload.evaluate(result.global_model)["eval_loss"]
+        assert metric == [workload.full_objective(seen[t]) for t in steps]
         ddp_steps = 18 if tag == "ddp" else warmup
-        ddp_records = [r for r in records if r.step < ddp_steps]
-        assert len(ddp_records) == ddp_steps
-        assert all(r.consensus_sq == 0.0 and r.spread_sq == 0.0 for r in ddp_records)
+        ddp_records = columns["step"] < ddp_steps
+        assert ddp_records.sum() == ddp_steps
+        assert (columns["consensus_sq"][ddp_records] == 0.0).all()
+        assert (columns["spread_sq"][ddp_records] == 0.0).all()
 
     @pytest.mark.parametrize("eval_every", [None, 5])
     def test_ddp_default_records_equal_every_step_records(self, eval_every):
@@ -1029,10 +1034,8 @@ class TestRecordCadence:
         sched = Schedule(alpha=0.1, total_steps=12)
         a, b = (run_training(workload, make_variant("ddp"), sched, small_cluster(4), seed=3,
                              record_every=every, eval_every=eval_every) for every in (None, 1))
-        assert len(a.diagnostics.records) == 12
-        assert a.diagnostics.records == b.diagnostics.records
-        assert ([dumps_record(rec) for rec in a.diagnostics.records]
-                == [dumps_record(rec) for rec in b.diagnostics.records])
+        assert len(a.diagnostics.columns["step"]) == 12
+        assert_columns_equal(a.diagnostics.columns, b.diagnostics.columns)
 
 
 def local_steps(workers, p, total, seed=3, jitter=0.25, workload=None):
@@ -1163,9 +1166,9 @@ def assert_replicas_equal_runs_alone(alone, batched):
             assert batched.weighted_average is None
         else:
             assert batched.weighted_average[r].tobytes() == one.weighted_average.tobytes()
-        assert diag.records[r] == one.diagnostics.records
-        assert ([dumps_record(rec) for rec in diag.records[r]]
-                == [dumps_record(rec) for rec in one.diagnostics.records])
+        columns = replica_columns(diag, r)
+        assert_columns_equal(columns, one.diagnostics.columns)
+        assert reference_metrics_text(columns) == reference_metrics_text(one.diagnostics.columns)
         assert batched.events[r] == one.events
         assert batched.worker_time[r].tobytes() == one.worker_time.tobytes()
         assert batched.comm_seconds[r] == one.comm_seconds
@@ -1231,9 +1234,10 @@ class TestReplicaAxis:
         alone, batched = runs_alone_and_batched(workload, make_variant("palsgd"), sched,
                                                 small_cluster(3), [4, 9, 1], eval_every=5)
         # each replica starts from its own seed's initial point
-        records = batched.diagnostics.records
-        assert records[0][0].train_metric != records[1][0].train_metric
-        assert any(rec.eval_acc is not None for rec in records[2])
+        columns = batched.diagnostics.columns
+        assert columns["train_metric"][0, 0] != columns["train_metric"][1, 0]
+        assert columns["evaluated"].any()
+        assert not np.isnan(columns["eval_acc"][2, columns["evaluated"]]).any()
         assert_replicas_equal_runs_alone(alone, batched)
 
     def test_palsgd_theory(self):
@@ -1251,7 +1255,7 @@ class TestReplicaAxis:
         a, b = (run_training(quadratic(), make_variant("palsgd"), sched, small_cluster(2), seeds)
                 for seeds in (np.arange(3), [0, 1, 2]))
         assert a.global_model.tobytes() == b.global_model.tobytes()
-        assert a.diagnostics.records == b.diagnostics.records
+        assert_columns_equal(a.diagnostics.columns, b.diagnostics.columns)
         assert a.events == b.events
 
     def test_one_seed_in_a_list_keeps_the_axis(self):
@@ -1281,11 +1285,14 @@ class TestReplicaAxis:
         assert batched.diverged and report.replica == first
         assert (report.step, report.worker) == (want.step, want.worker)
         assert report.last_record == want.last_record is not None
-        assert (batched.diagnostics.records[first][report.last_record]
-                == alone[first].diagnostics.records[want.last_record])
+        # each replica holds the records its run alone took before the step,
+        # the one the report indexes among them
+        assert report.last_record < len(batched.diagnostics.columns["step"])
         for r, one in enumerate(alone):
-            assert batched.diagnostics.records[r] == [rec for rec in one.diagnostics.records
-                                                      if rec.step < report.step]
+            before = one.diagnostics.columns["step"] < report.step
+            assert_columns_equal(replica_columns(batched.diagnostics, r),
+                                 {name: column[before]
+                                  for name, column in one.diagnostics.columns.items()})
 
 
 def palsgd_straggler_run():
@@ -1351,11 +1358,7 @@ class TestRecordBlocks:
             results.append(run())
             probe_calls.append(list(probes))
         each, one = results
-        assert each.diagnostics.columns.keys() == one.diagnostics.columns.keys()
-        for name, column in each.diagnostics.columns.items():
-            other = one.diagnostics.columns[name]
-            assert (column.dtype, column.shape) == (other.dtype, other.shape), name
-            assert column.tobytes() == other.tobytes(), name
+        assert_columns_equal(each.diagnostics.columns, one.diagnostics.columns)
         assert repr(each.divergence) == repr(one.divergence)
         if each.diverged:
             assert each.divergence.last_record is not None
@@ -1408,13 +1411,14 @@ class TestLogisticSoftplus:
         new = run()
         monkeypatch.setattr(workloads, "_softplus", reference)
         ref = run()
-        assert calls == [len(train)] * len(ref.diagnostics.records)
+        assert calls == [len(train)] * len(ref.diagnostics.columns["step"])
         assert repr(new.events) == repr(ref.events)
         assert new.global_model.tobytes() == ref.global_model.tobytes()
         assert new.worker_time.tobytes() == ref.worker_time.tobytes()
         assert repr(new.comm_seconds) == repr(ref.comm_seconds)
-        for a, b in zip(new.diagnostics.records, ref.diagnostics.records, strict=True):
-            # repr round-trips a float exactly, so equal reprs are equal bits
-            other_fields = [repr(astuple(replace(r, train_metric=0.0))) for r in (a, b)]
-            assert other_fields[0] == other_fields[1]
-            assert a.train_metric == pytest.approx(b.train_metric, rel=1e-15, abs=0.0)
+        other_columns = [{name: column for name, column in r.diagnostics.columns.items()
+                          if name != "train_metric"} for r in (new, ref)]
+        assert_columns_equal(*other_columns)
+        assert (new.diagnostics.columns["train_metric"].tolist()
+                == pytest.approx(ref.diagnostics.columns["train_metric"].tolist(),
+                                 rel=1e-15, abs=0.0))

@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from palsgd.algorithms import VARIANTS, Schedule, StepRecord
+from palsgd.algorithms import VARIANTS, Schedule
 from palsgd.cluster import AllReduceModel, ClusterSpec
 from palsgd.config import KEYS, ConfigError, parse_config
 from palsgd.fields import specs
 from palsgd.optimizers import InnerOptConfig, OuterOptConfig
-from palsgd.metrics import (RECORD_SCHEMA, dumps_record, record_to_obj,
-                            summarize, write_metrics_jsonl)
+from palsgd.metrics import RECORD_SCHEMA, summarize, write_metrics_jsonl
+from record_columns import FLOAT_FIELDS, INT_FIELDS, reference_metrics_text, replica_columns
 
 
 def parse(obj):
@@ -23,15 +23,12 @@ def lookup(tree: dict, dotted: str):
     return tree
 
 
-def obj_to_record(obj: dict) -> StepRecord:
-    """The StepRecord a metrics line was written from."""
-    assert obj["schema"] == RECORD_SCHEMA
-    return StepRecord(**{key: value for key, value in obj.items() if key != "schema"})
-
-
-def read_metrics_jsonl(path) -> list[StepRecord]:
+def read_metrics_jsonl(path) -> list[dict]:
+    """The parsed lines of a metrics.jsonl, each of the current schema."""
     with open(path) as fh:
-        return [obj_to_record(json.loads(line)) for line in fh]
+        lines = [json.loads(line) for line in fh]
+    assert all(obj["schema"] == RECORD_SCHEMA for obj in lines)
+    return lines
 
 
 class TestParsing:
@@ -196,9 +193,9 @@ class TestParsing:
         cfg = parse({"schedule": schedule})
         assert cfg.metrics_every is None
         _, result = run_experiment(cfg)
-        assert [r.step for r in result.diagnostics.records] == syncs
+        assert result.diagnostics.columns["step"].tolist() == syncs
         _, result = run_experiment(parse({"schedule": schedule, "metrics_every": 30}))
-        assert [r.step for r in result.diagnostics.records] == sorted({*syncs, 0, 30, 60, 90})
+        assert result.diagnostics.columns["step"].tolist() == sorted({*syncs, 0, 30, 60, 90})
 
     def test_invalid_json_reported(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -249,25 +246,16 @@ class TestFieldSpecs:
 
 
 class TestMetricsRoundTrip:
-    def rec(self, **kw):
-        base = dict(step=3, sim_time_s=1.5, train_metric=0.25, consensus_sq=0.0,
-                    spread_sq=0.125, comm_count=2, comm_seconds=0.5)
-        base.update(kw)
-        return StepRecord(**base)
-
-    def test_parse_emit_identity(self):
-        for rec in (self.rec(), self.rec(eval_loss=0.9, eval_acc=0.75)):
-            assert obj_to_record(record_to_obj(rec)) == rec
-            assert obj_to_record(json.loads(dumps_record(rec))) == rec
-
     def test_jsonl_file_round_trip(self, tmp_path):
         from palsgd.experiments import run_experiment
         _, result = run_experiment(parse({"schedule": {"total_steps": 20, "sync_interval": 8},
                                           "metrics_every": 3}))
         path = tmp_path / "metrics.jsonl"
         write_metrics_jsonl(result.diagnostics, str(path))
-        records = result.diagnostics.records
-        assert len(records) == 9 and read_metrics_jsonl(str(path)) == records
+        lines, columns = read_metrics_jsonl(str(path)), result.diagnostics.columns
+        assert len(lines) == 9 and not columns["evaluated"].any()
+        for name in INT_FIELDS + FLOAT_FIELDS:
+            assert [obj[name] for obj in lines] == columns[name].tolist(), name
 
     MLP = {"workload": {"kind": "mlp", "widths": [4, 6, 3], "samples_per_class": 10},
            "schedule": {"total_steps": 30, "sync_interval": 8}, "workers": 3,
@@ -276,9 +264,8 @@ class TestMetricsRoundTrip:
     def test_columns_write_the_bytes_of_the_view(self, tmp_path):
         from palsgd.experiments import run_experiment
         _, result = run_experiment(parse(self.MLP), out_dir=str(tmp_path))
-        records = result.diagnostics.records
         text = (tmp_path / "metrics.jsonl").read_text()
-        assert text == "".join(dumps_record(rec) + "\n" for rec in records)
+        assert text == reference_metrics_text(result.diagnostics.columns)
         # evaluated rows at (t + 1) % 7 == 0 and the last step, the others without eval keys
         evals = [6, 13, 20, 27, 29]
         lines = [json.loads(line) for line in text.splitlines()]
@@ -287,6 +274,13 @@ class TestMetricsRoundTrip:
         assert [obj["step"] for obj in lines if "eval_acc" in obj] == evals
         evaluated = result.diagnostics.columns["evaluated"].tolist()
         assert evaluated == [obj["step"] in evals for obj in lines]
+        # each line holds the schema and the record's fields, the eval ones
+        # only where it was evaluated
+        fields = {"schema", "step", "sim_time_s", "train_metric", "consensus_sq", "spread_sq",
+                  "comm_count", "comm_seconds"}
+        assert [set(obj) for obj in lines] == [
+            fields | {"eval_loss", "eval_acc"} if obj["step"] in evals else fields
+            for obj in lines]
 
     def test_batched_replicas_view_the_runs_alone(self, tmp_path):
         from palsgd.algorithms import run_training
@@ -302,8 +296,11 @@ class TestMetricsRoundTrip:
         for r, seed in enumerate(seeds):
             path = tmp_path / f"{seed}.jsonl"
             write_metrics_jsonl(run(seed).diagnostics, str(path))
-            view = "".join(dumps_record(rec) + "\n" for rec in diag.records[r])
-            assert view == path.read_text()
+            assert reference_metrics_text(replica_columns(diag, r)) == path.read_text()
+        # a batch's (S, R) columns are no one run's metrics.jsonl
+        with pytest.raises(ValueError, match="one seed's records; got a batch of 3"):
+            write_metrics_jsonl(diag, str(tmp_path / "batch.jsonl"))
+        assert not (tmp_path / "batch.jsonl").exists()
         counts = diag.window_mixing_counts
         assert counts.shape == (3, 4, 3) and counts.dtype == np.int64
         assert counts.sum(axis=1).ravel().tolist() == diag.mixing_steps_per_worker
@@ -314,8 +311,7 @@ class TestMetricsRoundTrip:
                      "schedule": {"total_steps": 50, "sync_interval": 8}})
         from palsgd.experiments import run_experiment
         _, result = run_experiment(cfg, out_dir=str(tmp_path / "run"))
-        records = read_metrics_jsonl(str(tmp_path / "run" / "metrics.jsonl"))
-        steps = [r.step for r in records]
+        steps = [obj["step"] for obj in read_metrics_jsonl(str(tmp_path / "run" / "metrics.jsonl"))]
         assert steps == sorted(set(steps))
 
 
@@ -327,7 +323,7 @@ class TestSummary:
         summary, result = run_experiment(cfg)
         assert summary["sync_count"] == len(result.events)
         assert summary["diverged"] is False
-        assert summary["final_loss"] == result.diagnostics.records[-1].train_metric
+        assert summary["final_loss"] == result.diagnostics.columns["train_metric"][-1]
         assert summary["best_loss"] <= summary["final_loss"]
 
     @pytest.mark.parametrize("variant, warmup", [("ddp", 0), ("local_sgd", 0), ("palsgd", 0),
@@ -341,8 +337,8 @@ class TestSummary:
                      "schedule": schedule, "cluster": {"jitter": 0.2}, "workers": 3})
         from palsgd.experiments import run_experiment
         summary, result = run_experiment(cfg)
-        last = result.diagnostics.records[-1]
-        assert last.step == 59
-        assert summary["total_sim_time_s"] == last.sim_time_s
-        assert summary["total_comm_seconds"] == last.comm_seconds
-        assert summary["sync_count"] == last.comm_count
+        last = {name: column[-1] for name, column in result.diagnostics.columns.items()}
+        assert last["step"] == 59
+        assert summary["total_sim_time_s"] == last["sim_time_s"]
+        assert summary["total_comm_seconds"] == last["comm_seconds"]
+        assert summary["sync_count"] == last["comm_count"]

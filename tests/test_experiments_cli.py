@@ -116,9 +116,10 @@ class TestRunExperiment:
                             "test_samples_per_class": 0},
                "schedule": {"p": 0.1, "sync_interval": 8, "total_steps": 24}, "workers": 2}
         _, result = run_experiment(parse(raw))
-        recs = result.diagnostics.records
-        assert [r.step for r in recs] == [7, 15, 23]
-        assert all(r.eval_loss is None and r.eval_acc is None for r in recs)
+        columns = result.diagnostics.columns
+        assert columns["step"].tolist() == [7, 15, 23]
+        assert not columns["evaluated"].any()
+        assert np.isnan(columns["eval_loss"]).all() and np.isnan(columns["eval_acc"]).all()
         # eval_every could not act on this run
         with pytest.raises(ConfigError) as exc:
             parse({**raw, "eval_every": 5})
@@ -139,6 +140,16 @@ class TestSweep:
             table = list(csv.DictReader(fh))
         assert list(table[0].keys()) == SWEEP_CSV_HEADER
         assert [int(r["sync_count"]) for r in table] == [16, 8, 4]
+
+    def test_cells_default_to_the_base_out_dir(self, tmp_path):
+        # as the CLI's sweep does: each cell writes under <out_dir>/<i>, not over the base's run
+        rows = sweep(parse(quad_cfg(out_dir=str(tmp_path))), {"schedule.p": [0.1, 0.2]})
+        for i, row in enumerate(rows):
+            cell = json.loads((tmp_path / str(i) / "summary.json").read_text())
+            assert row["final_loss"] == cell["final_loss"]
+        assert not (tmp_path / "summary.json").exists()
+        with open(tmp_path / "sweep.csv") as fh:
+            assert [r["value"] for r in csv.DictReader(fh)] == ["0.1", "0.2"]
 
     def test_unknown_parameter_rejected(self):
         cfg = parse(quad_cfg())
