@@ -9,10 +9,12 @@ that mixes its parameters toward the last-synced global model:
 
     x_k <- x_k - (alpha_t * eta_t / p) * (x_k - x_global)
 
-so one step is one full-width update of the (K, d) array. No per-worker
-anchor (a worker's copy of the last-synced model) is stored: it would be set
-at every sync round and every DDP step, exactly when the global model is, to
-the same value, so the two are always equal.
+so one step is one full-width update of the (K, d) array. The anchor a
+worker mixes toward is its row of the (S*K, d) array that the last
+all-reduce produced: the start's repeat of x0, a sync round's repeat of the
+new global models, or a DDP step's stepped rows. No line writes the workers'
+rows in place, so the workers keep that array itself, with no copy, and each
+of its rows is an exact copy of its replica's global model.
 
 Every H steps (and once at the end of a partial window) a sync round
 all-reduces the worker mean, lets the outer optimizer take its step on the
@@ -23,11 +25,16 @@ p = 0 special cases with, respectively, plain-averaging and adamw/nesterov
 optimizer pairings, which the equivalence tests rely on.
 
 Random draws are stacked and chunked too. Each per-step purpose (Bernoulli
-coins, data, clock jitter) has one `StreamChunks` per run: a step's draw is
-one (S*K, n) slice of a preallocated (S, K, C, n) buffer, row s*K + k
-worker k's of replica s, and one generator call per replica fills the
-buffer every C = max(1, 1024 // n) steps. So the i-th draw of a purpose is
-slot i % C of chunk i // C, and chunk c is draw c of the replica's stream.
+coins, data, clock jitter) draws one chunk per replica, one generator call,
+every C = max(1, 1024 // n) steps of n values per worker into a
+preallocated (S, K, C, n) `StreamChunks` buffer: the i-th draw of a purpose
+is slot i % C of chunk i // C, and chunk c is draw c of the replica's
+stream. A step's data or jitter draw is one (S*K, n) slice of the buffer,
+row s*K + k worker k's of replica s. The coins are drawn only by PALSGD's
+local steps with p > 0, never in warmup; `Coins` compares each chunk with p
+once, when it is drawn, into new step-major (C, S*K) mixing and stepping
+masks and a list of whether any row mixes, so a local step takes its three
+by indexing.
 The data draws sit behind the workload: `workload.sampler(K, seeds)` is the
 run's one draw object (the quadratic's noise chunks, or the logistic and
 MLP `Shards`), and `draw_sample(sampler, stepping)` gives a step's samples,
@@ -221,6 +228,39 @@ def make_variant(tag: str, inner: InnerOptConfig | None = None,
     return AlgoVariant(tag=tag, inner=inner, outer=outer)
 
 
+class Coins:
+    """The Bernoulli(p) coins of S replicas of K workers, one per worker and
+    local step: a worker mixes where its coin's uniform is <= p.
+
+    The uniforms are the chunks of a width-1 `StreamChunks` of the streams
+    keyed (seed_s, 0, PURPOSE_BERNOULLI): chunk c, serving local steps c*C to
+    c*C + C - 1, is draw c of each replica's stream. Each chunk is compared
+    with p once, when it is drawn, into new step-major (C, S*K) bool rows,
+    column s*K + k worker k of replica s, so a mask handed out earlier is
+    never written. At p = 0 no coin is drawn and every row steps.
+    """
+
+    def __init__(self, seeds: Sequence[int], workers: int, p: float):
+        self.uniforms = StreamChunks(seeds, PURPOSE_BERNOULLI, workers, 1)
+        self.p = p
+        self.drawn = 0
+
+    def next(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The next local step's (S*K,) mixing and stepping masks, and
+        whether any row mixes."""
+        chunk, slot = divmod(self.drawn, self.uniforms.steps)
+        if slot == 0:
+            s, k, c, _ = self.uniforms.buf.shape
+            mixing = np.zeros((c, s * k), dtype=bool)
+            if self.p > 0.0:
+                u = self.uniforms.refill(chunk)[..., 0]
+                np.less_equal(u.transpose(2, 0, 1), self.p, out=mixing.reshape(c, s, k))
+            self.mixing, self.stepping = mixing, ~mixing
+            self.mixes = mixing.any(axis=1).tolist()
+        self.drawn += 1
+        return self.mixing[slot], self.stepping[slot], self.mixes[slot]
+
+
 @dataclass
 class Workers:
     """S replicas of K workers, stacked replica-major: row s*K + k of `x` and
@@ -228,23 +268,24 @@ class Workers:
     replica's streams, keyed (seed_s, 0, purpose), and its own shard."""
 
     x: np.ndarray                   # (S*K, d) parameters
+    anchor: np.ndarray              # (S*K, d) the last all-reduce's rows: replica s's global model
     inner: InnerOptState
     sampler: object                 # the workload's data draws for all S*K workers
-    coins: StreamChunks             # one Bernoulli uniform per worker and step
+    coins: Coins
 
     @classmethod
     def start(cls, x0: np.ndarray, inner: InnerOptConfig, workload, workers: int,
-              seeds: Sequence[int]) -> "Workers":
-        """`workers` workers per replica at its row of x0 (S, d), fresh state."""
+              seeds: Sequence[int], p: float) -> "Workers":
+        """`workers` workers per replica at its row of x0 (S, d), fresh state,
+        flipping Bernoulli(p) coins."""
         x = np.repeat(x0, workers, axis=0)
-        return cls(x=x, inner=InnerOptState.fresh(inner, *x.shape),
-                   sampler=workload.sampler(workers, seeds),
-                   coins=StreamChunks(seeds, PURPOSE_BERNOULLI, workers, 1))
+        return cls(x=x, anchor=x, inner=InnerOptState.fresh(inner, *x.shape),
+                   sampler=workload.sampler(workers, seeds), coins=Coins(seeds, workers, p))
 
     @property
     def stacked(self) -> np.ndarray:
         """The (S, K, d) view of `x`."""
-        return self.x.reshape(len(self.coins.streams), -1, self.x.shape[1])
+        return self.x.reshape(len(self.coins.uniforms.streams), -1, self.x.shape[1])
 
 
 # a record's values in the order run_training appends them, `evaluated` last;
@@ -313,24 +354,19 @@ def consensus_probe(x: np.ndarray, global_x: np.ndarray,
     return out[0], out[1]
 
 
-def palsgd_local_step(workers: Workers, global_x: np.ndarray, schedule: Schedule, t: int,
+def palsgd_local_step(workers: Workers, schedule: Schedule, t: int,
                       workload, clock: SimClock) -> np.ndarray:
-    """One local iteration of every worker, against the (S, d) global models;
+    """One local iteration of every worker, mixing toward its anchor row;
     returns the (S*K,) mask of rows that mixed, which take the mix in place
     of the step that every row computes."""
-    p = schedule.p
-    if p > 0.0:
-        mixing = workers.coins.next()[:, 0] <= p
-    else:
-        mixing = np.zeros(workers.x.shape[0], dtype=bool)
-    stepping = ~mixing
+    mixing, stepping, mixes = workers.coins.next()
     samples = workload.draw_sample(workers.sampler, stepping)
     g = workload.stochastic_gradient(workers.x, samples)
-    x = inner_step(workers.inner, workers.x, g, schedule.alpha_at(t) / (1.0 - p), stepping)
-    if mixing.any():
-        old = workers.stacked
-        mixed = old - schedule.mix_coefficient(t) * (old - global_x[:, None])
-        np.copyto(x, mixed.reshape(x.shape), where=mixing[:, None])
+    x = inner_step(workers.inner, workers.x, g, schedule.alpha_at(t) / (1.0 - schedule.p), stepping)
+    if mixes:
+        old = workers.x
+        mixed = old - schedule.mix_coefficient(t) * (old - workers.anchor)
+        np.copyto(x, mixed, where=mixing[:, None])
     workers.x = x
     clock.advance_step(stepping)
     return mixing
@@ -352,7 +388,7 @@ def sync_round(workers: Workers, global_x: np.ndarray, outer_state: OuterOptStat
     x = workers.stacked
     m = mean_of(x)
     new_global = outer_step(outer_state, global_x, m)
-    workers.x = np.repeat(new_global, x.shape[1], axis=0)
+    workers.x = workers.anchor = np.repeat(new_global, x.shape[1], axis=0)
     if workers.inner.config.reset_at_sync:
         workers.inner = InnerOptState.fresh(workers.inner.config, *workers.x.shape)
     clock.allreduce(t, new_global.shape[1])
@@ -370,7 +406,8 @@ def ddp_step(workers: Workers, schedule: Schedule, t: int,
     clock.advance_step(everyone)
     gbar = mean_of(grads.reshape(workers.stacked.shape))
     k = x.shape[0] // len(gbar)
-    workers.x = inner_step(workers.inner, x, gbar.repeat(k, 0), schedule.alpha_at(t), everyone)
+    workers.x = workers.anchor = inner_step(workers.inner, x, gbar.repeat(k, 0),
+                                            schedule.alpha_at(t), everyone)
     clock.allreduce(t, x.shape[1])
     return workers.x[::k].copy()
 
@@ -439,7 +476,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     warmup = total if variant.tag == "ddp" else schedule.effective_warmup
 
     x0 = np.stack([workload.init_params(RngStream(s, 0, PURPOSE_INIT)) for s in seeds])
-    workers = Workers.start(x0, variant.inner, workload, n_workers, seeds)
+    workers = Workers.start(x0, variant.inner, workload, n_workers, seeds, schedule.p)
     global_x = x0.copy()
     outer_state = OuterOptState.fresh(variant.outer, x0.shape)
     clock = SimClock(cluster, seeds)
@@ -485,8 +522,11 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         consensus, spread = np.zeros((2, *shape))  # a DDP record's: all on the global model
         probed = [i for i, probe in enumerate(probes) if probe is not None]
         if probed:
-            x, g, xbar = map(np.concatenate, zip(*(probes[i] for i in probed)))
-            del probes  # the stacked rows replace the held ones before the probe
+            # a lone probed record's held arrays are probed as they are; else
+            # the stacked rows replace the held ones before the probe
+            x, g, xbar = (probes[probed[0]] if len(probed) == 1
+                          else map(np.concatenate, zip(*(probes[i] for i in probed))))
+            del probes
             drift = consensus_probe(x, g, xbar)
             consensus[probed], spread[probed] = (a.reshape(-1, n_replicas) for a in drift)
         loss, acc = np.full((2, *shape), np.nan)
@@ -508,7 +548,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
         if t < warmup:
             global_x = ddp_step(workers, schedule, t, workload, clock)
         else:
-            mixing_steps += palsgd_local_step(workers, global_x, schedule, t, workload, clock)
+            mixing_steps += palsgd_local_step(workers, schedule, t, workload, clock)
             if synced:
                 global_x, probe = sync_round(workers, global_x, outer_state, clock, t)
                 windows.append(mixing_steps - mixed_at_sync)

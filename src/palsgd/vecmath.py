@@ -72,8 +72,11 @@ class RngStream:
     stream, or reconstructing it at an arbitrary counter, reproduces every
     value bit-exactly, and no stream's consumption can shift another's.
 
-    The trainer's per-step draws go through `StreamChunks`: one stream per
-    purpose and replica, keyed (seed, 0, purpose) by the replica's seed,
+    A stream builds its key and generator on its first draw, so one that is
+    never drawn from costs next to nothing.
+
+    The trainer's per-step draws are chunked, by `StreamChunks` and by the
+    trainer's coins (`algorithms.Coins`): one stream per purpose and replica, keyed (seed, 0, purpose) by the replica's seed,
     whose draw c is chunk c, a (K, C, n) block serving C steps of the
     replica's K workers. Philox yields its values in order, so the first k
     rows of a K-row block of uniforms or Gaussians equal the k-row block,
@@ -87,7 +90,10 @@ class RngStream:
         self.worker = worker
         self.purpose = purpose
         self.counter = counter
-        self._bitgen = np.random.Philox(key=_stream_key(seed, worker, purpose))
+        self._state = None  # _build() sets it and the generator on the first draw
+
+    def _build(self) -> None:
+        self._bitgen = np.random.Philox(key=_stream_key(self.seed, self.worker, self.purpose))
         self._gen = np.random.Generator(self._bitgen)
         # The state of a fresh Philox at counter 0 with empty output buffers.
         # Reading `.state` builds a new dict each time and costs more than
@@ -103,6 +109,8 @@ class RngStream:
         # Reposition the cached generator at this draw's counter block and
         # flush buffered output; bit-identical to a fresh Philox at
         # counter << 64 but much cheaper than reconstructing.
+        if self._state is None:
+            self._build()
         self._state["state"]["counter"][1] = self.counter
         self._bitgen.state = self._state
         self.counter += 1
@@ -190,8 +198,14 @@ class StreamChunks:
         of replica s."""
         chunk, slot = divmod(self.drawn, self.steps)
         if slot == 0:
-            for stream, out in zip(self.streams, self.buf):
-                stream.counter = chunk
-                self.fill(stream, out)
+            self.refill(chunk)
         self.drawn += 1
         return self.buf[:, :, slot].reshape(-1, self.buf.shape[-1])
+
+    def refill(self, chunk: int) -> np.ndarray:
+        """Draw chunk `chunk` of every replica into the (S, K, C, width)
+        buffer, and return the buffer."""
+        for stream, out in zip(self.streams, self.buf):
+            stream.counter = chunk
+            self.fill(stream, out)
+        return self.buf

@@ -203,8 +203,10 @@ class QuadraticWorkload:
         stream.gaussian_vector(out.shape, self._noise_scale, out=out)
 
     def draw_sample(self, sampler: StreamChunks, mask: np.ndarray) -> np.ndarray:
-        """A copy of the next step's (S*K, d) noise draw, whatever `mask` holds."""
-        return sampler.next().copy()
+        """The next step's (S*K, d) noise draw, whatever `mask` holds: a view
+        of the sampler's chunk, valid until its next draw and never written;
+        the gradient reads it at once."""
+        return sampler.next()
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
         """Gradient rows at the rows of x (n, d), one noise sample per row."""

@@ -46,13 +46,16 @@ def chunk_draws(stream_draw, workers, width, steps):
     return [chunks[i // c][:, i % c] for i in range(steps)]
 
 
-def make_workers(*xs, workload=None, inner_cfg=None, seed=0):
-    """One replica of stacked workers, row k at xs[k], with fresh sgd state and
-    the chunks of `workload`'s draws (a noiseless quadratic by default)."""
+def make_workers(*xs, workload=None, inner_cfg=None, seed=0, p=0.0, anchor=None):
+    """One replica of stacked workers, row k at xs[k], with fresh sgd state,
+    the chunks of `workload`'s draws (a noiseless quadratic by default) and
+    Bernoulli(p) coins. Every worker's anchor row is `anchor`, the last
+    all-reduce's model, or its own row when none is given."""
     d = len(xs[0])
     ws = Workers.start(np.zeros((1, d)), inner_cfg or InnerOptConfig(variant="sgd"),
-                       workload or quadratic(diag=(1.0,) * d, sigma=0.0), len(xs), [seed])
-    ws.x[:] = np.asarray(xs, dtype=float)
+                       workload or quadratic(diag=(1.0,) * d, sigma=0.0), len(xs), [seed], p)
+    ws.x = np.array(xs, dtype=float)
+    ws.anchor = ws.x if anchor is None else np.tile(np.asarray(anchor, dtype=float), (len(xs), 1))
     return ws
 
 
@@ -203,8 +206,8 @@ class TestPalsgdLocalStep:
         workload = quadratic(sigma=0.0)
         sched = Schedule(alpha=0.1, p=0.0, total_steps=10)
         clock = SimClock(small_cluster(1))
-        ws = make_workers([1.0, 1.0], workload=workload)
-        mixed = palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock)
+        ws = make_workers([1.0, 1.0], workload=workload, anchor=[0.0, 0.0])
+        mixed = palsgd_local_step(ws, sched, 0, workload, clock)
         assert not mixed.any()
         # sgd step on grad = diag*(x - 0) = [1, 2]
         assert np.allclose(ws.x[0], [1.0 - 0.1, 1.0 - 0.2], rtol=1e-15)
@@ -216,8 +219,9 @@ class TestPalsgdLocalStep:
         # find a seed whose first Bernoulli draw lands in the mixing branch
         seed = next(s for s in range(100)
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
-        ws = make_workers([3.0, -1.0], workload=workload, seed=seed)
-        mixed = palsgd_local_step(ws, np.array([[3.0, -1.0]]), sched, 0, workload, clock)
+        ws = make_workers([3.0, -1.0], workload=workload, seed=seed, p=sched.p,
+                          anchor=[3.0, -1.0])
+        mixed = palsgd_local_step(ws, sched, 0, workload, clock)
         assert mixed.all()
         assert np.array_equal(ws.x[0], np.array([3.0, -1.0]))
 
@@ -228,8 +232,8 @@ class TestPalsgdLocalStep:
         seed = next(s for s in range(1000)
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.05)
         clock = SimClock(small_cluster(1))
-        ws = make_workers([2.0], workload=workload, seed=seed)
-        assert palsgd_local_step(ws, np.array([[0.0]]), sched, 0, workload, clock).all()
+        ws = make_workers([2.0], workload=workload, seed=seed, p=sched.p, anchor=[0.0])
+        assert palsgd_local_step(ws, sched, 0, workload, clock).all()
         assert abs(ws.x[0, 0]) <= 1e-15
 
     def test_contraction_factor(self):
@@ -240,9 +244,9 @@ class TestPalsgdLocalStep:
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.5)
         clock = SimClock(small_cluster(1))
         anchor = np.array([1.0, -2.0])
-        ws = make_workers([4.0, 4.0], workload=workload, seed=seed)
+        ws = make_workers([4.0, 4.0], workload=workload, seed=seed, p=sched.p, anchor=anchor)
         before = float(np.linalg.norm(ws.x[0] - anchor))
-        assert palsgd_local_step(ws, anchor[None], sched, 0, workload, clock).all()
+        assert palsgd_local_step(ws, sched, 0, workload, clock).all()
         after = float(np.linalg.norm(ws.x[0] - anchor))
         assert after == pytest.approx(abs(1.0 - coeff) * before, rel=1e-12)
 
@@ -253,8 +257,8 @@ class TestPalsgdLocalStep:
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
         clock = SimClock(small_cluster(1))
         ws = make_workers([1.0, 1.0], workload=workload, inner_cfg=InnerOptConfig(variant="adamw"),
-                          seed=seed)
-        assert palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock).all()
+                          seed=seed, p=sched.p, anchor=[0.0, 0.0])
+        assert palsgd_local_step(ws, sched, 0, workload, clock).all()
         assert ws.inner.step[0] == 0
         # the data chunks serve one draw per step whether rows mix or not; a
         # mixing row's part of it is discarded, and the first draw fills chunk 0
@@ -267,8 +271,8 @@ class TestPalsgdLocalStep:
                     if RngStream(s, 0, PURPOSE_BERNOULLI).uniform() <= 0.9999)
         clock = SimClock(ClusterSpec(workers=1, compute_time_per_step=1.0,
                                      mixing_cost_fraction=0.25))
-        ws = make_workers([1.0, 1.0], workload=workload, seed=seed)
-        palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload, clock)
+        ws = make_workers([1.0, 1.0], workload=workload, seed=seed, p=sched.p, anchor=[0.0, 0.0])
+        palsgd_local_step(ws, sched, 0, workload, clock)
         assert clock.times[0, 0] == 0.25
 
     def test_masked_rows_step_alone(self):
@@ -278,10 +282,10 @@ class TestPalsgdLocalStep:
         workload = quadratic(diag=(1.0, 2.0), sigma=1.0)
         sched = Schedule(alpha=0.1, eta=0.5, p=0.5, total_steps=10)
         ws = make_workers(*np.arange(16.0).reshape(8, 2), workload=workload,
-                          inner_cfg=InnerOptConfig(variant="adamw"), seed=4)
+                          inner_cfg=InnerOptConfig(variant="adamw"), seed=4, p=sched.p,
+                          anchor=[0.0, 0.0])
         before = ws.x.copy()
-        mixed = palsgd_local_step(ws, np.zeros((1, 2)), sched, 0, workload,
-                                  SimClock(small_cluster(8)))
+        mixed = palsgd_local_step(ws, sched, 0, workload, SimClock(small_cluster(8)))
         assert 0 < mixed.sum() < 8
         assert ws.inner.step.tolist() == (~mixed).astype(int).tolist()
         assert ws.sampler.drawn == 1 and ws.sampler.streams[0].counter == 1
@@ -355,14 +359,17 @@ def reference_draw(sampler, rows):
     return out
 
 
-def reference_local_step(workers, global_x, schedule, t, workload, clock):
+def reference_local_step(workers, coins, global_x, schedule, t, workload, clock):
     """The index-set local step that the full-width one replaced: the mixing
-    rows mix in place, then only the stepping rows draw and step."""
+    rows mix in place toward their replica's row of the (S, d) global models,
+    then only the stepping rows draw and step. The coins are a step's draw of
+    `coins`, the reference's own `StreamChunks` of the Bernoulli streams,
+    compared with p."""
     x = workers.x
     k = x.shape[0] // len(global_x)
     p = schedule.p
     if p > 0.0:
-        mixing = workers.coins.next()[:, 0] <= p
+        mixing = coins.next()[:, 0] <= p
     else:
         mixing = np.zeros(x.shape[0], dtype=bool)
     mixed = mixing.nonzero()[0]
@@ -407,16 +414,18 @@ class TestFullWidthStep:
 
         def start():
             x0 = np.stack([workload.init_params(RngStream(s, 0, PURPOSE_INIT)) for s in seeds])
-            return (Workers.start(x0, inner, workload, workers, seeds),
+            return (Workers.start(x0, inner, workload, workers, seeds, p),
                     SimClock(small_cluster(workers, jitter=0.2), seeds), x0.copy(),
                     OuterOptState.fresh(outer, x0.shape))
 
         ws, clock, global_x, outer_state = start()
         ref, ref_clock, ref_global, ref_outer = start()
+        ref_coins = StreamChunks(seeds, PURPOSE_BERNOULLI, workers, 1)
         mixed = 0
         for t in range(total):
-            mask = palsgd_local_step(ws, global_x, sched, t, workload, clock)
-            ref_mask = reference_local_step(ref, ref_global, sched, t, workload, ref_clock)
+            mask = palsgd_local_step(ws, sched, t, workload, clock)
+            ref_mask = reference_local_step(ref, ref_coins, ref_global, sched, t, workload,
+                                            ref_clock)
             assert np.array_equal(mask, ref_mask), t
             assert ws.x.tobytes() == ref.x.tobytes(), t
             assert ws.inner.step.tolist() == ref.inner.step.tolist(), t
@@ -484,7 +493,7 @@ class TestSyncRound:
 
     def test_empty_worker_list_rejected(self):
         outer = OuterOptState.fresh(OuterOptConfig(variant="sgd", lr=1.0), (1, 1))
-        ws = Workers.start(np.zeros((1, 1)), InnerOptConfig(), quadratic(diag=(1.0,)), 0, [0])
+        ws = Workers.start(np.zeros((1, 1)), InnerOptConfig(), quadratic(diag=(1.0,)), 0, [0], 0.0)
         with pytest.raises(ValueError):
             sync_round(ws, np.array([[0.0]]), outer, SimClock(small_cluster(1)), t=0)
 
@@ -1057,12 +1066,12 @@ def local_steps(workers, p, total, seed=3, jitter=0.25, workload=None):
     sched = Schedule(alpha=0.05, eta=0.5, p=p, total_steps=total)
     x0 = workload.init_params(RngStream(seed, 0, PURPOSE_INIT))
     ws = Workers.start(x0[None], InnerOptConfig(variant="adamw", clip_norm=2.0),
-                       workload, workers, [seed])
+                       workload, workers, [seed], p)
     clock = SimClock(small_cluster(workers, jitter=jitter), [seed])
     masks = []
     for t in range(total):
         t_now[0] = t
-        masks.append(palsgd_local_step(ws, np.zeros((1, len(x0))), sched, t, workload, clock))
+        masks.append(palsgd_local_step(ws, sched, t, workload, clock))
     return ws, clock, np.array(masks), noise
 
 
@@ -1124,6 +1133,50 @@ class TestBlockDraws:
         # one generator call per purpose and chunk, whatever K: the coins and
         # the jitter serve C = 1024 steps a chunk, the 3-wide noise rows 341
         assert Counter(calls) == {PURPOSE_BERNOULLI: 2, PURPOSE_JITTER: 2, PURPOSE_DATA: 4}
+
+    def test_coin_masks_are_the_bernoulli_chunks_compared_with_p(self, monkeypatch):
+        # 1100 steps after 16 warmup steps, which draw no coin, are 1084 local
+        # steps: local step i reads slot i % 1024 of chunk i // 1024, chunk c
+        # draw c of each replica's Bernoulli stream
+        seeds, k, p, total, warmup = [4, 9], 3, 0.3, 1100, 16
+        kept = []
+        plain_step = algorithms.palsgd_local_step
+
+        def keeping_step(*args):
+            mask = plain_step(*args)
+            kept.append((mask, mask.copy()))
+            return mask
+
+        monkeypatch.setattr(algorithms, "palsgd_local_step", keeping_step)
+        sched = Schedule(alpha=0.02, eta=0.5, p=p, sync_interval=8, warmup_steps=warmup,
+                         total_steps=total)
+        run_training(quadratic(), make_variant("palsgd"), sched, small_cluster(k, jitter=0.1),
+                     seed=seeds)
+        assert len(kept) == total - warmup
+        streams = [RngStream(s, 0, PURPOSE_BERNOULLI) for s in seeds]
+        chunks = [np.concatenate([stream.uniform_vector((k, 1024, 1)) for stream in streams]) <= p
+                  for _ in range(2)]
+        for i, (mask, at_return) in enumerate(kept):
+            assert np.array_equal(at_return, chunks[i // 1024][:, i % 1024, 0]), i
+            # a mask handed out before the refill at local step 1024 is
+            # unchanged after it
+            assert np.array_equal(mask, at_return), i
+        assert 0 < sum(int(mask.sum()) for mask, _ in kept) < len(kept) * len(seeds) * k
+
+    def test_no_coin_is_drawn_at_p_zero(self, monkeypatch):
+        purposes = []
+        plain_draw = RngStream.uniform_vector
+
+        def counted(self, *args, **kwargs):
+            purposes.append(self.purpose)
+            return plain_draw(self, *args, **kwargs)
+
+        monkeypatch.setattr(RngStream, "uniform_vector", counted)
+        sched = Schedule(alpha=0.02, p=0.0, sync_interval=8, total_steps=1100)
+        result = run_training(quadratic(), make_variant("local_sgd"), sched,
+                              small_cluster(3, jitter=0.1), seed=[4, 9])
+        assert sum(result.diagnostics.mixing_steps_per_worker) == 0
+        assert PURPOSE_BERNOULLI not in purposes and PURPOSE_JITTER in purposes
 
 
 @pytest.mark.parametrize("tag,syncs", [("palsgd", 4), ("ddp", 14)])
@@ -1380,8 +1433,9 @@ class TestRecordBlocks:
         finally:
             tracemalloc.stop()
         assert len(result.diagnostics.columns["step"]) == total
-        # the run's own state (its (K, C, d) noise chunk and (K, C) coins, the
-        # workers and their temporaries) and its finished column blocks stay
+        # the run's own state (its (K, C, d) noise chunk, its coins' (C, K)
+        # masks and the (K, C) uniforms drawn for them, the workers and their
+        # temporaries) and its finished column blocks stay
         # under 3 MiB; the rows of a few blocks, held, stacked and differenced
         # when a block is evaluated, come on top
         assert peak < 3 * 2 ** 20 + 4 * algorithms.RECORD_BLOCK_BYTES
