@@ -206,7 +206,7 @@ class TestPalsgdLocalStep:
         workload = quadratic(sigma=0.0)
         sched = Schedule(alpha=0.1, p=0.0, total_steps=10)
         clock = SimClock(small_cluster(1))
-        ws = make_workers([1.0, 1.0], workload=workload, anchor=[0.0, 0.0])
+        ws = make_workers([1.0, 1.0], workload=workload)
         mixed = palsgd_local_step(ws, sched, 0, workload, clock)
         assert not mixed.any()
         # sgd step on grad = diag*(x - 0) = [1, 2]
