@@ -26,15 +26,17 @@ optimizer pairings, which the equivalence tests rely on.
 
 Random draws are stacked and chunked too. Each per-step purpose (Bernoulli
 coins, data, clock jitter) draws one chunk per replica, one generator call,
-every C = max(1, 1024 // n) steps of n values per worker into a
-preallocated (S, K, C, n) `StreamChunks` buffer: the i-th draw of a purpose
-is slot i % C of chunk i // C, and chunk c is draw c of the replica's
-stream. A step's data or jitter draw is one (S*K, n) slice of the buffer,
-row s*K + k worker k's of replica s. The coins are drawn only by PALSGD's
-local steps with p > 0, never in warmup; `Coins` compares each chunk with p
-once, when it is drawn, into new step-major (C, S*K) mixing and stepping
-masks and a list of whether any row mixes, so a local step takes its three
-by indexing.
+every C = max(1, 1024 // n) steps of n values per worker: chunk c is draw c
+of the replica's stream, a worker-major (K, C, n) block, and the i-th draw
+of a purpose is slot i % C of chunk i // C. Every stream sets one shared
+Philox generator to its own key and counter before it draws. The data and
+jitter chunks are written transposed into a preallocated step-major
+(C, S, K, n) `StreamChunks` buffer, so a step's draw is one contiguous
+(S*K, n) block of it, row s*K + k worker k's of replica s. The coins are
+drawn only by PALSGD's local steps with p > 0, never in warmup; `Coins`
+compares each chunk with p once, when it is drawn, straight into new
+step-major (C, S*K) mixing and stepping masks and a list of whether any row
+mixes, so a local step takes its three by indexing.
 The data draws sit behind the workload: `workload.sampler(K, seeds)` is the
 run's one draw object (the quadratic's noise chunks, or the logistic and
 MLP `Shards`), and `draw_sample(sampler, stepping)` gives a step's samples,
@@ -83,7 +85,7 @@ from .fields import ConfigError, check_fields, option
 from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
                          OuterOptState, inner_step, outer_step)
 from .vecmath import (PURPOSE_BERNOULLI, PURPOSE_INIT, ParamVector, RngStream,
-                      StreamChunks, mean_of, row_norms_sq)
+                      chunk_steps, draw_chunk, fill_uniform, mean_of, row_norms_sq)
 
 
 @dataclass(frozen=True)
@@ -232,29 +234,33 @@ class Coins:
     """The Bernoulli(p) coins of S replicas of K workers, one per worker and
     local step: a worker mixes where its coin's uniform is <= p.
 
-    The uniforms are the chunks of a width-1 `StreamChunks` of the streams
-    keyed (seed_s, 0, PURPOSE_BERNOULLI): chunk c, serving local steps c*C to
-    c*C + C - 1, is draw c of each replica's stream. Each chunk is compared
-    with p once, when it is drawn, into new step-major (C, S*K) bool rows,
-    column s*K + k worker k of replica s, so a mask handed out earlier is
-    never written. At p = 0 no coin is drawn and every row steps.
+    Chunk c of the coins, serving local steps c*C to c*C + C - 1 with
+    C = `chunk_steps(1)`, is `draw_chunk` c of each replica's stream keyed
+    (seed_s, 0, PURPOSE_BERNOULLI): its worker-major (K, C) uniforms. Each
+    chunk is compared with p once, when it is drawn, straight into new
+    step-major (C, S*K) bool rows, column s*K + k worker k of replica s, so
+    a mask handed out earlier is never written. At p = 0 no coin is drawn
+    and every row steps.
     """
 
     def __init__(self, seeds: Sequence[int], workers: int, p: float):
-        self.uniforms = StreamChunks(seeds, PURPOSE_BERNOULLI, workers, 1)
+        self.streams = [RngStream(s, 0, PURPOSE_BERNOULLI) for s in seeds]
+        self.workers = workers
+        self.steps = chunk_steps(1)
         self.p = p
         self.drawn = 0
 
     def next(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """The next local step's (S*K,) mixing and stepping masks, and
         whether any row mixes."""
-        chunk, slot = divmod(self.drawn, self.uniforms.steps)
+        chunk, slot = divmod(self.drawn, self.steps)
         if slot == 0:
-            s, k, c, _ = self.uniforms.buf.shape
-            mixing = np.zeros((c, s * k), dtype=bool)
+            k, c = self.workers, self.steps
+            mixing = np.zeros((c, len(self.streams) * k), dtype=bool)
             if self.p > 0.0:
-                u = self.uniforms.refill(chunk)[..., 0]
-                np.less_equal(u.transpose(2, 0, 1), self.p, out=mixing.reshape(c, s, k))
+                for s, stream in enumerate(self.streams):
+                    u = draw_chunk(stream, chunk, fill_uniform, (k, c))
+                    np.less_equal(u.T, self.p, out=mixing[:, s * k:(s + 1) * k])
             self.mixing, self.stepping = mixing, ~mixing
             self.mixes = mixing.any(axis=1).tolist()
         self.drawn += 1
@@ -285,7 +291,7 @@ class Workers:
     @property
     def stacked(self) -> np.ndarray:
         """The (S, K, d) view of `x`."""
-        return self.x.reshape(len(self.coins.uniforms.streams), -1, self.x.shape[1])
+        return self.x.reshape(len(self.coins.streams), -1, self.x.shape[1])
 
 
 # a record's values in the order run_training appends them, `evaluated` last;
@@ -503,7 +509,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
 
     def record(t: int, models: np.ndarray, evaluate: bool, probe) -> None:
         nonlocal held
-        pending.append((t, clock.times.max(axis=1), len(clock.events[0]),
+        pending.append((t, np.maximum.reduce(clock.times, axis=1), len(clock.events[0]),
                         list(clock.comm_seconds), models, evaluate, probe))
         # the references of a probe are as small as the models, and most are
         # another record's models

@@ -82,12 +82,13 @@ class SimClock:
     advanced by one cost array per step; `events` holds one list of
     CommEvents and `comm_seconds` one float per replica. The jitter is one
     uniform per worker and step from `StreamChunks` of purpose
-    PURPOSE_JITTER; replica s reads its own stream's chunks, keyed by seed s,
-    so row s is the clock of seed s alone. The replicas of a batch sync at
-    the same steps, so one `barrier` waits every replica's workers for the
-    slowest of their own row at once, and `allreduce` builds one CommEvent
-    that `record_allreduce` logs into each replica's list. A replica's global
-    time is the max over its row, realized at each barrier.
+    PURPOSE_JITTER: a step reads one contiguous (S*K, 1) block of the
+    step-major chunk, whose replica s part is drawn from its own stream,
+    keyed by seed s, so row s is the clock of seed s alone. The replicas of
+    a batch sync at the same steps, so one `barrier` waits every replica's
+    workers for the slowest of their own row at once, and `allreduce` builds
+    one CommEvent that `record_allreduce` logs into each replica's list. A
+    replica's global time is the max over its row, realized at each barrier.
     """
 
     def __init__(self, spec: ClusterSpec, seeds: Sequence[int] = (0,)):
@@ -100,6 +101,7 @@ class SimClock:
         self._mixing_cost = self._step_cost * spec.mixing_cost_fraction
         self._jitter = (StreamChunks(seeds, PURPOSE_JITTER, spec.workers, 1)
                         if spec.jitter > 0 else None)
+        self._ring: dict[int, tuple[int, float]] = {}  # dim -> all-reduce payload and seconds
 
     def advance_step(self, is_gradient_step: np.ndarray) -> None:
         """Advance every worker by one step; `is_gradient_step` masks the S*K
@@ -112,13 +114,17 @@ class SimClock:
 
     def barrier(self, duration: float = 0.0) -> None:
         """Move every worker of each replica to its replica's slowest, plus `duration`."""
-        self.times[:] = self.times.max(axis=1, keepdims=True) + duration
+        self.times[:] = np.maximum.reduce(self.times, axis=1, keepdims=True) + duration
 
     def allreduce(self, step: int, dim: int) -> CommEvent:
         """Barrier every replica's workers through one all-reduce of `dim`
         parameters, and log its one event in each replica's list."""
-        payload = self.spec.payload_bytes(dim)
-        duration = allreduce_time(payload, self.spec.workers, self.spec.allreduce)
+        cost = self._ring.get(dim)
+        if cost is None:
+            payload = self.spec.payload_bytes(dim)
+            cost = self._ring[dim] = payload, allreduce_time(payload, self.spec.workers,
+                                                              self.spec.allreduce)
+        payload, duration = cost
         self.barrier(duration)
         event = CommEvent(step=step, payload_bytes=payload, duration_s=duration,
                           participants=self.spec.workers)

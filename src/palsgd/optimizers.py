@@ -91,8 +91,9 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
     if lr <= 0:
         raise ValueError(f"inner_step: lr must be > 0, got {lr}")
     cfg = state.config
-    counts = state.step + 1
-    np.copyto(state.step, counts, where=mask)
+    if cfg.variant == "adamw":
+        counts = state.step + 1  # every row's count after a step
+    state.step += mask
 
     if cfg.clip_norm is not None:
         norms = np.sqrt(row_norms_sq(g))

@@ -11,6 +11,8 @@ the drift in `algorithms.consensus_probe`) adds left to right through
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 ParamVector = np.ndarray
@@ -59,9 +61,39 @@ def row_norms_sq(x: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
 
 
+# Distinct (seed, worker, purpose) keys kept by `_stream_key`; a job of the
+# theory suite draws from 40.
+KEY_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
 def _stream_key(seed: int, worker: int, purpose: int) -> np.ndarray:
-    ss = np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=(worker, purpose))
-    return ss.generate_state(2, np.uint64)
+    """The read-only Philox key of the stream (seed, worker, purpose), for an int seed."""
+    ss = np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(worker, purpose))
+    key = ss.generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
+# The one Philox generator that every stream sets to its own key and counter
+# before a draw, with the state dict it is set from: built on the first draw,
+# so importing this module does not import numpy.random.
+_shared: list = []
+
+
+def _build_shared() -> list:
+    bitgen = np.random.Philox(key=0)
+    # The state of a Philox with empty output buffers. Reading `.state` builds
+    # a new dict each time and costs more than setting it, so the dict is read
+    # once and only its key and counter words change per draw; the setter
+    # copies them in, leaving the dict untouched.
+    state = bitgen.state
+    state["state"]["counter"][:] = 0
+    state["buffer_pos"] = 4
+    state["has_uint32"] = 0
+    state["uinteger"] = 0
+    _shared[:] = bitgen, np.random.Generator(bitgen), state
+    return _shared
 
 
 class RngStream:
@@ -72,58 +104,50 @@ class RngStream:
     stream, or reconstructing it at an arbitrary counter, reproduces every
     value bit-exactly, and no stream's consumption can shift another's.
 
-    A stream builds its key and generator on its first draw, so one that is
-    never drawn from costs next to nothing.
+    Philox output depends on its key and counter alone, so no stream owns a
+    generator: each draw sets one shared generator to the stream's key and
+    counter block, with its output buffers empty, and draws from it. A
+    stream looks its key up on its first draw, from a bounded cache of
+    read-only keys, so one that is never drawn from costs next to nothing.
 
     The trainer's per-step draws are chunked, by `StreamChunks` and by the
-    trainer's coins (`algorithms.Coins`): one stream per purpose and replica, keyed (seed, 0, purpose) by the replica's seed,
-    whose draw c is chunk c, a (K, C, n) block serving C steps of the
-    replica's K workers. Philox yields its values in order, so the first k
-    rows of a K-row block of uniforms or Gaussians equal the k-row block,
-    and a worker's draws do not depend on how many workers run beside it.
+    trainer's coins (`algorithms.Coins`): one stream per purpose and replica,
+    keyed (seed, 0, purpose) by the replica's seed, whose draw c is chunk c,
+    a worker-major (K, C, n) block serving C steps of the replica's K
+    workers. Philox yields its values in order, so the first k rows of a
+    K-row block of uniforms or Gaussians equal the k-row block, and a
+    worker's draws do not depend on how many workers run beside it.
     """
 
-    __slots__ = ("seed", "worker", "purpose", "counter", "_bitgen", "_gen", "_state")
+    __slots__ = ("seed", "worker", "purpose", "counter", "_key")
 
     def __init__(self, seed: int, worker: int, purpose: int, counter: int = 0):
         self.seed = seed
         self.worker = worker
         self.purpose = purpose
         self.counter = counter
-        self._state = None  # _build() sets it and the generator on the first draw
-
-    def _build(self) -> None:
-        self._bitgen = np.random.Philox(key=_stream_key(self.seed, self.worker, self.purpose))
-        self._gen = np.random.Generator(self._bitgen)
-        # The state of a fresh Philox at counter 0 with empty output buffers.
-        # Reading `.state` builds a new dict each time and costs more than
-        # setting it, so the dict is read once and only its counter word
-        # changes per draw; the setter copies it in, leaving it untouched.
-        self._state = self._bitgen.state
-        self._state["state"]["counter"][:] = 0
-        self._state["buffer_pos"] = 4
-        self._state["has_uint32"] = 0
-        self._state["uinteger"] = 0
+        self._key = None  # _position() looks it up on the first draw
 
     def _position(self) -> np.random.Generator:
-        # Reposition the cached generator at this draw's counter block and
-        # flush buffered output; bit-identical to a fresh Philox at
-        # counter << 64 but much cheaper than reconstructing.
-        if self._state is None:
-            self._build()
-        self._state["state"]["counter"][1] = self.counter
-        self._bitgen.state = self._state
+        # Set the shared generator to this stream's key at this draw's
+        # counter block, output buffers flushed; bit-identical to a fresh
+        # Philox(key) at counter << 64 but much cheaper than building one.
+        if self._key is None:
+            self._key = _stream_key(int(self.seed), self.worker, self.purpose)
+        bitgen, gen, state = _shared or _build_shared()
+        state["state"]["key"] = self._key
+        state["state"]["counter"][1] = self.counter
+        bitgen.state = state
         self.counter += 1
-        return self._gen
+        return gen
 
     def uniform(self) -> float:
         """One draw in [0, 1)."""
         return float(self._position().random())
 
-    def uniform_vector(self, n, out: np.ndarray | None = None) -> np.ndarray:
-        """iid draws in [0, 1) of shape n, written into `out` when given (of
-        that shape); one counter tick for the whole block."""
-        return self._position().random(n, out=out)
+    def uniform_vector(self, n) -> np.ndarray:
+        """iid draws in [0, 1) of shape n; one counter tick for the whole block."""
+        return self._position().random(n)
 
     def gaussian(self, sigma: float) -> float:
         if sigma < 0:
@@ -133,19 +157,15 @@ class RngStream:
             return 0.0
         return float(self._position().standard_normal() * sigma)
 
-    def gaussian_vector(self, n, sigma: float, out: np.ndarray | None = None) -> ParamVector:
-        """iid N(0, sigma^2) values of shape n, written into `out` when given
-        (of that shape); one counter tick for the whole vector. Scaling in
-        place rounds as `standard_normal(n) * sigma` does."""
+    def gaussian_vector(self, n, sigma: float) -> ParamVector:
+        """iid N(0, sigma^2) values of shape n; one counter tick for the whole
+        vector. Scaling in place rounds as `standard_normal(n) * sigma` does."""
         if sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if out is None:
-            out = np.empty(n)
         if sigma == 0.0:
             self.counter += 1
-            out.fill(0.0)
-            return out
-        self._position().standard_normal(out=out)
+            return np.zeros(n)
+        out = self._position().standard_normal(n)
         out *= sigma
         return out
 
@@ -165,47 +185,61 @@ class RngStream:
 CHUNK_VALUES = 1024
 
 
-def fill_uniform(stream: RngStream, out: np.ndarray) -> None:
-    """A chunk of uniforms in [0, 1), as `StreamChunks` fills it."""
-    stream.uniform_vector(out.shape, out=out)
+def chunk_steps(width: int) -> int:
+    """C, the steps one chunk serves when each worker draws `width` values per step."""
+    return max(1, CHUNK_VALUES // width)
+
+
+def draw_chunk(stream: RngStream, chunk: int, fill, shape) -> np.ndarray:
+    """Chunk `chunk` of a replica: draw `chunk` of its stream, one call of
+    ``fill(stream, shape)``, worker-major (K, C, ...)."""
+    stream.counter = chunk
+    return fill(stream, shape)
+
+
+def fill_uniform(stream: RngStream, shape) -> np.ndarray:
+    """A chunk of uniforms in [0, 1), as `StreamChunks` draws it."""
+    return stream.uniform_vector(shape)
 
 
 class StreamChunks:
     """One purpose's per-step draws for S replicas of K workers, each worker
-    drawing `width` values per step, served C = max(1, CHUNK_VALUES // width)
-    steps per generator call.
+    drawing `width` values per step, served C = `chunk_steps(width)` steps
+    per generator call.
 
-    Chunk c of replica s is draw c of its stream, keyed (seed_s, 0, purpose):
-    one call of ``fill(stream, out)`` at counter block c that fills the
-    replica's (K, C, width) slice of one preallocated (S, K, C, width)
-    buffer in place, worker-major. The i-th draw of a run is slot i % C of
-    chunk i // C, so every value is a pure function of (seed, purpose, i),
-    and C depends on the width alone, never on K, S or the run length.
-    Worker-major rows keep the first k rows of a K-worker chunk of uniforms
-    or Gaussians equal to the k-worker chunk.
+    Chunk c of replica s is `draw_chunk` c of its stream, keyed
+    (seed_s, 0, purpose): one call of ``fill(stream, (K, C, width))`` at
+    counter block c that returns the replica's worker-major block. The i-th
+    draw of a run is slot i % C of chunk i // C, so every value is a pure
+    function of (seed, purpose, i), and C depends on the width alone, never
+    on K, S or the run length. Worker-major blocks keep the first k rows of
+    a K-worker chunk of uniforms or Gaussians equal to the k-worker chunk.
+
+    `refill` writes each replica's block transposed into one preallocated
+    step-major (C, S, K, width) buffer, so a step reads one contiguous
+    (S*K, width) block of it.
     """
 
     def __init__(self, seeds, purpose: int, workers: int, width: int, fill=fill_uniform,
                  dtype=np.float64):
-        self.steps = max(1, CHUNK_VALUES // width)
+        self.steps = chunk_steps(width)
         self.streams = [RngStream(s, 0, purpose) for s in seeds]
         self.fill = fill
-        self.buf = np.empty((len(self.streams), workers, self.steps, width), dtype)
+        self.buf = np.empty((self.steps, len(self.streams), workers, width), dtype)
+        self.rows = self.buf.reshape(self.steps, -1, width)  # (C, S*K, width), a view
         self.drawn = 0
 
     def next(self) -> np.ndarray:
-        """The next step's (S*K, width) draw, a view: row s*K + k is worker k
-        of replica s."""
+        """The next step's (S*K, width) draw, a contiguous view of the buffer:
+        row s*K + k is worker k of replica s."""
         chunk, slot = divmod(self.drawn, self.steps)
         if slot == 0:
             self.refill(chunk)
         self.drawn += 1
-        return self.buf[:, :, slot].reshape(-1, self.buf.shape[-1])
+        return self.rows[slot]
 
-    def refill(self, chunk: int) -> np.ndarray:
-        """Draw chunk `chunk` of every replica into the (S, K, C, width)
-        buffer, and return the buffer."""
-        for stream, out in zip(self.streams, self.buf):
-            stream.counter = chunk
-            self.fill(stream, out)
-        return self.buf
+    def refill(self, chunk: int) -> None:
+        """Draw chunk `chunk` of every replica into the (C, S, K, width) buffer."""
+        shape = (self.buf.shape[2], self.steps, self.buf.shape[3])
+        for s, stream in enumerate(self.streams):
+            self.buf[:, s] = draw_chunk(stream, chunk, self.fill, shape).transpose(1, 0, 2)

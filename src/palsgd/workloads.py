@@ -52,8 +52,11 @@ class Shards:
     Shard i is `flat[starts[i]:starts[i] + sizes[i]]`, its sorted sample
     indices; `seeds` holds the replicas' seeds. Each draw gives a shard
     `batch_size` indices. with_replacement reads a step's (S*K, batch_size)
-    draw of `positions`, the data stream's chunks, row i uniform over shard
-    i's positions. epoch_shuffle draws no data stream: shard k of replica s
+    draw of `positions`, the data stream's chunks, as one contiguous block of
+    the step-major chunk, row i uniform over shard i's positions. A chunk of
+    a replica whose shards all have one size draws under that size as a
+    scalar bound, which gives the values of the per-shard bound array, and
+    faster. epoch_shuffle draws no data stream: shard k of replica s
     reads its indices in epochs, epoch e permuted by its own stream keyed
     (seed_s, k, PURPOSE_SHUFFLE) at counter e. `order` holds each shard's
     current epoch at its start and `cursor` each shard's next position in
@@ -69,10 +72,11 @@ class Shards:
         check_fields(self)
         self.starts = np.cumsum(self.sizes) - self.sizes
         if self.draw_policy == "with_replacement":
-            high = self.sizes[:self.workers, None, None]  # the same in every replica
+            sizes = self.sizes[:self.workers]  # the same in every replica
+            high = int(sizes[0]) if (sizes == sizes[0]).all() else sizes[:, None, None]
 
-            def fill(stream: RngStream, out: np.ndarray) -> None:
-                out[...] = stream.integers(0, high, out.shape)
+            def fill(stream: RngStream, shape) -> np.ndarray:
+                return stream.integers(0, high, shape)
 
             self.positions = StreamChunks(self.seeds, PURPOSE_DATA, self.workers,
                                           self.batch_size, fill, np.int64)
@@ -199,8 +203,8 @@ class QuadraticWorkload:
         per worker and step; the noise is IID, so there is nothing to shard."""
         return StreamChunks(seeds, PURPOSE_DATA, workers, self.dim, self._fill_noise)
 
-    def _fill_noise(self, stream: RngStream, out: np.ndarray) -> None:
-        stream.gaussian_vector(out.shape, self._noise_scale, out=out)
+    def _fill_noise(self, stream: RngStream, shape) -> np.ndarray:
+        return stream.gaussian_vector(shape, self._noise_scale)
 
     def draw_sample(self, sampler: StreamChunks, mask: np.ndarray) -> np.ndarray:
         """The next step's (S*K, d) noise draw, whatever `mask` holds: a view

@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, RngStream, StreamChunks,
-                            fill_uniform, mean_of, row_norms_sq)
+import palsgd
+from palsgd import vecmath
+from palsgd.vecmath import (PURPOSE_BERNOULLI, PURPOSE_DATA, PURPOSE_JITTER, PURPOSE_SHUFFLE,
+                            RngStream, StreamChunks, fill_uniform, mean_of, row_norms_sq)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -188,21 +193,73 @@ class TestRngStream:
         assert 0.498 <= total / n <= 0.502
 
 
-def fill_gaussian(stream, out):
-    stream.gaussian_vector(out.shape, 0.5, out=out)
+def fresh_generator(seed, worker, purpose, n):
+    """A generator of its own for stream (seed, worker, purpose) at counter block n."""
+    key = np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF,
+                                 spawn_key=(worker, purpose)).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=n << 64))
+
+
+class TestSharedGenerator:
+    def test_interleaved_streams_equal_their_own_generators(self):
+        # every stream sets one shared generator to its key and counter; the
+        # streams differ in seed, worker, purpose and counter, their draws
+        # interleave, and one is re-created after the others have drawn
+        ids = [(3, 0, PURPOSE_DATA, 0), (3, 1, PURPOSE_DATA, 5), (8, 0, PURPOSE_DATA, 0),
+               (3, 0, PURPOSE_JITTER, 2), (-1, 4, PURPOSE_SHUFFLE, 7)]
+        streams = [RngStream(seed, worker, purpose, counter) for seed, worker, purpose, counter in ids]
+        bounds = np.array([5, 9, 1000])[:, None]
+        draws = [
+            ("uniform_vector", ((4, 3),), lambda g: g.random((4, 3))),
+            ("gaussian_vector", (7, 0.3), lambda g: g.standard_normal(7) * 0.3),
+            ("integers", (0, bounds, (3, 6)), lambda g: g.integers(0, bounds, size=(3, 6))),
+            ("permutation", (11,), lambda g: g.permutation(11)),
+        ]
+        for turn in range(3):
+            for i in range(len(streams)):
+                if turn == 2 and i == 0:
+                    streams[0] = RngStream(3, 0, PURPOSE_DATA, streams[0].counter)
+                seed, worker, purpose, _ = ids[i]
+                stream = streams[i]
+                name, args, reference = draws[(turn + i) % len(draws)]
+                want = reference(fresh_generator(seed, worker, purpose, stream.counter))
+                got = getattr(stream, name)(*args)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (turn, i)
+        assert [stream.counter for stream in streams] == [c + 3 for *_, c in ids]
+
+    def test_key_cache_is_bounded_and_read_only(self):
+        for seed in range(vecmath.KEY_CACHE_SIZE + 10):
+            RngStream(seed, 0, PURPOSE_DATA).uniform_vector(1)
+        info = vecmath._stream_key.cache_info()
+        assert info.maxsize == vecmath.KEY_CACHE_SIZE and info.currsize == info.maxsize
+        key = vecmath._stream_key(3, 0, PURPOSE_DATA)
+        assert not key.flags.writeable
+        with pytest.raises(ValueError):
+            key[0] = 0
+
+    def test_importing_palsgd_leaves_numpy_random_unimported(self):
+        src = os.path.dirname(os.path.dirname(palsgd.__file__))
+        code = "import sys, palsgd; print('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
+def fill_gaussian(stream, shape):
+    return stream.gaussian_vector(shape, 0.5)
 
 
 class TestStreamChunks:
-    def test_in_place_fills_equal_plain_draws(self):
+    def test_shaped_draws_equal_flat_draws(self):
+        # a chunk's (K, C, n) draw is the stream's values in order
         for sigma in (0.0, 0.7):
-            out = np.full((3, 4, 5), np.nan)
-            got = RngStream(4, 0, PURPOSE_DATA).gaussian_vector(out.shape, sigma, out=out)
+            got = RngStream(4, 0, PURPOSE_DATA).gaussian_vector((3, 4, 5), sigma)
             want = RngStream(4, 0, PURPOSE_DATA).gaussian_vector(60, sigma).reshape(3, 4, 5)
-            assert got is out and out.tobytes() == want.tobytes()
-        out = np.empty((3, 4, 5))
-        got = RngStream(4, 0, PURPOSE_DATA).uniform_vector(out.shape, out=out)
+            assert got.shape == (3, 4, 5) and got.tobytes() == want.tobytes()
+        got = RngStream(4, 0, PURPOSE_DATA).uniform_vector((3, 4, 5))
         want = RngStream(4, 0, PURPOSE_DATA).uniform_vector(60).reshape(3, 4, 5)
-        assert got is out and out.tobytes() == want.tobytes()
+        assert got.shape == (3, 4, 5) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("fill, draw", [
         (fill_uniform, lambda stream, n: stream.uniform_vector(n)),
@@ -220,7 +277,8 @@ class TestStreamChunks:
             got = steps[:, s * k:(s + 1) * k].transpose(1, 0, 2)
             assert got.tobytes() == want[:, :len(steps)].tobytes()
         assert [stream.counter for stream in chunks.streams] == [3, 3]
-        assert np.shares_memory(chunks.next(), chunks.buf)  # a step's draw is a view
+        step = chunks.next()  # a step's draw is a contiguous view of the buffer
+        assert step.flags.c_contiguous and np.shares_memory(step, chunks.buf)
 
     @pytest.mark.parametrize("workers", [1, 5, 32])
     @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
@@ -228,4 +286,4 @@ class TestStreamChunks:
         for width, steps in ((1, 1024), (3, 341), (64, 16), (1024, 1), (5000, 1)):
             chunks = StreamChunks(seeds, PURPOSE_DATA, workers, width)
             assert chunks.steps == steps
-            assert chunks.buf.shape == (len(seeds), workers, steps, width)
+            assert chunks.buf.shape == (steps, len(seeds), workers, width)

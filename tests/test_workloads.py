@@ -382,6 +382,24 @@ class TestSharding:
         assert np.array_equal(shards.draw(np.ones(3, dtype=bool)), indices([0, 1, 2], 40))
         assert np.array_equal(shards.draw(np.array([True, False, True])), indices([0, 1, 2], 41))
 
+    @pytest.mark.parametrize("n, workers", [(4096, 32), (4098, 32), (10, 3)],
+                             ids=["equal", "unequal", "10-over-3"])
+    def test_positions_are_the_integer_draws_of_the_stream(self, n, workers):
+        # equal shards draw under a scalar bound and unequal ones under the
+        # (K, 1, 1) bound array; both give chunk c of replica s as draw c of
+        # RngStream(seed_s, 0, PURPOSE_DATA), laid out step-major
+        seeds, batch = [3, 8], 64
+        data = Dataset(np.zeros((n, 1)), np.zeros(n, dtype=np.int64), 2)
+        shards = shard_dataset(data, workers, seeds, batch)
+        c = 1024 // batch
+        sizes = shards.sizes[:workers, None, None]
+        chunks = [[RngStream(seed, 0, PURPOSE_DATA, counter=chunk).integers(
+            0, sizes, (workers, c, batch)) for seed in seeds] for chunk in range(3)]
+        for step in range(2 * c + 5):
+            got = shards.positions.next()
+            want = np.concatenate([block[:, step % c] for block in chunks[step // c]])
+            assert got.dtype == np.int64 and got.tobytes() == want.tobytes(), step
+
     def test_more_workers_than_samples_rejected(self):
         data = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), 1)
         with pytest.raises(ValueError, match="shard"):
