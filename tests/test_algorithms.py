@@ -1433,8 +1433,9 @@ class TestRecordBlocks:
         finally:
             tracemalloc.stop()
         assert len(result.diagnostics.columns["step"]) == total
-        # the run's own state (its (K, C, d) noise chunk, its coins' (C, K)
-        # masks and the (K, C) uniforms drawn for them, the workers and their
+        # the run's own state (its step-major (C, K, d) noise chunk and the
+        # (K, C, d) block drawn for it, its coins' (C, K) masks and the (K, C)
+        # uniforms drawn for them, the workers and their
         # temporaries) and its finished column blocks stay
         # under 3 MiB; the rows of a few blocks, held, stacked and differenced
         # when a block is evaluated, come on top
