@@ -211,6 +211,27 @@ class TestParsing:
             parse({"workload": {"kind": "mlp", "widths": [4, 8, 1]}})
         assert exc.value.field == "workload.widths"
 
+    @pytest.mark.parametrize("raw, field, reason", [
+        ({"workload": {"kind": "quadratic", "mu": 2.0, "L": 1.0}}, "workload.L", "must be >= mu"),
+        ({"workload": {"kind": "quadratic", "dim": 3, "x_star": [0.0, 1.0]}},
+         "workload.x_star", "length 2 != dim 3"),
+        ({"workload": {"kind": "quadratic", "dim": 3, "x0_offset": [1.0] * 4}},
+         "workload.x0_offset", "length 4 != dim 3"),
+        ({"workload": {"kind": "logistic", "n_samples": 41}}, "workload.n_samples", "must be even"),
+        ({"workload": {"kind": "mlp", "widths": [4]}}, "workload.widths", "at least two"),
+        ({"schedule": {"lr_schedule": "warmup_cosine", "lr_warmup_steps": 0}},
+         "schedule.lr_warmup_steps", "lr_warmup_steps >= 1"),
+        ({"algo": {"variant": "palsgd_theory"}, "workload": {"kind": "quadratic", "x0_offset": 0.0}},
+         "workload.x0_offset", "d0 > 0"),
+        ({"schedule": [0.1]}, "schedule", "must be a JSON object"),
+        ([{"workers": 2}], "<document>", "top level must be a JSON object")],
+        ids=["L-below-mu", "x_star-length", "x0_offset-length", "odd-n_samples", "one-width",
+             "cosine-without-warmup", "theory-at-x_star", "schedule-list", "document-list"])
+    def test_bespoke_rule_names_its_field(self, raw, field, reason):
+        with pytest.raises(ConfigError) as exc:
+            parse(raw)
+        assert exc.value.field == field and reason in exc.value.reason
+
 
 class TestFieldSpecs:
     @pytest.mark.parametrize("section, build, key, bad", [

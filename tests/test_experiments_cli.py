@@ -10,10 +10,12 @@ import pytest
 from palsgd import algorithms, experiments
 from palsgd.algorithms import DivergenceReport, Schedule, make_variant, run_training
 from palsgd.cli import main
+from palsgd.cluster import ClusterSpec
 from palsgd.config import ConfigError, RunConfig, parse_config
 from palsgd.experiments import (SWEEP_CSV_HEADER, fit_loglog_slope, gradcheck,
                                 k1_scalar_oracle, run_experiment, sweep,
                                 verify_theory, weighted_average_suboptimality)
+from palsgd.workloads import QuadraticWorkload
 
 
 def parse(obj):
@@ -481,6 +483,21 @@ class TestK1Oracle:
         monkeypatch.setattr(algorithms, "inner_step", scaled)
         mean, se = self.trainer_mean_and_se(cfg)
         assert abs(mean - exact) > 6.0 * se, (mean, se, exact)
+
+    @pytest.mark.parametrize("total, growth", [(700, 2.0), (40, 1e6)])
+    def test_weights_past_1e200_are_rescaled_in_the_trainer_and_the_oracle(self, total, growth):
+        # every step is a deterministic warmup step of a noiseless worker, so
+        # the oracle's value is the run's exactly; without the rescale the
+        # weights pass 1e200 and the two drift apart by percents
+        assert total * math.log10(growth) > 200
+        diag, x0 = np.array([1.0, 2.0]), np.array([0.3, -0.2])
+        workload = QuadraticWorkload(diag, np.zeros(2), 0.0, x0=x0)
+        schedule = Schedule(alpha=1e-3, eta=0.5, p=0.25, sync_interval=4, total_steps=total,
+                            warmup_steps=total, alpha_eta=5e-4, iterate_weight_growth=growth)
+        result = run_training(workload, make_variant("palsgd_theory"), schedule,
+                              ClusterSpec(workers=1), seed=0)
+        got = workload.suboptimality(result.weighted_average)
+        assert got == pytest.approx(k1_scalar_oracle(diag, x0, 0.0, schedule), rel=1e-12)
 
 
 class TestGradcheck:
