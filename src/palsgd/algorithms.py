@@ -25,18 +25,18 @@ p = 0 special cases with, respectively, plain-averaging and adamw/nesterov
 optimizer pairings, which the equivalence tests rely on.
 
 Random draws are stacked and chunked too. Each per-step purpose (Bernoulli
-coins, data, clock jitter) draws one chunk per replica, one generator call,
-every C = max(1, 1024 // n) steps of n values per worker: chunk c is draw c
-of the replica's stream, a worker-major (K, C, n) block, and the i-th draw
-of a purpose is slot i % C of chunk i // C. Every stream sets one shared
-Philox generator to its own key and counter before it draws. The data and
-jitter chunks are written transposed into a preallocated step-major
-(C, S, K, n) `StreamChunks` buffer, so a step's draw is one contiguous
-(S*K, n) block of it, row s*K + k worker k's of replica s. The coins are
-drawn only by PALSGD's local steps with p > 0, never in warmup; `Coins`
-compares each chunk with p once, when it is drawn, straight into new
-step-major (C, S*K) mixing and stepping masks and a list of whether any row
-mixes, so a local step takes its three by indexing.
+coins, data, clock jitter) is a `StreamChunks` that draws one chunk per
+replica, one generator call, every C = max(1, 1024 // n) steps of n values
+per worker: chunk c is draw c of the replica's stream, a worker-major
+(K, C, n) block, and the i-th draw of a purpose is slot i % C of chunk
+i // C. Every stream sets one shared Philox generator to its own key and
+counter before it draws. Each chunk is written transposed into a
+preallocated step-major (C, S, K, n) buffer, so a step's draw is one
+contiguous (S*K, n) block of it, row s*K + k worker k's of replica s. The
+coins are drawn only by PALSGD's local steps with p > 0, never in warmup;
+`Coins` compares each chunk with p as it draws it, and copies it into new
+step-major (C, S*K) mixing and stepping masks and a list of whether any
+row mixes, so a local step takes its three by indexing.
 The data draws sit behind the workload: `workload.sampler(K, seeds)` is the
 run's one draw object (the quadratic's noise chunks, or the logistic and
 MLP `Shards`), and `draw_sample(sampler, stepping)` gives a step's samples,
@@ -85,7 +85,7 @@ from .fields import ConfigError, check_fields, option
 from .optimizers import (InnerOptConfig, InnerOptState, OuterOptConfig,
                          OuterOptState, inner_step, outer_step)
 from .vecmath import (PURPOSE_BERNOULLI, PURPOSE_INIT, ParamVector, RngStream,
-                      chunk_steps, draw_chunk, fill_uniform, mean_of, row_norms_sq)
+                      StreamChunks, mean_of, row_norms_sq)
 
 
 @dataclass(frozen=True)
@@ -230,41 +230,38 @@ def make_variant(tag: str, inner: InnerOptConfig | None = None,
     return AlgoVariant(tag=tag, inner=inner, outer=outer)
 
 
-class Coins:
+class Coins(StreamChunks):
     """The Bernoulli(p) coins of S replicas of K workers, one per worker and
     local step: a worker mixes where its coin's uniform is <= p.
 
-    Chunk c of the coins, serving local steps c*C to c*C + C - 1 with
-    C = `chunk_steps(1)`, is `draw_chunk` c of each replica's stream keyed
-    (seed_s, 0, PURPOSE_BERNOULLI): its worker-major (K, C) uniforms. Each
-    chunk is compared with p once, when it is drawn, straight into new
-    step-major (C, S*K) bool rows, column s*K + k worker k of replica s, so
+    The coins are a `StreamChunks` of width 1 on the streams keyed
+    (seed_s, 0, PURPOSE_BERNOULLI), whose fill compares each chunk's
+    uniforms with p as it draws them. Each refill copies the chunk's
+    step-major (C, S*K) mixing rows, column s*K + k worker k of replica s,
+    and derives from them the stepping rows and whether each step mixes, so
     a mask handed out earlier is never written. At p = 0 no coin is drawn
     and every row steps.
     """
 
     def __init__(self, seeds: Sequence[int], workers: int, p: float):
-        self.streams = [RngStream(s, 0, PURPOSE_BERNOULLI) for s in seeds]
-        self.workers = workers
-        self.steps = chunk_steps(1)
-        self.p = p
-        self.drawn = 0
+        def flip(stream: RngStream, shape) -> np.ndarray:
+            return stream.uniform_vector(shape) <= p if p > 0.0 else np.zeros(shape, bool)
+
+        super().__init__(seeds, PURPOSE_BERNOULLI, workers, 1, flip, bool)
 
     def next(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """The next local step's (S*K,) mixing and stepping masks, and
         whether any row mixes."""
-        chunk, slot = divmod(self.drawn, self.steps)
-        if slot == 0:
-            k, c = self.workers, self.steps
-            mixing = np.zeros((c, len(self.streams) * k), dtype=bool)
-            if self.p > 0.0:
-                for s, stream in enumerate(self.streams):
-                    u = draw_chunk(stream, chunk, fill_uniform, (k, c))
-                    np.less_equal(u.T, self.p, out=mixing[:, s * k:(s + 1) * k])
-            self.mixing, self.stepping = mixing, ~mixing
-            self.mixes = mixing.any(axis=1).tolist()
-        self.drawn += 1
+        slot = self.advance()
         return self.mixing[slot], self.stepping[slot], self.mixes[slot]
+
+    def refill(self, chunk: int) -> None:
+        """Draw chunk `chunk`, and copy its mixing rows out of the buffer
+        that the next refill overwrites."""
+        super().refill(chunk)
+        self.mixing = self.rows[:, :, 0].copy()
+        self.stepping = ~self.mixing
+        self.mixes = self.mixing.any(axis=1).tolist()
 
 
 @dataclass

@@ -110,8 +110,8 @@ class RngStream:
     stream looks its key up on its first draw, from a bounded cache of
     read-only keys, so one that is never drawn from costs next to nothing.
 
-    The trainer's per-step draws are chunked, by `StreamChunks` and by the
-    trainer's coins (`algorithms.Coins`): one stream per purpose and replica,
+    The trainer's per-step draws, its data, clock jitter and PALSGD coins,
+    are all chunked by `StreamChunks`: one stream per purpose and replica,
     keyed (seed, 0, purpose) by the replica's seed, whose draw c is chunk c,
     a worker-major (K, C, n) block serving C steps of the replica's K
     workers. Philox yields its values in order, so the first k rows of a
@@ -185,18 +185,6 @@ class RngStream:
 CHUNK_VALUES = 1024
 
 
-def chunk_steps(width: int) -> int:
-    """C, the steps one chunk serves when each worker draws `width` values per step."""
-    return max(1, CHUNK_VALUES // width)
-
-
-def draw_chunk(stream: RngStream, chunk: int, fill, shape) -> np.ndarray:
-    """Chunk `chunk` of a replica: draw `chunk` of its stream, one call of
-    ``fill(stream, shape)``, worker-major (K, C, ...)."""
-    stream.counter = chunk
-    return fill(stream, shape)
-
-
 def fill_uniform(stream: RngStream, shape) -> np.ndarray:
     """A chunk of uniforms in [0, 1), as `StreamChunks` draws it."""
     return stream.uniform_vector(shape)
@@ -204,42 +192,49 @@ def fill_uniform(stream: RngStream, shape) -> np.ndarray:
 
 class StreamChunks:
     """One purpose's per-step draws for S replicas of K workers, each worker
-    drawing `width` values per step, served C = `chunk_steps(width)` steps
-    per generator call.
+    drawing `width` values per step, served C = max(1, CHUNK_VALUES // width)
+    steps per generator call.
 
-    Chunk c of replica s is `draw_chunk` c of its stream, keyed
-    (seed_s, 0, purpose): one call of ``fill(stream, (K, C, width))`` at
-    counter block c that returns the replica's worker-major block. The i-th
-    draw of a run is slot i % C of chunk i // C, so every value is a pure
-    function of (seed, purpose, i), and C depends on the width alone, never
-    on K, S or the run length. Worker-major blocks keep the first k rows of
-    a K-worker chunk of uniforms or Gaussians equal to the k-worker chunk.
+    Chunk c of replica s is draw c of its stream, keyed (seed_s, 0, purpose):
+    one call of ``fill(stream, (K, C, width))`` at counter block c that
+    returns the replica's worker-major block. The i-th draw of a run is slot
+    i % C of chunk i // C, so every value is a pure function of
+    (seed, purpose, i), and C depends on the width alone, never on K, S or
+    the run length. Worker-major blocks keep the first k rows of a K-worker
+    chunk of uniforms or Gaussians equal to the k-worker chunk.
 
     `refill` writes each replica's block transposed into one preallocated
     step-major (C, S, K, width) buffer, so a step reads one contiguous
-    (S*K, width) block of it.
+    (S*K, width) block of it. A subclass that derives more from each chunk
+    extends `refill` and reads its step at `advance`'s slot.
     """
 
     def __init__(self, seeds, purpose: int, workers: int, width: int, fill=fill_uniform,
                  dtype=np.float64):
-        self.steps = chunk_steps(width)
+        self.steps = max(1, CHUNK_VALUES // width)
         self.streams = [RngStream(s, 0, purpose) for s in seeds]
         self.fill = fill
         self.buf = np.empty((self.steps, len(self.streams), workers, width), dtype)
         self.rows = self.buf.reshape(self.steps, -1, width)  # (C, S*K, width), a view
         self.drawn = 0
 
+    def advance(self) -> int:
+        """The next step's slot in the chunk buffer, drawing the chunk first
+        when the step opens one."""
+        slot = self.drawn % self.steps
+        if slot == 0:
+            self.refill(self.drawn // self.steps)
+        self.drawn += 1
+        return slot
+
     def next(self) -> np.ndarray:
         """The next step's (S*K, width) draw, a contiguous view of the buffer:
         row s*K + k is worker k of replica s."""
-        chunk, slot = divmod(self.drawn, self.steps)
-        if slot == 0:
-            self.refill(chunk)
-        self.drawn += 1
-        return self.rows[slot]
+        return self.rows[self.advance()]
 
     def refill(self, chunk: int) -> None:
         """Draw chunk `chunk` of every replica into the (C, S, K, width) buffer."""
         shape = (self.buf.shape[2], self.steps, self.buf.shape[3])
         for s, stream in enumerate(self.streams):
-            self.buf[:, s] = draw_chunk(stream, chunk, self.fill, shape).transpose(1, 0, 2)
+            stream.counter = chunk
+            self.buf[:, s] = self.fill(stream, shape).transpose(1, 0, 2)
