@@ -12,7 +12,8 @@ jitter with a straggler's `worker_multipliers`, warmup off the H grid and an
 off-grid `metrics_every`, a run across the coins' 1024-step chunk, the mlp
 with `eval_every`, relu, float32 and epoch_shuffle, unequal shards (4 098
 samples over 32 workers), `warmup_cosine`, `sgd_momentum` and
-`reset_at_sync`, a batched S = 3 run, a diverging run, a two-cell sweep and a
+`reset_at_sync`, a batched S = 3 run, a batched S = 2 DDP run on unequal
+with_replacement shards, a diverging run, a two-cell sweep and a
 tiny `verify_theory`. The four bench configs at seed 5 are copied as
 literals from `bench/run.py`; their hashes equal the bench's
 `--seconds 0` hashes at seed 5 (`BENCH_25.json`, `artifacts_seconds_0`).
@@ -107,6 +108,12 @@ CASES = {
         "workers": 3, "seed": 4}, {}),
     "palsgd_theory batched S=3": ("batched", {**THEORY_FIXTURE, "seed": 0, "metrics_every": 9},
                                   {"seeds": [5, 6, 7]}),
+    # replicas of unequal with_replacement shards: 1 030 samples over 8 workers per replica
+    "ddp logistic unequal shards batched S=2": ("batched", {
+        "workload": {"kind": "logistic", "dim": 6, "n_samples": 1030, "batch_size": 3},
+        "algo": {"variant": "ddp"},
+        "schedule": {"alpha": 0.1, "total_steps": 90},
+        "workers": 8, "seed": 0, "metrics_every": 4}, {"seeds": [2, 9]}),
     "palsgd diverging": ("run", {
         "workload": {"kind": "quadratic", "dim": 4, "mu": 1.0, "L": 4.0},
         "algo": {"variant": "palsgd", "inner": {"variant": "sgd", "clip_norm": None}},
