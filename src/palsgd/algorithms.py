@@ -344,7 +344,9 @@ def consensus_probe(x: np.ndarray, global_x: np.ndarray,
     """Per replica of the (S, K, d) stack x, with (S, d) global_x and xbar:
     the (S,) consensus distances vs the global copy and spreads around the
     worker mean xbar, each the mean of the rows' squared norms, summed left
-    to right over K (``np.add.accumulate``, as `mean_of` sums).
+    to right over K by ``np.add.accumulate``: K is the contiguous axis of
+    the (S, K) norms, along which ``np.add.reduce`` adds pairwise (`mean_of`
+    reduces across rows, where it adds in order).
 
     Every replica's values depend on its own rows alone, so the trainer
     probes a block of records at once, their rows stacked along the replica

@@ -79,7 +79,7 @@ def sweep(cfg: RunConfig, grid: dict[str, list], out_dir: str | None = None) -> 
     for param, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError("grid", f"{param} must map to a non-empty list, got {values!r}")
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        repeated = _repeated(values)
         if repeated:
             raise ConfigError("grid", f"{param} lists the value {repeated[0]!r} twice")
         if param not in KEYS:
@@ -180,6 +180,11 @@ def k1_scalar_oracle(hessian_diag, x0_offset, noise_sigma, schedule: Schedule):
     return values if sigmas.ndim else values[0]
 
 
+def _repeated(values) -> list:
+    """The entries of the sequence `values` that an earlier entry equals."""
+    return [v for i, v in enumerate(values) if v in values[:i]]
+
+
 def verify_theory(cfg: RunConfig, out_dir: str | None = None,
                   k_values=(1, 2, 4, 8), n_seeds: int = 10,
                   h_values=(2, 4, 8), h_probe_steps: int = 512,
@@ -216,6 +221,10 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
                                       f"fit a slope, got {list(k_values)}")
     if any(h < 1 for h in h_values):
         raise ConfigError("h_values", f"sync intervals must be >= 1, got {list(h_values)}")
+    for name, values in (("k_values", k_values), ("h_values", h_values)):
+        repeated = _repeated(values)
+        if repeated:
+            raise ConfigError(name, f"lists the value {repeated[0]!r} twice, got {list(values)}")
     if h_probe_steps < 1:
         raise ConfigError("h_probe_steps", f"must be >= 1, got {h_probe_steps}")
     if cfg.algo["variant"] != "palsgd_theory":

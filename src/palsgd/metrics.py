@@ -24,12 +24,13 @@ def write_metrics_jsonl(diagnostics: Diagnostics, path: str) -> None:
                          f"{len(columns['train_metric'])} replicas")
     names = RECORD_COLUMNS[:-1]
     values = zip(*(columns[name].tolist() for name in names))
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
     with open(path, "w") as fh:
         for row, evaluated in zip(values, columns["evaluated"].tolist()):
             obj = {"schema": RECORD_SCHEMA, **dict(zip(names, row))}
             if not evaluated:
                 del obj["eval_loss"], obj["eval_acc"]
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(encode(obj) + "\n")
 
 
 def summarize(result: TrainResult) -> dict:

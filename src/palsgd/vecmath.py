@@ -2,11 +2,13 @@
 
 Parameter vectors are plain 1-D float64 numpy arrays; the trainer stacks the
 K workers' vectors of S replicas as the rows of an (S*K, d) array. Every
-reduction in the trainer has a single, fixed summation order, the same on
-every Python and numpy build: a sum over the worker axis (`mean_of` here, and
-the drift in `algorithms.consensus_probe`) adds left to right through
-``np.add.accumulate``, and a row's squared norm is one dot kernel
-(`row_norms_sq`). Random draws are replayable bit-exactly.
+reduction in the trainer has a single, fixed summation order: a sum over the
+worker axis adds the rows left to right (`mean_of` here through
+``np.add.reduce`` on C-contiguous rows, and the drift in
+`algorithms.consensus_probe` through ``np.add.accumulate``), and a row's
+squared norm is one dot kernel (`row_norms_sq`). numpy does not document the
+order in which ``reduce`` adds, so `tests/test_reductions.py` pins each of
+these against an explicit loop. Random draws are replayable bit-exactly.
 """
 
 from __future__ import annotations
@@ -41,14 +43,22 @@ def mean_of(vectors: np.ndarray) -> ParamVector:
     """Elementwise mean over the worker axis, summed left to right (ascending index).
 
     `vectors` is a (K, d) array of rows or an (S, K, d) stack of S replicas'
-    rows, which gives the (S, d) replica means. ``np.add.accumulate`` adds
-    the rows strictly in order, so each replica's mean is bit-equal to the
-    mean of its (K, d) rows alone, while ``np.add.reduce(x, axis=0)``
-    reduces a contiguous column pairwise at d = 1, which rounds differently.
+    rows, which gives the (S, d) replica means; each replica's mean is
+    bit-equal to the mean of its (K, d) rows alone. For d >= 2,
+    ``np.add.reduce`` over the rows of a C-contiguous array adds one whole
+    row at a time, in order; on Fortran-ordered or transposed input it
+    rounds differently, so the rows are made C-contiguous first (the
+    trainer's already are). Its start value -0.0 keeps a column of -0.0 at
+    -0.0, as a sum of the rows alone does. At d = 1 the column is contiguous
+    and ``reduce`` adds it pairwise, so ``np.add.accumulate`` keeps the order
+    there.
     """
     if vectors.ndim < 2 or vectors.shape[-2] == 0:
         raise ValueError("mean_of: empty worker axis")
-    return np.add.accumulate(vectors, axis=-2)[..., -1, :] / vectors.shape[-2]
+    if vectors.shape[-1] == 1:
+        return np.add.accumulate(vectors, axis=-2)[..., -1, :] / vectors.shape[-2]
+    total = np.add.reduce(np.ascontiguousarray(vectors), axis=-2, initial=-0.0)
+    return total / vectors.shape[-2]
 
 
 def row_norms_sq(x: np.ndarray) -> np.ndarray:

@@ -52,11 +52,10 @@ class Shards:
     Shard i is `flat[starts[i]:starts[i] + sizes[i]]`, its sorted sample
     indices; `seeds` holds the replicas' seeds. Each draw gives a shard
     `batch_size` indices. with_replacement reads a step's (S*K, batch_size)
-    draw of `positions`, the data stream's chunks, as one contiguous block of
-    the step-major chunk, row i uniform over shard i's positions. A chunk of
-    a replica whose shards all have one size draws under that size as a
-    scalar bound, which gives the values of the per-shard bound array, and
-    faster. epoch_shuffle draws no data stream: shard k of replica s
+    draw of `positions` (`ShardPositions`, the data stream's chunks) as one
+    contiguous block of the step-major chunk: row i holds indices into
+    `flat`, uniform over shard i's span of it, and a draw is the one gather
+    `flat[positions.next()]`. epoch_shuffle draws no data stream: shard k of replica s
     reads its indices in epochs, epoch e permuted by its own stream keyed
     (seed_s, k, PURPOSE_SHUFFLE) at counter e. `order` holds each shard's
     current epoch at its start and `cursor` each shard's next position in
@@ -72,14 +71,7 @@ class Shards:
         check_fields(self)
         self.starts = np.cumsum(self.sizes) - self.sizes
         if self.draw_policy == "with_replacement":
-            sizes = self.sizes[:self.workers]  # the same in every replica
-            high = int(sizes[0]) if (sizes == sizes[0]).all() else sizes[:, None, None]
-
-            def fill(stream: RngStream, shape) -> np.ndarray:
-                return stream.integers(0, high, shape)
-
-            self.positions = StreamChunks(self.seeds, PURPOSE_DATA, self.workers,
-                                          self.batch_size, fill, np.int64)
+            self.positions = ShardPositions(self)
         else:
             self.order = self.flat.copy()
             self.cursor = self.sizes.copy()  # every epoch spent: the first draw starts epoch 0
@@ -100,7 +92,7 @@ class Shards:
         epoch_shuffle advances only the masked shards, one at a time, and an
         unmasked row holds its shard's first index, which no step uses."""
         if self.draw_policy == "with_replacement":
-            return self.flat[self.starts[:, None] + self.positions.next()]
+            return self.flat[self.positions.next()]
         out = np.repeat(self.flat[self.starts, None], self.batch_size, axis=1)
         for k in np.flatnonzero(mask):
             lo, n = self.starts[k], self.sizes[k]
@@ -116,6 +108,33 @@ class Shards:
                 self.cursor[k] += take
                 filled += take
         return out
+
+
+class ShardPositions(StreamChunks):
+    """The with_replacement data draws of `shards`, as indices into its `flat`.
+
+    Chunk c of replica s is draw c of the data stream keyed (seed_s, 0,
+    PURPOSE_DATA): worker k's positions, uniform in [0, size_k), drawn
+    worker-major. A replica whose shards all have one size draws under that
+    size as a scalar bound, which gives the values of the per-shard bound
+    array, and faster. Each refill then adds every shard's start to its
+    rows of the whole chunk, once, so a step's rows index `flat` directly.
+    """
+
+    def __init__(self, shards: Shards):
+        workers = shards.workers
+        sizes = shards.sizes[:workers]  # the same in every replica
+        high = int(sizes[0]) if (sizes == sizes[0]).all() else sizes[:, None, None]
+
+        def fill(stream: RngStream, shape) -> np.ndarray:
+            return stream.integers(0, high, shape)
+
+        super().__init__(shards.seeds, PURPOSE_DATA, workers, shards.batch_size, fill, np.int64)
+        self.starts = shards.starts.reshape(-1, workers, 1)  # (S, K, 1), broadcast over a chunk
+
+    def refill(self, chunk: int) -> None:
+        super().refill(chunk)
+        self.buf += self.starts
 
 
 def generate_synthetic_classification(n_classes: int, dim: int, samples_per_class: int,
@@ -273,8 +292,12 @@ class LogisticWorkload(ShardedWorkload):
         """Mean loss plus the L2 term at one parameter vector, float labels y;
         no gradient."""
         z = feats @ x
-        # log(1 + e^z) - y z; softplus by SIMD exp/log1p, as logaddexp is a scalar libm loop
-        loss = float(np.mean(_softplus(z) - y * z))
+        # log(1 + e^z) - y z on softplus's own buffer, then the pairwise sum
+        # that np.mean takes, without its Python wrapper
+        t = _softplus(z)
+        z *= y
+        t -= z
+        loss = float(np.add.reduce(t) / len(t))
         return loss + 0.5 * self.l2_reg * float(np.dot(x, x))
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
@@ -299,8 +322,17 @@ class LogisticWorkload(ShardedWorkload):
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
-    """log(1 + e^z) elementwise, stable at any z: e^-|z| never overflows."""
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    """log(1 + e^z) elementwise, stable at any z: e^-|z| never overflows.
+
+    max(z, 0) + log1p(e^-|z|), by SIMD exp/log1p, as np.logaddexp is a
+    scalar libm loop; the terms are taken in place on one new buffer, which
+    the caller may write."""
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    t += np.maximum(z, 0.0)
+    return t
 
 
 def _activation(name: str):

@@ -341,7 +341,7 @@ def reference_draw(sampler, rows):
     if isinstance(sampler, StreamChunks):
         return sampler.next()[rows]
     if sampler.draw_policy == "with_replacement":
-        return sampler.flat[sampler.starts[rows, None] + sampler.positions.next()[rows]]
+        return sampler.flat[sampler.positions.next()[rows]]
     out = np.empty((len(rows), sampler.batch_size), dtype=np.int64)
     for row, k in zip(out, rows):
         lo, n = sampler.starts[k], sampler.sizes[k]

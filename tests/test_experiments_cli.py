@@ -361,10 +361,15 @@ class TestVerifyTheory:
         with pytest.raises(ConfigError, match="seeds"):
             verify_theory(self.base(), n_seeds=2)
 
-    @pytest.mark.parametrize("k_values", [(1,), (2, 2), (0, 1)])
+    @pytest.mark.parametrize("k_values", [(1,), (2, 2), (0, 1), (1, 1, 2), (1, 2, 4, 2)])
     def test_refuses_unfittable_worker_counts(self, k_values):
         with pytest.raises(ConfigError, match="k_values"):
             verify_theory(self.base(), k_values=k_values, n_seeds=3)
+
+    @pytest.mark.parametrize("h_values", [(2, 2), (2, 4, 2)])
+    def test_refuses_repeated_sync_intervals(self, h_values):
+        with pytest.raises(ConfigError, match="h_values.*twice"):
+            verify_theory(self.base(), k_values=(1, 2), n_seeds=3, h_values=h_values)
 
     @pytest.mark.parametrize("kwargs", [{"h_values": (0, 2)}, {"h_values": (2, -1)},
                                         {"h_probe_steps": 0}])
@@ -690,6 +695,13 @@ class TestCli:
         path = self.write_cfg(tmp_path)
         assert main(["verify-theory", path, "--k-values", "1"]) == 2
         assert "k_values" in capsys.readouterr().err
+
+    def test_verify_theory_repeated_worker_count_exits_two(self, tmp_path, capsys):
+        # a repeated K would run its cell twice and weigh it twice in the slope fit
+        path = self.write_cfg(tmp_path)
+        assert main(["verify-theory", path, "--k-values", "1,1,2"]) == 2
+        err = capsys.readouterr().err
+        assert "k_values" in err and "twice" in err
 
     @pytest.mark.parametrize("k_values", ["a,b", "1,2.5", "1,,2"])
     def test_verify_theory_non_integer_worker_counts_exit_two(self, tmp_path, capsys, k_values):

@@ -387,7 +387,8 @@ class TestSharding:
     def test_positions_are_the_integer_draws_of_the_stream(self, n, workers):
         # equal shards draw under a scalar bound and unequal ones under the
         # (K, 1, 1) bound array; both give chunk c of replica s as draw c of
-        # RngStream(seed_s, 0, PURPOSE_DATA), laid out step-major
+        # RngStream(seed_s, 0, PURPOSE_DATA), laid out step-major, each row
+        # offset by its shard's start into `flat`
         seeds, batch = [3, 8], 64
         data = Dataset(np.zeros((n, 1)), np.zeros(n, dtype=np.int64), 2)
         shards = shard_dataset(data, workers, seeds, batch)
@@ -396,7 +397,7 @@ class TestSharding:
         chunks = [[RngStream(seed, 0, PURPOSE_DATA, counter=chunk).integers(
             0, sizes, (workers, c, batch)) for seed in seeds] for chunk in range(3)]
         for step in range(2 * c + 5):
-            got = shards.positions.next()
+            got = shards.positions.next() - shards.starts[:, None]
             want = np.concatenate([block[:, step % c] for block in chunks[step // c]])
             assert got.dtype == np.int64 and got.tobytes() == want.tobytes(), step
 
