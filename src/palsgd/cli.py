@@ -10,13 +10,13 @@ given key that the run does not read among them), and flags the command does
 not take, exit 2. ``verify-theory`` and ``gradcheck`` exit 4 when a check fails.
 
 ``verify-theory`` fits the log-log slope of suboptimality against the worker
-count K (``--k-values`` needs two or more counts >= 1, none repeated). It also
-splits the error into a bias term, from the initial offset and not shrunk by K, and
-a noise term that falls as 1/K, and predicts the slope from them. When the
-predicted slope lies outside the accepted range (bias hides the K-slope), or
-the theory step size differs across K, the report lists "k_slope" under
-``inconclusive`` with ``k_slope_pass`` null; ``pass`` and the exit code then
-rest on the remaining checks.
+count K (``--k-values`` needs two or more counts >= 1, none repeated). It
+also splits the error into a bias term, from the initial offset and not shrunk
+by K, and a noise term that falls as 1/K, and predicts the slope from them.
+When the predicted slope lies outside the accepted range (bias hides the
+K-slope), or the theory step size differs across K, the report lists
+"k_slope" under ``inconclusive`` with ``k_slope_pass`` null; ``pass`` and the
+exit code then rest on the remaining checks.
 """
 
 from __future__ import annotations

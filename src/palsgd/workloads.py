@@ -55,11 +55,11 @@ class Shards:
     draw of `positions` (`ShardPositions`, the data stream's chunks) as one
     contiguous block of the step-major chunk: row i holds indices into
     `flat`, uniform over shard i's span of it, and a draw is the one gather
-    `flat[positions.next()]`. epoch_shuffle draws no data stream: shard k of replica s
-    reads its indices in epochs, epoch e permuted by its own stream keyed
-    (seed_s, k, PURPOSE_SHUFFLE) at counter e. `order` holds each shard's
-    current epoch at its start and `cursor` each shard's next position in
-    it, and a draw advances only the shards its mask picks.
+    `flat[positions.next()]`. epoch_shuffle draws no data stream: shard k
+    of replica s reads its indices in epochs, epoch e permuted by its own
+    stream keyed (seed_s, k, PURPOSE_SHUFFLE) at counter e. `order` holds
+    each shard's current epoch at its start and `cursor` each shard's next
+    position in it, and a draw advances only the shards its mask picks.
     """
     flat: np.ndarray    # (n,) every shard's sorted indices, end to end
     sizes: np.ndarray   # (S*K,) int64
@@ -292,8 +292,9 @@ class LogisticWorkload(ShardedWorkload):
         """Mean loss plus the L2 term at one parameter vector, float labels y;
         no gradient."""
         z = feats @ x
-        # log(1 + e^z) - y z on softplus's own buffer, then the pairwise sum
-        # that np.mean takes, without its Python wrapper
+        # log(1 + e^z) - y z on softplus's own buffer (z is spent, so it
+        # takes y z in place), then the pairwise sum that np.mean takes,
+        # without its Python wrapper
         t = _softplus(z)
         z *= y
         t -= z
