@@ -68,7 +68,7 @@ class TestMeanOf:
     @settings(max_examples=150, deadline=None)
     @example(None, 129, 1, 0, False)   # d = 1, where reduce would add pairwise
     @example(10, 129, 874, 1, True)    # the largest stack
-    @example(1, 9, 1, 2, False)        # the first K at which pairwise differs at S = 1
+    @example(1, 9, 1, 2, False)        # d = 1 past 8 rows, where numpy's sums go pairwise
     def test_adds_the_rows_left_to_right(self, s, k, d, seed, zeros):
         rng = np.random.default_rng(seed)
         x = mixed_magnitudes(rng, (k, d) if s is None else (s, k, d))
@@ -79,13 +79,6 @@ class TestMeanOf:
             assert np.array_equal(arranged, x)
             got = mean_of(arranged)
             assert same_bits(got, want), name
-
-    @given(REPLICAS, WORKERS, st.integers(1, 874))
-    @settings(max_examples=30, deadline=None)
-    def test_a_column_of_negative_zeros_stays_negative(self, s, k, d):
-        x = np.full((k, d) if s is None else (s, k, d), -0.0)
-        got = mean_of(x)
-        assert np.signbit(got).all() and not got.any()
 
 
 class TestConsensusProbe:
