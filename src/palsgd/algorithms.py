@@ -205,6 +205,7 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class AlgoVariant:
+    """A variant tag and its inner and outer optimizer configs, checked against its presets."""
     tag: str = option(str, choices=tuple(VARIANTS))
     inner: InnerOptConfig
     outer: OuterOptConfig
@@ -303,6 +304,7 @@ RECORD_BLOCK_BYTES = 32 * 1024
 
 @dataclass
 class Diagnostics:
+    """A run's record columns, per-window mixing counts and per-worker step counts."""
     # the run's records, record i at entry i of each RECORD_COLUMNS column:
     # (R,) for the SHARED_COLUMNS, else (S, R) floats, (R,) for an int seed,
     # with nan eval values where `evaluated` is False
@@ -316,6 +318,7 @@ class Diagnostics:
 
 @dataclass
 class DivergenceReport:
+    """Where a run first went non-finite: its step, worker, replica and last finite record."""
     step: int
     worker: int | None
     # index of the replica's last record with a finite train_metric, or None
@@ -325,6 +328,7 @@ class DivergenceReport:
 
 @dataclass
 class TrainResult:
+    """What `run_training` returns: final and averaged models, diagnostics, clock totals."""
     global_model: ParamVector
     diagnostics: Diagnostics
     weighted_average: ParamVector | None
@@ -506,10 +510,12 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
     suboptimality = getattr(workload, "suboptimality", None)
     evaluates = workload.has_eval and eval_every is not None
 
-    def record(t: int, models: np.ndarray, evaluate: bool, probe) -> None:
+    def record(t: int, synced: bool, models: np.ndarray, evaluate: bool, probe) -> None:
         nonlocal held
-        pending.append((t, np.maximum.reduce(clock.times, axis=1), len(clock.events[0]),
-                        list(clock.comm_seconds), models, evaluate, probe))
+        # right after an all-reduce's barrier a replica's workers hold one time
+        times = clock.times[:, 0].copy() if synced else np.maximum.reduce(clock.times, axis=1)
+        pending.append((t, times, len(clock.events[0]), list(clock.comm_seconds), models,
+                        evaluate, probe))
         # the references of a probe are as small as the models, and most are
         # another record's models
         held += models.nbytes + (probe[0].nbytes if probe else 0)
@@ -573,7 +579,7 @@ def run_training(workload, variant: AlgoVariant, schedule: Schedule,
                 x = workers.stacked
                 models = mean_of(x)
                 probe = (x, global_x, models)
-            record(t, models, evaluate, probe)
+            record(t, synced, models, evaluate, probe)
 
     if pending:
         evaluate_pending()

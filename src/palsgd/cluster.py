@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import copysign
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .vecmath import PURPOSE_JITTER, StreamChunks
 
 @dataclass(frozen=True)
 class AllReduceModel:
+    """The ring all-reduce cost model: per-round latency and link bandwidth."""
     latency_s: float = option(float, 1e-3, low=0)
     bandwidth_bytes_per_s: float = option(float, 1e9, low=0, low_open=True)
 
@@ -29,6 +31,7 @@ class AllReduceModel:
 
 @dataclass(frozen=True)
 class ClusterSpec:
+    """The simulated cluster: worker count, per-step costs, stragglers, jitter and all-reduce."""
     workers: int = option(int, low=1)
     compute_time_per_step: float = option(float, 1.0, low=0)
     worker_multipliers: tuple[float, ...] | None = option(float, None, low=0, low_open=True,
@@ -64,6 +67,7 @@ def allreduce_time(payload_bytes: int, workers: int, model: AllReduceModel) -> f
 
 @dataclass
 class CommEvent:
+    """One all-reduce: its step, payload bytes, simulated seconds and participants."""
     step: int
     payload_bytes: int
     duration_s: float
@@ -140,6 +144,26 @@ class SimClock:
 
 
 def export_events_jsonl(events: list[CommEvent], path: str) -> None:
-    with open(path, "w") as fh:
+    """One `json.dumps(ev.to_json_obj())` line per event of a one-seed run.
+
+    The events of a run share a few (bytes, duration_s, k) values, so each
+    line is its step and the cached encoding of the rest of its object."""
+    if events and isinstance(events[0], list):
+        raise ValueError(f"events.jsonl holds one seed's events; got a batch of "
+                         f"{len(events)} replicas")
+    encode = json.JSONEncoder().encode
+    tails: dict[tuple, str] = {}
+
+    def lines():
         for ev in events:
-            fh.write(json.dumps(ev.to_json_obj()) + "\n")
+            # the sign tells -0.0 from 0.0, the one pair of floats that compare equal
+            key = (ev.payload_bytes, ev.duration_s, copysign(1.0, ev.duration_s), ev.participants)
+            tail = tails.get(key)
+            if tail is None:
+                obj = ev.to_json_obj()
+                del obj["t"]
+                tail = tails[key] = encode(obj)[1:] + "\n"  # '"bytes": ...}' and the newline
+            yield f'{{"t": {ev.step:d}, {tail}'
+
+    with open(path, "w") as fh:
+        fh.writelines(lines())

@@ -157,6 +157,7 @@ def _within(section: str):
 
 @dataclass
 class RunConfig:
+    """A parsed run config: the raw sections and the top-level run options."""
     workload: dict
     algo: dict
     schedule: dict

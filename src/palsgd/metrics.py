@@ -7,6 +7,7 @@ runs of the same config+seed produce byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
 
@@ -22,15 +23,22 @@ def write_metrics_jsonl(diagnostics: Diagnostics, path: str) -> None:
     if columns["train_metric"].ndim != 1:
         raise ValueError(f"metrics.jsonl holds one seed's records; got a batch of "
                          f"{len(columns['train_metric'])} replicas")
-    names = RECORD_COLUMNS[:-1]
-    values = zip(*(columns[name].tolist() for name in names))
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True), built once
-    with open(path, "w") as fh:
+    # the keys in the sorted order that json.dumps(obj, sort_keys=True) writes,
+    # put once; deleting the eval keys keeps the others in order
+    keys = sorted(("schema", *RECORD_COLUMNS[:-1]))
+    values = zip(*(repeat(RECORD_SCHEMA) if name == "schema" else columns[name].tolist()
+                   for name in keys))
+    encode = json.JSONEncoder().encode
+
+    def lines():
         for row, evaluated in zip(values, columns["evaluated"].tolist()):
-            obj = {"schema": RECORD_SCHEMA, **dict(zip(names, row))}
+            obj = dict(zip(keys, row))
             if not evaluated:
                 del obj["eval_loss"], obj["eval_acc"]
-            fh.write(encode(obj) + "\n")
+            yield encode(obj) + "\n"
+
+    with open(path, "w") as fh:
+        fh.writelines(lines())
 
 
 def summarize(result: TrainResult) -> dict:

@@ -24,6 +24,7 @@ BIAS_TABLE_MIN = 256
 
 @dataclass(frozen=True)
 class InnerOptConfig:
+    """The workers' inner optimizer: its variant and that variant's hyperparameters."""
     variant: str = option(str, "sgd", choices=("sgd", "sgd_momentum", "adamw"))
     momentum: float = option(float, 0.9, low=0, high=1, read_when=("sgd_momentum",))
     beta1: float = option(float, 0.9, low=0, high=1, read_when=("adamw",))
@@ -136,6 +137,7 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
 
 @dataclass(frozen=True)
 class OuterOptConfig:
+    """The sync round's outer optimizer on the averaged pseudo-gradient."""
     variant: str = option(str, "nesterov", choices=("sgd", "nesterov"))
     lr: float = option(float, 1.0, low=0, low_open=True)
     momentum: float = option(float, 0.9, low=0, high=1, read_when=("nesterov",))
@@ -151,6 +153,7 @@ class OuterOptConfig:
 
 @dataclass
 class OuterOptState:
+    """The outer optimizer's config and its Nesterov momentum buffer, if any."""
     config: OuterOptConfig
     buf: ParamVector | None = None
 

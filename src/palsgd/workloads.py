@@ -36,6 +36,7 @@ DTYPES = ("float64", "float32")
 
 @dataclass
 class Dataset:
+    """A labelled sample matrix: (n, d) features and n integer class ids."""
     features: np.ndarray  # (n, d)
     labels: np.ndarray    # (n,) integer class ids
     n_classes: int
@@ -307,7 +308,7 @@ class LogisticWorkload(ShardedWorkload):
         One stacked pass: two np.matmul calls over the (n, b, d) feature
         gather. Each row rounds as the 1-row call does."""
         samples = np.asarray(samples)
-        feats = self.train.features[samples]
+        feats = np.take(self.train.features, samples, axis=0)  # what [samples] copies, faster
         y = self._y[samples]
         z = (feats @ x[:, :, None])[:, :, 0]
         with np.errstate(over="ignore"):  # e^-z = inf below z = -709 gives sig = 0, the limit
@@ -430,7 +431,7 @@ class MlpWorkload(ShardedWorkload):
         samples = np.asarray(samples)
         n, b = samples.shape
         layers = self._unflatten(x)
-        pre, acts = self._forward(layers, self.train.features[samples])
+        pre, acts = self._forward(layers, np.take(self.train.features, samples, axis=0))
         shifted, logZ = _log_softmax(acts[-1])
         delta = np.exp(shifted - logZ[..., None])
         delta[np.arange(n)[:, None], np.arange(b), self.train.labels[samples]] -= 1.0

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from palsgd.cluster import (AllReduceModel, ClusterSpec, SimClock,
+from palsgd.cluster import (AllReduceModel, ClusterSpec, CommEvent, SimClock,
                             allreduce_time, export_events_jsonl)
+from palsgd.config import parse_config
 from palsgd.vecmath import PURPOSE_JITTER, RngStream
 
 
@@ -150,3 +151,21 @@ class TestEventExport:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows[0] == {"t": 0, "bytes": 16, "duration_s": 2.0, "k": 2}
         assert rows[1]["t"] == 5
+
+    def test_each_line_is_json_dumps_of_its_event(self, tmp_path):
+        # a denormal bandwidth makes the all-reduce take inf seconds; the other
+        # clock's events have a finite tail, and the two sources alternate
+        slow = parse_config(json.dumps({"workers": 4, "cluster": {
+            "allreduce": {"bandwidth_bytes_per_s": 1e-320}}})).build_cluster()
+        clocks = [SimClock(slow), SimClock(ClusterSpec(workers=2))]
+        for t in range(4):
+            clocks[t % 2].allreduce(t, dim=3)
+        events = sorted(clocks[0].events[0] + clocks[1].events[0], key=lambda ev: ev.step)
+        # and a signed zero beside an unsigned one, which compare equal
+        events += [CommEvent(4, 16, 0.0, 2), CommEvent(5, 16, -0.0, 2)]
+        path = tmp_path / "events.jsonl"
+        export_events_jsonl(events, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines == [json.dumps(ev.to_json_obj()) + "\n" for ev in events]
+        assert [line.count('"duration_s": Infinity') for line in lines[:4]] == [1, 0, 1, 0]
+        assert '"duration_s": -0.0' in lines[5]

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from palsgd.algorithms import VARIANTS, Schedule
-from palsgd.cluster import AllReduceModel, ClusterSpec
+from palsgd.algorithms import VARIANTS, Diagnostics, Schedule
+from palsgd.cluster import AllReduceModel, ClusterSpec, export_events_jsonl
 from palsgd.config import KEYS, ConfigError, parse_config
 from palsgd.fields import specs
 from palsgd.optimizers import InnerOptConfig, OuterOptConfig
@@ -278,6 +278,26 @@ class TestMetricsRoundTrip:
         for name in INT_FIELDS + FLOAT_FIELDS:
             assert [obj[name] for obj in lines] == columns[name].tolist(), name
 
+    def test_special_floats_write_the_reference_bytes(self, tmp_path):
+        # nan, -inf and -0.0 in every float column, on evaluated and
+        # unevaluated records, which no run's golden artifact holds together
+        nan, inf = float("nan"), float("inf")
+        special = np.array([nan, -inf, -0.0, 1.5, inf])
+        columns = {"step": np.arange(5, dtype=np.int64), "sim_time_s": special[::-1].copy(),
+                   "train_metric": special, "consensus_sq": np.roll(special, 1),
+                   "spread_sq": np.roll(special, 2), "comm_count": np.arange(5, dtype=np.int64),
+                   "comm_seconds": np.roll(special, 3), "eval_loss": np.roll(special, 4),
+                   "eval_acc": special.copy(),
+                   "evaluated": np.array([True, False, True, False, True])}
+        path = tmp_path / "metrics.jsonl"
+        write_metrics_jsonl(Diagnostics(columns, np.zeros((0, 1), np.int64), [0], [5]), str(path))
+        text = path.read_text()
+        assert text == reference_metrics_text(columns)
+        lines = text.splitlines()
+        assert '"train_metric": NaN' in lines[0] and '"train_metric": -Infinity' in lines[1]
+        assert '"train_metric": -0.0' in lines[2] and '"eval_acc": NaN' in lines[0]
+        assert ["eval_loss" in line for line in lines] == columns["evaluated"].tolist()
+
     MLP = {"workload": {"kind": "mlp", "widths": [4, 6, 3], "samples_per_class": 10},
            "schedule": {"total_steps": 30, "sync_interval": 8}, "workers": 3,
            "eval_every": 7, "metrics_every": 5}
@@ -326,6 +346,17 @@ class TestMetricsRoundTrip:
         assert counts.shape == (3, 4, 3) and counts.dtype == np.int64
         assert counts.sum(axis=1).ravel().tolist() == diag.mixing_steps_per_worker
         assert 0 < sum(diag.mixing_steps_per_worker) < 3 * 3 * 30
+
+    def test_batched_events_are_no_one_runs_events_jsonl(self, tmp_path):
+        from palsgd.algorithms import run_training
+        cfg = parse(self.MLP)
+        workload = cfg.workload_object()
+        result = run_training(workload, cfg.build_variant(), cfg.build_schedule(workload),
+                              cfg.build_cluster(), [1, 2, 3])
+        assert len(result.events) == 3 and result.events[0]
+        with pytest.raises(ValueError, match="one seed's events; got a batch of 3"):
+            export_events_jsonl(result.events, str(tmp_path / "events.jsonl"))
+        assert not (tmp_path / "events.jsonl").exists()
 
     def test_steps_strictly_increasing_in_run_output(self, tmp_path):
         cfg = parse({"workload": {"kind": "quadratic"},
