@@ -373,9 +373,11 @@ def palsgd_local_step(workers: Workers, schedule: Schedule, t: int,
     g = workload.stochastic_gradient(workers.x, samples)
     x = inner_step(workers.inner, workers.x, g, schedule.alpha_at(t) / (1.0 - schedule.p), stepping)
     if mixes:
+        # old - c * (old - anchor), its two roundings on one buffer
         old = workers.x
-        mixed = old - schedule.mix_coefficient(t) * (old - workers.anchor)
-        np.copyto(x, mixed, where=mixing[:, None])
+        mixed = old - workers.anchor
+        mixed *= schedule.mix_coefficient(t)
+        np.copyto(x, np.subtract(old, mixed, out=mixed), where=mixing[:, None])
     workers.x = x
     clock.advance_step(stepping)
     return mixing

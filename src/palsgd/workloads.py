@@ -338,23 +338,31 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _activation(name: str):
+    """A hidden layer's activation and derivative, each taken in place over
+    its argument. The derivative reads the activation a, not the
+    pre-activation z: relu's a > 0 is z > 0 at every z, nan and -0.0 too."""
     if name == "relu":
-        return (lambda z: np.maximum(z, 0.0)), (lambda z, a: (z > 0).astype(z.dtype))
+        return (lambda z: np.maximum(z, 0.0, out=z)), (lambda a: np.greater(a, 0.0, out=a))
     if name == "tanh":
-        return np.tanh, (lambda z, a: 1.0 - a * a)
+        return ((lambda z: np.tanh(z, out=z)),
+                (lambda a: np.subtract(1.0, np.multiply(a, a, out=a), out=a)))
     raise ValueError(f"activation must be one of {ACTIVATIONS}, got {name!r}")
 
 
 def _log_softmax(logits: np.ndarray):
-    """Max-shifted logits and their log-normalizer along the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted, np.log(np.sum(np.exp(shifted), axis=-1))
+    """Max-shifted logits, on a new buffer, and their log-normalizer along
+    the last axis."""
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logZ = np.add.reduce(np.exp(shifted), axis=-1)
+    return shifted, np.log(logZ, out=logZ)
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy of (N, classes) logits."""
+    """Mean softmax cross-entropy of (N, classes) logits: the pairwise sum
+    and the division that np.mean takes, without its Python wrapper."""
     shifted, logZ = _log_softmax(logits)
-    return float(np.mean(logZ - shifted[np.arange(len(labels)), labels]))
+    logZ -= shifted[np.arange(len(labels)), labels]
+    return float(np.add.reduce(logZ) / len(logZ))
 
 
 class MlpWorkload(ShardedWorkload):
@@ -408,41 +416,51 @@ class MlpWorkload(ShardedWorkload):
         """The shards' next (S*K, batch_size) draw; the `mask` rows step."""
         return sampler.draw(mask)
 
-    def _forward(self, layers, feats: np.ndarray):
-        """Pre-activations and activations of features (n, b, in) under
-        stacked layers, one np.matmul per layer."""
+    def _forward(self, layers, feats: np.ndarray) -> list:
+        """Activations of features (n, b, in) under stacked layers: the input,
+        then each layer's output. One np.matmul per layer makes the layer's
+        buffer, and the bias and activation are taken in place on it; the
+        input is never written."""
         acts = [feats.astype(self.dtype, copy=False)]
-        pre = []
         for i, (w, b) in enumerate(layers):
-            z = acts[-1] @ w + b
-            pre.append(z)
-            acts.append(self._act(z) if i < len(layers) - 1 else z)
-        return pre, acts
+            z = acts[-1] @ w
+            z += b
+            if i < len(layers) - 1:
+                self._act(z)
+            acts.append(z)
+        return acts
 
     def _logits(self, x: ParamVector, feats: np.ndarray) -> np.ndarray:
         """(N, classes) outputs of one parameter vector; forward only."""
-        return self._forward(self._unflatten(x[None]), feats[None])[1][-1][0]
+        return self._forward(self._unflatten(x[None]), feats[None])[-1][0]
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
         """Gradient rows at the rows of x (n, d), one index batch per row.
 
         One stacked pass: forward and backward matmuls over (n, a, c) weight
-        views of the parameter rows. Each row rounds as the 1-row call does."""
+        views of the parameter rows. The backward writes each layer's
+        gradient through the same views of one flat (n, d) array, and takes
+        each derivative in place over the activation it reads, which only
+        that layer's gradient reads before it. Each row rounds as the 1-row
+        call does."""
         samples = np.asarray(samples)
         n, b = samples.shape
         layers = self._unflatten(x)
-        pre, acts = self._forward(layers, np.take(self.train.features, samples, axis=0))
-        shifted, logZ = _log_softmax(acts[-1])
-        delta = np.exp(shifted - logZ[..., None])
+        acts = self._forward(layers, np.take(self.train.features, samples, axis=0))
+        delta, logZ = _log_softmax(acts[-1])
+        delta -= logZ[..., None]
+        np.exp(delta, out=delta)
         delta[np.arange(n)[:, None], np.arange(b), self.train.labels[samples]] -= 1.0
         delta /= b
-        grads = [None] * len(layers)
+        flat = np.empty((n, self.dim), self.dtype)
+        grads = self._unflatten(flat)  # views: flat has the compute dtype
         for i in reversed(range(len(layers))):
-            w, _ = layers[i]
-            grads[i] = ((acts[i].transpose(0, 2, 1) @ delta).reshape(n, -1), delta.sum(axis=1))
+            gw, gb = grads[i]
+            np.matmul(acts[i].transpose(0, 2, 1), delta, out=gw)
+            np.add.reduce(delta, axis=1, keepdims=True, out=gb)
             if i > 0:
-                delta = (delta @ w.transpose(0, 2, 1)) * self._act_grad(pre[i - 1], acts[i])
-        flat = np.concatenate([part for pair in grads for part in pair], axis=1)
+                delta = delta @ layers[i][0].transpose(0, 2, 1)
+                delta *= self._act_grad(acts[i])
         return flat.astype(np.float64, copy=False)
 
     def batch_objective(self, x: ParamVector, sample: np.ndarray) -> float:

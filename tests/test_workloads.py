@@ -77,11 +77,12 @@ def mlp_row_reference(w, x, idx):
     for a, c in zip(w.widths[:-1], w.widths[1:]):
         layers.append((x[off:off + a * c].reshape(a, c), x[off + a * c:off + a * c + c]))
         off += a * c + c
+    relu = w.activation == "relu"
     acts, pre = [w.train.features[idx].astype(w.dtype, copy=False)], []
     for i, (wt, b) in enumerate(layers):
         z = acts[-1] @ wt.astype(w.dtype, copy=False) + b.astype(w.dtype, copy=False)
         pre.append(z)
-        acts.append(w._act(z) if i < len(layers) - 1 else z)
+        acts.append((np.maximum(z, 0.0) if relu else np.tanh(z)) if i < len(layers) - 1 else z)
     shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
     logZ = np.log(np.sum(np.exp(shifted), axis=1))
     delta = np.exp(shifted - logZ[:, None])
@@ -92,7 +93,8 @@ def mlp_row_reference(w, x, idx):
         wt, _ = layers[i]
         grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ wt.T.astype(w.dtype, copy=False)) * w._act_grad(pre[i - 1], acts[i])
+            act_grad = (pre[i - 1] > 0).astype(w.dtype) if relu else 1.0 - acts[i] * acts[i]
+            delta = (delta @ wt.T.astype(w.dtype, copy=False)) * act_grad
     flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
     return flat.astype(np.float64, copy=False)
 
