@@ -10,7 +10,7 @@ file. For each row the script copies src/, tests/ and pyproject.toml into a
 temporary directory, applies the substitution there (never in the working
 tree) and runs the row's node ids with pytest. A row is killed when every
 one of its node ids has a failing test; a node id may name a whole file or
-class. The script prints killed or survived per row and exits 1 when a row
+class, and a file that fails to collect fails every test in it. The script prints killed or survived per row and exits 1 when a row
 survives. A row whose old text is not in its file exactly once is an error,
 and the script exits 2: the code has moved, and the row must follow it.
 """
@@ -100,6 +100,12 @@ def failed_ids(root: Path, tests: tuple) -> list[str]:
             if line.startswith(("FAILED ", "ERROR "))]
 
 
+def covers(outer: str, node: str) -> bool:
+    """Whether the node id `outer` is `node` or holds it, as a file or class
+    holds its tests: a collection error in a file fails every test in it."""
+    return node == outer or node.startswith((outer + "::", outer + "["))
+
+
 def run(mutant: Mutant) -> bool:
     """Whether every node id of the row has a failing test with the mutant in."""
     with tempfile.TemporaryDirectory(prefix="palsgd-mutant-") as tmp:
@@ -110,9 +116,9 @@ def run(mutant: Mutant) -> bool:
         shutil.copy(ROOT / "pyproject.toml", root)
         apply(mutant, root)
         failed = failed_ids(root, mutant.tests)
-    missed = [t for t in mutant.tests if not any(f == t or f.startswith((t + "::", t + "[")) for f in failed)]
+    missed = [t for t in mutant.tests if not any(covers(f, t) or covers(t, f) for f in failed)]
     print(f"{'killed' if not missed else 'survived'}: {mutant.name} "
-          f"({len(failed)} failing tests{'; not failed: ' + ', '.join(missed) if missed else ''})",
+          f"({len(failed)} failed{'; not failed: ' + ', '.join(missed) if missed else ''})",
           flush=True)
     return not missed
 
