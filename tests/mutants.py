@@ -10,9 +10,10 @@ file. For each row the script copies src/, tests/ and pyproject.toml into a
 temporary directory, applies the substitution there (never in the working
 tree) and runs the row's node ids with pytest. A row is killed when every
 one of its node ids has a failing test; a node id may name a whole file or
-class, and a file that fails to collect fails every test in it. The script prints killed or survived per row and exits 1 when a row
-survives. A row whose old text is not in its file exactly once is an error,
-and the script exits 2: the code has moved, and the row must follow it.
+class, and a file that fails to collect fails every test in it. The script
+prints killed or survived per row and exits 1 when a row survives. A row
+whose old text is not in its file exactly once is an error, and the script
+exits 2: the code has moved, and the row must follow it.
 """
 
 from __future__ import annotations
