@@ -70,10 +70,11 @@ def main(argv=None) -> int:
     _add_common(sweep_p, *_OVERRIDES)
     sweep_p.add_argument("--grid", required=True, help="JSON file mapping dotted parameter paths to value lists")
 
-    verify_p = sub.add_parser("verify-theory", help="convergence-theory verification suite")
+    verify_p = sub.add_parser("verify-theory", help="convergence-theory verification suite",
+                              argument_default=argparse.SUPPRESS)  # a flag left out: verify_theory's default
     _add_common(verify_p, "--seed", "--out-dir")
-    verify_p.add_argument("--seeds", type=int, default=10, help="seeds per worker count")
-    verify_p.add_argument("--k-values", default="1,2,4,8", help="comma-separated worker counts")
+    verify_p.add_argument("--seeds", type=int, dest="n_seeds", help="seeds per worker count")
+    verify_p.add_argument("--k-values", help="comma-separated worker counts")
 
     grad_p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     _add_common(grad_p)
@@ -106,13 +107,14 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "verify-theory":
-            try:
-                k_values = tuple(int(v) for v in args.k_values.split(","))
-            except ValueError:
-                raise ConfigError("k_values", "expected comma-separated integers, "
-                                              f"got {args.k_values!r}") from None
-            report = verify_theory(cfg, out_dir=cfg.out_dir, k_values=k_values,
-                                   n_seeds=args.seeds)
+            options = {"n_seeds": args.n_seeds} if "n_seeds" in args else {}
+            if "k_values" in args:
+                try:
+                    options["k_values"] = tuple(int(v) for v in args.k_values.split(","))
+                except ValueError:
+                    raise ConfigError("k_values", "expected comma-separated integers, "
+                                                  f"got {args.k_values!r}") from None
+            report = verify_theory(cfg, out_dir=cfg.out_dir, **options)
             print(json.dumps(report, sort_keys=True, indent=2))
             return EXIT_OK if report["pass"] else EXIT_FAILED_CHECK
 

@@ -2,18 +2,19 @@
 
 Where a key's default and bound live:
 
-* The keys of ``algo.inner``, ``algo.outer``, ``schedule``, ``cluster`` and
-  ``cluster.allreduce``, plus ``algo.variant``, the top-level ``workers`` and
-  ``workload.draw_policy``, are declared once, as field metadata on the
-  runtime dataclasses (``InnerOptConfig``, ``OuterOptConfig``, ``Schedule``,
-  ``ClusterSpec``, ``AllReduceModel``, ``AlgoVariant``, ``Shards``; see
-  ``fields.py``). Where a config default differs from the library one (five
-  ``schedule`` keys and ``workers``), the tables below replace the default
-  and keep the bound.
-* The other ``workload`` keys (one table per kind) and the top-level
-  ``seed``, ``metrics_every``, ``eval_every`` and ``out_dir`` are declared
-  in the tables below. ``RunConfig.build_workload`` derives what the
-  workload section, kept as given, leaves out.
+* A key that a runtime object takes is declared once, as field metadata on
+  its dataclass (see ``fields.py``): ``InnerOptConfig``, ``OuterOptConfig``,
+  ``Schedule``, ``ClusterSpec`` (the top-level ``workers`` too),
+  ``AllReduceModel``, ``AlgoVariant``, and for ``workload``
+  ``QuadraticWorkload``, ``LogisticWorkload``, ``MlpWorkload``,
+  ``GaussianClusters`` (``spread``, ``center_scale``) and ``Shards``
+  (``draw_policy``). Where a config default differs from the library one
+  (five ``schedule`` keys, ``workers``, ``noise_sigma``, ``l2_reg`` and
+  ``activation``), the tables below replace the default and keep the bound.
+* The other ``workload`` keys (one table per kind; the list-valued keys are
+  among them) and the top-level ``seed``, ``metrics_every``, ``eval_every``
+  and ``out_dir`` are declared in the tables below. ``RunConfig.build_workload``
+  derives what the workload section, kept as given, leaves out.
 
 Metrics cadence: a run writes a record after every step that ends in an
 all-reduce, that is every DDP step (warmup included) and every sync round,
@@ -56,8 +57,8 @@ from .algorithms import VARIANTS, AlgoVariant, Schedule, make_variant, theory_sc
 from .cluster import AllReduceModel, ClusterSpec
 from .fields import ConfigError, Spec, specs
 from .optimizers import InnerOptConfig, OuterOptConfig
-from .workloads import (ACTIVATIONS, DTYPES, LogisticWorkload, MlpWorkload,
-                        QuadraticWorkload, Shards, generate_synthetic_classification)
+from .workloads import (GaussianClusters, LogisticWorkload, MlpWorkload, QuadraticWorkload,
+                        Shards, generate_synthetic_classification)
 
 SCHEMA_VERSION = 1
 
@@ -72,30 +73,25 @@ _VARIANT = specs(AlgoVariant, tag="palsgd")["tag"]
 _OPTIMIZERS = {"inner": specs(InnerOptConfig), "outer": specs(OuterOptConfig)}
 _SCHEDULE = specs(Schedule, alpha=0.01, eta=0.5, p=0.05, sync_interval=16, total_steps=1600)
 
-_DATASET = {"data_seed": Spec(int, 7),
-            "spread": Spec(float, 1.0, low=0, low_open=True),
-            "center_scale": Spec(float, 3.0, low=0),
-            "draw_policy": specs(Shards)["draw_policy"]}
+_DATASET = {"data_seed": Spec(int, 7), **specs(GaussianClusters), **specs(Shards)}
+_MLP = specs(MlpWorkload, activation="tanh")
 _WORKLOADS = {
     "quadratic": {"dim": Spec(int, 16, low=1),
                   "hessian_diag": Spec(float, None, low=0, low_open=True, sequence=True),
                   "mu": Spec(float, 1.0, low=0, low_open=True),
                   "L": Spec(float, 4.0, low=0, low_open=True),
-                  "noise_sigma": Spec(float, 1.0, low=0)},
+                  **specs(QuadraticWorkload, noise_sigma=1.0)},
     "logistic": {"dim": Spec(int, 8, low=1),
                  "n_samples": Spec(int, 200, low=2),
-                 "l2_reg": Spec(float, 0.01, low=0),
-                 "batch_size": Spec(int, 1, low=1),
+                 **specs(LogisticWorkload, l2_reg=0.01),
                  **_DATASET},
     "mlp": {"widths": Spec(int, None, low=1, sequence=True),
-            "activation": Spec(str, "tanh", choices=ACTIVATIONS),
+            "activation": _MLP.pop("activation"),
             "classes": Spec(int, 10, low=2),
             "dim": Spec(int, 16, low=1),
             "samples_per_class": Spec(int, 100, low=1),
             "test_samples_per_class": Spec(int, 25, low=0),
-            "batch_size": Spec(int, 8, low=1),
-            "dtype": Spec(str, "float64", choices=DTYPES),
-            "init_scale": Spec(float, None, low=0, low_open=True),
+            **_MLP,  # batch_size, dtype, init_scale
             **_DATASET},
 }
 _KIND = Spec(str, "quadratic", choices=tuple(_WORKLOADS))

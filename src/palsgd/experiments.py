@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -16,11 +17,11 @@ from .cluster import export_events_jsonl
 from .config import KEYS, ConfigError, RunConfig, parse_config
 from .metrics import summarize, write_metrics_jsonl, write_summary
 from .vecmath import PURPOSE_INIT, RngStream
-from .workloads import (LogisticWorkload, MlpWorkload,
-                        generate_synthetic_classification)
+from .workloads import LogisticWorkload, MlpWorkload, generate_synthetic_classification
 
 SWEEP_CSV_HEADER = ["param", "value", "status", "final_loss", "sim_time_s", "sync_count",
                     "diverged"]
+K_SLOPE_RANGE = (-1.15, -0.7)  # the K-slopes that verify_theory takes for linear speedup
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | None = None):
@@ -187,8 +188,7 @@ def _repeated(values) -> list:
 
 def verify_theory(cfg: RunConfig, out_dir: str | None = None,
                   k_values=(1, 2, 4, 8), n_seeds: int = 10,
-                  h_values=(2, 4, 8), h_probe_steps: int = 512,
-                  slope_range=(-1.15, -0.7)) -> dict:
+                  h_values=(2, 4, 8), h_probe_steps: int = 512) -> dict:
     """Convergence-theory checks on the quadratic workload.
 
     Estimates the weighted-average suboptimality across worker counts and
@@ -206,7 +206,7 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
     shrink, and a noise term V that falls as 1/K. B is the oracle's exact
     value with the noise off; V is the smallest K's mean minus B. The
     slope of B + V*k_min/k is reported as ``k_predicted_slope``. When it lies
-    outside ``slope_range`` (bias hides the K-slope), or when the theory
+    outside ``K_SLOPE_RANGE`` (bias hides the K-slope), or when the theory
     step size alpha (reported per K in ``k_alpha``) differs across K, the
     regime cannot test the claim: ``k_slope_pass`` is None and "k_slope" is
     listed in ``inconclusive``. ``pass`` is the AND of the conclusive checks
@@ -251,16 +251,16 @@ def verify_theory(cfg: RunConfig, out_dir: str | None = None,
     variance = means[k_values.index(k_min)] - bias
     predicted = fit_loglog_slope(k_values, [bias + variance * k_min / k for k in k_values])
     alphas = {str(k): schedules[k].alpha for k in k_values}
-    conclusive = (slope_range[0] <= predicted <= slope_range[1]
-                  and len(set(alphas.values())) == 1)
+    low, high = K_SLOPE_RANGE
+    conclusive = low <= predicted <= high and len(set(alphas.values())) == 1
     report["k_mean_suboptimality"] = dict(zip((str(k) for k in k_values), means))
     report["k_alpha"] = alphas
     report["k_bias"] = bias
     report["k_variance"] = variance
     report["k_predicted_slope"] = predicted
     report["k_slope"] = slope
-    report["k_slope_range"] = list(slope_range)
-    report["k_slope_pass"] = (slope_range[0] <= slope <= slope_range[1]) if conclusive else None
+    report["k_slope_range"] = list(K_SLOPE_RANGE)
+    report["k_slope_pass"] = (low <= slope <= high) if conclusive else None
     report["inconclusive"] = [] if conclusive else ["k_slope"]
 
     if 1 in k_values:
@@ -307,9 +307,10 @@ FLOAT32_GAP = 64 * float(np.finfo(np.float32).eps)
 # rounding error eps |f(x)| / step (at most 0.74 of it measured past the relative
 # term: logistic, and mlp widths up to [32, 64, 10] under tanh and relu)
 GRADCHECK_RTOL, ROUNDING = 1e-4, 8 * float(np.finfo(np.float64).eps)
+GRADCHECK_STEP, GRADCHECK_SEED = 1e-5, 99  # the central difference's step; the data's seed
 
 
-def central_difference_gradient(loss_fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def central_difference_gradient(loss_fn, x: np.ndarray, step: float = GRADCHECK_STEP) -> np.ndarray:
     grad = np.empty_like(x)
     for i in range(x.shape[0]):
         hi = x.copy()
@@ -326,8 +327,7 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float =
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5,
-              seed: int = 99) -> dict:
+def gradcheck(cfg: RunConfig | None = None, probes: int = 10) -> dict:
     """Analytic vs central-difference gradients for the data workloads.
 
     ``max_relative_error`` is below GRADCHECK_RTOL iff every entry is within
@@ -336,9 +336,9 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
     central difference, and the float32 gradient against the twin's, within
     ``FLOAT32_GAP`` of the twin's largest entry (``float64_gap``)."""
     results = {}
-    data2 = generate_synthetic_classification(2, 6, 20, seed)
+    data2 = generate_synthetic_classification(2, 6, 20, GRADCHECK_SEED)
     logistic = LogisticWorkload(data2, l2_reg=0.05, batch_size=5)
-    data10 = generate_synthetic_classification(5, 6, 12, seed + 1)
+    data10 = generate_synthetic_classification(5, 6, 12, GRADCHECK_SEED + 1)
     mlp = MlpWorkload([6, 9, 5], "tanh", data10, batch_size=6)
     if cfg is not None and cfg.workload["kind"] in ("logistic", "mlp"):
         built = cfg.workload_object()
@@ -347,22 +347,18 @@ def gradcheck(cfg: RunConfig | None = None, probes: int = 10, step: float = 1e-5
         else:
             mlp = built
     for name, workload in (("logistic", logistic), ("mlp", mlp)):
-        twin = workload
-        if getattr(workload, "dtype", None) is np.float32:
-            twin = copy.copy(workload)
-            twin.dtype = np.float64
+        twin = dataclasses.replace(workload, dtype="float64") if name == "mlp" else workload
         worst = gap = 0.0
-        init_stream = RngStream(seed, 0, PURPOSE_INIT)
+        init_stream = RngStream(GRADCHECK_SEED, 0, PURPOSE_INIT)
         # one worker's data draws, as the trainer makes them
-        sampler = workload.sampler(1, [seed])
+        sampler = workload.sampler(1, [GRADCHECK_SEED])
         for probe in range(probes):
             x = workload.init_params(init_stream)
             x = x + init_stream.gaussian_vector(x.shape[0], 0.3)
             idx = workload.draw_sample(sampler, np.ones(1, dtype=bool))[0]
             analytic = twin.stochastic_gradient(x[None], [idx])[0]
-            numeric = central_difference_gradient(
-                lambda v: twin.batch_objective(v, idx), x, step)
-            floor = ROUNDING * abs(twin.batch_objective(x, idx)) / step / GRADCHECK_RTOL
+            numeric = central_difference_gradient(lambda v: twin.batch_objective(v, idx), x)
+            floor = ROUNDING * abs(twin.batch_objective(x, idx)) / GRADCHECK_STEP / GRADCHECK_RTOL
             worst = max(worst, max_relative_error(analytic, numeric, floor))
             own = workload.stochastic_gradient(x[None], [idx])[0]
             gap = max(gap, float(np.max(np.abs(own - analytic)) / np.max(np.abs(analytic))))

@@ -30,8 +30,13 @@ from .vecmath import (PURPOSE_DATA, PURPOSE_DATAGEN, PURPOSE_SHUFFLE,
                       DimensionMismatchError, ParamVector, RngStream, StreamChunks,
                       _check_dims)
 
-ACTIVATIONS = ("relu", "tanh")
-DTYPES = ("float64", "float32")
+# each hidden activation and its derivative, in place over their argument; the derivative
+# reads the activation a, not z: relu's a > 0 is z > 0 at every z, nan and -0.0 too
+_ACTIVATIONS = {
+    "relu": ((lambda z: np.maximum(z, 0.0, out=z)), (lambda a: np.greater(a, 0.0, out=a))),
+    "tanh": ((lambda z: np.tanh(z, out=z)),
+             (lambda a: np.subtract(1.0, np.multiply(a, a, out=a), out=a))),
+}
 
 
 @dataclass
@@ -64,8 +69,8 @@ class Shards:
     """
     flat: np.ndarray    # (n,) every shard's sorted indices, end to end
     sizes: np.ndarray   # (S*K,) int64
-    seeds: tuple = (0,)
-    batch_size: int = option(int, 1, low=1)
+    seeds: tuple
+    batch_size: int     # checked by the workload that owns the shards
     draw_policy: str = option(str, "with_replacement", choices=("with_replacement", "epoch_shuffle"))
 
     def __post_init__(self):
@@ -138,9 +143,21 @@ class ShardPositions(StreamChunks):
         self.buf += self.starts
 
 
+@dataclass(frozen=True)
+class GaussianClusters:
+    """The clusters of ``generate_synthetic_classification``: class centres
+    with coordinates N(0, center_scale^2), points N(centre, spread^2) each."""
+    spread: float = option(float, 1.0, low=0, low_open=True)
+    center_scale: float = option(float, 3.0, low=0)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 def generate_synthetic_classification(n_classes: int, dim: int, samples_per_class: int,
-                                      seed: int, spread: float = 1.0,
-                                      center_scale: float = 3.0, split: int = 0) -> Dataset:
+                                      seed: int, spread: float = GaussianClusters.spread,
+                                      center_scale: float = GaussianClusters.center_scale,
+                                      split: int = 0) -> Dataset:
     """Gaussian-cluster classification data, deterministic given (seed, split).
 
     The class centres depend on the seed alone. Split 0 (training) draws its
@@ -149,6 +166,7 @@ def generate_synthetic_classification(n_classes: int, dim: int, samples_per_clas
     """
     if n_classes < 1 or dim < 1 or samples_per_class < 1:
         raise ValueError("n_classes, dim and samples_per_class must be >= 1")
+    GaussianClusters(spread, center_scale)  # ConfigError naming a value out of bounds
     stream = RngStream(seed, 0, PURPOSE_DATAGEN)
     centers = stream.gaussian_vector(n_classes * dim, center_scale).reshape(n_classes, dim)
     if split:
@@ -162,7 +180,7 @@ def generate_synthetic_classification(n_classes: int, dim: int, samples_per_clas
     return Dataset(features=feats, labels=labels, n_classes=n_classes)
 
 
-def shard_dataset(dataset: Dataset, workers: int, seeds, batch_size: int = 1,
+def shard_dataset(dataset: Dataset, workers: int, seeds, batch_size: int,
                   draw_policy: str = Shards.draw_policy) -> Shards:
     """The shards of `workers` workers in each replica of `seeds`, drawn
     `batch_size` indices at a time under `draw_policy`. Each replica splits
@@ -181,26 +199,29 @@ def shard_dataset(dataset: Dataset, workers: int, seeds, batch_size: int = 1,
     return Shards(flat, np.tile(sizes, len(seeds)), tuple(seeds), batch_size, draw_policy)
 
 
+@dataclass(eq=False)
 class QuadraticWorkload:
     """Noisy quadratic with exactly known mu, L, sigma^2 and optimum."""
 
+    hessian_diag: np.ndarray
+    x_star: np.ndarray
+    noise_sigma: float = option(float, low=0)
+    x0: np.ndarray | None = None
     has_eval = False
 
-    def __init__(self, hessian_diag, x_star, noise_sigma: float, x0=None):
-        self.hessian_diag = np.asarray(hessian_diag, dtype=np.float64)
+    def __post_init__(self):
+        check_fields(self)
+        self.hessian_diag = np.asarray(self.hessian_diag, dtype=np.float64)
         if self.hessian_diag.ndim != 1 or np.any(self.hessian_diag <= 0):
             raise ValueError("hessian_diag must be 1-D and strictly positive")
         self.dim = self.hessian_diag.shape[0]
-        self.x_star = np.asarray(x_star, dtype=np.float64)
+        self.x_star = np.asarray(self.x_star, dtype=np.float64)
         _check_dims("quadratic x_star", self.hessian_diag, self.x_star)
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        self.noise_sigma = float(noise_sigma)
-        self.x0 = self.x_star.copy() if x0 is None else np.asarray(x0, dtype=np.float64)
+        self.x0 = self.x_star.copy() if self.x0 is None else np.asarray(self.x0, dtype=np.float64)
         _check_dims("quadratic x0", self.hessian_diag, self.x0)
         # E||grad f(x*, xi)||^2 = E||A xi||^2 = c * sum(a_i^2) = sigma^2
         sq = float(np.sum(self.hessian_diag ** 2))
-        self._noise_scale = noise_sigma / np.sqrt(sq) if noise_sigma > 0 else 0.0
+        self._noise_scale = self.noise_sigma / np.sqrt(sq) if self.noise_sigma > 0 else 0.0
 
     @property
     def mu(self) -> float:
@@ -256,31 +277,26 @@ class ShardedWorkload:
     run's `Shards`. Each subclass defines its own `draw_sample`, so a
     wrapper set on one class's method leaves the other's alone."""
 
-    train: Dataset
-    batch_size: int
-    draw_policy: str
-
     def sampler(self, workers: int, seeds) -> Shards:
         return shard_dataset(self.train, workers, seeds, self.batch_size, self.draw_policy)
 
 
+@dataclass(eq=False)
 class LogisticWorkload(ShardedWorkload):
     """Binary logistic regression; parameters are the weight vector."""
 
+    train: Dataset
+    l2_reg: float = option(float, 0.0, low=0)
+    batch_size: int = option(int, 1, low=1)
+    draw_policy: str = Shards.draw_policy
     has_eval = False
 
-    def __init__(self, train: Dataset, l2_reg: float = 0.0, batch_size: int = 1,
-                 draw_policy: str = Shards.draw_policy):
-        if train.n_classes != 2:
+    def __post_init__(self):
+        check_fields(self)
+        if self.train.n_classes != 2:
             raise ValueError("logistic workload requires exactly 2 classes")
-        if l2_reg < 0:
-            raise ValueError("l2_reg must be >= 0")
-        self.train = train
-        self.l2_reg = float(l2_reg)
-        self.batch_size = int(batch_size)
-        self.draw_policy = draw_policy
-        self.dim = train.features.shape[1]
-        self._y = train.labels.astype(np.float64)  # class ids 0/1 convert exactly
+        self.dim = self.train.features.shape[1]
+        self._y = self.train.labels.astype(np.float64)  # class ids 0/1 convert exactly
 
     def init_params(self, stream: RngStream) -> ParamVector:
         return np.zeros(self.dim)
@@ -337,18 +353,6 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return t
 
 
-def _activation(name: str):
-    """A hidden layer's activation and derivative, each taken in place over
-    its argument. The derivative reads the activation a, not the
-    pre-activation z: relu's a > 0 is z > 0 at every z, nan and -0.0 too."""
-    if name == "relu":
-        return (lambda z: np.maximum(z, 0.0, out=z)), (lambda a: np.greater(a, 0.0, out=a))
-    if name == "tanh":
-        return ((lambda z: np.tanh(z, out=z)),
-                (lambda a: np.subtract(1.0, np.multiply(a, a, out=a), out=a)))
-    raise ValueError(f"activation must be one of {ACTIVATIONS}, got {name!r}")
-
-
 def _log_softmax(logits: np.ndarray):
     """Max-shifted logits, on a new buffer, and their log-normalizer along
     the last axis."""
@@ -365,30 +369,31 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.add.reduce(logZ) / len(logZ))
 
 
+@dataclass(eq=False)
 class MlpWorkload(ShardedWorkload):
     """Dense MLP with hand-written backprop over a flat parameter vector."""
 
-    def __init__(self, widths, activation: str, train: Dataset, test: Dataset | None = None,
-                 batch_size: int = 8, dtype: str = "float64", init_scale: float | None = None,
-                 draw_policy: str = Shards.draw_policy):
-        self.widths = [int(w) for w in widths]
+    widths: list
+    activation: str = option(str, choices=tuple(_ACTIVATIONS))
+    train: Dataset
+    test: Dataset | None = None
+    batch_size: int = option(int, 8, low=1)
+    dtype: str = option(str, "float64", choices=("float64", "float32"))
+    init_scale: float | None = option(float, None, low=0, low_open=True)
+    draw_policy: str = Shards.draw_policy
+
+    def __post_init__(self):
+        check_fields(self)
+        self.widths = [int(w) for w in self.widths]
         if len(self.widths) < 2:
             raise ValueError("widths needs at least input and output sizes")
-        if self.widths[0] != train.features.shape[1]:
-            raise ValueError(f"input width {self.widths[0]} != feature dim {train.features.shape[1]}")
-        if self.widths[-1] != train.n_classes:
-            raise ValueError(f"output width {self.widths[-1]} != class count {train.n_classes}")
-        self.activation = activation
-        self._act, self._act_grad = _activation(activation)
-        self.train = train
-        self.test = test
-        self.has_eval = test is not None
-        self.batch_size = int(batch_size)
-        if dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {DTYPES}")
-        self.dtype = np.float64 if dtype == "float64" else np.float32
-        self.init_scale = init_scale
-        self.draw_policy = draw_policy
+        if self.widths[0] != self.train.features.shape[1]:
+            raise ValueError(f"input width {self.widths[0]} != feature dim {self.train.features.shape[1]}")
+        if self.widths[-1] != self.train.n_classes:
+            raise ValueError(f"output width {self.widths[-1]} != class count {self.train.n_classes}")
+        self._act, self._act_grad = _ACTIVATIONS[self.activation]
+        self.has_eval = self.test is not None
+        self._dtype = np.dtype(self.dtype)
         self._shapes = [(a, b) for a, b in zip(self.widths[:-1], self.widths[1:])]
         self.dim = sum(a * b + b for a, b in self._shapes)
 
@@ -401,7 +406,7 @@ class MlpWorkload(ShardedWorkload):
             off += a * c
             bias = x[:, None, off:off + c]
             off += c
-            layers.append((w.astype(self.dtype, copy=False), bias.astype(self.dtype, copy=False)))
+            layers.append((w.astype(self._dtype, copy=False), bias.astype(self._dtype, copy=False)))
         return layers
 
     def init_params(self, stream: RngStream) -> ParamVector:
@@ -410,7 +415,7 @@ class MlpWorkload(ShardedWorkload):
             scale = self.init_scale if self.init_scale is not None else np.sqrt(2.0 / a)
             parts.append(stream.gaussian_vector(a * b, scale))
             parts.append(np.zeros(b))
-        return np.concatenate(parts).astype(self.dtype, copy=False).astype(np.float64)
+        return np.concatenate(parts).astype(self._dtype, copy=False).astype(np.float64)
 
     def draw_sample(self, sampler: Shards, mask: np.ndarray) -> np.ndarray:
         """The shards' next (S*K, batch_size) draw; the `mask` rows step."""
@@ -421,7 +426,7 @@ class MlpWorkload(ShardedWorkload):
         then each layer's output. One np.matmul per layer makes the layer's
         buffer, and the bias and activation are taken in place on it; the
         input is never written."""
-        acts = [feats.astype(self.dtype, copy=False)]
+        acts = [feats.astype(self._dtype, copy=False)]
         for i, (w, b) in enumerate(layers):
             z = acts[-1] @ w
             z += b
@@ -452,7 +457,7 @@ class MlpWorkload(ShardedWorkload):
         np.exp(delta, out=delta)
         delta[np.arange(n)[:, None], np.arange(b), self.train.labels[samples]] -= 1.0
         delta /= b
-        flat = np.empty((n, self.dim), self.dtype)
+        flat = np.empty((n, self.dim), self._dtype)
         grads = self._unflatten(flat)  # views: flat has the compute dtype
         for i in reversed(range(len(layers))):
             gw, gb = grads[i]

@@ -13,7 +13,8 @@ one of its node ids has a failing test; a node id may name a whole file or
 class, and a file that fails to collect fails every test in it. The script
 prints killed or survived per row and exits 1 when a row survives. A row
 whose old text is not in its file exactly once is an error, and the script
-exits 2: the code has moved, and the row must follow it.
+exits 2: the code has moved, and the row must follow it. Tier-1 checks that
+rule alone, without running a row (test_mutant_table.py).
 """
 
 from __future__ import annotations
@@ -63,6 +64,25 @@ MUTANTS = (
            "            off += a * c\n",
            (MLP_GRADIENT, "tests/test_mlp_buffers.py::TestMlpBuffers::test_objectives_equal_the_reference",
             f"{GOLDEN}[mlp-palsgd-k8 seed 5]")),
+    Mutant("zeroed bias gradient",
+           "src/palsgd/workloads.py",
+           "np.add.reduce(delta, axis=1, keepdims=True, out=gb)",
+           "gb.fill(0.0)",
+           (MLP_GRADIENT, "tests/test_workloads.py::TestMlp::test_gradient_matches_finite_differences",
+            f"{GOLDEN}[mlp-palsgd-k8 seed 5]")),
+    Mutant("every epoch_shuffle shard advanced",
+           "src/palsgd/workloads.py",
+           "for k in np.flatnonzero(mask):",
+           "for k in range(len(mask)):",
+           ("tests/test_workloads.py::TestSharding::test_epoch_shuffle_mask_draw_moves_only_the_masked_shards",
+            f"{GOLDEN}[palsgd mlp relu float32 epoch_shuffle straggler]")),
+    Mutant("(a * b).sum suboptimality",
+           "src/palsgd/workloads.py",
+           "dots = np.matmul((d * self.hessian_diag)[..., None, :], d[..., :, None])[..., 0, 0]",
+           "dots = ((d * self.hessian_diag) * d).sum(axis=-1)",
+           ("tests/test_reductions.py::TestDotKernels::test_suboptimality_is_a_dot_product",
+            "tests/test_workloads.py::TestQuadratic::test_stacked_suboptimality_equals_each_row",
+            f"{GOLDEN}[quad-palsgd-k32 seed 5]")),
     Mutant("metrics writer formats floats with %r",
            "src/palsgd/metrics.py",
            'yield encode(obj) + "\\n"',

@@ -708,3 +708,16 @@ class TestCli:
         path = self.write_cfg(tmp_path)
         assert main(["verify-theory", path, "--k-values", k_values]) == 2
         assert "k_values" in capsys.readouterr().err
+
+
+def test_flagless_verify_theory_reports_what_verify_theory_defaults_to(tmp_path, capsys):
+    cfg = {"workload": {"kind": "quadratic", "dim": 4, "mu": 1.0, "L": 2.0, "x0_offset": 0.05},
+           "algo": {"variant": "palsgd_theory"},
+           "schedule": {"p": 0.5, "sync_interval": 4, "total_steps": 64},
+           "workers": 2, "seed": 3}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify-theory", str(path)]) in (0, 4)
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads(json.dumps(verify_theory(parse(cfg))))
+    assert report["k_values"] == [1, 2, 4, 8] and report["n_seeds"] == 10

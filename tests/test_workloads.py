@@ -9,6 +9,7 @@ from palsgd.algorithms import Schedule, make_variant, run_training
 from palsgd.cluster import AllReduceModel, ClusterSpec
 from palsgd.config import parse_config
 from palsgd.experiments import central_difference_gradient, max_relative_error
+from palsgd.fields import ConfigError
 from palsgd.optimizers import InnerOptConfig
 from palsgd.vecmath import (PURPOSE_DATA, PURPOSE_DATAGEN, PURPOSE_INIT, PURPOSE_SHUFFLE,
                             RngStream)
@@ -341,7 +342,7 @@ class TestMlp:
 class TestSharding:
     def test_even_split(self):
         data = generate_synthetic_classification(2, 3, 50, 1)  # n=100
-        shards = shard_dataset(data, 4, [0])
+        shards = shard_dataset(data, 4, [0], 1)
         assert len(shards) == 4
         assert shards.sizes.tolist() == [25, 25, 25, 25]
         assert shards.starts.tolist() == [0, 25, 50, 75]
@@ -349,7 +350,7 @@ class TestSharding:
 
     def test_uneven_split_deterministic_order(self):
         data = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), 1)
-        shards = shard_dataset(data, 3, [5])
+        shards = shard_dataset(data, 3, [5], 1)
         assert shards.sizes.tolist() == [4, 3, 3]
         assert shards.starts.tolist() == [0, 4, 7]
         for lo, n in zip(shards.starts, shards.sizes):
@@ -358,8 +359,8 @@ class TestSharding:
 
     def test_same_seed_same_shards(self):
         data = generate_synthetic_classification(2, 3, 20, 1)
-        a = shard_dataset(data, 4, [9])
-        b = shard_dataset(data, 4, [9])
+        a = shard_dataset(data, 4, [9], 1)
+        b = shard_dataset(data, 4, [9], 1)
         assert np.array_equal(a.flat, b.flat) and np.array_equal(a.sizes, b.sizes)
 
     def test_with_replacement_rows_come_from_their_own_shard(self):
@@ -406,7 +407,7 @@ class TestSharding:
     def test_more_workers_than_samples_rejected(self):
         data = Dataset(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), 1)
         with pytest.raises(ValueError, match="shard"):
-            shard_dataset(data, 5, [0])
+            shard_dataset(data, 5, [0], 1)
 
     def test_epoch_shuffle_covers_every_sample(self):
         data = Dataset(np.zeros((8, 1)), np.zeros(8, dtype=np.int64), 1)
@@ -603,3 +604,31 @@ class TestStackedGradients:
         assert sum(result.diagnostics.mixing_steps_per_worker) > 0  # some calls take a row subset
         assert result.diagnostics.columns["evaluated"][-1]
         assert not np.isnan(result.diagnostics.columns["eval_acc"][-1])
+
+
+TWO_CLASSES = generate_synthetic_classification(2, 3, 4, 0)
+THREE_CLASSES = generate_synthetic_classification(3, 3, 4, 0)
+# (kind, key, a value out of the key's bound, the constructor or generator given it)
+OUT_OF_BOUNDS = [
+    ("quadratic", "noise_sigma", -1.0, lambda v: QuadraticWorkload(np.ones(2), np.zeros(2), v)),
+    ("logistic", "l2_reg", -0.5, lambda v: LogisticWorkload(TWO_CLASSES, l2_reg=v)),
+    ("logistic", "batch_size", 0, lambda v: LogisticWorkload(TWO_CLASSES, batch_size=v)),
+    ("mlp", "activation", "sigmoid", lambda v: MlpWorkload([3, 3], v, THREE_CLASSES)),
+    ("mlp", "batch_size", 0, lambda v: MlpWorkload([3, 3], "tanh", THREE_CLASSES, batch_size=v)),
+    ("mlp", "dtype", "float16", lambda v: MlpWorkload([3, 3], "tanh", THREE_CLASSES, dtype=v)),
+    ("mlp", "init_scale", -1.0, lambda v: MlpWorkload([3, 3], "tanh", THREE_CLASSES, init_scale=v)),
+    ("logistic", "spread", 0.0, lambda v: generate_synthetic_classification(2, 3, 4, 0, spread=v)),
+    ("mlp", "center_scale", -1.0,
+     lambda v: generate_synthetic_classification(3, 3, 4, 0, center_scale=v)),
+]
+
+
+@pytest.mark.parametrize("kind, key, value, build", OUT_OF_BOUNDS,
+                         ids=[f"{kind}-{key}" for kind, key, _, _ in OUT_OF_BOUNDS])
+def test_the_parser_and_the_api_reject_a_key_alike(kind, key, value, build):
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(json.dumps({"workload": {"kind": kind, key: value}}))
+    assert parsed.value.field == f"workload.{key}"
+    with pytest.raises(ConfigError) as built:
+        build(value)
+    assert (built.value.field, built.value.reason) == (key, parsed.value.reason)
