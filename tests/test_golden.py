@@ -12,9 +12,9 @@ jitter with a straggler's `worker_multipliers`, warmup off the H grid and an
 off-grid `metrics_every`, a run across the coins' 1024-step chunk, the mlp
 with `eval_every`, relu, float32 and epoch_shuffle, unequal shards (4 098
 samples over 32 workers), `warmup_cosine`, `sgd_momentum` and
-`reset_at_sync`, a batched S = 3 run, a batched S = 2 DDP run on unequal
-with_replacement shards, a diverging run, a two-cell sweep and a
-tiny `verify_theory`. The four bench configs at seed 5 are copied as
+`reset_at_sync`, adamw's weight decay under the clip, a batched S = 3 run,
+a batched S = 2 DDP run on unequal with_replacement shards, a diverging
+run, a two-cell sweep and a tiny `verify_theory`. The four bench configs at seed 5 are copied as
 literals from `bench/run.py`; their hashes equal the bench's
 `--seconds 0` hashes at seed 5 (`BENCH_25.json`, `artifacts_seconds_0`).
 
@@ -106,6 +106,13 @@ CASES = {
         "schedule": {"alpha": 0.05, "p": 0.2, "sync_interval": 10, "total_steps": 200,
                      "lr_schedule": "warmup_cosine", "lr_warmup_steps": 20},
         "workers": 3, "seed": 4}, {}),
+    # AdamW's decoupled weight decay under the preset clip: about half the steps clip a row
+    "palsgd adamw weight_decay clip": ("run", {
+        "workload": {"kind": "quadratic", "dim": 6, "mu": 1.0, "L": 4.0, "noise_sigma": 0.5,
+                     "x0_offset": 0.3},
+        "algo": {"variant": "palsgd", "inner": {"weight_decay": 0.1}},
+        "schedule": {"alpha": 0.05, "p": 0.2, "sync_interval": 8, "total_steps": 120},
+        "workers": 4, "seed": 6}, {}),
     "palsgd_theory batched S=3": ("batched", {**THEORY_FIXTURE, "seed": 0, "metrics_every": 9},
                                   {"seeds": [5, 6, 7]}),
     # replicas of unequal with_replacement shards: 1 030 samples over 8 workers per replica
