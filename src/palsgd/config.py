@@ -7,10 +7,11 @@ Where a key's default and bound live:
   ``Schedule``, ``ClusterSpec`` (the top-level ``workers`` too),
   ``AllReduceModel``, ``AlgoVariant``, and for ``workload``
   ``QuadraticWorkload``, ``LogisticWorkload``, ``MlpWorkload``,
-  ``GaussianClusters`` (``spread``, ``center_scale``) and ``Shards``
-  (``draw_policy``). Where a config default differs from the library one
-  (five ``schedule`` keys, ``workers``, ``noise_sigma``, ``l2_reg`` and
-  ``activation``), the tables below replace the default and keep the bound.
+  ``GaussianClusters`` (``spread``, ``center_scale``); the two sharded
+  workloads take ``draw_policy`` with the Spec that ``Shards`` declares.
+  Where a config default differs from the library one (five ``schedule``
+  keys, ``workers``, ``noise_sigma``, ``l2_reg`` and ``activation``), the
+  tables below replace the default and keep the bound.
 * The other ``workload`` keys (one table per kind; the list-valued keys are
   among them) and the top-level ``seed``, ``metrics_every``, ``eval_every``
   and ``out_dir`` are declared in the tables below. ``RunConfig.build_workload``
@@ -58,7 +59,7 @@ from .cluster import AllReduceModel, ClusterSpec
 from .fields import ConfigError, Spec, specs
 from .optimizers import InnerOptConfig, OuterOptConfig
 from .workloads import (GaussianClusters, LogisticWorkload, MlpWorkload, QuadraticWorkload,
-                        Shards, generate_synthetic_classification)
+                        generate_synthetic_classification)
 
 SCHEMA_VERSION = 1
 
@@ -73,7 +74,7 @@ _VARIANT = specs(AlgoVariant, tag="palsgd")["tag"]
 _OPTIMIZERS = {"inner": specs(InnerOptConfig), "outer": specs(OuterOptConfig)}
 _SCHEDULE = specs(Schedule, alpha=0.01, eta=0.5, p=0.05, sync_interval=16, total_steps=1600)
 
-_DATASET = {"data_seed": Spec(int, 7), **specs(GaussianClusters), **specs(Shards)}
+_DATASET = {"data_seed": Spec(int, 7), **specs(GaussianClusters)}
 _MLP = specs(MlpWorkload, activation="tanh")
 _WORKLOADS = {
     "quadratic": {"dim": Spec(int, 16, low=1),
@@ -91,7 +92,7 @@ _WORKLOADS = {
             "dim": Spec(int, 16, low=1),
             "samples_per_class": Spec(int, 100, low=1),
             "test_samples_per_class": Spec(int, 25, low=0),
-            **_MLP,  # batch_size, dtype, init_scale
+            **_MLP,  # batch_size, dtype, init_scale, draw_policy
             **_DATASET},
 }
 _KIND = Spec(str, "quadratic", choices=tuple(_WORKLOADS))

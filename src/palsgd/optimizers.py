@@ -64,13 +64,17 @@ class InnerOptState:
 
     def corrections_at(self, steps: np.ndarray) -> np.ndarray:
         """The adamw bias corrections at the step counts `steps`: (2, n), one
-        column per count, rows beta1 and beta2."""
-        top = int(steps.max())
-        if self.bias_table is None or top >= self.bias_table.shape[1]:
-            size = max(BIAS_TABLE_MIN, 2 * top)
+        column per count, rows beta1 and beta2. The lookup takes the table's
+        columns first; only when there is no table yet (AttributeError) or a
+        count is past its end (IndexError) is it built, at twice the largest
+        count and at least BIAS_TABLE_MIN columns."""
+        try:
+            return self.bias_table.take(steps, axis=1)
+        except (AttributeError, IndexError):
+            size = max(BIAS_TABLE_MIN, 2 * int(steps.max()))
             self.bias_table = np.array([[1.0 - beta ** s for s in range(size)]
                                         for beta in (self.config.beta1, self.config.beta2)])
-        return self.bias_table[:, steps]
+            return self.bias_table.take(steps, axis=1)
 
 
 def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
@@ -84,8 +88,12 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
 
     The update runs the textbook formulas' elementwise operations in their
     order, in place on arrays made by this call, and one masked `np.copyto`
-    per moment writes the state. Clipping scales each row by a factor that
-    is exactly 1.0 on rows under the bound, which keeps their bits.
+    per moment writes the state. One nan-ignoring reduce, the largest row
+    norm by `np.fmax`, decides whether any row is over the clip bound; if
+    none is, g is used as it is. Otherwise every row is scaled by
+    clip / fmax(norm, clip): exactly 1.0 on rows under or at the bound and on
+    a nan norm, which keeps their bits, clip / norm over it, and 0 on an inf
+    norm.
     """
     if x.shape[-1] != g.shape[-1]:
         raise DimensionMismatchError("inner_step", x.shape[-1], g.shape[-1])
@@ -98,18 +106,17 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
 
     if cfg.clip_norm is not None:
         norms = np.sqrt(row_norms_sq(g))
-        over = norms > cfg.clip_norm
-        if over.any():
-            scale = np.divide(cfg.clip_norm, norms, out=np.ones_like(norms), where=over)
-            g = g * scale[:, None]
+        if np.fmax.reduce(norms, initial=-np.inf) > cfg.clip_norm:
+            g = g * (cfg.clip_norm / np.fmax(norms, cfg.clip_norm))[:, None]
 
     if cfg.variant == "sgd":
         return x - g * lr
 
+    rows = mask[:, None]
     if cfg.variant == "sgd_momentum":
         m = state.m * cfg.momentum
         m += g
-        np.copyto(state.m, m, where=mask[:, None])
+        np.copyto(state.m, m, where=rows)
         m *= lr
         return x - m
 
@@ -120,11 +127,11 @@ def inner_step(state: InnerOptState, x: np.ndarray, g: np.ndarray, lr: float,
     g2 = g * g
     g2 *= 1.0 - cfg.beta2
     v += g2
-    np.copyto(state.m, m, where=mask[:, None])
-    np.copyto(state.v, v, where=mask[:, None])
-    c1, c2 = state.corrections_at(counts)
-    m /= c1[:, None]                    # m_hat
-    v /= c2[:, None]                    # v_hat
+    np.copyto(state.m, m, where=rows)
+    np.copyto(state.v, v, where=rows)
+    c = state.corrections_at(counts)
+    m /= c[0, :, None]                  # m_hat
+    v /= c[1, :, None]                  # v_hat
     np.sqrt(v, out=v)
     v += cfg.eps
     m *= lr

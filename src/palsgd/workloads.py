@@ -21,11 +21,11 @@ forward pass only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import check_fields, option
+from .fields import check_fields, option, specs
 from .vecmath import (PURPOSE_DATA, PURPOSE_DATAGEN, PURPOSE_SHUFFLE,
                       DimensionMismatchError, ParamVector, RngStream, StreamChunks,
                       _check_dims)
@@ -254,10 +254,14 @@ class QuadraticWorkload:
         return sampler.next()
 
     def stochastic_gradient(self, x: np.ndarray, samples) -> np.ndarray:
-        """Gradient rows at the rows of x (n, d), one noise sample per row."""
+        """Gradient rows at the rows of x (n, d), one noise sample per row:
+        A (x - x* - xi), taken in place on the one new array x - x*."""
         if x.shape[-1] != self.dim:
             raise DimensionMismatchError("quadratic gradient", x.shape[-1], self.dim)
-        return self.hessian_diag * (x - self.x_star - np.asarray(samples))
+        g = x - self.x_star
+        g -= samples
+        g *= self.hessian_diag
+        return g
 
     def suboptimality(self, x: np.ndarray) -> float | list[float]:
         """F(x) - F(x*): a float for one (d,) model, a list of S floats for
@@ -269,6 +273,13 @@ class QuadraticWorkload:
 
     def full_objective(self, x: ParamVector) -> float:
         return self.suboptimality(x) + self.noise_floor
+
+
+def _draw_policy():
+    """A sharded workload's `draw_policy` field, checked at construction by
+    the Spec that `Shards` declares."""
+    spec = specs(Shards)["draw_policy"]
+    return field(default=spec.default, metadata={"spec": spec})
 
 
 class ShardedWorkload:
@@ -288,7 +299,7 @@ class LogisticWorkload(ShardedWorkload):
     train: Dataset
     l2_reg: float = option(float, 0.0, low=0)
     batch_size: int = option(int, 1, low=1)
-    draw_policy: str = Shards.draw_policy
+    draw_policy: str = _draw_policy()
     has_eval = False
 
     def __post_init__(self):
@@ -380,7 +391,7 @@ class MlpWorkload(ShardedWorkload):
     batch_size: int = option(int, 8, low=1)
     dtype: str = option(str, "float64", choices=("float64", "float32"))
     init_scale: float | None = option(float, None, low=0, low_open=True)
-    draw_policy: str = Shards.draw_policy
+    draw_policy: str = _draw_policy()
 
     def __post_init__(self):
         check_fields(self)

@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = "tests/test_golden.py::test_artifacts_match_the_recorded_hashes"
 MLP_GRADIENT = "tests/test_mlp_buffers.py::TestMlpBuffers::test_gradient_equals_the_reference"
+ADAMW = "tests/test_optimizers.py::TestInnerAdamw"
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,31 @@ MUTANTS = (
            "self.fill(stream, shape).reshape(self.steps, shape[0], shape[2])",
            ("tests/test_algorithms.py::TestBlockDraws::test_coin_masks_are_the_bernoulli_chunks_compared_with_p",
             GOLDEN)),
+    Mutant("adam bias correction one step late",
+           "src/palsgd/optimizers.py",
+           "counts = state.step + 1",
+           "counts = state.step + 2",
+           (f"{ADAMW}::test_update_matches_independent_recomputation",
+            f"{GOLDEN}[quad-palsgd-k32 seed 5]")),
+    Mutant("adam eps added inside the sqrt",
+           "src/palsgd/optimizers.py",
+           "    np.sqrt(v, out=v)\n"
+           "    v += cfg.eps\n",
+           "    v += cfg.eps\n"
+           "    np.sqrt(v, out=v)\n",
+           (f"{ADAMW}::test_stacked_rows_match_single_worker_steps",
+            f"{GOLDEN}[mlp-palsgd-k8 seed 5]")),
+    Mutant("adamw weight decay not scaled by lr",
+           "src/palsgd/optimizers.py",
+           "out = x * (lr * cfg.weight_decay)",
+           "out = x * cfg.weight_decay",
+           (f"{ADAMW}::test_decoupled_weight_decay",
+            f"{GOLDEN}[palsgd adamw weight_decay clip]")),
+    Mutant("clip test by a max that a nan norm poisons",
+           "src/palsgd/optimizers.py",
+           "np.fmax.reduce(norms, initial=-np.inf)",
+           "np.maximum.reduce(norms, initial=-np.inf)",
+           ("tests/test_optimizers.py::TestRewrittenStepIsByteEqual::test_a_nan_row_does_not_hide_an_over_row",)),
 )
 
 

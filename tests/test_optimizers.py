@@ -2,10 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from palsgd.optimizers import (BIAS_TABLE_MIN, InnerOptConfig, InnerOptState, OuterOptConfig,
                                OuterOptState, inner_step, outer_step)
-from palsgd.vecmath import DimensionMismatchError
+from palsgd.vecmath import DimensionMismatchError, row_norms_sq
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 def vec(*values):
@@ -283,3 +287,163 @@ class TestStatePersistence:
         inner_step(state, np.zeros((2, 2)), np.ones((2, 2)), 0.1, np.array([False, True]))
         assert state.step.tolist() == [0, 1] and other.step.tolist() == [0, 0]
         assert np.array_equal(state.m[0], np.zeros(2)) and np.array_equal(other.m, np.zeros((2, 2)))
+
+
+# The clip and bias-correction lookup that inner_step replaced, kept as the
+# reference: a `>` mask whose `.any()` decides, a masked np.divide into
+# ones, and a table rebuilt whenever `int(steps.max())` is past its end.
+def reference_corrections_at(state, steps):
+    top = int(steps.max())
+    if state.bias_table is None or top >= state.bias_table.shape[1]:
+        size = max(BIAS_TABLE_MIN, 2 * top)
+        state.bias_table = np.array([[1.0 - beta ** s for s in range(size)]
+                                     for beta in (state.config.beta1, state.config.beta2)])
+    return state.bias_table[:, steps]
+
+
+def reference_inner_step(state, x, g, lr, mask):
+    cfg = state.config
+    if cfg.variant == "adamw":
+        counts = state.step + 1
+    state.step += mask
+    if cfg.clip_norm is not None:
+        norms = np.sqrt(row_norms_sq(g))
+        over = norms > cfg.clip_norm
+        if over.any():
+            scale = np.divide(cfg.clip_norm, norms, out=np.ones_like(norms), where=over)
+            g = g * scale[:, None]
+    if cfg.variant == "sgd":
+        return x - g * lr
+    if cfg.variant == "sgd_momentum":
+        m = state.m * cfg.momentum
+        m += g
+        np.copyto(state.m, m, where=mask[:, None])
+        m *= lr
+        return x - m
+    m = state.m * cfg.beta1
+    m += g * (1.0 - cfg.beta1)
+    v = state.v * cfg.beta2
+    g2 = g * g
+    g2 *= 1.0 - cfg.beta2
+    v += g2
+    np.copyto(state.m, m, where=mask[:, None])
+    np.copyto(state.v, v, where=mask[:, None])
+    c1, c2 = reference_corrections_at(state, counts)
+    m /= c1[:, None]
+    v /= c2[:, None]
+    np.sqrt(v, out=v)
+    v += cfg.eps
+    m *= lr
+    m /= v
+    out = x * (lr * cfg.weight_decay)
+    np.subtract(x, out, out=out)
+    out -= m
+    return out
+
+
+CLIPS = (0.5, 1.0, 3.0)  # exact squares, so a row (clip, 0, ...) has norm clip exactly
+# a row's gradient: its norm under, at or over the bound, zero, or with an
+# inf or a nan entry
+ROW_KINDS = ("under", "at", "over", "zero", "inf", "nan")
+
+
+def gradient_row(kind, clip, d, rng):
+    if kind == "zero":
+        return np.zeros(d)
+    if kind == "at":
+        row = np.zeros(d)
+        row[rng.integers(d)] = clip * rng.choice((-1.0, 1.0))
+        return row
+    row = rng.normal(size=d)
+    row *= clip * (rng.uniform(0.01, 0.99) if kind == "under" else rng.uniform(1.01, 1e3)) \
+        / np.sqrt(np.dot(row, row))
+    if kind in ("inf", "nan"):
+        row[rng.integers(d)] = rng.choice((np.inf, -np.inf)) if kind == "inf" else np.nan
+    return row
+
+
+def state_bytes(state):
+    return [None if a is None else a.tobytes() for a in (state.step, state.m, state.v, state.bias_table)]
+
+
+@st.composite
+def step_kinds(draw):
+    """1 to 4 steps of a (rows, d) gradient: each row's kind per step."""
+    rows = draw(st.integers(0, 6))
+    return draw(st.lists(st.lists(st.sampled_from(ROW_KINDS), min_size=rows, max_size=rows),
+                         min_size=1, max_size=4))
+
+
+class TestRewrittenStepIsByteEqual:
+    """inner_step against the reference above: the returned rows and the
+    whole state, byte for byte, step after step."""
+
+    def run_both(self, config, kinds, d, seed, every_row, jump):
+        rng = np.random.default_rng(seed)
+        rows = len(kinds[0])
+        state, ref = (InnerOptState.fresh(config, rows, d) for _ in range(2))
+        x = rng.normal(size=(rows, d))
+        for i, step in enumerate(kinds):
+            g = np.array([gradient_row(kind, config.clip_norm or 1.0, d, rng) for kind in step])
+            g = g.reshape(rows, d)
+            mask = np.ones(rows, dtype=bool) if every_row else rng.random(rows) < 0.6
+            outcomes = []
+            for s in (state, ref):
+                step_fn = inner_step if s is state else reference_inner_step
+                with np.errstate(all="ignore"):
+                    try:
+                        outcomes.append(step_fn(s, x, g, 0.05, mask).tobytes())
+                    except ValueError as err:  # adamw on zero rows: no largest count
+                        outcomes.append(type(err))
+            assert outcomes[0] == outcomes[1], f"step {i}"
+            assert state_bytes(state) == state_bytes(ref), f"step {i}"
+            if i == 0 and jump:  # counts past the first table's end
+                state.step += jump
+                ref.step += jump
+
+    @given(SEEDS, st.sampled_from(("sgd", "sgd_momentum", "adamw")), st.sampled_from(CLIPS),
+           step_kinds(), st.integers(1, 8), st.booleans(), st.sampled_from((0, BIAS_TABLE_MIN)),
+           st.sampled_from((0.0, 0.05)))
+    @settings(max_examples=300, deadline=None)
+    @example(0, "adamw", 1.0, [["under", "under", "at", "zero"]] * 2, 4, True, 0, 0.0)
+    @example(1, "adamw", 1.0, [["nan", "over", "under"], ["over", "nan", "inf"]], 3, False, 0, 0.05)
+    @example(2, "adamw", 3.0, [["over", "under"], ["under", "over"]], 5, False, BIAS_TABLE_MIN, 0.0)
+    @example(3, "sgd", 0.5, [[]], 2, True, 0, 0.0)
+    def test_steps_equal_the_reference(self, seed, variant, clip, kinds, d, every_row, jump, wd):
+        config = InnerOptConfig(variant=variant, clip_norm=clip,
+                                weight_decay=wd if variant == "adamw" else 0.0)
+        self.run_both(config, kinds, d, seed, every_row, jump)
+
+    @pytest.mark.parametrize("variant", ["sgd", "sgd_momentum", "adamw"])
+    def test_no_clip_and_zero_rows_equal_the_reference(self, variant):
+        rng = np.random.default_rng(9)
+        for rows in (0, 3):
+            kinds = [[str(k) for k in rng.choice(ROW_KINDS, rows)] for _ in range(3)]
+            self.run_both(InnerOptConfig(variant=variant), kinds, 4, 9, False, 0)
+            self.run_both(InnerOptConfig(variant=variant, clip_norm=1.0), kinds, 4, 9, False, 0)
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_a_nan_row_does_not_hide_an_over_row(self, nan_first):
+        # a nan norm is never over the bound, and the over row beside it is
+        # still clipped: a plain max of the norms would be nan and clip neither
+        g = np.array([[np.nan, 0.0], [3.0, 4.0]])
+        if not nan_first:
+            g = g[::-1].copy()
+        state = fresh_inner("sgd", dim=2, workers=2, clip_norm=1.0)
+        with np.errstate(invalid="ignore"):
+            out = inner_step(state, np.zeros((2, 2)), g, 1.0, np.ones(2, dtype=bool))
+        over = 1 if nan_first else 0
+        assert out[over].tolist() == [-0.6000000000000001, -0.8]
+        assert np.isnan(out[1 - over, 0]) and out[1 - over, 1] == 0.0
+        self.run_both(InnerOptConfig(variant="adamw", clip_norm=1.0),
+                      [["nan", "over"] if nan_first else ["over", "nan"]] * 2, 3, 4, True, 0)
+
+    def test_corrections_grow_past_the_first_table(self):
+        state = fresh_inner("adamw", workers=3)
+        ref = fresh_inner("adamw", workers=3)
+        for steps in ([1, 2, 3], [4, BIAS_TABLE_MIN - 1, 5], [BIAS_TABLE_MIN, 1, 2],
+                      [3 * BIAS_TABLE_MIN, 7, 0], [6 * BIAS_TABLE_MIN - 1, 1, 1]):
+            steps = np.array(steps)
+            assert state.corrections_at(steps).tobytes() == reference_corrections_at(ref, steps).tobytes()
+            assert state.bias_table.tobytes() == ref.bias_table.tobytes()
+        assert state.bias_table.shape[1] == 6 * BIAS_TABLE_MIN

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from palsgd.algorithms import Schedule, make_variant, run_training
 from palsgd.cluster import AllReduceModel, ClusterSpec
@@ -145,6 +147,33 @@ class TestQuadratic:
         assert rows.shape == (5, 3)
         for k in range(5):
             assert np.array_equal(rows[k], w.hessian_diag * (x[k] - w.x_star - xi[k]))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(1, 9))
+    @settings(max_examples=200, deadline=None)
+    @example(0, 1, 3)
+    def test_gradient_equals_the_reference_bytes(self, seed, rows, dim):
+        # the one-buffer gradient against the expression it replaced, with
+        # -0.0, 0.0, inf, -inf and nan entries in x, x* and the samples
+        rng = np.random.default_rng(seed)
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+
+        def entries(shape):
+            a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+            pick = rng.random(shape) < 0.3
+            a[pick] = rng.choice(special, size=shape)[pick]
+            return a
+
+        x_star = entries(dim)
+        if seed == 0:  # every special value in each place
+            x_star[:] = special[np.arange(dim) % 5]
+        w = make_quadratic(rng.uniform(0.1, 10.0, dim), x_star=x_star)
+        x, samples = entries((rows, dim)), entries((rows, dim))
+        x_before, samples_before = x.tobytes(), samples.tobytes()
+        with np.errstate(invalid="ignore"):
+            got = w.stochastic_gradient(x, samples)
+            want = w.hessian_diag * (x - w.x_star - samples)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert x.tobytes() == x_before and samples.tobytes() == samples_before
 
     def test_gradient_at_optimum_without_noise_is_zero(self):
         w = make_quadratic((1.0, 1.0))
@@ -620,6 +649,8 @@ OUT_OF_BOUNDS = [
     ("logistic", "spread", 0.0, lambda v: generate_synthetic_classification(2, 3, 4, 0, spread=v)),
     ("mlp", "center_scale", -1.0,
      lambda v: generate_synthetic_classification(3, 3, 4, 0, center_scale=v)),
+    ("logistic", "draw_policy", "bogus", lambda v: LogisticWorkload(TWO_CLASSES, draw_policy=v)),
+    ("mlp", "draw_policy", "bogus", lambda v: MlpWorkload([3, 3], "tanh", THREE_CLASSES, draw_policy=v)),
 ]
 
 
