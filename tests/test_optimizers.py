@@ -355,8 +355,8 @@ def gradient_row(kind, clip, d, rng):
         row[rng.integers(d)] = clip * rng.choice((-1.0, 1.0))
         return row
     row = rng.normal(size=d)
-    row *= clip * (rng.uniform(0.01, 0.99) if kind == "under" else rng.uniform(1.01, 1e3)) \
-        / np.sqrt(np.dot(row, row))
+    norm = clip * (rng.uniform(0.01, 0.99) if kind == "under" else rng.uniform(1.01, 1e3))
+    row *= norm / np.sqrt(np.dot(row, row))
     if kind in ("inf", "nan"):
         row[rng.integers(d)] = rng.choice((np.inf, -np.inf)) if kind == "inf" else np.nan
     return row
@@ -388,8 +388,7 @@ class TestRewrittenStepIsByteEqual:
             g = g.reshape(rows, d)
             mask = np.ones(rows, dtype=bool) if every_row else rng.random(rows) < 0.6
             outcomes = []
-            for s in (state, ref):
-                step_fn = inner_step if s is state else reference_inner_step
+            for s, step_fn in ((state, inner_step), (ref, reference_inner_step)):
                 with np.errstate(all="ignore"):
                     try:
                         outcomes.append(step_fn(s, x, g, 0.05, mask).tobytes())
