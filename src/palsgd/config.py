@@ -5,17 +5,20 @@ Where a key's default and bound live:
 * A key that a runtime object takes is declared once, as field metadata on
   its dataclass (see ``fields.py``): ``InnerOptConfig``, ``OuterOptConfig``,
   ``Schedule``, ``ClusterSpec`` (the top-level ``workers`` too),
-  ``AllReduceModel``, ``AlgoVariant``, and for ``workload``
-  ``QuadraticWorkload``, ``LogisticWorkload``, ``MlpWorkload``,
-  ``GaussianClusters`` (``spread``, ``center_scale``); the two sharded
-  workloads take ``draw_policy`` with the Spec that ``Shards`` declares.
-  Where a config default differs from the library one (five ``schedule``
-  keys, ``workers``, ``noise_sigma``, ``l2_reg`` and ``activation``), the
-  tables below replace the default and keep the bound.
-* The other ``workload`` keys (one table per kind; the list-valued keys are
-  among them) and the top-level ``seed``, ``metrics_every``, ``eval_every``
-  and ``out_dir`` are declared in the tables below. ``RunConfig.build_workload``
-  derives what the workload section, kept as given, leaves out.
+  ``AllReduceModel``, ``AlgoVariant`` (``algo.variant`` is its ``tag``), and
+  for ``workload`` ``QuadraticWorkload``, ``LogisticWorkload``,
+  ``MlpWorkload``, their base ``ShardedWorkload`` (``draw_policy``, by the
+  Spec of ``Shards``) and ``GaussianClusters`` (the dataset keys, which the
+  generator checks). Where a config default differs from the library one
+  (five ``schedule`` keys, ``workers``, ``noise_sigma``, ``l2_reg``,
+  ``activation`` and the logistic's ``dim``), the tables below replace it.
+* A key that no runtime object takes has one row below and one reader,
+  ``RunConfig.build_workload`` or ``parse_config``: the quadratic's ``dim``,
+  ``mu`` and ``L`` (they derive ``hessian_diag``; ``L >= mu`` is a rule of
+  that derivation), the logistic's ``n_samples`` (even: two classes), the
+  mlp's ``test_samples_per_class``, the list-valued keys (their JSON and
+  array forms differ), ``seed``, ``metrics_every``, ``eval_every``,
+  ``out_dir``, ``workload.kind`` and ``schema_version``.
 
 Metrics cadence: a run writes a record after every step that ends in an
 all-reduce, that is every DDP step (warmup included) and every sync round,
@@ -74,7 +77,6 @@ _VARIANT = specs(AlgoVariant, tag="palsgd")["tag"]
 _OPTIMIZERS = {"inner": specs(InnerOptConfig), "outer": specs(OuterOptConfig)}
 _SCHEDULE = specs(Schedule, alpha=0.01, eta=0.5, p=0.05, sync_interval=16, total_steps=1600)
 
-_DATASET = {"data_seed": Spec(int, 7), **specs(GaussianClusters)}
 _MLP = specs(MlpWorkload, activation="tanh")
 _WORKLOADS = {
     "quadratic": {"dim": Spec(int, 16, low=1),
@@ -82,18 +84,16 @@ _WORKLOADS = {
                   "mu": Spec(float, 1.0, low=0, low_open=True),
                   "L": Spec(float, 4.0, low=0, low_open=True),
                   **specs(QuadraticWorkload, noise_sigma=1.0)},
-    "logistic": {"dim": Spec(int, 8, low=1),
-                 "n_samples": Spec(int, 200, low=2),
+    "logistic": {"n_samples": Spec(int, 200, low=2),
                  **specs(LogisticWorkload, l2_reg=0.01),
-                 **_DATASET},
+                 # two classes, of n_samples / 2 points each
+                 **{key: spec for key, spec in specs(GaussianClusters, dim=8).items()
+                    if key not in ("classes", "samples_per_class")}},
     "mlp": {"widths": Spec(int, None, low=1, sequence=True),
             "activation": _MLP.pop("activation"),
-            "classes": Spec(int, 10, low=2),
-            "dim": Spec(int, 16, low=1),
-            "samples_per_class": Spec(int, 100, low=1),
             "test_samples_per_class": Spec(int, 25, low=0),
-            **_MLP,  # batch_size, dtype, init_scale, draw_policy
-            **_DATASET},
+            **_MLP,  # draw_policy, batch_size, dtype, init_scale
+            **specs(GaussianClusters)},
 }
 _KIND = Spec(str, "quadratic", choices=tuple(_WORKLOADS))
 # quadratic keys that take a number (one value for every coordinate) or a list
@@ -121,21 +121,24 @@ def _section(name: str, raw, table: dict[str, Spec], unread: dict[str, str],
     """Every key of `table` that the run reads, checked, from `raw` or else
     `defaults` or the Spec default. A key is not read if `unread` maps its
     dotted name to the reason, or if the section's choice field holds none of
-    its `read_when` values, which enters it in `unread`."""
+    its `read_when` values, which enters it in `unread`. The top level's
+    `name` is empty: its keys are named bare."""
     allowed = set(table) | set(other_keys)
     unknown = set(_object(name, raw)) - allowed
     if unknown:
-        raise ConfigError(name, f"unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
+        raise ConfigError(name or "<document>",
+                          f"unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
+    prefix = f"{name}." if name else ""
     defaults = defaults or {}
-    out = {key: spec.check(f"{name}.{key}", raw.get(key, defaults.get(key, spec.default)))
+    out = {key: spec.check(prefix + key, raw.get(key, defaults.get(key, spec.default)))
            for key, spec in table.items()}
     for key, spec in table.items():
         if spec.read_when:
             choice = next(k for k, s in table.items() if set(spec.read_when) <= set(s.choices or ()))
             if out[choice] not in spec.read_when:
-                unread.setdefault(f"{name}.{key}", f"read only when {name}.{choice} is one of "
-                                                   f"{list(spec.read_when)}, not {out[choice]!r}")
-    return {key: value for key, value in out.items() if f"{name}.{key}" not in unread}
+                unread.setdefault(prefix + key, f"read only when {prefix}{choice} is one of "
+                                                 f"{list(spec.read_when)}, not {out[choice]!r}")
+    return {key: value for key, value in out.items() if prefix + key not in unread}
 
 
 def _holds(tree, dotted: str) -> bool:
@@ -192,17 +195,14 @@ class RunConfig:
         if w["kind"] == "logistic":
             data = generate_synthetic_classification(2, w["dim"], w["n_samples"] // 2,
                                                      w["data_seed"], **clusters)
-            return LogisticWorkload(data, l2_reg=w["l2_reg"], batch_size=w["batch_size"],
-                                    draw_policy=w["draw_policy"])
+            return LogisticWorkload(data, **{key: w[key] for key in specs(LogisticWorkload)})
         widths = w["widths"] or [w["dim"], 32, w["classes"]]
         data = generate_synthetic_classification(
             widths[-1], widths[0], w["samples_per_class"], w["data_seed"], **clusters)
         test = generate_synthetic_classification(
             widths[-1], widths[0], w["test_samples_per_class"], w["data_seed"], **clusters,
             split=1) if w["test_samples_per_class"] else None
-        return MlpWorkload(widths, w["activation"], data, test=test,
-                           batch_size=w["batch_size"], dtype=w["dtype"],
-                           init_scale=w["init_scale"], draw_policy=w["draw_policy"])
+        return MlpWorkload(widths, train=data, test=test, **{key: w[key] for key in specs(MlpWorkload)})
 
     def build_variant(self) -> AlgoVariant:
         a = self.algo
@@ -300,7 +300,7 @@ def parse_config(text: str, given: dict | None = None) -> RunConfig:
     version = raw.pop("schema_version", SCHEMA_VERSION)  # as a normalized dump writes it
     Spec(int, SCHEMA_VERSION, choices=(SCHEMA_VERSION,)).check("schema_version", version)
     unread: dict[str, str] = {}  # dotted key -> why its run does not read it
-    top = _section("<top>", raw, TOP_KEYS, {}, other_keys=("workload", "algo", "schedule", "cluster"))
+    top = _section("", raw, TOP_KEYS, {}, other_keys=("workload", "algo", "schedule", "cluster"))
     algo = _parse_algo(raw.get("algo", {}), unread)
     workload = _parse_workload(raw.get("workload", {}), unread)
     schedule = _parse_schedule(raw.get("schedule", {}), unread)

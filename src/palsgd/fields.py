@@ -5,12 +5,13 @@ bounds...)``, which stores a ``Spec`` in the field's metadata. Two callers read
 it: the dataclass's ``__post_init__`` through ``check_fields`` (direct API
 use), and ``config.parse_config`` through ``specs`` and ``Spec.check`` (JSON
 input, where ints are turned into floats). Both raise ``ConfigError`` naming
-the field.
+the field. A float key must be finite: not NaN, an infinity or an overflow.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 
@@ -57,6 +58,8 @@ class Spec:
         if not isinstance(value, accepted) or (isinstance(value, bool) and self.kind is not bool):
             raise ConfigError(name, f"expected {kind_name}, got {value!r}")
         if self.kind is float:
+            if not abs(value) <= sys.float_info.max:  # NaN fails every comparison
+                raise ConfigError(name, f"must be a finite number, got {value!r}")
             value = float(value)
         if self.choices is not None and value not in self.choices:
             raise ConfigError(name, f"must be one of {self.choices}, got {value!r}")

@@ -145,8 +145,13 @@ class ShardPositions(StreamChunks):
 
 @dataclass(frozen=True)
 class GaussianClusters:
-    """The clusters of ``generate_synthetic_classification``: class centres
-    with coordinates N(0, center_scale^2), points N(centre, spread^2) each."""
+    """The data of ``generate_synthetic_classification``: `classes` centres
+    in `dim` dimensions, coordinates N(0, center_scale^2), `samples_per_class`
+    points N(centre, spread^2) around each, drawn by the streams of `data_seed`."""
+    classes: int = option(int, 10, low=2)
+    dim: int = option(int, 16, low=1)
+    samples_per_class: int = option(int, 100, low=1)
+    data_seed: int = option(int, 7)
     spread: float = option(float, 1.0, low=0, low_open=True)
     center_scale: float = option(float, 3.0, low=0)
 
@@ -164,9 +169,7 @@ def generate_synthetic_classification(n_classes: int, dim: int, samples_per_clas
     points from the same stream as the centres; any other split draws fresh
     points around the same centres, e.g. a test set for split 1.
     """
-    if n_classes < 1 or dim < 1 or samples_per_class < 1:
-        raise ValueError("n_classes, dim and samples_per_class must be >= 1")
-    GaussianClusters(spread, center_scale)  # ConfigError naming a value out of bounds
+    GaussianClusters(n_classes, dim, samples_per_class, seed, spread, center_scale)  # checks bounds
     stream = RngStream(seed, 0, PURPOSE_DATAGEN)
     centers = stream.gaussian_vector(n_classes * dim, center_scale).reshape(n_classes, dim)
     if split:
@@ -196,7 +199,7 @@ def shard_dataset(dataset: Dataset, workers: int, seeds, batch_size: int,
     cuts = np.cumsum(sizes)[:-1]
     orders = [RngStream(seed, 0, PURPOSE_DATAGEN).permutation(n) for seed in seeds]
     flat = np.concatenate([np.sort(part) for order in orders for part in np.split(order, cuts)])
-    return Shards(flat, np.tile(sizes, len(seeds)), tuple(seeds), batch_size, draw_policy)
+    return Shards(flat, np.tile(sizes, len(seeds)), tuple(seeds), batch_size, draw_policy=draw_policy)
 
 
 @dataclass(eq=False)
@@ -275,21 +278,17 @@ class QuadraticWorkload:
         return self.suboptimality(x) + self.noise_floor
 
 
-def _draw_policy():
-    """A sharded workload's `draw_policy` field, checked at construction by
-    the Spec that `Shards` declares."""
-    spec = specs(Shards)["draw_policy"]
-    return field(default=spec.default, metadata={"spec": spec})
-
-
+@dataclass(eq=False)
 class ShardedWorkload:
     """A workload that trains on `train`, sharded per worker and drawn in
     index batches of `batch_size` under `draw_policy`: its sampler is the
     run's `Shards`. Each subclass defines its own `draw_sample`, so a
     wrapper set on one class's method leaves the other's alone."""
+    draw_policy: str = field(default=Shards.draw_policy, kw_only=True,
+                             metadata={"spec": specs(Shards)["draw_policy"]})
 
     def sampler(self, workers: int, seeds) -> Shards:
-        return shard_dataset(self.train, workers, seeds, self.batch_size, self.draw_policy)
+        return shard_dataset(self.train, workers, seeds, self.batch_size, draw_policy=self.draw_policy)
 
 
 @dataclass(eq=False)
@@ -299,7 +298,6 @@ class LogisticWorkload(ShardedWorkload):
     train: Dataset
     l2_reg: float = option(float, 0.0, low=0)
     batch_size: int = option(int, 1, low=1)
-    draw_policy: str = _draw_policy()
     has_eval = False
 
     def __post_init__(self):
@@ -391,7 +389,6 @@ class MlpWorkload(ShardedWorkload):
     batch_size: int = option(int, 8, low=1)
     dtype: str = option(str, "float64", choices=("float64", "float32"))
     init_scale: float | None = option(float, None, low=0, low_open=True)
-    draw_policy: str = _draw_policy()
 
     def __post_init__(self):
         check_fields(self)

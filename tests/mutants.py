@@ -14,7 +14,8 @@ class, and a file that fails to collect fails every test in it. The script
 prints killed or survived per row and exits 1 when a row survives. A row
 whose old text is not in its file exactly once is an error, and the script
 exits 2: the code has moved, and the row must follow it. Tier-1 checks that
-rule alone, without running a row (test_mutant_table.py).
+rule, and that each mutated file still compiles, without running a row
+(test_mutant_table.py).
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = "tests/test_golden.py::test_artifacts_match_the_recorded_hashes"
 MLP_GRADIENT = "tests/test_mlp_buffers.py::TestMlpBuffers::test_gradient_equals_the_reference"
 ADAMW = "tests/test_optimizers.py::TestInnerAdamw"
+PER_WORKER = "tests/test_algorithms.py::TestPerWorkerReference::test_palsgd_matches_per_worker_loop_bitwise"
+PARITY = "tests/test_workloads.py::test_the_parser_and_the_api_reject_a_key_alike"
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,121 @@ MUTANTS = (
            "np.fmax.reduce(norms, initial=-np.inf)",
            "np.maximum.reduce(norms, initial=-np.inf)",
            ("tests/test_optimizers.py::TestRewrittenStepIsByteEqual::test_a_nan_row_does_not_hide_an_over_row",)),
+    Mutant("ring bandwidth term (K-1)/K",
+           "src/palsgd/cluster.py",
+           "+ (2 * (workers - 1) / workers) * payload_bytes",
+           "+ ((workers - 1) / workers) * payload_bytes",
+           ("tests/test_cluster.py::TestAllReduceTime::test_bandwidth_term",
+            f"{GOLDEN}[logistic-ddp-k32 seed 5]")),
+    Mutant("ring latency rounds halved",
+           "src/palsgd/cluster.py",
+           "return (model.latency_s * 2 * (workers - 1)",
+           "return (model.latency_s * (workers - 1)",
+           ("tests/test_cluster.py::TestAllReduceTime::test_latency_term",
+            f"{GOLDEN}[quad-palsgd-k32 seed 5]")),
+    Mutant("all-reduce barrier without its duration",
+           "src/palsgd/cluster.py",
+           "self.barrier(duration)",
+           "self.barrier()",
+           ("tests/test_experiments_cli.py::TestSweep::test_time_decreases_with_larger_sync_interval",
+            PER_WORKER, f"{GOLDEN}[diloco quadratic]")),
+    Mutant("mixing step charged a full step",
+           "src/palsgd/cluster.py",
+           "self._mixing_cost = self._step_cost * spec.mixing_cost_fraction",
+           "self._mixing_cost = self._step_cost",
+           ("tests/test_cluster.py::TestSimClock::test_mixing_step_fractional_cost",
+            "tests/test_algorithms.py::TestPalsgdLocalStep::test_mixing_step_is_cheap_on_the_clock",
+            f"{GOLDEN}[palsgd quadratic straggler]")),
+    Mutant("one-sided jitter",
+           "src/palsgd/cluster.py",
+           "cost *= 1.0 + self.spec.jitter * (2.0 * u - 1.0)",
+           "cost *= 1.0 + self.spec.jitter * u",
+           ("tests/test_cluster.py::TestSimClock::test_jitter_scales_each_worker_by_its_own_draw",
+            f"{GOLDEN}[palsgd quadratic straggler]")),
+    Mutant("heavy-ball outer step",
+           "src/palsgd/optimizers.py",
+           "return x_global - cfg.lr * (delta + cfg.momentum * state.buf)",
+           "return x_global - cfg.lr * state.buf",
+           ("tests/test_optimizers.py::TestOuterStep::test_nesterov_two_step_scalar_oracle",
+            "tests/test_algorithms.py::TestDilocoHandTrace::test_one_round_matches_hand_recursion",
+            f"{GOLDEN}[diloco quadratic]")),
+    Mutant("plain averaging through the delta",
+           "src/palsgd/optimizers.py",
+           "    if cfg.is_plain_averaging:\n        return mean\n",
+           "    if cfg.is_plain_averaging:\n        return x_global - (x_global - mean)\n",
+           ("tests/test_optimizers.py::TestOuterStep::test_plain_averaging_returns_the_mean_bit_for_bit",
+            "tests/test_algorithms.py::TestSyncRound::test_mean_conserved_under_plain_averaging",
+            f"{GOLDEN}[local_sgd quadratic two-cell sweep]")),
+    Mutant("no 1/(1-p) inner-step rescale",
+           "src/palsgd/algorithms.py",
+           "schedule.alpha_at(t) / (1.0 - schedule.p), stepping)",
+           "schedule.alpha_at(t), stepping)",
+           ("tests/test_algorithms.py::TestFullWidthStep::test_matches_the_index_set_reference",
+            "tests/test_experiments_cli.py::TestK1Oracle::test_trainer_mean_matches_the_exact_value",
+            f"{GOLDEN}[quad-palsgd-k32 seed 5]")),
+    Mutant("mix halved in the local step",
+           "src/palsgd/algorithms.py",
+           "mixed *= schedule.mix_coefficient(t)",
+           "mixed *= 0.5 * schedule.mix_coefficient(t)",
+           ("tests/test_algorithms.py::TestPalsgdLocalStep::test_contraction_factor",
+            "tests/test_algorithms.py::TestNoiselessRecursionOracle",
+            f"{GOLDEN}[theory-suite seed 5]")),
+    Mutant("reset_at_sync ignored",
+           "src/palsgd/algorithms.py",
+           "    if workers.inner.config.reset_at_sync:\n",
+           "    if False:\n",
+           (PER_WORKER, f"{GOLDEN}[palsgd warmup_cosine sgd_momentum reset_at_sync]")),
+    Mutant("warmup not rounded up to a sync boundary",
+           "src/palsgd/algorithms.py",
+           "return min((self.warmup_steps + h - 1) // h * h, self.total_steps)",
+           "return min(self.warmup_steps, self.total_steps)",
+           ("tests/test_algorithms.py::TestSchedule::test_warmup_rounds_up_to_sync_boundary",
+            f"{GOLDEN}[palsgd quadratic straggler]")),
+    Mutant("cosine warmup one step late",
+           "src/palsgd/algorithms.py",
+           "return self.alpha * (t + 1) / w",
+           "return self.alpha * (t + 1) / (w + 1)",
+           ("tests/test_algorithms.py::TestSchedule::test_warmup_cosine_profile",
+            f"{GOLDEN}[palsgd warmup_cosine sgd_momentum reset_at_sync]")),
+    Mutant("partial last window not synced",
+           "src/palsgd/algorithms.py",
+           "synced = t < warmup or (t + 1) % h == 0 or t == total - 1",
+           "synced = t < warmup or (t + 1) % h == 0",
+           ("tests/test_algorithms.py::TestRunTraining::test_comm_event_counts",
+            "tests/test_config_metrics.py::TestParsing::test_metrics_cadence_default",
+            f"{GOLDEN}[quad-palsgd-k32 seed 5]")),
+    Mutant("uniform iterate average",
+           "src/palsgd/algorithms.py",
+           "self._w *= self.growth",
+           "self._w *= 1.0",
+           ("tests/test_algorithms.py::TestTheorySchedule::test_weights_are_normalized_geometric",
+            "tests/test_experiments_cli.py::TestK1Oracle::test_trainer_mean_matches_the_exact_value",
+            f"{GOLDEN}[tiny verify_theory]")),
+    Mutant("theory step cap p/(24 L H)",
+           "src/palsgd/algorithms.py",
+           "cap = p / (48.0 * smoothness * sync_interval)",
+           "cap = p / (24.0 * smoothness * sync_interval)",
+           ("tests/test_algorithms.py::TestTheorySchedule::test_alpha_cap_formula",
+            f"{GOLDEN}[palsgd_theory batched S=3]")),
+    Mutant("one-class data sets allowed",
+           "src/palsgd/workloads.py",
+           "classes: int = option(int, 10, low=2)",
+           "classes: int = option(int, 10, low=1)",
+           ("tests/test_workloads.py::TestDatasetGeneration::test_a_set_of_one_class_is_rejected",
+            "tests/test_config_metrics.py::TestParsing::test_mlp_width_constraints")),
+    Mutant("non-finite floats accepted",
+           "src/palsgd/fields.py",
+           "            if not abs(value) <= sys.float_info.max:  # NaN fails every comparison\n"
+           "                raise ConfigError(name, f\"must be a finite number, got {value!r}\")\n",
+           "",
+           (f"{PARITY}[schedule-alpha]", f"{PARITY}[cluster-jitter]", f"{PARITY}[quadratic-x_star]",
+            "tests/test_experiments_cli.py::TestCli::test_a_non_finite_or_overflowing_number_exits_two")),
+    Mutant("top-level keys named <top>.key",
+           "src/palsgd/config.py",
+           'top = _section("", raw, TOP_KEYS',
+           'top = _section("<top>", raw, TOP_KEYS',
+           (f"{PARITY}[top-workers]", f"{PARITY}[top-seed]",
+            "tests/test_experiments_cli.py::TestCli::test_a_top_level_key_is_named_alike_in_the_file_and_by_its_flag")),
 )
 
 

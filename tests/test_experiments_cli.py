@@ -677,6 +677,20 @@ class TestCli:
         assert "metrics_every" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("cluster.jitter", {"cluster": {"jitter": math.nan}}),  # ran with the jitter off
+        ("schedule.alpha", {"schedule": {"alpha": 10 ** 400}})])  # an OverflowError traceback
+    def test_a_non_finite_or_overflowing_number_exits_two(self, tmp_path, capsys, key, overrides):
+        assert main(["run", self.write_cfg(tmp_path, overrides)]) == 2
+        assert f"config field '{key}': must be a finite number" in capsys.readouterr().err
+
+    def test_a_top_level_key_is_named_alike_in_the_file_and_by_its_flag(self, tmp_path, capsys):
+        assert main(["run", self.write_cfg(tmp_path, {"metrics_every": 0})]) == 2
+        in_file = capsys.readouterr().err
+        assert main(["run", self.write_cfg(tmp_path), "--metrics-every", "0"]) == 2
+        by_flag = capsys.readouterr().err
+        assert by_flag == in_file == "error: config field 'metrics_every': must be >= 1, got 0\n"
+
     def test_verify_theory_command(self, tmp_path, capsys):
         cfg = {
             "workload": {"kind": "quadratic", "dim": 4, "mu": 1.0, "L": 2.0,

@@ -1,7 +1,9 @@
 """The mutant table (``tests/mutants.py``) follows the code and the tests:
 each row's old text occurs exactly once in its file, which the script needs
-to apply the row, and each node id it names exists, so that a renamed test
-cannot leave a row that only ever survives. No row is run here."""
+to apply the row, each node id it names exists, so that a renamed test
+cannot leave a row that only ever survives, and the mutated file still
+compiles: a syntax error fails the file's collection, and so every test in
+it, a kill that checks no behaviour. No row is run here."""
 
 import ast
 
@@ -16,6 +18,12 @@ IDS = [m.name for m in MUTANTS]
 @pytest.mark.parametrize("mutant", MUTANTS, ids=IDS)
 def test_old_text_occurs_once_in_its_file(mutant):
     assert (ROOT / mutant.path).read_text().count(mutant.old) == 1
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=IDS)
+def test_the_mutated_file_compiles(mutant):
+    path = ROOT / mutant.path
+    compile(path.read_text().replace(mutant.old, mutant.new, 1), str(path), "exec")
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=IDS)

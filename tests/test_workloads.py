@@ -1,25 +1,28 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palsgd.algorithms import Schedule, make_variant, run_training
+from palsgd.algorithms import AlgoVariant, Schedule, make_variant, run_training
 from palsgd.cluster import AllReduceModel, ClusterSpec
-from palsgd.config import parse_config
+from palsgd.config import (_ALLREDUCE, _BROADCAST, _CLUSTER, _KIND, _OPTIMIZERS, _SCHEDULE,
+                           _VARIANT, _WORKLOADS, TOP_KEYS, parse_config)
 from palsgd.experiments import central_difference_gradient, max_relative_error
-from palsgd.fields import ConfigError
-from palsgd.optimizers import InnerOptConfig
+from palsgd.fields import ConfigError, Spec, specs
+from palsgd.optimizers import InnerOptConfig, OuterOptConfig
 from palsgd.vecmath import (PURPOSE_DATA, PURPOSE_DATAGEN, PURPOSE_INIT, PURPOSE_SHUFFLE,
                             RngStream)
 
 RNG_METHODS = ("uniform", "uniform_vector", "gaussian", "gaussian_vector",
                "integers", "permutation")
-from palsgd.workloads import (Dataset, LogisticWorkload, MlpWorkload, QuadraticWorkload,
-                              _softplus, generate_synthetic_classification, shard_dataset)
+from palsgd.workloads import (Dataset, GaussianClusters, LogisticWorkload, MlpWorkload,
+                              QuadraticWorkload, _softplus, generate_synthetic_classification,
+                              shard_dataset)
 from record_columns import assert_columns_equal
 
 
@@ -572,6 +575,13 @@ class TestDatasetGeneration:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
+    def test_a_set_of_one_class_is_rejected(self):
+        # no workload takes one class: the logistic needs two, and an mlp's
+        # softmax over one output has nothing to learn
+        with pytest.raises(ConfigError) as exc:
+            generate_synthetic_classification(1, 3, 4, 0)
+        assert exc.value.field == "classes"
+
 
 class TestStackedGradients:
     """The stacked logistic and MLP gradients against the per-row code."""
@@ -637,29 +647,136 @@ class TestStackedGradients:
 
 TWO_CLASSES = generate_synthetic_classification(2, 3, 4, 0)
 THREE_CLASSES = generate_synthetic_classification(3, 3, 4, 0)
-# (kind, key, a value out of the key's bound, the constructor or generator given it)
-OUT_OF_BOUNDS = [
-    ("quadratic", "noise_sigma", -1.0, lambda v: QuadraticWorkload(np.ones(2), np.zeros(2), v)),
-    ("logistic", "l2_reg", -0.5, lambda v: LogisticWorkload(TWO_CLASSES, l2_reg=v)),
-    ("logistic", "batch_size", 0, lambda v: LogisticWorkload(TWO_CLASSES, batch_size=v)),
-    ("mlp", "activation", "sigmoid", lambda v: MlpWorkload([3, 3], v, THREE_CLASSES)),
-    ("mlp", "batch_size", 0, lambda v: MlpWorkload([3, 3], "tanh", THREE_CLASSES, batch_size=v)),
-    ("mlp", "dtype", "float16", lambda v: MlpWorkload([3, 3], "tanh", THREE_CLASSES, dtype=v)),
-    ("mlp", "init_scale", -1.0, lambda v: MlpWorkload([3, 3], "tanh", THREE_CLASSES, init_scale=v)),
-    ("logistic", "spread", 0.0, lambda v: generate_synthetic_classification(2, 3, 4, 0, spread=v)),
-    ("mlp", "center_scale", -1.0,
-     lambda v: generate_synthetic_classification(3, 3, 4, 0, center_scale=v)),
-    ("logistic", "draw_policy", "bogus", lambda v: LogisticWorkload(TWO_CLASSES, draw_policy=v)),
-    ("mlp", "draw_policy", "bogus", lambda v: MlpWorkload([3, 3], "tanh", THREE_CLASSES, draw_policy=v)),
+
+
+def clusters(classes=3, dim=3, samples_per_class=4, data_seed=0, **given):
+    """A data set from the generator, given by GaussianClusters' field names."""
+    return generate_synthetic_classification(classes, dim, samples_per_class, data_seed, **given)
+
+
+def owner(cls, build=None, **required):
+    """The Specs that `cls` declares, and a call that builds it (through
+    `build`, if given) from `required` and one field."""
+    return specs(cls), lambda key, value: (build or cls)(**{**required, key: value})
+
+
+# each config table: its section (a workload kind for a kind's table, "top"
+# for the top level), its keys' Specs and the owners that declare them, in
+# the order they are searched
+TABLES = [
+    ("top", TOP_KEYS, []),
+    ("schedule", _SCHEDULE, [owner(Schedule, alpha=1.0)]),
+    ("cluster", _CLUSTER, [owner(ClusterSpec, workers=1)]),
+    ("cluster.allreduce", _ALLREDUCE, [owner(AllReduceModel)]),
+    ("algo", {"variant": _VARIANT}, []),
+    ("algo.inner", _OPTIMIZERS["inner"], [owner(InnerOptConfig)]),
+    ("algo.outer", _OPTIMIZERS["outer"], [owner(OuterOptConfig)]),
+    ("workload", {"kind": _KIND}, []),
+    ("quadratic", _WORKLOADS["quadratic"],
+     [owner(QuadraticWorkload, hessian_diag=np.ones(2), x_star=np.zeros(2), noise_sigma=1.0)]),
+    ("quadratic", _BROADCAST, []),
+    ("logistic", _WORKLOADS["logistic"],
+     [owner(LogisticWorkload, train=TWO_CLASSES), owner(GaussianClusters, clusters)]),
+    ("mlp", _WORKLOADS["mlp"],
+     [owner(MlpWorkload, widths=[3, 3], activation="tanh", train=THREE_CLASSES),
+      owner(GaussianClusters, clusters)]),
 ]
+# the two keys whose owner field has another name or sits in another section
+RENAMED = {"top.workers": ("workers", [owner(ClusterSpec)]),
+           "algo.variant": ("tag", [owner(AlgoVariant, inner=InnerOptConfig(), outer=OuterOptConfig())])}
+# the keys that no runtime object takes (the config module says why); a key
+# that has no owner field must be listed here on purpose
+PARSER_ONLY = {"top.seed", "top.metrics_every", "top.eval_every", "top.out_dir", "workload.kind",
+               "quadratic.dim", "quadratic.mu", "quadratic.L", "quadratic.hessian_diag",
+               "quadratic.x_star", "quadratic.x0_offset", "logistic.n_samples",
+               "mlp.widths", "mlp.test_samples_per_class"}
+# the configs that make a top-level key read
+READ_WITH = {"eval_every": {"workload": {"kind": "mlp"}}}
 
 
-@pytest.mark.parametrize("kind, key, value, build", OUT_OF_BOUNDS,
-                         ids=[f"{kind}-{key}" for kind, key, _, _ in OUT_OF_BOUNDS])
-def test_the_parser_and_the_api_reject_a_key_alike(kind, key, value, build):
-    with pytest.raises(ConfigError) as parsed:
-        parse_config(json.dumps({"workload": {"kind": kind, key: value}}))
-    assert parsed.value.field == f"workload.{key}"
-    with pytest.raises(ConfigError) as built:
-        build(value)
-    assert (built.value.field, built.value.reason) == (key, parsed.value.reason)
+def owner_field(where: str, key: str, spec: Spec, owners: list):
+    """(the owner field of the key, a call that builds its owner with it),
+    or None: the first owner that declares the field with `spec`, defaults
+    aside."""
+    name, owners = RENAMED.get(f"{where}.{key}", (key, owners))
+    for declared, build in owners:
+        if name in declared and replace(declared[name], default=spec.default) == spec:
+            return name, build
+    return None
+
+
+def faults(spec: Spec) -> list:
+    """(fault, value) pairs: a value for each way to break `spec`'s rules."""
+    out = []
+    if spec.low is not None:
+        out.append(("below-low", spec.kind(spec.low - 1)))
+        if spec.low_open:
+            out.append(("at-open-low", spec.kind(spec.low)))
+    if spec.high is not None:
+        out.append(("above-high", spec.kind(spec.high + 1)))
+        if spec.high_open:
+            out.append(("at-open-high", spec.kind(spec.high)))
+    if spec.choices is not None:
+        out.append(("outside-choices", "bogus" if spec.kind is str else max(spec.choices) + 1))
+    number = spec.kind in (int, float)
+    out.append(("wrong-type", "1" if number else 1))
+    if number:
+        out.append(("bool", True))
+    if spec.kind is int:
+        out.append(("fraction", 0.5))
+    if spec.kind is float:
+        out += [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("overflow", 10 ** 400)]
+    if spec.sequence:
+        out = [("empty-list", []), ("not-a-list", spec.kind(1)),
+               *((f"element-{fault}", [value]) for fault, value in out)]
+    return out
+
+
+def dotted(where: str, key: str) -> str:
+    """The name that a ConfigError gives the key of section `where`."""
+    return key if where == "top" else f"{'workload' if where in _WORKLOADS else where}.{key}"
+
+
+def config_with(where: str, table: dict, key: str, value) -> dict:
+    """The least config that reads `key` of `table`, set to `value`: a
+    `read_when` key's choice field takes a value under which the key acts,
+    and a workload key's section names its kind."""
+    given = {key: value}
+    for choice, spec in table.items():
+        if table[key].read_when and set(table[key].read_when) <= set(spec.choices or ()):
+            given[choice] = table[key].read_when[0]
+    if where == "top":
+        return {**READ_WITH.get(key, {}), **given}
+    if where in _WORKLOADS:
+        given, where = {"kind": where, **given}, "workload"
+    for part in reversed(where.split(".")):
+        given = {part: given}
+    return given
+
+
+def rejection(call, *args):
+    """The (field, reason) of the ConfigError that call(*args) raises, or None."""
+    try:
+        call(*args)
+    except ConfigError as exc:
+        return exc.field, exc.reason
+    return None
+
+
+KEYS = [(where, table, key, owners) for where, table, owners in TABLES for key in table]
+
+
+@pytest.mark.parametrize("where, table, key, owners", KEYS,
+                         ids=[f"{where}-{key}" for where, _, key, _ in KEYS])
+def test_the_parser_and_the_api_reject_a_key_alike(where, table, key, owners):
+    """The key has an owner field or is listed as parser-only; each value
+    that breaks a rule of its Spec is rejected by parse_config, naming the
+    dotted key, and by the owner, naming its field with the same reason."""
+    owned = owner_field(where, key, table[key], owners)
+    assert (owned is None) == (f"{where}.{key}" in PARSER_ONLY)
+    for fault, value in faults(table[key]):
+        parsed = rejection(parse_config, json.dumps(config_with(where, table, key, value)))
+        assert parsed is not None and parsed[0] == dotted(where, key), (fault, parsed)
+        if owned is not None:
+            name, build = owned
+            assert rejection(build, name, value) == (name, parsed[1]), fault
