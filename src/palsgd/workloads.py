@@ -159,28 +159,28 @@ class GaussianClusters:
         check_fields(self)
 
 
-def generate_synthetic_classification(n_classes: int, dim: int, samples_per_class: int,
-                                      seed: int, spread: float = GaussianClusters.spread,
+def generate_synthetic_classification(classes: int, dim: int, samples_per_class: int,
+                                      data_seed: int, spread: float = GaussianClusters.spread,
                                       center_scale: float = GaussianClusters.center_scale,
                                       split: int = 0) -> Dataset:
-    """Gaussian-cluster classification data, deterministic given (seed, split).
+    """Gaussian-cluster classification data, deterministic given (data_seed, split).
 
     The class centres depend on the seed alone. Split 0 (training) draws its
     points from the same stream as the centres; any other split draws fresh
     points around the same centres, e.g. a test set for split 1.
     """
-    GaussianClusters(n_classes, dim, samples_per_class, seed, spread, center_scale)  # checks bounds
-    stream = RngStream(seed, 0, PURPOSE_DATAGEN)
-    centers = stream.gaussian_vector(n_classes * dim, center_scale).reshape(n_classes, dim)
+    GaussianClusters(classes, dim, samples_per_class, data_seed, spread, center_scale)  # checks bounds
+    stream = RngStream(data_seed, 0, PURPOSE_DATAGEN)
+    centers = stream.gaussian_vector(classes * dim, center_scale).reshape(classes, dim)
     if split:
-        stream = RngStream(seed, split, PURPOSE_DATAGEN)
-    feats = np.empty((n_classes * samples_per_class, dim))
-    labels = np.empty(n_classes * samples_per_class, dtype=np.int64)
-    for c in range(n_classes):
+        stream = RngStream(data_seed, split, PURPOSE_DATAGEN)
+    feats = np.empty((classes * samples_per_class, dim))
+    labels = np.empty(classes * samples_per_class, dtype=np.int64)
+    for c in range(classes):
         noise = stream.gaussian_vector(samples_per_class * dim, spread).reshape(samples_per_class, dim)
         feats[c * samples_per_class:(c + 1) * samples_per_class] = centers[c] + noise
         labels[c * samples_per_class:(c + 1) * samples_per_class] = c
-    return Dataset(features=feats, labels=labels, n_classes=n_classes)
+    return Dataset(features=feats, labels=labels, n_classes=classes)
 
 
 def shard_dataset(dataset: Dataset, workers: int, seeds, batch_size: int,
@@ -199,7 +199,7 @@ def shard_dataset(dataset: Dataset, workers: int, seeds, batch_size: int,
     cuts = np.cumsum(sizes)[:-1]
     orders = [RngStream(seed, 0, PURPOSE_DATAGEN).permutation(n) for seed in seeds]
     flat = np.concatenate([np.sort(part) for order in orders for part in np.split(order, cuts)])
-    return Shards(flat, np.tile(sizes, len(seeds)), tuple(seeds), batch_size, draw_policy=draw_policy)
+    return Shards(flat, np.tile(sizes, len(seeds)), tuple(seeds), batch_size, draw_policy)
 
 
 @dataclass(eq=False)
@@ -284,11 +284,11 @@ class ShardedWorkload:
     index batches of `batch_size` under `draw_policy`: its sampler is the
     run's `Shards`. Each subclass defines its own `draw_sample`, so a
     wrapper set on one class's method leaves the other's alone."""
-    draw_policy: str = field(default=Shards.draw_policy, kw_only=True,
-                             metadata={"spec": specs(Shards)["draw_policy"]})
+    spec = specs(Shards)["draw_policy"]
+    draw_policy: str = field(default=spec.default, kw_only=True, metadata={"spec": spec})
 
     def sampler(self, workers: int, seeds) -> Shards:
-        return shard_dataset(self.train, workers, seeds, self.batch_size, draw_policy=self.draw_policy)
+        return shard_dataset(self.train, workers, seeds, self.batch_size, self.draw_policy)
 
 
 @dataclass(eq=False)

@@ -229,7 +229,8 @@ MUTANTS = (
            "src/palsgd/workloads.py",
            "classes: int = option(int, 10, low=2)",
            "classes: int = option(int, 10, low=1)",
-           ("tests/test_workloads.py::TestDatasetGeneration::test_a_set_of_one_class_is_rejected",
+           (f"{PARITY}[mlp-classes]",
+            "tests/test_workloads.py::TestDatasetGeneration::test_a_set_of_one_class_is_rejected",
             "tests/test_config_metrics.py::TestParsing::test_mlp_width_constraints")),
     Mutant("non-finite floats accepted",
            "src/palsgd/fields.py",

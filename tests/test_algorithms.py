@@ -1236,8 +1236,8 @@ def assert_replicas_equal_runs_alone(alone, batched):
 
 
 def classification(classes, dim, per_class):
-    train = generate_synthetic_classification(classes, dim, per_class, seed=3)
-    test = generate_synthetic_classification(classes, dim, 5, seed=3, split=1)
+    train = generate_synthetic_classification(classes, dim, per_class, data_seed=3)
+    test = generate_synthetic_classification(classes, dim, 5, data_seed=3, split=1)
     return train, test
 
 

@@ -649,16 +649,14 @@ TWO_CLASSES = generate_synthetic_classification(2, 3, 4, 0)
 THREE_CLASSES = generate_synthetic_classification(3, 3, 4, 0)
 
 
-def clusters(classes=3, dim=3, samples_per_class=4, data_seed=0, **given):
-    """A data set from the generator, given by GaussianClusters' field names."""
-    return generate_synthetic_classification(classes, dim, samples_per_class, data_seed, **given)
-
-
 def owner(cls, build=None, **required):
     """The Specs that `cls` declares, and a call that builds it (through
     `build`, if given) from `required` and one field."""
     return specs(cls), lambda key, value: (build or cls)(**{**required, key: value})
 
+
+CLUSTERS = owner(GaussianClusters, generate_synthetic_classification,
+                 classes=3, dim=3, samples_per_class=4, data_seed=0)
 
 # each config table: its section (a workload kind for a kind's table, "top"
 # for the top level), its keys' Specs and the owners that declare them, in
@@ -676,10 +674,10 @@ TABLES = [
      [owner(QuadraticWorkload, hessian_diag=np.ones(2), x_star=np.zeros(2), noise_sigma=1.0)]),
     ("quadratic", _BROADCAST, []),
     ("logistic", _WORKLOADS["logistic"],
-     [owner(LogisticWorkload, train=TWO_CLASSES), owner(GaussianClusters, clusters)]),
+     [owner(LogisticWorkload, train=TWO_CLASSES), CLUSTERS]),
     ("mlp", _WORKLOADS["mlp"],
      [owner(MlpWorkload, widths=[3, 3], activation="tanh", train=THREE_CLASSES),
-      owner(GaussianClusters, clusters)]),
+      CLUSTERS]),
 ]
 # the two keys whose owner field has another name or sits in another section
 RENAMED = {"top.workers": ("workers", [owner(ClusterSpec)]),
@@ -690,6 +688,13 @@ PARSER_ONLY = {"top.seed", "top.metrics_every", "top.eval_every", "top.out_dir",
                "quadratic.dim", "quadratic.mu", "quadratic.L", "quadratic.hessian_diag",
                "quadratic.x_star", "quadratic.x0_offset", "logistic.n_samples",
                "mlp.widths", "mlp.test_samples_per_class"}
+# fixed bad values besides the derived ones: a bound moved at its one
+# declaration moves the derived values along, but not these
+PINNED = {("quadratic", "noise_sigma"): -1.0, ("logistic", "l2_reg"): -0.5,
+          ("logistic", "batch_size"): 0, ("logistic", "spread"): 0.0,
+          ("logistic", "draw_policy"): "bogus", ("mlp", "activation"): "sigmoid",
+          ("mlp", "batch_size"): 0, ("mlp", "dtype"): "float16", ("mlp", "init_scale"): -1.0,
+          ("mlp", "center_scale"): -1.0, ("mlp", "draw_policy"): "bogus", ("mlp", "classes"): 1}
 # the configs that make a top-level key read
 READ_WITH = {"eval_every": {"workload": {"kind": "mlp"}}}
 
@@ -770,13 +775,19 @@ KEYS = [(where, table, key, owners) for where, table, owners in TABLES for key i
                          ids=[f"{where}-{key}" for where, _, key, _ in KEYS])
 def test_the_parser_and_the_api_reject_a_key_alike(where, table, key, owners):
     """The key has an owner field or is listed as parser-only; each value
-    that breaks a rule of its Spec is rejected by parse_config, naming the
-    dotted key, and by the owner, naming its field with the same reason."""
+    that breaks a rule of its Spec, and its pinned value, is rejected by
+    parse_config, naming the dotted key, and by the owner, naming its field
+    with the same reason."""
     owned = owner_field(where, key, table[key], owners)
     assert (owned is None) == (f"{where}.{key}" in PARSER_ONLY)
-    for fault, value in faults(table[key]):
+    pinned = [("pinned", PINNED[where, key])] if (where, key) in PINNED else []
+    for fault, value in faults(table[key]) + pinned:
         parsed = rejection(parse_config, json.dumps(config_with(where, table, key, value)))
         assert parsed is not None and parsed[0] == dotted(where, key), (fault, parsed)
         if owned is not None:
             name, build = owned
             assert rejection(build, name, value) == (name, parsed[1]), fault
+
+
+def test_each_pinned_value_belongs_to_a_key_of_the_tables():
+    assert set(PINNED) <= {(where, key) for where, _, key, _ in KEYS}
